@@ -19,7 +19,6 @@ def main():
     ap.add_argument("--N", type=int, nargs="+", default=[8, 10])
     ap.add_argument("--p", type=float, nargs="+", default=[1.5, 2.0, 3.0])
     ap.add_argument("--budget", type=int, default=6)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     cfg = parse_config(
@@ -31,7 +30,7 @@ def main():
             "output": {"format": "json"},
         }
     )
-    manifest = run(cfg, args.out, threads=args.threads)
+    manifest = run(cfg, args.out)
     print(json.dumps(manifest["constants"], indent=2))
     print(f"rows written to {args.out}/sweep.csv")
 

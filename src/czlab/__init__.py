@@ -28,8 +28,6 @@ from .shifts import (
     build_petermichl,
     build_random_shift,
     build_paraproduct,
-    apply_shift,
-    maximal_truncation,
     hilbert_direct,
     hilbert_average,
 )

@@ -161,26 +161,19 @@ def _centered_maximal(f: StepFunction) -> StepFunction:
     raise NotImplementedError("centered maximal function implemented for d <= 2")
 
 
-def _coord_raster(f: StepFunction) -> np.ndarray:
-    """Reshape Z-ordered values into a coordinate raster (axis 0 = x0)."""
+def _centered_maximal_2d(f: StepFunction) -> np.ndarray:
     grid = f.grid
     n = 1 << grid.N
-    out = np.empty((n, n))
+    dx = 1.0 / n
+    # de-interleave Z-order into raster coordinates (axis 0 = x0)
     zidx = np.arange(grid.cells)
     c0 = np.zeros(grid.cells, dtype=int)
     c1 = np.zeros(grid.cells, dtype=int)
     for b in range(grid.N):
         c0 |= ((zidx >> (2 * b)) & 1) << b
         c1 |= ((zidx >> (2 * b + 1)) & 1) << b
-    out[c0, c1] = f.values
-    return out
-
-
-def _centered_maximal_2d(f: StepFunction) -> np.ndarray:
-    grid = f.grid
-    n = 1 << grid.N
-    dx = 1.0 / n
-    raster = np.abs(_coord_raster(f))
+    raster = np.empty((n, n))
+    raster[c0, c1] = np.abs(f.values)
     half = np.repeat(np.repeat(raster, 2, axis=0), 2, axis=1) * (dx / 2.0) ** 2
     P = np.zeros((2 * n + 1, 2 * n + 1))
     P[1:, 1:] = half.cumsum(axis=0).cumsum(axis=1)
@@ -196,13 +189,6 @@ def _centered_maximal_2d(f: StepFunction) -> np.ndarray:
             + P[np.ix_(lo0, lo0)]
         )
         best = np.maximum(best, box / (j * dx) ** 2)
-    # scatter the raster back into Z-order
-    zidx = np.arange(grid.cells)
-    c0 = np.zeros(grid.cells, dtype=int)
-    c1 = np.zeros(grid.cells, dtype=int)
-    for b in range(grid.N):
-        c0 |= ((zidx >> (2 * b)) & 1) << b
-        c1 |= ((zidx >> (2 * b + 1)) & 1) << b
     return best[c0, c1]
 
 

@@ -35,7 +35,6 @@ from .shifts import (
     build_petermichl,
     build_random_shift,
     hilbert_average,
-    maximal_truncation,
 )
 from .stopping import build_stopping_family
 
@@ -109,7 +108,7 @@ def _load_step_function(path: str, grid: GridSpec) -> StepFunction:
 # -- verb implementations ----------------------------------------------------
 
 
-def _run_characteristics(cfg: ExperimentConfig, out_dir: str, threads: int):
+def _run_characteristics(cfg: ExperimentConfig, out_dir: str):
     grid = GridSpec(cfg.d, cfg.N)
     w = weight_from_spec(grid, cfg.params.get("weight", {"kind": "constant", "value": 1.0}), cfg.seed)
     p_list = [float(p) for p in cfg.params.get("p", [2.0])]
@@ -140,14 +139,14 @@ def _run_characteristics(cfg: ExperimentConfig, out_dir: str, threads: int):
     return outputs, {"ainfty_mode": mode}
 
 
-def _run_shift_apply(cfg: ExperimentConfig, out_dir: str, threads: int):
+def _run_shift_apply(cfg: ExperimentConfig, out_dir: str):
     grid = GridSpec(cfg.d, cfg.N)
     if "input" not in cfg.params:
         raise ConfigError("params.input (a step-function JSON file) is required")
     f = _load_step_function(cfg.params["input"], grid)
     S = _build_operator(f.grid, cfg.params.get("operator", {"kind": "petermichl"}), cfg.seed)
     sf = S.apply(f)
-    snat = maximal_truncation(S, f)
+    snat = S.truncation(f)
     rows = [
         [str(i), _fmt(_x_left(f.grid, i)), _fmt(sf.values[i]), _fmt(snat.values[i])]
         for i in range(f.grid.cells)
@@ -177,7 +176,7 @@ _DEFAULT_PAIRS = [
 ]
 
 
-def _run_hilbert_approx(cfg: ExperimentConfig, out_dir: str, threads: int):
+def _run_hilbert_approx(cfg: ExperimentConfig, out_dir: str):
     if cfg.d != 1:
         raise ConfigError("hilbert-approx requires grid.d = 1")
     grid = GridSpec(1, cfg.N)
@@ -238,7 +237,7 @@ def _build_tau(grid: GridSpec, spec, seed) -> TauCoefficients:
     return TauCoefficients(grid, table)
 
 
-def _run_sawyer_test(cfg: ExperimentConfig, out_dir: str, threads: int):
+def _run_sawyer_test(cfg: ExperimentConfig, out_dir: str):
     grid = GridSpec(cfg.d, cfg.N)
     p = float(cfg.params.get("p", 2.0))
     if not 1.0 < p < math.inf:
@@ -264,7 +263,7 @@ def _run_sawyer_test(cfg: ExperimentConfig, out_dir: str, threads: int):
     return outputs, {"proxy": payload["proxy"]}
 
 
-def _run_lerner_decompose(cfg: ExperimentConfig, out_dir: str, threads: int):
+def _run_lerner_decompose(cfg: ExperimentConfig, out_dir: str):
     grid = GridSpec(cfg.d, cfg.N)
     if "input" in cfg.params:
         phi = _load_step_function(cfg.params["input"], grid)
@@ -284,7 +283,7 @@ def _run_lerner_decompose(cfg: ExperimentConfig, out_dir: str, threads: int):
     return outputs, {"c_lerner": dec.empirical_constant(), "generations": len(dec.generations)}
 
 
-def _run_stopping_audit(cfg: ExperimentConfig, out_dir: str, threads: int):
+def _run_stopping_audit(cfg: ExperimentConfig, out_dir: str):
     grid = GridSpec(cfg.d, cfg.N)
     count = int(cfg.params.get("count", 50))
     spec = cfg.params.get("weight", {"kind": "cascade", "volatility": 0.6})
@@ -316,9 +315,11 @@ def _run_stopping_audit(cfg: ExperimentConfig, out_dir: str, threads: int):
     return outputs, {"max_packing": worst_pack, "max_carleson_ratio": worst_carleson}
 
 
-def _run_sharpness_sweep(cfg: ExperimentConfig, out_dir: str, threads: int):
+def _run_sharpness_sweep(cfg: ExperimentConfig, out_dir: str):
     if cfg.d != 1:
-        raise ConfigError("sharpness-sweep requires grid.d = 1 (Hilbert-kernel rows)")
+        raise ConfigError(
+            "sharpness-sweep requires grid.d = 1 (the default sweep operators are one-dimensional)"
+        )
     operators = tuple(cfg.params.get("operators", ["petermichl", "random2a", "random2b"]))
     p_list = tuple(float(p) for p in cfg.params.get("p", [1.5, 2.0, 3.0]))
     N_list = tuple(int(n) for n in cfg.params.get("N", [min(cfg.N, 8), cfg.N]))
@@ -331,7 +332,6 @@ def _run_sharpness_sweep(cfg: ExperimentConfig, out_dir: str, threads: int):
         seed=cfg.seed,
         budget=budget,
         random_starts=random_starts,
-        threads=threads,
     )
     csv_rows = [
         [
@@ -361,7 +361,7 @@ def _run_sharpness_sweep(cfg: ExperimentConfig, out_dir: str, threads: int):
     return outputs, constants
 
 
-def _run_invariant_suite(cfg: ExperimentConfig, out_dir: str, threads: int):
+def _run_invariant_suite(cfg: ExperimentConfig, out_dir: str):
     from .characteristics import maximal_function
 
     grid = GridSpec(cfg.d, cfg.N)
@@ -433,11 +433,11 @@ _VERB_RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
+def run(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Execute a validated config, write artifacts, and return the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     start = time.perf_counter()
-    outputs, constants = _VERB_RUNNERS[cfg.verb](cfg, out_dir, threads)
+    outputs, constants = _VERB_RUNNERS[cfg.verb](cfg, out_dir)
     manifest = {
         "verb": cfg.verb,
         "config": cfg.to_dict(),
@@ -461,16 +461,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (or CZLAB_THREADS)")
     args = parser.parse_args(argv)
-
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("CZLAB_THREADS")
-        threads = int(env) if env else 1
-    if threads < 1:
-        print("config error: --threads must be at least 1", file=sys.stderr)
-        return 2
 
     try:
         cfg = load_config(args.config, args.verb)
@@ -479,7 +470,7 @@ def main(argv=None) -> int:
                 cfg.verb, cfg.d, cfg.N, args.seed, cfg.params, cfg.out_format, cfg.out_path
             )
         out_dir = args.out or cfg.out_path or "czlab-out"
-        run(cfg, out_dir, threads)
+        run(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ __all__ = [
     "truncation_operator",
     "positive_operator",
     "hilbert_operator",
-    "hilbert_maximal_operator",
     "norm_p2",
     "norm_lp_lower",
     "weak_norm_estimate",
@@ -114,15 +113,6 @@ def hilbert_operator(grid: GridSpec) -> LinearOperator:
         return -hilbert_direct(StepFunction(grid, v)).values
 
     return LinearOperator(grid, fwd, bwd, label="hilbert")
-
-
-def hilbert_maximal_operator(grid: GridSpec) -> SublinearOperator:
-    from .shifts import hilbert_maximal
-
-    def fwd(v):
-        return hilbert_maximal(StepFunction(grid, v)).values
-
-    return SublinearOperator(grid, fwd, hilbert_operator(grid), label="hilbert-maximal")
 
 
 @dataclass(frozen=True)
@@ -456,37 +446,25 @@ def sharpness_sweep(
     seed: int = 0,
     budget: int = 6,
     random_starts: int = 16,
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Measured truncation norms against the characteristic bound, per row.
 
     Every row uses the dual weight sigma = w^(1-p'), the two-weight bracket,
     and the bound bracket * (ainfty(w)^(1/p') + ainfty(sigma)^(1/p)); the
     final column carries the single-characteristic comparison
-    ap^max(1, 1/(p-1)).  All A_infty values are dyadic-mode.  Blocks may be
-    evaluated by a thread pool; the row order is deterministic either way.
+    ap^max(1, 1/(p-1)).  All A_infty values are dyadic-mode.
     """
     if d != 1:
         raise ValueError("the default sweep operators require d = 1")
     if weight_family != "default":
         raise ValueError("unknown weight family")
-    blocks = []
+    rows = []
     for N in N_list:
         grid = GridSpec(d, int(N))
         for fam, param, w in default_weight_family(grid):
-            blocks.append((grid, fam, param, w))
-
-    def run(block):
-        grid, fam, param, w = block
-        return _sweep_block(
-            grid, fam, param, w, operator_kinds, p_list, seed, budget, random_starts
-        )
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, blocks))
-    else:
-        results = [run(b) for b in blocks]
-    return [row for rows in results for row in rows]
+            rows.extend(
+                _sweep_block(
+                    grid, fam, param, w, operator_kinds, p_list, seed, budget, random_starts
+                )
+            )
+    return rows

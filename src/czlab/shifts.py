@@ -11,9 +11,11 @@ induced per-cube kernel bounded by one as well, since at any point pair
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +36,6 @@ __all__ = [
     "build_petermichl",
     "build_random_shift",
     "build_paraproduct",
-    "apply_shift",
-    "maximal_truncation",
     "hilbert_direct",
     "hilbert_truncated",
     "hilbert_maximal",
@@ -46,9 +46,9 @@ _NORMALIZATION_TOL = 1e-12
 
 
 def _exact_zero_sum(vals: np.ndarray) -> np.ndarray:
-    """Recenter so the entries sum to exactly zero in floating point."""
-    vals = vals - vals.mean()
-    vals[-1] -= vals.sum()
+    """Recenter each row (last axis) so it sums to exactly zero in floating point."""
+    vals = vals - vals.mean(axis=-1, keepdims=True)
+    vals[..., -1] -= vals.sum(axis=-1)
     return vals
 
 
@@ -94,96 +94,138 @@ class HaarFunction:
         return self.child_values[(cell_z - sl.start) // per_child]
 
 
+class ShiftLevel(NamedTuple):
+    """Coefficient rows of one level of Q, in (Q Z-index, pair) order.
+
+    Row i holds one pair: `in_idx` and `out_idx` are the Z-indices of the
+    2^d children of R' (at level + n + 1) and of Q' (at level + m + 1), and
+    `h_in` and `h_out` the child values of the input and output Haar functions.
+    """
+
+    in_idx: np.ndarray
+    out_idx: np.ndarray
+    h_in: np.ndarray
+    h_out: np.ndarray
+
+
+def _child_indices(z, d: int) -> np.ndarray:
+    """Z-indices of the 2^d children of each cube in `z`, one row per cube."""
+    return (np.asarray(z, dtype=int) << d)[:, None] + np.arange(1 << d)
+
+
+def _haar_function(cube: DyadicCube, values) -> HaarFunction:
+    """Haar function on `cube`, cancellative exactly when its values sum to zero."""
+    return HaarFunction(cube, tuple(values), abs(sum(values)) < 1e-9)
+
+
 class HaarShift:
     """Haar shift operator of parameters (m, n) with per-cube coefficient pairs.
 
-    entries maps each participating cube Q to a list of (h_in, h_out) pairs,
-    h_in supported on a depth-n subcube R' of Q and h_out on a depth-m
-    subcube Q'.  Complexity is max(m, n).
+    Each cube Q carries pairs (h_in, h_out), h_in supported on a depth-n
+    subcube R' of Q and h_out on a depth-m subcube Q'.  The constructor takes
+    them as `entries`, a map from Q to a list of HaarFunction pairs, and
+    checks every pair; the shift stores them as `levels`, one ShiftLevel of
+    read-only arrays per level of Q.  Complexity is max(m, n).
     """
 
     def __init__(self, grid: GridSpec, m: int, n: int, entries, cancellative: bool):
         if m < 0 or n < 0:
             raise ValueError("shift parameters must be non-negative")
-        self.grid = grid
-        self.m = m
-        self.n = n
-        self.cancellative = bool(cancellative)
-        self.entries: dict[DyadicCube, list[tuple[HaarFunction, HaarFunction]]] = {}
-        for Q, pairs in entries.items():
-            kept = []
+        rows: dict[int, list] = {}
+        for Q, pairs in sorted(
+            entries.items(), key=lambda item: (item[0].level, item[0].zindex)
+        ):
             for h_in, h_out in pairs:
                 if h_in.cube.level != Q.level + n or not Q.contains(h_in.cube):
                     raise ValueError("input Haar function must sit at depth n inside Q")
                 if h_out.cube.level != Q.level + m or not Q.contains(h_out.cube):
                     raise ValueError("output Haar function must sit at depth m inside Q")
-                if h_in.sup_norm * h_out.sup_norm > 1.0 + _NORMALIZATION_TOL:
-                    raise ValueError("joint normalization violated: |h_in| |h_out| > 1")
-                kept.append((h_in, h_out))
-            if kept:
-                self.entries[Q] = kept
-        self._packed = None
+                rows.setdefault(Q.level, []).append(
+                    (h_in.cube.zindex, h_out.cube.zindex, h_in.child_values, h_out.child_values)
+                )
+        levels = {}
+        for level, recs in rows.items():
+            rz, qz, vin, vout = zip(*recs)
+            levels[level] = ShiftLevel(
+                _child_indices(rz, grid.d),
+                _child_indices(qz, grid.d),
+                np.array(vin, dtype=float),
+                np.array(vout, dtype=float),
+            )
+        self._set_levels(grid, m, n, levels, cancellative)
+
+    @classmethod
+    def _from_levels(cls, grid, m, n, levels, cancellative) -> "HaarShift":
+        """Shift over ready per-level arrays; only the normalization is checked."""
+        S = cls.__new__(cls)
+        S._set_levels(grid, m, n, levels, cancellative)
+        return S
+
+    def _set_levels(self, grid, m, n, levels, cancellative):
+        self.grid = grid
+        self.m = m
+        self.n = n
+        self.cancellative = bool(cancellative)
+        self.levels: dict[int, ShiftLevel] = {}
+        for level in sorted(levels):
+            if levels[level].in_idx.size:
+                for arr in levels[level]:
+                    arr.setflags(write=False)
+                self.levels[level] = levels[level]
+        if self.normalization_audit() > 1.0 + _NORMALIZATION_TOL:
+            raise ValueError("joint normalization violated: |h_in| |h_out| > 1")
 
     @property
     def complexity(self) -> int:
         return max(self.m, self.n)
 
+    @property
+    def entries(self) -> dict[DyadicCube, list[tuple[HaarFunction, HaarFunction]]]:
+        """Coefficient pairs per cube Q, in (level, Z-index) order.
+
+        Rebuilt from the arrays on each access; each Haar function is flagged
+        cancellative when its child values sum to zero, as in from_json.
+        """
+        d = self.grid.d
+        cube = functools.cache(self.grid.cube_from_zindex)  # R', Q' recur across rows
+        out: dict[DyadicCube, list[tuple[HaarFunction, HaarFunction]]] = {}
+        for level, lv in self.levels.items():
+            rprime = (lv.in_idx[:, 0] >> d).tolist()
+            qprime = (lv.out_idx[:, 0] >> d).tolist()
+            for rz, qz, vin, vout in zip(rprime, qprime, lv.h_in.tolist(), lv.h_out.tolist()):
+                out.setdefault(cube(level, rz >> (d * self.n)), []).append(
+                    (
+                        _haar_function(cube(level + self.n, rz), vin),
+                        _haar_function(cube(level + self.m, qz), vout),
+                    )
+                )
+        return out
+
     def normalization_audit(self) -> float:
         """Largest sup-norm product over all coefficient pairs."""
-        worst = 0.0
-        for pairs in self.entries.values():
-            for h_in, h_out in pairs:
-                worst = max(worst, h_in.sup_norm * h_out.sup_norm)
-        return worst
+        return max(
+            (
+                float((np.abs(lv.h_in).max(axis=1) * np.abs(lv.h_out).max(axis=1)).max())
+                for lv in self.levels.values()
+            ),
+            default=0.0,
+        )
 
     # -- fast application -------------------------------------------------
-
-    def _pack(self):
-        """Group coefficients by the level of Q into flat index/value arrays."""
-        if self._packed is not None:
-            return self._packed
-        d = self.grid.d
-        fold = 1 << d
-        by_level: dict[int, dict[str, list]] = {}
-        for Q, pairs in sorted(
-            self.entries.items(), key=lambda item: (item[0].level, item[0].zindex)
-        ):
-            rec = by_level.setdefault(
-                Q.level, {"in_base": [], "out_base": [], "h_in": [], "h_out": []}
-            )
-            for h_in, h_out in pairs:
-                rec["in_base"].append(h_in.cube.zindex * fold)
-                rec["out_base"].append(h_out.cube.zindex * fold)
-                rec["h_in"].append(h_in.child_values)
-                rec["h_out"].append(h_out.child_values)
-        packed = {}
-        offsets = np.arange(fold)
-        for level, rec in by_level.items():
-            packed[level] = {
-                "in_idx": np.asarray(rec["in_base"], dtype=int)[:, None] + offsets,
-                "out_idx": np.asarray(rec["out_base"], dtype=int)[:, None] + offsets,
-                "h_in": np.asarray(rec["h_in"], dtype=float),
-                "h_out": np.asarray(rec["h_out"], dtype=float),
-            }
-        self._packed = packed
-        return packed
 
     def _level_outputs(self, f: StepFunction):
         """Per-Q-level contributions as (output_level, per-cube constants)."""
         ints = level_integrals(f)
-        packed = self._pack()
         d = self.grid.d
         out = []
-        for level in sorted(packed):
-            rec = packed[level]
-            coef = (rec["h_in"] * ints[level + self.n + 1][rec["in_idx"]]).sum(axis=1)
+        for level, lv in self.levels.items():
+            coef = (lv.h_in * ints[level + self.n + 1][lv.in_idx]).sum(axis=1)
             coef *= float(1 << (d * level))  # the 1/|Q| factor
             out_level = level + self.m + 1
-            size = 1 << (d * out_level)
             contrib = np.bincount(
-                rec["out_idx"].ravel(),
-                weights=(coef[:, None] * rec["h_out"]).ravel(),
-                minlength=size,
+                lv.out_idx.ravel(),
+                weights=(coef[:, None] * lv.h_out).ravel(),
+                minlength=1 << (d * out_level),
             )
             out.append((level, out_level, contrib))
         return out
@@ -219,19 +261,17 @@ class HaarShift:
 
     def adjoint(self) -> "HaarShift":
         """Transpose with respect to the unweighted L^2 pairing."""
-        entries = {
-            Q: [(h_out, h_in) for (h_in, h_out) in pairs]
-            for Q, pairs in self.entries.items()
+        levels = {
+            level: ShiftLevel(lv.out_idx, lv.in_idx, lv.h_out, lv.h_in)
+            for level, lv in self.levels.items()
         }
-        return HaarShift(self.grid, self.n, self.m, entries, self.cancellative)
+        return HaarShift._from_levels(self.grid, self.n, self.m, levels, self.cancellative)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
         items = []
-        for Q, pairs in sorted(
-            self.entries.items(), key=lambda item: (item[0].level, item[0].zindex)
-        ):
+        for Q, pairs in self.entries.items():
             items.append(
                 {
                     "cube": {"level": Q.level, "coords": list(Q.coords)},
@@ -276,25 +316,11 @@ class HaarShift:
             for rec in item["pairs"]:
                 rp = grid.cube(rec["rprime"]["level"], rec["rprime"]["coords"])
                 qp = grid.cube(rec["qprime"]["level"], rec["qprime"]["coords"])
-                h_in = HaarFunction(
-                    rp, tuple(rec["h_vals"]), abs(sum(rec["h_vals"])) < 1e-9
+                pairs.append(
+                    (_haar_function(rp, rec["h_vals"]), _haar_function(qp, rec["g_vals"]))
                 )
-                h_out = HaarFunction(
-                    qp, tuple(rec["g_vals"]), abs(sum(rec["g_vals"])) < 1e-9
-                )
-                pairs.append((h_in, h_out))
             entries[Q] = pairs
         return cls(grid, int(obj["m"]), int(obj["n"]), entries, bool(obj["cancellative"]))
-
-
-def apply_shift(S: HaarShift, f: StepFunction) -> StepFunction:
-    """Evaluate the shift on a step function."""
-    return S.apply(f)
-
-
-def maximal_truncation(S: HaarShift, f: StepFunction) -> StepFunction:
-    """Pointwise maximal truncation of the shift over dyadic cutoffs."""
-    return S.truncation(f)
 
 
 # -- constructors ---------------------------------------------------------
@@ -309,17 +335,17 @@ def build_petermichl(grid: GridSpec) -> HaarShift:
     """
     if grid.d != 1:
         raise ValueError("the Petermichl shift is one-dimensional")
-    entries = {}
+    levels = {}
     for level in range(0, grid.N - 1):
-        for Q in grid.cubes(level):
-            left, right = Q.child(0), Q.child(1)
-            u_Q = HaarFunction(Q, (1.0, -1.0), True)
-            pairs = [
-                (u_Q, HaarFunction(left, (1.0, -1.0), True)),
-                (u_Q, HaarFunction(right, (-1.0, 1.0), True)),
-            ]
-            entries[Q] = pairs
-    return HaarShift(grid, 1, 0, entries, True)
+        count = 1 << level
+        # per interval Q: R' = Q, and Q' runs over its left and right child
+        levels[level] = ShiftLevel(
+            _child_indices(np.repeat(np.arange(count), 2), 1),
+            _child_indices(np.arange(2 * count), 1),
+            np.tile([1.0, -1.0], (2 * count, 1)),
+            np.tile([[1.0, -1.0], [-1.0, 1.0]], (count, 1)),
+        )
+    return HaarShift._from_levels(grid, 1, 0, levels, True)
 
 
 def build_random_shift(
@@ -333,43 +359,35 @@ def build_random_shift(
 
     Every admissible (Q', R') pair receives Gaussian child values, recentered
     when cancellative, then rescaled so the joint normalization holds with
-    equality wherever the pair is nonzero.
+    equality wherever the pair is nonzero.  Values are drawn level by level,
+    pairs in (Q, Q', R') Z-order, input values before output values.
     """
     if m < 0 or n < 0:
         raise ValueError("shift parameters must be non-negative")
     if m + n > grid.N:
         raise ValueError("shift parameters exceed the grid depth")
+    d = grid.d
     top = grid.N - 1 - max(m, n)
     rng = np.random.default_rng(seed)
-    fold = 1 << grid.d
-    entries = {}
+    levels = {}
     for level in range(0, top + 1):
-        for Q in grid.cubes(level):
-            pairs = []
-            for qz in range(Q.zindex << (grid.d * m), (Q.zindex + 1) << (grid.d * m)):
-                qprime = grid.cube_from_zindex(level + m, qz)
-                for rz in range(
-                    Q.zindex << (grid.d * n), (Q.zindex + 1) << (grid.d * n)
-                ):
-                    rprime = grid.cube_from_zindex(level + n, rz)
-                    vin = rng.standard_normal(fold)
-                    vout = rng.standard_normal(fold)
-                    if cancellative:
-                        vin = _exact_zero_sum(vin)
-                        vout = _exact_zero_sum(vout)
-                    a = np.max(np.abs(vin))
-                    b = np.max(np.abs(vout))
-                    if a == 0.0 or b == 0.0:
-                        continue
-                    pairs.append(
-                        (
-                            HaarFunction(rprime, tuple(vin / a), cancellative),
-                            HaarFunction(qprime, tuple(vout / b), cancellative),
-                        )
-                    )
-            if pairs:
-                entries[Q] = pairs
-    return HaarShift(grid, m, n, entries, cancellative)
+        q = np.arange(1 << (d * level))[:, None, None]
+        qz = (q << (d * m)) + np.arange(1 << (d * m))[None, :, None]
+        rz = (q << (d * n)) + np.arange(1 << (d * n))[None, None, :]
+        qz, rz = (a.ravel() for a in np.broadcast_arrays(qz, rz))
+        vals = rng.standard_normal((qz.size, 2, 1 << d))
+        if cancellative:
+            vals = _exact_zero_sum(vals)
+        scale = np.abs(vals).max(axis=2)
+        keep = (scale != 0.0).all(axis=1)
+        vals = vals[keep] / scale[keep][:, :, None]
+        levels[level] = ShiftLevel(
+            _child_indices(rz[keep], d),
+            _child_indices(qz[keep], d),
+            np.ascontiguousarray(vals[:, 0]),
+            np.ascontiguousarray(vals[:, 1]),
+        )
+    return HaarShift._from_levels(grid, m, n, levels, cancellative)
 
 
 def _alternating_pattern(d: int) -> np.ndarray:

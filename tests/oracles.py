@@ -10,10 +10,64 @@ from __future__ import annotations
 import numpy as np
 
 from czlab.dyadics import GridSpec, StepFunction, ancestor
+from czlab.shifts import HaarFunction, HaarShift
 
 
 def cell_cube(grid: GridSpec, z: int):
     return grid.cube_from_zindex(grid.N, z)
+
+
+def loop_petermichl(grid: GridSpec) -> HaarShift:
+    """Petermichl shift assembled pair by pair through the entries constructor."""
+    entries = {}
+    for level in range(0, grid.N - 1):
+        for Q in grid.cubes(level):
+            u_Q = HaarFunction(Q, (1.0, -1.0), True)
+            entries[Q] = [
+                (u_Q, HaarFunction(Q.child(0), (1.0, -1.0), True)),
+                (u_Q, HaarFunction(Q.child(1), (-1.0, 1.0), True)),
+            ]
+    return HaarShift(grid, 1, 0, entries, True)
+
+
+def _zero_sum(vals: np.ndarray) -> np.ndarray:
+    vals = vals - vals.mean()
+    vals[-1] -= vals.sum()
+    return vals
+
+
+def loop_random_shift(m: int, n: int, seed: int, grid: GridSpec, cancellative: bool = True) -> HaarShift:
+    """Random shift drawn one coefficient pair at a time: per Q in Z-order, per
+    Q' then R', input values then output values, each rescaled to sup norm 1."""
+    top = grid.N - 1 - max(m, n)
+    rng = np.random.default_rng(seed)
+    fold = 1 << grid.d
+    entries = {}
+    for level in range(0, top + 1):
+        for Q in grid.cubes(level):
+            pairs = []
+            for qz in range(Q.zindex << (grid.d * m), (Q.zindex + 1) << (grid.d * m)):
+                qprime = grid.cube_from_zindex(level + m, qz)
+                for rz in range(Q.zindex << (grid.d * n), (Q.zindex + 1) << (grid.d * n)):
+                    rprime = grid.cube_from_zindex(level + n, rz)
+                    vin = rng.standard_normal(fold)
+                    vout = rng.standard_normal(fold)
+                    if cancellative:
+                        vin = _zero_sum(vin)
+                        vout = _zero_sum(vout)
+                    a = np.max(np.abs(vin))
+                    b = np.max(np.abs(vout))
+                    if a == 0.0 or b == 0.0:
+                        continue
+                    pairs.append(
+                        (
+                            HaarFunction(rprime, tuple(vin / a), cancellative),
+                            HaarFunction(qprime, tuple(vout / b), cancellative),
+                        )
+                    )
+            if pairs:
+                entries[Q] = pairs
+    return HaarShift(grid, m, n, entries, cancellative)
 
 
 def dense_shift_matrix(S) -> np.ndarray:

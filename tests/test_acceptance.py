@@ -22,10 +22,8 @@ from czlab.normlab import (
 from czlab.positive import TauCoefficients, apply_positive, strong_norm_bound
 from czlab.shifts import (
     GridEnsemble,
-    apply_shift,
     build_random_shift,
     hilbert_average,
-    maximal_truncation,
 )
 from czlab.stopping import build_stopping_family
 
@@ -91,7 +89,7 @@ def test_criterion_2_oracle_equivalence():
     TOL = 1e-10
     worst = 0.0
 
-    # apply_shift against the dense kernel-form matrix
+    # S.apply against the dense kernel-form matrix
     for seed in range(50):
         grid = GridSpec(2, 2) if seed % 3 == 2 else GridSpec(1, 3 + seed % 2)
         m, n = ((1, 1), (1, 0), (0, 1), (2, 1))[seed % 4]
@@ -100,7 +98,7 @@ def test_criterion_2_oracle_equivalence():
         S = build_random_shift(m, n, 30_000 + seed, grid, cancellative=bool(seed % 2))
         K = dense_shift_matrix(S)
         f = StepFunction(grid, np.random.default_rng(seed).standard_normal(grid.cells))
-        err = np.abs(apply_shift(S, f).values - K @ f.values).max()
+        err = np.abs(S.apply(f).values - K @ f.values).max()
         worst = max(worst, err)
         assert err < TOL
 
@@ -123,7 +121,7 @@ def test_criterion_2_oracle_equivalence():
         m, n = ((1, 1), (0, 1), (2, 0))[seed % 3]
         S = build_random_shift(m, n, 50_000 + seed, grid)
         f = StepFunction(grid, np.random.default_rng(seed).standard_normal(grid.cells))
-        err = np.abs(maximal_truncation(S, f).values - brute_truncation(S, f)).max()
+        err = np.abs(S.truncation(f).values - brute_truncation(S, f)).max()
         worst = max(worst, err)
         assert err < TOL
 

@@ -258,6 +258,20 @@ class TestMainEntry:
     def test_exit_two_on_missing_file(self, tmp_path):
         assert main(["characteristics", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_sweep_names_one_dimensional_operators(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "verb": "sharpness-sweep",
+                "grid": {"d": 2, "N": 3},
+                "seed": 1,
+                "params": {},
+                "output": {"format": "csv"},
+            },
+        )
+        assert main(["sharpness-sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "default sweep operators are one-dimensional" in capsys.readouterr().err
+
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -277,31 +291,6 @@ class TestMainEntry:
         a = (tmp_path / "o1" / "stopping_audit.csv").read_bytes()
         b = (tmp_path / "o2" / "stopping_audit.csv").read_bytes()
         assert a != b
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        path = write_config(
-            tmp_path,
-            {
-                "verb": "characteristics",
-                "grid": {"d": 1, "N": 2},
-                "params": {"weight": {"kind": "constant", "value": 1.0}},
-                "output": {"format": "csv"},
-            },
-        )
-        monkeypatch.setenv("CZLAB_THREADS", "2")
-        assert main(["characteristics", "--config", path, "--out", str(tmp_path / "out")]) == 0
-
-    def test_bad_threads(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {
-                "verb": "characteristics",
-                "grid": {"d": 1, "N": 2},
-                "params": {"weight": {"kind": "constant", "value": 1.0}},
-                "output": {"format": "csv"},
-            },
-        )
-        assert main(["characteristics", "--config", path, "--threads", "0"]) == 2
 
 
 class TestExitThree:

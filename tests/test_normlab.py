@@ -202,19 +202,6 @@ class TestSweep:
             assert r.ratio == pytest.approx(r.norm / r.rhs, rel=1e-12)
             assert r.N == 4 and r.p == 2.0
 
-    def test_threaded_sweep_matches_serial(self):
-        kw = dict(
-            operator_kinds=("petermichl",),
-            p_list=(2.0,),
-            N_list=(3,),
-            seed=5,
-            budget=1,
-            random_starts=2,
-        )
-        serial = sharpness_sweep(**kw)
-        threaded = sharpness_sweep(threads=3, **kw)
-        assert serial == threaded
-
     def test_petermichl_norm_tracks_a2(self):
         # within each sign branch of the alpha family, the norm follows A_2
         rows = sharpness_sweep(

@@ -8,7 +8,6 @@ from czlab.shifts import (
     GridEnsemble,
     HaarFunction,
     HaarShift,
-    apply_shift,
     build_paraproduct,
     build_petermichl,
     build_random_shift,
@@ -16,10 +15,15 @@ from czlab.shifts import (
     hilbert_direct,
     hilbert_maximal,
     hilbert_truncated,
-    maximal_truncation,
 )
 
-from oracles import brute_truncation, dense_shift_matrix, matrix_of
+from oracles import (
+    brute_truncation,
+    dense_shift_matrix,
+    loop_petermichl,
+    loop_random_shift,
+    matrix_of,
+)
 
 
 def rand_step(grid, seed):
@@ -53,7 +57,7 @@ class TestPetermichl:
     def test_kills_constants(self):
         g = GridSpec(1, 5)
         S = build_petermichl(g)
-        out = apply_shift(S, StepFunction.constant(g, 7.0))
+        out = S.apply(StepFunction.constant(g, 7.0))
         assert np.abs(out.values).max() == 0.0
 
     def test_single_cube_locality(self):
@@ -63,7 +67,7 @@ class TestPetermichl:
         Q = g.cube(1, (1,))
         S1 = HaarShift(g, S.m, S.n, {Q: S.entries[Q]}, True)
         f = rand_step(g, 0)
-        out = apply_shift(S1, f)
+        out = S1.apply(f)
         mask = np.ones(g.cells, dtype=bool)
         mask[Q.cell_slice] = False
         assert np.abs(out.values[mask]).max() == 0.0
@@ -105,7 +109,7 @@ class TestRandomShift:
         g = GridSpec(1, 3)
         S = HaarShift(g, 1, 1, {}, True)
         f = rand_step(g, 1)
-        assert np.abs(apply_shift(S, f).values).max() == 0.0
+        assert np.abs(S.apply(f).values).max() == 0.0
 
     def test_normalization_audit_100_seeds(self):
         g = GridSpec(1, 4)
@@ -117,7 +121,7 @@ class TestRandomShift:
     def test_cancellative_kills_constants(self):
         g = GridSpec(2, 3)
         S = build_random_shift(1, 1, 5, g)
-        out = apply_shift(S, StepFunction.constant(g, 2.0))
+        out = S.apply(StepFunction.constant(g, 2.0))
         assert np.abs(out.values).max() < 1e-12
 
     def test_serialization_round_trip(self):
@@ -126,7 +130,7 @@ class TestRandomShift:
         S2 = HaarShift.from_json(S.to_json())
         assert S2.to_json() == S.to_json()
         f = rand_step(g, 2)
-        assert np.allclose(apply_shift(S2, f).values, apply_shift(S, f).values, atol=0)
+        assert np.allclose(S2.apply(f).values, S.apply(f).values, atol=0)
 
 
 class TestApplyShift:
@@ -134,8 +138,8 @@ class TestApplyShift:
         g = GridSpec(1, 4)
         S = build_random_shift(1, 1, 3, g)
         f, h = rand_step(g, 4), rand_step(g, 5)
-        lhs = apply_shift(S, StepFunction(g, 2.0 * f.values - 3.0 * h.values)).values
-        rhs = 2.0 * apply_shift(S, f).values - 3.0 * apply_shift(S, h).values
+        lhs = S.apply(StepFunction(g, 2.0 * f.values - 3.0 * h.values)).values
+        rhs = 2.0 * S.apply(f).values - 3.0 * S.apply(h).values
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     @pytest.mark.parametrize("dim,N,m,n", [(1, 3, 1, 1), (1, 4, 2, 1), (1, 4, 0, 2), (2, 2, 1, 0)])
@@ -145,20 +149,20 @@ class TestApplyShift:
             S = build_random_shift(m, n, seed, g)
             K = dense_shift_matrix(S)
             f = rand_step(g, 100 + seed)
-            assert np.abs(apply_shift(S, f).values - K @ f.values).max() < 1e-10
+            assert np.abs(S.apply(f).values - K @ f.values).max() < 1e-10
 
     def test_petermichl_dense_kernel(self):
         g = GridSpec(1, 4)
         S = build_petermichl(g)
         K = dense_shift_matrix(S)
         f = rand_step(g, 7)
-        assert np.abs(apply_shift(S, f).values - K @ f.values).max() < 1e-12
+        assert np.abs(S.apply(f).values - K @ f.values).max() < 1e-12
 
     def test_grid_mismatch(self):
         S = build_petermichl(GridSpec(1, 3))
         f = StepFunction.constant(GridSpec(1, 4), 1.0)
         with pytest.raises(Exception):
-            apply_shift(S, f)
+            S.apply(f)
 
     def test_locality_outside_kappa_parent(self):
         # f supported outside Q^(kappa): the truncation is constant on Q
@@ -170,9 +174,9 @@ class TestApplyShift:
         vals = np.random.default_rng(12).standard_normal(g.cells)
         vals[hull.cell_slice] = 0.0
         f = StepFunction(g, vals)
-        out = maximal_truncation(S, f).values[Q.cell_slice]
+        out = S.truncation(f).values[Q.cell_slice]
         assert np.abs(out - out[0]).max() == 0.0
-        out2 = apply_shift(S, f).values[Q.cell_slice]
+        out2 = S.apply(f).values[Q.cell_slice]
         assert np.abs(out2 - out2[0]).max() == 0.0
 
 
@@ -182,13 +186,13 @@ class TestMaximalTruncation:
         S = build_random_shift(1, 1, 21, g)
         f = rand_step(g, 22)
         assert np.all(
-            maximal_truncation(S, f).values >= np.abs(apply_shift(S, f).values) - 1e-14
+            S.truncation(f).values >= np.abs(S.apply(f).values) - 1e-14
         )
 
     def test_constant_input_cancellative(self):
         g = GridSpec(1, 4)
         S = build_random_shift(1, 0, 23, g)
-        out = maximal_truncation(S, StepFunction.constant(g, 5.0))
+        out = S.truncation(StepFunction.constant(g, 5.0))
         assert np.abs(out.values).max() < 1e-12
 
     @pytest.mark.parametrize("m,n", [(0, 1), (1, 1), (2, 0)])
@@ -198,7 +202,7 @@ class TestMaximalTruncation:
             S = build_random_shift(m, n, 31 + seed, g)
             f = rand_step(g, 41 + seed)
             assert np.abs(
-                maximal_truncation(S, f).values - brute_truncation(S, f)
+                S.truncation(f).values - brute_truncation(S, f)
             ).max() < 1e-12
 
 
@@ -206,7 +210,7 @@ class TestParaproduct:
     def test_zero_coefficients(self):
         g = GridSpec(1, 3)
         P = build_paraproduct({}, g)
-        assert np.abs(apply_shift(P, rand_step(g, 1)).values).max() == 0.0
+        assert np.abs(P.apply(rand_step(g, 1)).values).max() == 0.0
 
     def test_single_term_formula(self):
         g = GridSpec(1, 3)
@@ -221,7 +225,7 @@ class TestParaproduct:
         expect[Q.cell_slice][:half] = avg
         expect[Q.cell_slice][half:] = -avg
         # a_Q |Q|^(-1/2) = 1, so amplitude is exactly avg
-        assert np.allclose(apply_shift(P, f).values, expect, atol=1e-12)
+        assert np.allclose(P.apply(f).values, expect, atol=1e-12)
 
     def test_coefficient_bound_enforced(self):
         g = GridSpec(1, 3)
@@ -247,7 +251,7 @@ class TestParaproduct:
         P = build_paraproduct(coeffs, g)
         K = dense_shift_matrix(P)
         f = rand_step(g, 51)
-        assert np.abs(apply_shift(P, f).values - K @ f.values).max() < 1e-12
+        assert np.abs(P.apply(f).values - K @ f.values).max() < 1e-12
 
 
 class TestHilbertDirect:
@@ -363,6 +367,47 @@ class TestKernelSupBound:
         assert worst <= 4.0  # recorded constant; independence from complexity
 
 
+def _assert_matches_loop_version(S, ref, f):
+    assert S.to_json() == ref.to_json()
+    assert np.array_equal(S.apply(f).values, ref.apply(f).values)
+    assert np.array_equal(S.truncation(f).values, ref.truncation(f).values)
+    assert S.adjoint().adjoint().to_json() == S.to_json()
+    assert np.array_equal(dense_shift_matrix(S.adjoint()), dense_shift_matrix(S).T)
+    for lv in S.levels.values():
+        for arr in lv:
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+
+class TestBulkBuilders:
+    """The per-level builders against pair-by-pair loop constructions."""
+
+    @pytest.mark.parametrize(
+        "d,N,m,n",
+        [
+            (1, 4, 1, 1),
+            (1, 4, 2, 1),
+            (1, 5, 0, 3),
+            (1, 4, 2, 0),
+            (2, 2, 1, 1),
+            (2, 3, 0, 1),
+            (2, 3, 1, 0),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_random_shift(self, d, N, m, n, seed):
+        g = GridSpec(d, N)
+        cancellative = seed != 3
+        S = build_random_shift(m, n, seed, g, cancellative)
+        ref = loop_random_shift(m, n, seed, g, cancellative)
+        _assert_matches_loop_version(S, ref, rand_step(g, 100 + seed))
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_petermichl(self, N):
+        g = GridSpec(1, N)
+        _assert_matches_loop_version(build_petermichl(g), loop_petermichl(g), rand_step(g, N))
+
+
 class TestParaproductSerialization:
     def test_round_trip(self):
         g = GridSpec(1, 3)
@@ -370,5 +415,5 @@ class TestParaproductSerialization:
         P = build_paraproduct(coeffs, g)
         P2 = HaarShift.from_json(P.to_json())
         f = rand_step(g, 91)
-        assert np.array_equal(apply_shift(P2, f).values, apply_shift(P, f).values)
+        assert np.array_equal(P2.apply(f).values, P.apply(f).values)
         assert P2.to_json() == P.to_json()
