@@ -19,6 +19,7 @@ from .dyadics import (
     DyadicCube,
     GridSpec,
     StepFunction,
+    _morton_decode,
     level_averages,
     level_integrals,
     repeat_to_cells,
@@ -166,12 +167,7 @@ def _centered_maximal_2d(f: StepFunction) -> np.ndarray:
     n = 1 << grid.N
     dx = 1.0 / n
     # de-interleave Z-order into raster coordinates (axis 0 = x0)
-    zidx = np.arange(grid.cells)
-    c0 = np.zeros(grid.cells, dtype=int)
-    c1 = np.zeros(grid.cells, dtype=int)
-    for b in range(grid.N):
-        c0 |= ((zidx >> (2 * b)) & 1) << b
-        c1 |= ((zidx >> (2 * b + 1)) & 1) << b
+    c0, c1 = _morton_decode(np.arange(grid.cells), 2, grid.N)
     raster = np.empty((n, n))
     raster[c0, c1] = np.abs(f.values)
     half = np.repeat(np.repeat(raster, 2, axis=0), 2, axis=1) * (dx / 2.0) ** 2
@@ -204,7 +200,6 @@ def ainfty_characteristic(w: StepFunction, mode: str = "dyadic") -> Characterist
     wsums = level_integrals(w)
     if mode == "dyadic":
         running = _dyadic_running_max(w)
-        fold = 1 << grid.d
         per_level = []
         for k in range(grid.N + 1):
             contrib = running[k] * grid.cell_volume

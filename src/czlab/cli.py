@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .characteristics import ainfty_characteristic, ap_characteristic, dual_weight, joint_ap
 from .config import ConfigError, ExperimentConfig, load_config
-from .dyadics import DyadicCube, GridSpec, StepFunction
+from .dyadics import DyadicCube, GridSpec, StepFunction, _morton_decode
 from .families import cascade_weight, random_step, weight_from_spec
 from .lerner import lerner_decompose
 from .normlab import NonConvergenceError, SWEEP_CSV_HEADER, sharpness_sweep
@@ -62,11 +62,9 @@ def _cube_dict(Q: DyadicCube) -> dict:
     return {"level": Q.level, "coords": list(Q.coords)}
 
 
-def _x_left(grid: GridSpec, cell_index: int) -> float:
-    # left endpoint along the first axis, shift applied on the torus
-    coord = 0
-    for b in range(grid.N):
-        coord |= ((cell_index >> (b * grid.d)) & 1) << b
+def _x_left(grid: GridSpec) -> np.ndarray:
+    # left endpoint of every cell along the first axis, shift applied on the torus
+    coord = _morton_decode(np.arange(grid.cells), grid.d, grid.N)[0]
     return (coord / (1 << grid.N) + grid.shift[0]) % 1.0
 
 
@@ -148,8 +146,8 @@ def _run_shift_apply(cfg: ExperimentConfig, out_dir: str):
     sf = S.apply(f)
     snat = S.truncation(f)
     rows = [
-        [str(i), _fmt(_x_left(f.grid, i)), _fmt(sf.values[i]), _fmt(snat.values[i])]
-        for i in range(f.grid.cells)
+        [str(i), _fmt(x), _fmt(a), _fmt(b)]
+        for i, (x, a, b) in enumerate(zip(_x_left(f.grid), sf.values, snat.values))
     ]
     outputs = [_write_csv(out_dir, "shift_apply.csv", "cell_index,x_left,sf,snat", rows)]
     if cfg.out_format == "json":
@@ -276,8 +274,8 @@ def _run_lerner_decompose(cfg: ExperimentConfig, out_dir: str):
     dec = lerner_decompose(phi, grid.root())
     outputs = [_write_text(out_dir, "lerner_decompose.json", dec.to_json() + "\n")]
     rows = [
-        [str(i), _fmt(_x_left(grid, i)), _fmt(dec.residual.values[i])]
-        for i in range(grid.cells)
+        [str(i), _fmt(x), _fmt(r)]
+        for i, (x, r) in enumerate(zip(_x_left(grid), dec.residual.values))
     ]
     outputs.append(_write_csv(out_dir, "lerner_residual.csv", "cell_index,x_left,residual", rows))
     return outputs, {"c_lerner": dec.empirical_constant(), "generations": len(dec.generations)}

@@ -50,7 +50,8 @@ def _morton_encode(coords, d, level):
 
 
 def _morton_decode(z, d, level):
-    coords = [0] * d
+    """De-interleave a Z-index, or an integer array of them, into d coordinates."""
+    coords = [z & 0 for _ in range(d)]  # zeros of z's kind: arrays stay arrays at level 0
     for b in range(level):
         for a in range(d):
             coords[a] |= ((z >> (b * d + a)) & 1) << b
@@ -359,8 +360,9 @@ def average(f: StepFunction, Q: DyadicCube) -> float:
 
 
 def require_weight(w: StepFunction, name: str = "weight") -> StepFunction:
-    if np.any(w.values <= 0.0):
-        raise ValueError(f"{name} must be strictly positive everywhere")
+    # written so that NaN fails the test as well as zeros, negatives and inf
+    if not np.all((w.values > 0.0) & (w.values < math.inf)):
+        raise ValueError(f"{name} must be finite and strictly positive everywhere")
     return w
 
 

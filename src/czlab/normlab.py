@@ -126,15 +126,18 @@ class NormEstimate:
     iterations: int
 
 
-def _ratio(op_apply, w, sigma, p, fvals) -> float:
-    """||T(sigma f)||_{L^p(w)} / ||f||_{L^p(sigma)} for cell values fvals."""
-    vol = w.grid.cell_volume
-    fnorm = float((np.abs(fvals) ** p * sigma.values).sum() * vol) ** (1.0 / p)
+def _lp_norm_cells(vals, weight, p) -> float:
+    """||v||_{L^p(weight)} for cell values vals."""
+    return float((np.abs(vals) ** p * weight.values).sum() * weight.grid.cell_volume) ** (1.0 / p)
+
+
+def _ratio(op_apply, w, sigma, p, fvals, out_norm=_lp_norm_cells) -> float:
+    """out_norm(T(sigma f), w, p) / ||f||_{L^p(sigma)} for cell values fvals;
+    out_norm defaults to the L^p(w) norm."""
+    fnorm = _lp_norm_cells(fvals, sigma, p)
     if fnorm == 0.0:
         return 0.0
-    out = op_apply(sigma.values * fvals)
-    onorm = float((np.abs(out) ** p * w.values).sum() * vol) ** (1.0 / p)
-    return onorm / fnorm
+    return out_norm(op_apply(sigma.values * fvals), w, p) / fnorm
 
 
 def norm_p2(
@@ -230,6 +233,43 @@ def _start_stream(op, w, sigma, p, seed, random_starts):
         yield np.abs(g)
 
 
+def _search(out_norm, op, w, sigma, p, seed, budget, steps, random_starts):
+    """Maximise _ratio with output norm `out_norm` over the restart stream
+    and the ascent (see norm_lp_lower); returns the best value, the input
+    attaining it and the number of evaluations."""
+
+    def value(fv):
+        return _ratio(op.apply, w, sigma, p, fv, out_norm)
+
+    scanned: list[tuple[float, int, np.ndarray]] = [
+        (value(fv), idx, fv)
+        for idx, fv in enumerate(_start_stream(op, w, sigma, p, seed, random_starts))
+    ]
+    # deterministic order: best score first, stream order breaks ties
+    scanned.sort(key=lambda rec: (-rec[0], rec[1]))
+    best_val, _, best_f = scanned[0]
+    refined = max(0, min(budget, len(scanned)))
+    for rank in range(refined):
+        val, idx, fv = scanned[rank]
+        rng = np.random.default_rng([seed, 2, idx])
+        cur, cur_val, step = fv.astype(float), val, 0.5
+        for it in range(steps):
+            noise = rng.standard_normal(cur.size)
+            if it % 2 == 0:
+                cand = cur * np.exp(step * noise)
+            else:
+                scale = float(np.max(np.abs(cur))) or 1.0
+                cand = cur + step * scale * noise
+            cand_val = value(cand)
+            if cand_val > cur_val:
+                cur, cur_val = cand, cand_val
+            else:
+                step *= 0.5
+        if cur_val > best_val:
+            best_val, best_f = cur_val, cur
+    return best_val, best_f, len(scanned) + refined * steps
+
+
 def norm_lp_lower(
     op,
     w: StepFunction,
@@ -252,40 +292,10 @@ def norm_lp_lower(
     require_weight(sigma, "sigma")
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, infinity)")
-    apply = op.apply
-    evals = 0
-    scanned: list[tuple[float, int, np.ndarray]] = []
-    for idx, fv in enumerate(_start_stream(op, w, sigma, p, seed, random_starts)):
-        val = _ratio(apply, w, sigma, p, fv)
-        evals += 1
-        scanned.append((val, idx, fv))
-    # deterministic order: best score first, stream order breaks ties
-    scanned.sort(key=lambda rec: (-rec[0], rec[1]))
-    best_val, _, best_f = scanned[0]
-    for rank in range(min(budget, len(scanned))):
-        val, idx, fv = scanned[rank]
-        rng = np.random.default_rng([seed, 2, idx])
-        cur = fv.astype(float).copy()
-        cur_val = val
-        step = 0.5
-        for it in range(steps):
-            noise = rng.standard_normal(cur.size)
-            if it % 2 == 0:
-                cand = cur * np.exp(step * noise)
-            else:
-                scale = float(np.max(np.abs(cur))) or 1.0
-                cand = cur + step * scale * noise
-            cand_val = _ratio(apply, w, sigma, p, cand)
-            evals += 1
-            if cand_val > cur_val:
-                cur, cur_val = cand, cand_val
-            else:
-                step *= 0.5
-        if cur_val > best_val:
-            best_val, best_f = cur_val, cur
-    fnorm = float(
-        (np.abs(best_f) ** p * sigma.values).sum() * w.grid.cell_volume
-    ) ** (1.0 / p)
+    best_val, best_f, evals = _search(
+        _lp_norm_cells, op, w, sigma, p, seed, budget, steps, random_starts
+    )
+    fnorm = _lp_norm_cells(best_f, sigma, p)
     witness = StepFunction(w.grid, best_f / fnorm if fnorm > 0 else best_f)
     return NormEstimate(best_val, "search", witness, p, evals)
 
@@ -313,41 +323,14 @@ def weak_norm_estimate(
     """Lower estimate of the L^p(sigma) -> weak-L^p(w) norm.
 
     Thresholds are scanned over the finite set of output magnitudes; the
-    witness stream matches the strong search so the weak value never exceeds
-    the strong one on shared witnesses.
+    search is the strong one's (same restart stream and ascent), so the weak
+    value never exceeds the strong one on shared witnesses.
     """
     require_weight(w)
     require_weight(sigma, "sigma")
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
-    vol = w.grid.cell_volume
-    apply = op.apply
-
-    def value(fv):
-        fnorm = float((np.abs(fv) ** p * sigma.values).sum() * vol) ** (1.0 / p)
-        if fnorm == 0.0:
-            return 0.0
-        return _weak_functional(apply(sigma.values * fv), w, p) / fnorm
-
-    scanned = []
-    for idx, fv in enumerate(_start_stream(op, w, sigma, p, seed, random_starts)):
-        scanned.append((value(fv), idx, fv))
-    scanned.sort(key=lambda rec: (-rec[0], rec[1]))
-    best = scanned[0][0]
-    for rank in range(min(budget, len(scanned))):
-        val, idx, fv = scanned[rank]
-        rng = np.random.default_rng([seed, 3, idx])
-        cur, cur_val, step = fv.astype(float).copy(), val, 0.5
-        for it in range(steps):
-            noise = rng.standard_normal(cur.size)
-            cand = cur * np.exp(step * noise) if it % 2 == 0 else cur + step * noise
-            cand_val = value(cand)
-            if cand_val > cur_val:
-                cur, cur_val = cand, cand_val
-            else:
-                step *= 0.5
-        best = max(best, cur_val)
-    return best
+    return _search(_weak_functional, op, w, sigma, p, seed, budget, steps, random_starts)[0]
 
 
 # -- sharpness sweep --------------------------------------------------------
@@ -397,9 +380,9 @@ def default_operators(grid: GridSpec, seed: int, kinds=None):
     return [(k, builders[k]()) for k in builders if k in kinds]
 
 
-def _sweep_block(grid, fam, param, w, operator_kinds, p_list, seed, budget, random_starts):
-    """Rows for one (grid, weight) combination, in deterministic order."""
-    ops = default_operators(grid, seed, operator_kinds)
+def _sweep_block(grid, fam, param, w, ops, p_list, seed, budget, random_starts):
+    """Rows for one (grid, weight) combination, in deterministic order;
+    ops holds the grid's (name, truncation operator) pairs."""
     ainf_w = ainfty_characteristic(w).value
     rows = []
     for p in p_list:
@@ -410,15 +393,13 @@ def _sweep_block(grid, fam, param, w, operator_kinds, p_list, seed, budget, rand
         ap_val = ap_characteristic(w, p).value
         rhs = bracket * (ainf_w ** (1.0 / pprime) + ainf_sigma ** (1.0 / p))
         buckley = ap_val ** max(1.0, 1.0 / (p - 1.0))
-        for op_name, S in ops:
-            trunc = truncation_operator(S)
-            est = norm_lp_lower(
+        for op_name, trunc in ops:
+            # at p = 2 the stream carries the spectral witness, and the
+            # truncation dominates |S f|, so the search already covers norm_p2
+            norm_val = norm_lp_lower(
                 trunc, w, sigma, p,
                 budget=budget, seed=seed, random_starts=random_starts,
-            )
-            norm_val = est.lower_bound
-            if p == 2.0:
-                norm_val = max(norm_val, norm_p2(trunc.linear_part, w, sigma).lower_bound)
+            ).lower_bound
             rows.append(
                 SweepRow(
                     family=f"{op_name}:{fam}",
@@ -461,10 +442,12 @@ def sharpness_sweep(
     rows = []
     for N in N_list:
         grid = GridSpec(d, int(N))
+        ops = [
+            (name, truncation_operator(S))
+            for name, S in default_operators(grid, seed, operator_kinds)
+        ]
         for fam, param, w in default_weight_family(grid):
             rows.extend(
-                _sweep_block(
-                    grid, fam, param, w, operator_kinds, p_list, seed, budget, random_starts
-                )
+                _sweep_block(grid, fam, param, w, ops, p_list, seed, budget, random_starts)
             )
     return rows

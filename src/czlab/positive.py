@@ -9,18 +9,21 @@ counting function has bounded exponential moments.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .characteristics import _sup_over_cubes
 from .dyadics import (
     DyadicCube,
     GridMismatchError,
     GridSpec,
     StepFunction,
     level_integrals,
+    lp_norm,
     repeat_to_cells,
     require_weight,
 )
@@ -152,22 +155,27 @@ class TestingConstant:
     witness: DyadicCube
 
 
-def _localized_suffix_sums(tau: TauCoefficients, w: StepFunction) -> list[np.ndarray]:
-    """Cell arrays S_k(x) = sum over levels j >= k of tau_j(x) avg_j(w)(x).
+def _testing_ratios(tau, f, sigma, wints, pprime) -> list[np.ndarray]:
+    """Per level k, over the level-k cubes R, the ratios
+    ||sum_{Q subset R} tau_Q avg_Q(f) 1_Q||_{L^p'(sigma)} / w(R)^(1/p')
+    for non-negative f, with wints the per-level integrals of w.
 
-    S_k restricted to a level-k cube R equals the localized sum over Q
-    contained in R, because cubes through x at depth >= k are inside R.
+    The localized sum is the suffix S_k(x) = sum over levels j >= k of
+    tau_j(x) avg_j(f)(x) restricted to R, because the cubes through x at
+    depth >= k are inside R.
     """
     grid = tau.grid
-    ints = level_integrals(w)
+    fints = level_integrals(f)
+    svals = sigma.values * grid.cell_volume
     suffix = np.zeros(grid.cells)
     out = [None] * (grid.N + 1)
     for k in range(grid.N, -1, -1):
         tau_k = tau.per_level()[k]
         if tau_k.any():
-            constants = tau_k * ints[k] * float(1 << (grid.d * k))
+            constants = tau_k * fints[k] * float(1 << (grid.d * k))
             suffix = suffix + repeat_to_cells(grid, constants, k)
-        out[k] = suffix
+        per_cube = (suffix ** pprime * svals).reshape(1 << (grid.d * k), -1).sum(axis=1)
+        out[k] = per_cube ** (1.0 / pprime) / wints[k] ** (1.0 / pprime)
     return out
 
 
@@ -199,57 +207,29 @@ def sawyer_testing(
         return _sawyer_testing_sup(tau, w, sigma, pprime, search_budget, seed)
     if testing_input != "weight":
         raise ValueError("testing_input must be 'weight' or 'sup'")
-    suffix = _localized_suffix_sums(tau, w)
-    wints = level_integrals(w)
-    svals = sigma.values * grid.cell_volume
-    best = -math.inf
-    witness = None
-    for k in range(grid.N + 1):
-        powered = suffix[k] ** pprime * svals
-        per_cube = powered.reshape(1 << (grid.d * k), -1).sum(axis=1)
-        ratios = per_cube ** (1.0 / pprime) / wints[k] ** (1.0 / pprime)
-        z = int(np.argmax(ratios))
-        if float(ratios[z]) > best:
-            best = float(ratios[z])
-            witness = grid.cube_from_zindex(k, z)
-    return TestingConstant(best, witness)
+    ratios = _testing_ratios(tau, w, sigma, level_integrals(w), pprime)
+    return TestingConstant(*_sup_over_cubes(grid, ratios))
 
 
 def _sawyer_testing_sup(tau, w, sigma, pprime, budget, seed):
     """Comparison reading: supremum over normalized inputs f of the localized
-    operator, approximated by indicator starts plus seeded random inputs."""
+    operator, approximated by the weight itself, the constant, indicator
+    starts and seeded random inputs (all non-negative)."""
     grid = tau.grid
     rng = np.random.default_rng(seed)
     wints = level_integrals(w)
-    svals = sigma.values * grid.cell_volume
-
-    def localized_value(fvals: np.ndarray) -> tuple[float, DyadicCube]:
-        f = StepFunction(grid, fvals)
-        norm = float((np.abs(fvals) ** pprime * svals).sum()) ** (1.0 / pprime)
-        if norm == 0.0:
-            return 0.0, grid.root()
-        suffix = _localized_suffix_sums(tau, f)
-        top = -math.inf
-        top_Q = grid.root()
-        for k in range(grid.N + 1):
-            powered = np.abs(suffix[k]) ** pprime * svals
-            per_cube = powered.reshape(1 << (grid.d * k), -1).sum(axis=1)
-            ratios = per_cube ** (1.0 / pprime) / wints[k] ** (1.0 / pprime)
-            z = int(np.argmax(ratios))
-            if float(ratios[z]) > top:
-                top = float(ratios[z])
-                top_Q = grid.cube_from_zindex(k, z)
-        return top / norm, top_Q
-
-    best, witness = localized_value(np.ones(grid.cells))
-    for Q in grid.all_cubes():
-        v, cand = localized_value(StepFunction.indicator(Q).values)
-        if v > best:
-            best, witness = v, cand
-    for _ in range(budget):
-        v, cand = localized_value(np.abs(rng.standard_normal(grid.cells)))
-        if v > best:
-            best, witness = v, cand
+    starts = itertools.chain(
+        (w, StepFunction.constant(grid, 1.0)),
+        (StepFunction.indicator(Q) for Q in grid.all_cubes()),
+        (StepFunction(grid, np.abs(rng.standard_normal(grid.cells))) for _ in range(budget)),
+    )
+    best = -math.inf
+    witness = None
+    for f in starts:
+        top, top_Q = _sup_over_cubes(grid, _testing_ratios(tau, f, sigma, wints, pprime))
+        value = top / lp_norm(f, pprime, sigma)
+        if value > best:
+            best, witness = value, top_Q
     return TestingConstant(best, witness)
 
 

@@ -9,6 +9,8 @@ from czlab.dyadics import (
     GridMismatchError,
     GridSpec,
     StepFunction,
+    _morton_decode,
+    _morton_encode,
     ancestor,
     average,
     children,
@@ -51,6 +53,17 @@ class TestGridSpec:
 
 
 class TestCubes:
+    @pytest.mark.parametrize("d,N", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 2)])
+    def test_morton_decode_array_matches_scalar(self, d, N):
+        z = np.arange(1 << (d * N))
+        coords = _morton_decode(z, d, N)
+        assert len(coords) == d
+        assert all(isinstance(c, np.ndarray) and c.shape == z.shape for c in coords)
+        for i in range(z.size):
+            scalar = _morton_decode(i, d, N)
+            assert tuple(int(c[i]) for c in coords) == scalar
+            assert _morton_encode(scalar, d, N) == i
+
     def test_children_bisect_unit_interval(self):
         g = grid1(1)
         kids = children(g.root())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from czlab.characteristics import dual_weight, joint_ap
+from czlab.characteristics import ap_characteristic, dual_weight, joint_ap
 from czlab.dyadics import GridSpec, StepFunction, lp_norm
 from czlab.families import cascade_weight
 from czlab.normlab import (
@@ -11,6 +11,8 @@ from czlab.normlab import (
     NonConvergenceError,
     SWEEP_CSV_HEADER,
     SweepRow,
+    default_operators,
+    default_weight_family,
     hilbert_operator,
     norm_lp_lower,
     norm_p2,
@@ -182,7 +184,91 @@ class TestWeakNorm:
             assert joint_ap(w, sigma, p).value <= weak * (1 + 1e-9)
 
 
+# Norms of the N = 5 sweep below, as computed before the strong and weak
+# searches shared one loop and before the sweep dropped its second p = 2
+# spectral solve: "family param p norm", norm to 17 significant digits.
+PINNED_SWEEP_N5 = """
+petermichl:power -0.90 1.5 3.453262979142893
+random2a:power -0.90 1.5 5.3567439932869876
+petermichl:power -0.90 2.0 2.7142217540985092
+random2a:power -0.90 2.0 3.5936469016539272
+petermichl:power -0.90 3.0 1.8629647289353783
+random2a:power -0.90 3.0 2.5076309464348361
+petermichl:power -0.75 1.5 2.0073882174215116
+random2a:power -0.75 1.5 2.6288858909594053
+petermichl:power -0.75 2.0 1.6967937614365953
+random2a:power -0.75 2.0 2.0576231270483176
+petermichl:power -0.75 3.0 1.3645083630837413
+random2a:power -0.75 3.0 1.7077322030270137
+petermichl:power -0.50 1.5 1.7194192213488921
+random2a:power -0.50 1.5 1.414038620082215
+petermichl:power -0.50 2.0 1.2670153459630691
+random2a:power -0.50 2.0 1.2772864340431906
+petermichl:power -0.50 3.0 1.0921820165143161
+random2a:power -0.50 3.0 1.1953421263582842
+petermichl:power +0.50 1.5 2.3256310239764071
+random2a:power +0.50 1.5 1.7763608426823583
+petermichl:power +0.50 2.0 1.5144618494250919
+random2a:power +0.50 2.0 1.1398719216634507
+petermichl:power +0.50 3.0 1.0152377403059827
+random2a:power +0.50 3.0 0.99984935669464003
+petermichl:power +0.75 1.5 3.2610194534904005
+random2a:power +0.75 1.5 2.7314062911343679
+petermichl:power +0.75 2.0 1.8566472201819981
+random2a:power +0.75 2.0 1.4035019225508816
+petermichl:power +0.75 3.0 1.4018148925893812
+random2a:power +0.75 3.0 1.0723510595215755
+petermichl:power +0.90 1.5 4.0581328069083513
+random2a:power +0.90 1.5 3.522921313332346
+petermichl:power +0.90 2.0 2.1273993070148047
+random2a:power +0.90 2.0 1.6336977658182905
+petermichl:power +0.90 3.0 1.4805410095194247
+random2a:power +0.90 3.0 1.1297514336294443
+petermichl:two_value 16@1 1.5 3.3171200269889183
+random2a:two_value 16@1 1.5 3.2458920508234872
+petermichl:two_value 16@1 2.0 2.1365967918955451
+random2a:two_value 16@1 2.0 2.0623080117831387
+petermichl:two_value 16@1 3.0 1.5146654045537236
+random2a:two_value 16@1 3.0 1.377013737960026
+petermichl:two_value 256@2 1.5 22.641296141456714
+random2a:two_value 256@2 1.5 20.185086798760949
+petermichl:two_value 256@2 2.0 10.263791247519139
+random2a:two_value 256@2 2.0 8.0234626176983248
+petermichl:two_value 256@2 3.0 4.5549941105410525
+random2a:two_value 256@2 3.0 3.308745655889596
+petermichl:two_value 4096@3 1.5 166.52307298310356
+random2a:two_value 4096@3 1.5 93.758966241612299
+petermichl:two_value 4096@3 2.0 46.72687854804596
+random2a:two_value 4096@3 2.0 28.266614730651479
+petermichl:two_value 4096@3 3.0 12.869020170105335
+random2a:two_value 4096@3 3.0 8.4037803170337479
+"""
+
+
 class TestSweep:
+    def test_pinned_rows_and_spectral_floor(self):
+        seed, kinds = 20250810, ("petermichl", "random2a")
+        rows = sharpness_sweep(
+            operator_kinds=kinds,
+            p_list=(1.5, 2.0, 3.0),
+            N_list=(5,),
+            seed=seed,
+            budget=2,
+            random_starts=4,
+        )
+        got = [f"{r.family} {r.param} {r.p} {r.norm:.17g}" for r in rows]
+        assert got == PINNED_SWEEP_N5.strip().split("\n")
+        # the search carries the spectral witness, so it never falls below norm_p2
+        grid = GridSpec(1, 5)
+        ops = dict(default_operators(grid, seed, kinds))
+        weights = {(fam, param): w for fam, param, w in default_weight_family(grid)}
+        for r in rows:
+            if r.p == 2.0:
+                op_name, fam = r.family.split(":")
+                w = weights[(fam, r.param)]
+                spectral = norm_p2(shift_operator(ops[op_name]), w, dual_weight(w, 2.0))
+                assert r.norm >= spectral.lower_bound
+
     def test_header_matches_dataclass(self):
         fields = [f for f in SweepRow.__dataclass_fields__]
         assert SWEEP_CSV_HEADER.split(",") == fields
@@ -218,6 +304,24 @@ class TestSweep:
             branch.sort(key=lambda r: r.joint_ap)
             norms = [r.norm for r in branch]
             assert all(b >= a * 0.95 for a, b in zip(norms, norms[1:]))
+
+
+class TestWeightValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        g = GridSpec(1, 3)
+        one = StepFunction.constant(g, 1.0)
+        vals = np.ones(g.cells)
+        vals[5] = bad
+        w = StepFunction(g, vals)
+        op = shift_operator(build_petermichl(g))
+        with pytest.raises(ValueError, match="positive"):
+            ap_characteristic(w, 2.0)
+        for args in ((w, one), (one, w)):
+            with pytest.raises(ValueError, match="positive"):
+                norm_p2(op, *args)
+            with pytest.raises(ValueError, match="positive"):
+                norm_lp_lower(op, *args, 3.0)
 
 
 class TestHilbertOperator:
