@@ -6,7 +6,7 @@ fixed config and seed the numerical result files are byte-identical across
 reruns; the manifest differs only in its wall-time field.  Floats are
 emitted with 17 significant digits so values round-trip exactly.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical non-convergence.
+Exit codes are listed in `_EXIT_CODES` (the `czlab --help` epilog).
 """
 
 from __future__ import annotations
@@ -450,10 +450,24 @@ def run(cfg: ExperimentConfig, out_dir: str) -> dict:
     return manifest
 
 
+_EXIT_CODES = """\
+exit codes:
+  0  success: result files and manifest.json written
+  1  internal failure, reported with a Python traceback: a certificate
+     assertion (Lerner decomposition, stopping family) or another bug
+  2  configuration error: unreadable or invalid config file, unknown field,
+     bad parameter value, or bad command-line arguments
+  3  numerical non-convergence of a power iteration, with its value bracket;
+     the sharpness sweep skips such a solve, so no current verb returns it
+"""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="czlab",
         description="Dyadic weighted-norm laboratory: batch experiment runner.",
+        epilog=_EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("verb", choices=sorted(_VERB_RUNNERS))
     parser.add_argument("--config", required=True, help="path to a JSON config file")

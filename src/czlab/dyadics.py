@@ -321,6 +321,37 @@ class StepFunction:
         return f"StepFunction(d={self.grid.d}, N={self.grid.N}, cells={self.grid.cells})"
 
 
+def _child_sum(children: list[np.ndarray], signed_zeros: bool = True) -> np.ndarray:
+    """Sum of two or more same-shape arrays, bit for bit as numpy sums them
+    along a contiguous axis.
+
+    numpy adds fewer than 8 terms in order starting from 0.0 (more go
+    pairwise).  Starting from the first term instead changes at most the
+    sign of a zero result, which a final + 0.0 restores; without -0.0 among
+    the children (`signed_zeros` false) that step is a no-op and is skipped.
+    """
+    if len(children) >= 8:
+        return np.stack(children, axis=-1).sum(axis=-1)
+    out = children[0] + children[1]
+    for child in children[2:]:
+        out += child
+    if signed_zeros:
+        out += 0.0
+    return out
+
+
+def _level_sums(grid: GridSpec, values: np.ndarray, top: int = 0) -> list[np.ndarray]:
+    """Integrals of each row of `values` (shape (..., cells)) over the cubes
+    of levels top..N, one Z-ordered array per level, coarsest first."""
+    fold = 1 << grid.d
+    sums = [values * grid.cell_volume]
+    for k in range(grid.N - 1, top - 1, -1):
+        finer = sums[-1]  # the children of cube z sit at z * fold + i
+        # only the cell level can hold -0.0: sums starting from 0.0 never do
+        sums.append(_child_sum([finer[..., i::fold] for i in range(fold)], k == grid.N - 1))
+    return sums[::-1]
+
+
 def level_integrals(f: StepFunction) -> list[np.ndarray]:
     """Integrals of f over every cube, one Z-ordered array per level.
 
@@ -329,12 +360,7 @@ def level_integrals(f: StepFunction) -> list[np.ndarray]:
     """
     if f._sums is not None:
         return f._sums
-    grid = f.grid
-    fold = 1 << grid.d
-    sums = [None] * (grid.N + 1)
-    sums[grid.N] = f.values * grid.cell_volume
-    for k in range(grid.N - 1, -1, -1):
-        sums[k] = sums[k + 1].reshape(-1, fold).sum(axis=1)
+    sums = _level_sums(f.grid, f.values)
     for arr in sums:
         arr.setflags(write=False)
     object.__setattr__(f, "_sums", sums)

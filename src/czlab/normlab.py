@@ -49,7 +49,10 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """A linear map on cell-value arrays with its unweighted adjoint."""
+    """A linear map on cell-value arrays with its unweighted adjoint.
+
+    Both maps take an array of shape (..., cells) and act on each row.
+    """
 
     grid: GridSpec
     apply: Callable[[np.ndarray], np.ndarray]
@@ -59,7 +62,7 @@ class LinearOperator:
 
 @dataclass(frozen=True)
 class SublinearOperator:
-    """A positively homogeneous map on cell-value arrays.
+    """A positively homogeneous map on cell-value arrays of shape (..., cells).
 
     linear_part, when present, is a linear operator dominated pointwise by
     this one; its spectral witness seeds the lower-bound searches.
@@ -73,46 +76,40 @@ class SublinearOperator:
 
 def shift_operator(S: HaarShift) -> LinearOperator:
     adj = S.adjoint()
-
-    def fwd(v):
-        return S.apply(StepFunction(S.grid, v)).values
-
-    def bwd(v):
-        return adj.apply(StepFunction(S.grid, v)).values
-
-    return LinearOperator(S.grid, fwd, bwd, label="shift")
+    return LinearOperator(S.grid, lambda v: S.apply(v), lambda v: adj.apply(v), label="shift")
 
 
 def truncation_operator(S: HaarShift) -> SublinearOperator:
-    def fwd(v):
-        return S.truncation(StepFunction(S.grid, v)).values
+    return SublinearOperator(
+        S.grid, lambda v: S.truncation(v), shift_operator(S), label="shift-truncation"
+    )
 
-    return SublinearOperator(S.grid, fwd, shift_operator(S), label="shift-truncation")
+
+def _rowwise(grid: GridSpec, fn):
+    """Lift a StepFunction map to cell-value arrays of shape (..., cells)."""
+
+    def apply(v):
+        v = np.asarray(v, dtype=float)
+        rows = [fn(StepFunction(grid, row)).values for row in v.reshape(-1, grid.cells)]
+        return np.array(rows).reshape(v.shape)
+
+    return apply
 
 
 def positive_operator(tau) -> LinearOperator:
     from .positive import apply_positive
 
-    grid = tau.grid
-    ones = StepFunction.constant(grid, 1.0)
-
-    def fwd(v):
-        return apply_positive(tau, ones, StepFunction(grid, v)).values
-
+    ones = StepFunction.constant(tau.grid, 1.0)
+    fwd = _rowwise(tau.grid, lambda f: apply_positive(tau, ones, f))
     # symmetric kernel: self-adjoint under the unweighted pairing
-    return LinearOperator(grid, fwd, fwd, label="positive")
+    return LinearOperator(tau.grid, fwd, fwd, label="positive")
 
 
 def hilbert_operator(grid: GridSpec) -> LinearOperator:
     from .shifts import hilbert_direct
 
-    def fwd(v):
-        return hilbert_direct(StepFunction(grid, v)).values
-
-    def bwd(v):
-        return -hilbert_direct(StepFunction(grid, v)).values
-
-    return LinearOperator(grid, fwd, bwd, label="hilbert")
+    fwd = _rowwise(grid, hilbert_direct)
+    return LinearOperator(grid, fwd, lambda v: -fwd(v), label="hilbert")
 
 
 @dataclass(frozen=True)
@@ -126,18 +123,23 @@ class NormEstimate:
     iterations: int
 
 
-def _lp_norm_cells(vals, weight, p) -> float:
-    """||v||_{L^p(weight)} for cell values vals."""
-    return float((np.abs(vals) ** p * weight.values).sum() * weight.grid.cell_volume) ** (1.0 / p)
+# Rows per block of start vectors or ascent candidates in the norm searches.
+_SEARCH_BLOCK = 32
 
 
-def _ratio(op_apply, w, sigma, p, fvals, out_norm=_lp_norm_cells) -> float:
-    """out_norm(T(sigma f), w, p) / ||f||_{L^p(sigma)} for cell values fvals;
-    out_norm defaults to the L^p(w) norm."""
-    fnorm = _lp_norm_cells(fvals, sigma, p)
-    if fnorm == 0.0:
-        return 0.0
-    return out_norm(op_apply(sigma.values * fvals), w, p) / fnorm
+def _lp_norms(block, weight, p) -> list[float]:
+    """||v||_{L^p(weight)} for each row v of a (K, cells) block."""
+    sums = (np.abs(block) ** p * weight.values).sum(axis=-1) * weight.grid.cell_volume
+    # the root as a Python float: numpy's array power takes a sqrt fast path
+    return [float(s) ** (1.0 / p) for s in sums]
+
+
+def _ratios(op_apply, w, sigma, p, block, out_norms=_lp_norms) -> list[float]:
+    """out_norms(T(sigma f), w, p) / ||f||_{L^p(sigma)} for each row f of a
+    (K, cells) block; out_norms defaults to the L^p(w) norms."""
+    fnorms = _lp_norms(block, sigma, p)
+    outs = out_norms(op_apply(sigma.values * block), w, p)
+    return [out / fn if fn != 0.0 else 0.0 for out, fn in zip(outs, fnorms)]
 
 
 def norm_p2(
@@ -150,8 +152,9 @@ def norm_p2(
     """Top singular value of f -> T(sigma f) from L^2(sigma) to L^2(w).
 
     Power iteration on the weighted self-adjoint composition, run from three
-    deterministic starts; the reported value is the ratio re-evaluated at the
-    final witness, so the estimate certifies itself.
+    deterministic starts in one block (a start leaves it once settled); the
+    reported value is the ratio re-evaluated at the final witness, so the
+    estimate certifies itself.
     """
     require_weight(w)
     require_weight(sigma, "sigma")
@@ -161,8 +164,8 @@ def norm_p2(
     sq_sigma = np.sqrt(sigma.values)
     wv = w.values
 
-    def B(u):
-        return sq_sigma * op.adjoint(wv * op.apply(sq_sigma * u))
+    def B(U):
+        return sq_sigma * op.adjoint(wv * op.apply(sq_sigma * U))
 
     rng = np.random.default_rng(20540)
     starts = [
@@ -170,104 +173,129 @@ def norm_p2(
         rng.standard_normal(grid.cells),
         rng.standard_normal(grid.cells),
     ]
+    U = np.array([u / np.linalg.norm(u) for u in starts])
     # Rayleigh increments are stopped two decades below the requested
     # tolerance so the certified value lands safely inside it.
     increment_tol = 0.01 * tol
-    best_theta = -math.inf
-    best_u = starts[0] / math.sqrt(grid.cells)
-    total_iters = 0
-    for u in starts:
-        u = u / np.linalg.norm(u)
-        theta = 0.0
-        theta_prev = -math.inf
-        settled = False
-        for _ in range(max_iter):
-            v = B(u)
-            total_iters += 1
-            theta = float(u @ v)
+    theta = [0.0] * len(starts)
+    theta_prev = [-math.inf] * len(starts)
+    iters = [0] * len(starts)
+    active = list(range(len(starts)))
+    for _ in range(max_iter):
+        if not active:
+            break
+        V = B(U[active])
+        settled = []
+        for i, v in zip(active, V):
+            iters[i] += 1
+            theta[i] = float(U[i] @ v)
             nv = float(np.linalg.norm(v))
             if nv == 0.0:
-                theta = 0.0
-                settled = True
-                break
-            u = v / nv
-            if theta_prev > -math.inf and abs(theta - theta_prev) <= increment_tol * max(
-                abs(theta), 1e-300
+                theta[i] = 0.0
+                settled.append(i)
+                continue
+            U[i] = v / nv
+            if theta_prev[i] > -math.inf and abs(theta[i] - theta_prev[i]) <= increment_tol * max(
+                abs(theta[i]), 1e-300
             ):
-                settled = True
-                break
-            theta_prev = theta
-        if not settled:
-            resid = float(np.linalg.norm(B(u) - theta * u))
-            lo = math.sqrt(max(theta, 0.0))
-            hi = math.sqrt(max(theta, 0.0) + resid)
-            raise NonConvergenceError(
-                f"power iteration did not converge within {max_iter} iterations",
-                (lo, hi),
-            )
-        if theta > best_theta:
-            best_theta = max(theta, 0.0)
-            best_u = u
+                settled.append(i)
+                continue
+            theta_prev[i] = theta[i]
+        active = [i for i in active if i not in settled]
+    if active:
+        i = active[0]
+        resid = float(np.linalg.norm(B(U[i : i + 1])[0] - theta[i] * U[i]))
+        lo = math.sqrt(max(theta[i], 0.0))
+        hi = math.sqrt(max(theta[i], 0.0) + resid)
+        raise NonConvergenceError(
+            f"power iteration did not converge within {max_iter} iterations",
+            (lo, hi),
+        )
+    best_theta = -math.inf
+    best_u = U[0]
+    for i in range(len(starts)):
+        if theta[i] > best_theta:
+            best_theta = max(theta[i], 0.0)
+            best_u = U[i]
     with np.errstate(divide="ignore", invalid="ignore"):
         fvals = np.where(sq_sigma > 0, best_u / sq_sigma, 0.0)
-    value = _ratio(op.apply, w, sigma, 2.0, fvals)
-    return NormEstimate(value, "spectral", StepFunction(grid, fvals), 2.0, total_iters)
+    value = _ratios(op.apply, w, sigma, 2.0, fvals[None])[0]
+    return NormEstimate(value, "spectral", StepFunction(grid, fvals), 2.0, sum(iters))
 
 
-def _start_stream(op, w, sigma, p, seed, random_starts):
-    """Deterministic restart stream: cube indicators, the spectral witness
-    where available, then seeded random starts."""
+def _start_blocks(op, w, sigma, p, seed, random_starts):
+    """Deterministic restart stream in blocks of rows: cube indicators
+    (coarsest level first, Z-order within a level), the spectral witness
+    where available, then seeded random starts g and |g|."""
     grid = op.grid
-    for Q in grid.all_cubes():
-        yield StepFunction.indicator(Q).values
+    cells = np.arange(grid.cells)
+    levels = np.repeat(np.arange(grid.N + 1), [1 << (grid.d * k) for k in range(grid.N + 1)])
+    zs = np.concatenate([np.arange(1 << (grid.d * k)) for k in range(grid.N + 1)])
+    bits = grid.d * (grid.N - levels)
+    lo, hi = zs << bits, (zs + 1) << bits
+    for k in range(0, lo.size, _SEARCH_BLOCK):
+        sl = slice(k, k + _SEARCH_BLOCK)
+        yield ((cells >= lo[sl, None]) & (cells < hi[sl, None])).astype(float)
     linear = op if isinstance(op, LinearOperator) else op.linear_part
     if linear is not None:
         try:
-            yield norm_p2(linear, w, sigma).witness.values
+            yield norm_p2(linear, w, sigma).witness.values[None]
         except NonConvergenceError:
             pass
     rng = np.random.default_rng([seed, 1])
-    for _ in range(random_starts):
-        g = rng.standard_normal(grid.cells)
-        yield g
-        yield np.abs(g)
+    for k in range(0, random_starts, _SEARCH_BLOCK // 2):
+        g = rng.standard_normal((min(_SEARCH_BLOCK // 2, random_starts - k), grid.cells))
+        block = np.empty((2 * len(g), grid.cells))
+        block[0::2] = g
+        block[1::2] = np.abs(g)
+        yield block
 
 
-def _search(out_norm, op, w, sigma, p, seed, budget, steps, random_starts):
-    """Maximise _ratio with output norm `out_norm` over the restart stream
+def _search(out_norms, op, w, sigma, p, seed, budget, steps, random_starts):
+    """Maximise _ratios with output norms `out_norms` over the restart stream
     and the ascent (see norm_lp_lower); returns the best value, the input
     attaining it and the number of evaluations."""
 
-    def value(fv):
-        return _ratio(op.apply, w, sigma, p, fv, out_norm)
+    def values(block):
+        return _ratios(op.apply, w, sigma, p, block, out_norms)
 
-    scanned: list[tuple[float, int, np.ndarray]] = [
-        (value(fv), idx, fv)
-        for idx, fv in enumerate(_start_stream(op, w, sigma, p, seed, random_starts))
-    ]
-    # deterministic order: best score first, stream order breaks ties
-    scanned.sort(key=lambda rec: (-rec[0], rec[1]))
-    best_val, _, best_f = scanned[0]
-    refined = max(0, min(budget, len(scanned)))
-    for rank in range(refined):
-        val, idx, fv = scanned[rank]
-        rng = np.random.default_rng([seed, 2, idx])
-        cur, cur_val, step = fv.astype(float), val, 0.5
-        for it in range(steps):
-            noise = rng.standard_normal(cur.size)
+    # the `budget` best starts so far (at least one) as (value, stream index,
+    # vector); best score first, stream order breaks ties
+    top: list[tuple[float, int, np.ndarray | None]] = []
+    scanned = 0
+    for block in _start_blocks(op, w, sigma, p, seed, random_starts):
+        ranked = top + [(val, scanned + i, None) for i, val in enumerate(values(block))]
+        ranked.sort(key=lambda rec: (-rec[0], rec[1]))
+        top = [
+            (val, idx, block[idx - scanned].copy() if fv is None else fv)
+            for val, idx, fv in ranked[: max(budget, 1)]
+        ]
+        scanned += len(block)
+    best_val, _, best_f = top[0]
+    refined = max(0, min(budget, scanned))
+    # the ascents run in lockstep, each with its own stream, step and accept rule
+    rngs = [np.random.default_rng([seed, 2, idx]) for _, idx, _ in top[:refined]]
+    cur = [fv.astype(float) for _, _, fv in top[:refined]]
+    cur_val = [val for val, _, _ in top[:refined]]
+    step = [0.5] * refined
+    for it in range(steps if refined else 0):
+        cands = []
+        for r in range(refined):
+            noise = rngs[r].standard_normal(cur[r].size)
             if it % 2 == 0:
-                cand = cur * np.exp(step * noise)
+                cands.append(cur[r] * np.exp(step[r] * noise))
             else:
-                scale = float(np.max(np.abs(cur))) or 1.0
-                cand = cur + step * scale * noise
-            cand_val = value(cand)
-            if cand_val > cur_val:
-                cur, cur_val = cand, cand_val
+                scale = float(np.max(np.abs(cur[r]))) or 1.0
+                cands.append(cur[r] + step[r] * scale * noise)
+        for r, cand_val in enumerate(values(np.array(cands))):
+            if cand_val > cur_val[r]:
+                cur[r], cur_val[r] = cands[r], cand_val
             else:
-                step *= 0.5
-        if cur_val > best_val:
-            best_val, best_f = cur_val, cur
-    return best_val, best_f, len(scanned) + refined * steps
+                step[r] *= 0.5
+    for r in range(refined):
+        if cur_val[r] > best_val:
+            best_val, best_f = cur_val[r], cur[r]
+    return best_val, best_f, scanned + refined * steps
 
 
 def norm_lp_lower(
@@ -293,21 +321,22 @@ def norm_lp_lower(
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, infinity)")
     best_val, best_f, evals = _search(
-        _lp_norm_cells, op, w, sigma, p, seed, budget, steps, random_starts
+        _lp_norms, op, w, sigma, p, seed, budget, steps, random_starts
     )
-    fnorm = _lp_norm_cells(best_f, sigma, p)
+    fnorm = _lp_norms(best_f[None], sigma, p)[0]
     witness = StepFunction(w.grid, best_f / fnorm if fnorm > 0 else best_f)
     return NormEstimate(best_val, "search", witness, p, evals)
 
 
-def _weak_functional(out: np.ndarray, w: StepFunction, p: float) -> float:
-    """max over thresholds of lam * w{|out| > lam}^(1/p), lam at output values."""
-    mags = np.abs(out)
-    order = np.argsort(mags)[::-1]
-    sorted_mags = mags[order]
-    wmass = np.cumsum(w.values[order]) * w.grid.cell_volume
+def _weak_functionals(block: np.ndarray, w: StepFunction, p: float) -> list[float]:
+    """Per row of a (K, cells) block: max over thresholds of
+    lam * w{|out| > lam}^(1/p), lam at output values."""
+    mags = np.abs(block)
+    order = np.argsort(mags, axis=-1)[:, ::-1]
+    sorted_mags = np.take_along_axis(mags, order, axis=-1)
+    wmass = np.cumsum(w.values[order], axis=-1) * w.grid.cell_volume
     vals = sorted_mags * wmass ** (1.0 / p)
-    return float(vals.max(initial=0.0))
+    return vals.max(axis=-1, initial=0.0).tolist()
 
 
 def weak_norm_estimate(
@@ -330,7 +359,7 @@ def weak_norm_estimate(
     require_weight(sigma, "sigma")
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
-    return _search(_weak_functional, op, w, sigma, p, seed, budget, steps, random_starts)[0]
+    return _search(_weak_functionals, op, w, sigma, p, seed, budget, steps, random_starts)[0]
 
 
 # -- sharpness sweep --------------------------------------------------------

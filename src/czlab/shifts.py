@@ -24,8 +24,8 @@ from .dyadics import (
     GridMismatchError,
     GridSpec,
     StepFunction,
-    level_integrals,
-    repeat_to_cells,
+    _child_sum,
+    _level_sums,
 )
 
 __all__ = [
@@ -213,51 +213,49 @@ class HaarShift:
 
     # -- fast application -------------------------------------------------
 
-    def _level_outputs(self, f: StepFunction):
-        """Per-Q-level contributions as (output_level, per-cube constants)."""
-        ints = level_integrals(f)
-        d = self.grid.d
-        out = []
-        for level, lv in self.levels.items():
-            coef = (lv.h_in * ints[level + self.n + 1][lv.in_idx]).sum(axis=1)
-            coef *= float(1 << (d * level))  # the 1/|Q| factor
-            out_level = level + self.m + 1
-            contrib = np.bincount(
-                lv.out_idx.ravel(),
-                weights=(coef[:, None] * lv.h_out).ravel(),
-                minlength=1 << (d * out_level),
-            )
-            out.append((level, out_level, contrib))
-        return out
+    @functools.cached_property
+    def _plan(self) -> "_KernelPlan | None":
+        """The fused kernel's arrays; None for a shift without coefficients."""
+        return _KernelPlan.build(self) if self.levels else None
 
-    def apply(self, f: StepFunction) -> StepFunction:
-        if f.grid != self.grid:
-            raise GridMismatchError("function does not live on the shift's grid")
-        acc = np.zeros(self.grid.cells)
-        for _, out_level, contrib in self._level_outputs(f):
-            acc += repeat_to_cells(self.grid, contrib, out_level)
-        return f.with_values(acc)
+    def apply(self, f):
+        """S f for a StepFunction, or for each row of a (cells,) or (K, cells)
+        array of cell values; returns the same type and shape."""
+        return self._run(f, truncate=False)
 
-    def truncation(self, f: StepFunction) -> StepFunction:
+    def truncation(self, f):
         """Pointwise sup over dyadic cutoffs of the coarse partial sums.
 
         One coarse-to-fine pass: cubes are added level by level and a running
         pointwise max of |partial sum| is kept; the cutoff grid is
-        eps in {2^-k : 0 <= k <= N}.
+        eps in {2^-k : 0 <= k <= N}.  Takes and returns what apply does.
         """
-        if f.grid != self.grid:
-            raise GridMismatchError("function does not live on the shift's grid")
-        outputs = {}
-        for level, out_level, contrib in self._level_outputs(f):
-            outputs[level] = (out_level, contrib)
-        acc = np.zeros(self.grid.cells)
-        best = np.zeros(self.grid.cells)
-        for level in range(self.grid.N + 1):
-            if level in outputs:
-                out_level, contrib = outputs[level]
-                acc = acc + repeat_to_cells(self.grid, contrib, out_level)
-            np.maximum(best, np.abs(acc), out=best)
-        return f.with_values(best)
+        return self._run(f, truncate=True)
+
+    def _run(self, f, truncate: bool):
+        if isinstance(f, StepFunction):
+            if f.grid != self.grid:
+                raise GridMismatchError("function does not live on the shift's grid")
+            return f.with_values(self._run(f.values, truncate))
+        vals = np.asarray(f, dtype=float)
+        cells = self.grid.cells
+        if vals.ndim not in (1, 2) or vals.shape[-1] != cells:
+            raise GridMismatchError(
+                f"expected cell values of shape ({cells},) or (K, {cells}), got {vals.shape}"
+            )
+        block = vals.reshape(-1, cells)
+        plan = self._plan
+        if plan is None:
+            return np.zeros(vals.shape)
+        # cap the largest intermediate, K x rows x 2^d floats, per chunk of rows
+        step = max(1, _BLOCK_BYTES // (8 * plan.gather.size))
+        if block.shape[0] <= step:
+            out = plan.run(block, truncate)
+        else:
+            out = np.concatenate(
+                [plan.run(block[k : k + step], truncate) for k in range(0, block.shape[0], step)]
+            )
+        return out.reshape(vals.shape)
 
     def adjoint(self) -> "HaarShift":
         """Transpose with respect to the unweighted L^2 pairing."""
@@ -321,6 +319,104 @@ class HaarShift:
                 )
             entries[Q] = pairs
         return cls(grid, int(obj["m"]), int(obj["n"]), entries, bool(obj["cancellative"]))
+
+
+# Byte cap on the fused kernel's largest intermediate (K x rows x 2^d floats);
+# larger blocks are applied a chunk of rows at a time.
+_BLOCK_BYTES = 1 << 18
+
+
+class _KernelPlan(NamedTuple):
+    """All levels' coefficient rows of a shift, concatenated in level order.
+
+    The row arrays are child-major: entry [i, r] belongs to child i of row r.
+    `gather` indexes the integrals over the cubes of levels `top`..N and
+    `scatter` (flattened) the flat per-cube outputs of the output levels,
+    both laid out coarsest level first; `scale` is each row's 1/|Q|.  Each
+    output level has a (start, stop, parent) entry in `outputs`: its slice
+    of the flat outputs, and for every cube the index of its ancestor at the
+    previous output level (None at the first).  `to_cells` maps the finest
+    output level onto the cells (None when it is the cell level).
+    """
+
+    grid: GridSpec
+    top: int
+    gather: np.ndarray
+    h_in: np.ndarray
+    scale: np.ndarray
+    scatter: np.ndarray
+    h_out: np.ndarray
+    outputs: tuple
+    to_cells: np.ndarray | None
+
+    @classmethod
+    def build(cls, S: HaarShift) -> "_KernelPlan":
+        grid, d = S.grid, S.grid.d
+        levels = list(S.levels.items())
+        top = levels[0][0] + S.n + 1
+        out_levels = [level + S.m + 1 for level, _ in levels]
+        out_start = np.cumsum([0] + [1 << (d * L) for L in out_levels]).tolist()
+
+        def pyramid_start(level):  # levels top..level-1 come first
+            return ((1 << (d * level)) - (1 << (d * top))) // ((1 << d) - 1)
+
+        def child_major(arrays):
+            return np.ascontiguousarray(np.concatenate(arrays).T)
+
+        def ancestors(level, up):
+            return np.arange(1 << (d * level)) >> (d * up)
+
+        outputs = tuple(
+            (out_start[j], out_start[j + 1], ancestors(L, L - out_levels[j - 1]) if j else None)
+            for j, L in enumerate(out_levels)
+        )
+        return cls(
+            grid,
+            top,
+            child_major([lv.in_idx + pyramid_start(level + S.n + 1) for level, lv in levels]),
+            child_major([lv.h_in for _, lv in levels]),
+            np.concatenate(
+                [np.full(len(lv.h_in), float(1 << (d * level))) for level, lv in levels]
+            ),
+            child_major([lv.out_idx + out_start[j] for j, (_, lv) in enumerate(levels)]).ravel(),
+            child_major([lv.h_out for _, lv in levels]),
+            outputs,
+            ancestors(grid.N, grid.N - out_levels[-1]) if out_levels[-1] < grid.N else None,
+        )
+
+    def run(self, block: np.ndarray, truncate: bool) -> np.ndarray:
+        """apply (or truncation) of every row of a (K, cells) block.
+
+        Row i equals the one-row result bit for bit: every sum below adds
+        the same terms in the same order as the per-level formulas do.
+        """
+        K = block.shape[0]
+        pyramid = np.concatenate(_level_sums(self.grid, block, self.top), axis=-1)
+        terms = pyramid.take(self.gather, axis=1)
+        terms *= self.h_in
+        coef = _child_sum(list(terms.transpose(1, 0, 2)))
+        coef *= self.scale  # the 1/|Q| factor
+        size = self.outputs[-1][1]
+        # in-order per-bin sums: an output cube is child i of its Q', so all
+        # its terms sit in child row i, in row order
+        contrib = np.bincount(
+            (self.scatter + size * np.arange(K)[:, None]).ravel(),
+            weights=(coef[:, None, :] * self.h_out).ravel(),
+            minlength=K * size,
+        ).reshape(K, size)
+        # coarse to fine: carry the running partial sum (and the running max
+        # of its modulus) down to each output level and add that level's terms
+        acc = best = None
+        for start, stop, parent in self.outputs:
+            if parent is None:
+                acc = contrib[:, start:stop] + 0.0
+                best = np.abs(acc) if truncate else None
+            else:
+                acc = acc.take(parent, axis=1) + contrib[:, start:stop]
+                if truncate:
+                    best = np.maximum(best.take(parent, axis=1), np.abs(acc))
+        out = best if truncate else acc
+        return out if self.to_cells is None else out.take(self.to_cells, axis=1)
 
 
 # -- constructors ---------------------------------------------------------
@@ -540,7 +636,9 @@ def _toroidal_gap_cells(fmask: np.ndarray, gmask: np.ndarray) -> int:
     if fi.size == 0 or gi.size == 0:
         raise ValueError("both functions must be nonzero somewhere")
     M = fmask.size
-    diff = np.abs(fi[:, None] - gi[None, :])
+    # the cyclically nearest point of g is the first one after or before
+    pos = np.searchsorted(gi, fi)
+    diff = np.abs(np.concatenate([fi - gi[pos % gi.size], fi - gi[pos - 1]]))
     return int(np.minimum(diff, M - diff).min())
 
 
@@ -569,11 +667,15 @@ def hilbert_average(
     weights: dict[int, float] = {}
     for grid, coeff in zip(ensemble.grids, ensemble.coefficients):
         weights[grid.shift_cells[0]] = weights.get(grid.shift_cells[0], 0.0) + coeff
+    offsets = sorted(weights)
+    cells = np.arange(frame.cells)
+    step = max(1, _BLOCK_BYTES // (8 * frame.cells))
     total = 0.0
-    for off, coeff in sorted(weights.items()):
-        fs = StepFunction(frame, np.roll(f.values, -off))
-        gs = np.roll(g.values, -off)
-        total += coeff * float(np.dot(shift_op.apply(fs).values, gs) * vol)
+    for k in range(0, len(offsets), step):
+        offs = np.array(offsets[k : k + step])
+        rolled = (cells + offs[:, None]) % frame.cells  # row j: np.roll(., -offs[j])
+        for off, sf, gs in zip(offs.tolist(), shift_op.apply(f.values[rolled]), g.values[rolled]):
+            total += weights[off] * float(np.dot(sf, gs) * vol)
     oracle = float(np.dot(hilbert_direct(StepFunction(frame, f.values)).values, g.values) * vol)
     constant = total / oracle if oracle != 0.0 else math.nan
     return HilbertAverageResult(total, oracle, constant)

@@ -247,3 +247,185 @@ def bruteforce_lp_norm(T: np.ndarray, w, sigma, p: float, seed: int = 0, maxiter
             )
             best = max(best, -float(res.fun))
     return best
+
+
+# -- per-vector kernel and search loops -------------------------------------
+#
+# The one-vector-at-a-time forms of the shift kernel, the power iteration and
+# the restart search.  The block-evaluated library code must reproduce them
+# bit for bit.
+
+
+def loop_level_integrals(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
+    """Integrals over every cube, one Z-ordered array per level."""
+    fold = 1 << grid.d
+    sums = [None] * (grid.N + 1)
+    sums[grid.N] = values * grid.cell_volume
+    for k in range(grid.N - 1, -1, -1):
+        sums[k] = sums[k + 1].reshape(-1, fold).sum(axis=1)
+    return sums
+
+
+def _loop_level_outputs(S, values: np.ndarray):
+    """Per-Q-level (Q level, output level, per-output-cube constants)."""
+    ints = loop_level_integrals(values, S.grid)
+    d = S.grid.d
+    out = []
+    for level, lv in S.levels.items():
+        coef = (lv.h_in * ints[level + S.n + 1][lv.in_idx]).sum(axis=1)
+        coef *= float(1 << (d * level))  # the 1/|Q| factor
+        out_level = level + S.m + 1
+        contrib = np.bincount(
+            lv.out_idx.ravel(),
+            weights=(coef[:, None] * lv.h_out).ravel(),
+            minlength=1 << (d * out_level),
+        )
+        out.append((level, out_level, contrib))
+    return out
+
+
+def _to_cells(grid: GridSpec, arr: np.ndarray, level: int) -> np.ndarray:
+    return np.repeat(arr, 1 << (grid.d * (grid.N - level)))
+
+
+def loop_apply(S, values: np.ndarray) -> np.ndarray:
+    """S applied to one vector of cell values, level by level."""
+    acc = np.zeros(S.grid.cells)
+    for _, out_level, contrib in _loop_level_outputs(S, values):
+        acc += _to_cells(S.grid, contrib, out_level)
+    return acc
+
+
+def loop_truncation(S, values: np.ndarray) -> np.ndarray:
+    """Maximal truncation of one vector: running max over every cutoff level."""
+    outputs = {level: (out_level, c) for level, out_level, c in _loop_level_outputs(S, values)}
+    acc = np.zeros(S.grid.cells)
+    best = np.zeros(S.grid.cells)
+    for level in range(S.grid.N + 1):
+        if level in outputs:
+            out_level, contrib = outputs[level]
+            acc = acc + _to_cells(S.grid, contrib, out_level)
+        np.maximum(best, np.abs(acc), out=best)
+    return best
+
+
+class LoopNonConvergence(RuntimeError):
+    def __init__(self, bracket):
+        super().__init__("no convergence")
+        self.bracket = bracket
+
+
+def loop_lp_norm(vals, weight: StepFunction, p: float) -> float:
+    return float((np.abs(vals) ** p * weight.values).sum() * weight.grid.cell_volume) ** (1.0 / p)
+
+
+def loop_weak_functional(out, w: StepFunction, p: float) -> float:
+    mags = np.abs(out)
+    order = np.argsort(mags)[::-1]
+    wmass = np.cumsum(w.values[order]) * w.grid.cell_volume
+    return float((mags[order] * wmass ** (1.0 / p)).max(initial=0.0))
+
+
+def loop_ratio(apply1, w, sigma, p, fvals, out_norm=loop_lp_norm) -> float:
+    fnorm = loop_lp_norm(fvals, sigma, p)
+    if fnorm == 0.0:
+        return 0.0
+    return out_norm(apply1(sigma.values * fvals), w, p) / fnorm
+
+
+def loop_norm_p2(apply1, adjoint1, w, sigma, tol=1e-8, max_iter=10_000):
+    """Power iteration from three starts run one after the other; returns
+    (value, witness values, iterations) or raises LoopNonConvergence."""
+    import math
+
+    cells = w.grid.cells
+    sq_sigma = np.sqrt(sigma.values)
+
+    def B(u):
+        return sq_sigma * adjoint1(w.values * apply1(sq_sigma * u))
+
+    rng = np.random.default_rng(20540)
+    starts = [np.ones(cells), rng.standard_normal(cells), rng.standard_normal(cells)]
+    best_theta, best_u, total = -math.inf, starts[0] / math.sqrt(cells), 0
+    for u in starts:
+        u = u / np.linalg.norm(u)
+        theta, theta_prev, settled = 0.0, -math.inf, False
+        for _ in range(max_iter):
+            v = B(u)
+            total += 1
+            theta = float(u @ v)
+            nv = float(np.linalg.norm(v))
+            if nv == 0.0:
+                theta, settled = 0.0, True
+                break
+            u = v / nv
+            if theta_prev > -math.inf and abs(theta - theta_prev) <= 0.01 * tol * max(abs(theta), 1e-300):
+                settled = True
+                break
+            theta_prev = theta
+        if not settled:
+            resid = float(np.linalg.norm(B(u) - theta * u))
+            raise LoopNonConvergence(
+                (math.sqrt(max(theta, 0.0)), math.sqrt(max(theta, 0.0) + resid))
+            )
+        if theta > best_theta:
+            best_theta, best_u = max(theta, 0.0), u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fvals = np.where(sq_sigma > 0, best_u / sq_sigma, 0.0)
+    return loop_ratio(apply1, w, sigma, 2.0, fvals), fvals, total
+
+
+def loop_search(out_norm, apply1, linear, w, sigma, p, seed, budget, steps, random_starts):
+    """Scan every start, keep them all, sort, then ascent-refine the `budget`
+    best one after the other.  `linear` is (apply1, adjoint1) of the linear
+    part or None; returns (value, input, evaluations)."""
+    grid = w.grid
+
+    def stream():
+        for Q in grid.all_cubes():
+            yield StepFunction.indicator(Q).values
+        if linear is not None:
+            try:
+                yield loop_norm_p2(*linear, w, sigma)[1]
+            except LoopNonConvergence:
+                pass
+        rng = np.random.default_rng([seed, 1])
+        for _ in range(random_starts):
+            g = rng.standard_normal(grid.cells)
+            yield g
+            yield np.abs(g)
+
+    def value(fv):
+        return loop_ratio(apply1, w, sigma, p, fv, out_norm)
+
+    scanned = [(value(fv), idx, fv) for idx, fv in enumerate(stream())]
+    scanned.sort(key=lambda rec: (-rec[0], rec[1]))
+    best_val, _, best_f = scanned[0]
+    refined = max(0, min(budget, len(scanned)))
+    for rank in range(refined):
+        val, idx, fv = scanned[rank]
+        rng = np.random.default_rng([seed, 2, idx])
+        cur, cur_val, step = fv.astype(float), val, 0.5
+        for it in range(steps):
+            noise = rng.standard_normal(cur.size)
+            if it % 2 == 0:
+                cand = cur * np.exp(step * noise)
+            else:
+                scale = float(np.max(np.abs(cur))) or 1.0
+                cand = cur + step * scale * noise
+            cand_val = value(cand)
+            if cand_val > cur_val:
+                cur, cur_val = cand, cand_val
+            else:
+                step *= 0.5
+        if cur_val > best_val:
+            best_val, best_f = cur_val, cur
+    return best_val, best_f, len(scanned) + refined * steps
+
+
+def brute_toroidal_gap(fmask: np.ndarray, gmask: np.ndarray) -> int:
+    """Smallest cyclic distance over every (f cell, g cell) pair."""
+    fi = np.flatnonzero(fmask)
+    gi = np.flatnonzero(gmask)
+    diff = np.abs(fi[:, None] - gi[None, :])
+    return int(np.minimum(diff, fmask.size - diff).min())

@@ -1,0 +1,278 @@
+"""Block evaluation against the one-vector loops kept in oracles.py.
+
+Every row of a block applied by the fused shift kernel, and every value,
+witness and iteration count of the block-evaluated norm searches, must equal
+the per-vector computation bit for bit (signs of zeros included).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from czlab import shifts
+from czlab.dyadics import GridSpec, StepFunction
+from czlab.families import cascade_weight
+from czlab.normlab import (
+    LinearOperator,
+    NonConvergenceError,
+    hilbert_operator,
+    norm_lp_lower,
+    norm_p2,
+    positive_operator,
+    shift_operator,
+    truncation_operator,
+    weak_norm_estimate,
+)
+from czlab.positive import TauCoefficients, apply_positive
+from czlab.shifts import (
+    HaarShift,
+    _toroidal_gap_cells,
+    build_paraproduct,
+    build_petermichl,
+    build_random_shift,
+    hilbert_direct,
+)
+
+from oracles import (
+    LoopNonConvergence,
+    brute_toroidal_gap,
+    loop_apply,
+    loop_lp_norm,
+    loop_norm_p2,
+    loop_search,
+    loop_truncation,
+    loop_weak_functional,
+)
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+SHIFT_KINDS = ("random", "noncancellative", "petermichl", "paraproduct", "json")
+
+
+def make_shift(kind: str, d: int, N: int, m: int, n: int, seed: int) -> HaarShift:
+    if kind == "petermichl":
+        return build_petermichl(GridSpec(1, N))
+    g = GridSpec(d, N)
+    if kind == "paraproduct":
+        rng = np.random.default_rng(seed)
+        coeffs = {
+            Q: float(rng.uniform(-1.0, 1.0)) * math.sqrt(Q.volume)
+            for Q in g.all_cubes()
+            if Q.level < N and rng.random() < 0.5
+        }
+        return build_paraproduct(coeffs, g)
+    S = build_random_shift(m, n, seed, g, kind != "noncancellative")
+    return HaarShift.from_json(S.to_json()) if kind == "json" else S
+
+
+@st.composite
+def shift_cases(draw):
+    kind = draw(st.sampled_from(SHIFT_KINDS))
+    d = 1 if kind == "petermichl" else draw(st.sampled_from([1, 2]))
+    N = draw(st.integers(1, 7 if d == 1 else 4))
+    m = draw(st.integers(0, N))
+    n = draw(st.integers(0, N - m))
+    S = make_shift(kind, d, N, m, n, draw(st.integers(0, 2**16)))
+    K = draw(st.sampled_from([1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.standard_normal((K, S.grid.cells)) * 10.0 ** rng.integers(-3, 4, (K, 1))
+    # exact zeros of both signs, and a row of constants
+    X[rng.random(X.shape) < 0.2] = 0.0
+    X[rng.random(X.shape) < 0.2] = -0.0
+    if K > 1:
+        X[1] = 1.0
+    return S, X
+
+
+class TestBlockKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(shift_cases())
+    def test_block_rows_match_loop_kernel(self, case):
+        S, X = case
+        A, T, B = S.apply(X), S.truncation(X), S.adjoint().apply(X)
+        assert A.shape == T.shape == B.shape == X.shape
+        for i, x in enumerate(X):
+            assert bits(A[i]) == bits(loop_apply(S, x))
+            assert bits(T[i]) == bits(loop_truncation(S, x))
+            assert bits(B[i]) == bits(loop_apply(S.adjoint(), x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shift_cases())
+    def test_one_vector_is_the_one_row_block(self, case):
+        S, X = case
+        f = StepFunction(S.grid, X[0])
+        for method in (S.apply, S.truncation):
+            out = method(f)
+            assert isinstance(out, StepFunction) and out.grid == S.grid
+            assert bits(out.values) == bits(method(X[0])) == bits(method(X[:1])[0])
+            assert method(X[0]).shape == (S.grid.cells,)
+
+    @pytest.mark.parametrize(
+        "kind,d,N,m,n",
+        [
+            ("random", 1, 6, 2, 0),
+            ("random", 1, 6, 0, 3),
+            ("noncancellative", 1, 5, 1, 2),
+            ("json", 1, 5, 3, 1),
+            ("random", 2, 3, 1, 0),
+            ("noncancellative", 2, 3, 0, 1),
+            ("json", 2, 3, 1, 1),
+            ("paraproduct", 1, 5, 0, 0),
+            ("paraproduct", 2, 3, 0, 0),
+            ("petermichl", 1, 6, 1, 0),
+            ("random", 3, 2, 1, 0),
+            ("noncancellative", 3, 2, 0, 1),
+        ],
+    )
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    def test_listed_shapes_match_loop_kernel(self, kind, d, N, m, n, K):
+        S = make_shift(kind, d, N, m, n, seed=K)
+        X = np.random.default_rng(K).standard_normal((K, S.grid.cells))
+        X[:, ::3] = -0.0
+        for method, loop in ((S.apply, loop_apply), (S.truncation, loop_truncation)):
+            out = method(X)
+            for i, x in enumerate(X):
+                assert bits(out[i]) == bits(loop(S, x))
+
+    def test_chunked_block_matches_rows(self, monkeypatch):
+        S = build_random_shift(2, 1, 4, GridSpec(1, 7))
+        X = np.random.default_rng(0).standard_normal((5, S.grid.cells))
+        # two rows per chunk: five rows take three chunks
+        monkeypatch.setattr(shifts, "_BLOCK_BYTES", 16 * S._plan.gather.size)
+        for method, loop in ((S.apply, loop_apply), (S.truncation, loop_truncation)):
+            out = method(X)
+            for i, x in enumerate(X):
+                assert bits(out[i]) == bits(loop(S, x))
+
+    def test_empty_shift_gives_zeros(self):
+        S = build_random_shift(4, 0, 1, GridSpec(1, 4))  # no level has room
+        X = np.ones((2, 16))
+        assert bits(S.apply(X)) == bits(np.zeros((2, 16)))
+        assert bits(S.truncation(X)) == bits(np.zeros((2, 16)))
+
+    def test_wrong_shape_rejected(self):
+        S = build_petermichl(GridSpec(1, 3))
+        for bad in (np.ones(7), np.ones((2, 9)), np.ones((2, 2, 8))):
+            with pytest.raises(ValueError):
+                S.apply(bad)
+        with pytest.raises(ValueError):
+            S.truncation(StepFunction.constant(GridSpec(1, 4), 1.0))
+
+
+# -- norm searches -----------------------------------------------------------
+
+
+def search_cases(N: int):
+    """(name, operator, one-vector apply, (apply, adjoint) of the linear part)."""
+    g = GridSpec(1, N)
+    R = build_random_shift(1, 2, 7, g)
+    P = build_petermichl(g)
+    tau = TauCoefficients(g, {Q: 0.5**Q.level for Q in g.all_cubes() if Q.zindex % 3 != 1})
+    ones = StepFunction.constant(g, 1.0)
+
+    def pos(v):
+        return apply_positive(tau, ones, StepFunction(g, v)).values
+
+    def hil(v):
+        return hilbert_direct(StepFunction(g, v)).values
+
+    def shift_pair(S):
+        return (lambda v: loop_apply(S, v), lambda v: loop_apply(S.adjoint(), v))
+
+    return [
+        ("shift", shift_operator(R), shift_pair(R)[0], shift_pair(R)),
+        ("truncation", truncation_operator(P), lambda v: loop_truncation(P, v), shift_pair(P)),
+        ("positive", positive_operator(tau), pos, (pos, pos)),
+        ("hilbert", hilbert_operator(g), hil, (hil, lambda v: -hil(v))),
+    ]
+
+
+CASES = [(N, i) for N in (3, 5) for i in range(4)]
+
+
+def _case(N, i):
+    g = GridSpec(1, N)
+    name, op, apply1, linear = search_cases(N)[i]
+    return op, apply1, linear, cascade_weight(g, 10 + N, 0.6), cascade_weight(g, 20 + N, 0.6)
+
+
+class TestBlockSearches:
+    @pytest.mark.parametrize("N,i", CASES)
+    def test_norm_p2_matches_loop(self, N, i):
+        op, _, linear, w, sigma = _case(N, i)
+        lin = op if isinstance(op, LinearOperator) else op.linear_part
+        est = norm_p2(lin, w, sigma)
+        value, witness, iterations = loop_norm_p2(*linear, w, sigma)
+        assert est.lower_bound == value
+        assert bits(est.witness.values) == bits(witness)
+        assert est.iterations == iterations
+
+    def test_norm_p2_nonconvergence_matches_loop(self):
+        op, _, linear, w, sigma = _case(5, 0)
+        with pytest.raises(NonConvergenceError) as info:
+            norm_p2(op, w, sigma, max_iter=2)
+        with pytest.raises(LoopNonConvergence) as ref:
+            loop_norm_p2(*linear, w, sigma, max_iter=2)
+        assert info.value.bracket == ref.value.bracket
+
+    @pytest.mark.parametrize("N,i", CASES)
+    @pytest.mark.parametrize("p,budget,random_starts", [(1.5, 3, 5), (2.0, 0, 2), (3.0, 4, 20)])
+    def test_norm_lp_lower_matches_loop(self, N, i, p, budget, random_starts):
+        op, apply1, linear, w, sigma = _case(N, i)
+        kw = dict(seed=N + i, budget=budget, steps=9, random_starts=random_starts)
+        est = norm_lp_lower(op, w, sigma, p, **kw)
+        value, f, evals = loop_search(
+            loop_lp_norm, apply1, linear, w, sigma, p, kw["seed"], budget, 9, random_starts
+        )
+        fnorm = loop_lp_norm(f, sigma, p)
+        assert est.lower_bound == value
+        assert bits(est.witness.values) == bits(f / fnorm if fnorm > 0 else f)
+        assert est.iterations == evals
+
+    @pytest.mark.parametrize("N,i", CASES)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_weak_norm_estimate_matches_loop(self, N, i, p):
+        op, apply1, linear, w, sigma = _case(N, i)
+        got = weak_norm_estimate(op, w, sigma, p, seed=i, budget=2, steps=8, random_starts=3)
+        want = loop_search(loop_weak_functional, apply1, linear, w, sigma, p, i, 2, 8, 3)[0]
+        assert got == want
+
+
+# -- toroidal gap ------------------------------------------------------------
+
+
+class TestToroidalGap:
+    @pytest.mark.parametrize(
+        "f_cells,g_cells,M,gap",
+        [
+            ([0, 1], [30, 31], 32, 1),  # wrap-around
+            ([31], [0], 32, 1),  # wrap-around, single cells
+            ([2, 3], [4, 5], 16, 1),  # adjacent
+            ([2, 3], [9, 10], 16, 6),  # separated
+            ([3, 4, 5], [5, 9], 16, 0),  # overlapping
+            ([0, 8], [4, 12], 16, 4),  # interleaved
+        ],
+    )
+    def test_cases(self, f_cells, g_cells, M, gap):
+        fmask, gmask = np.zeros(M, bool), np.zeros(M, bool)
+        fmask[f_cells] = True
+        gmask[g_cells] = True
+        assert _toroidal_gap_cells(fmask, gmask) == gap == brute_toroidal_gap(fmask, gmask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 2**16), st.floats(0.01, 0.9))
+    def test_matches_brute_force(self, M, seed, density):
+        rng = np.random.default_rng(seed)
+        fmask, gmask = rng.random(M) < density, rng.random(M) < density
+        fmask[rng.integers(M)] = True
+        gmask[rng.integers(M)] = True
+        assert _toroidal_gap_cells(fmask, gmask) == brute_toroidal_gap(fmask, gmask)
+
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError):
+            _toroidal_gap_cells(np.zeros(8, bool), np.ones(8, bool))

@@ -258,6 +258,15 @@ class TestMainEntry:
     def test_exit_two_on_missing_file(self, tmp_path):
         assert main(["characteristics", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_help_lists_exit_codes(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "exit codes:" in out
+        for code in "0123":
+            assert f"\n  {code}  " in out
+
     def test_sweep_names_one_dimensional_operators(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
