@@ -26,7 +26,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .dyadics import DyadicCube, GridSpec, StepFunction, _morton_decode
 from .families import cascade_weight, random_step, weight_from_spec
 from .lerner import lerner_decompose
-from .normlab import NonConvergenceError, SWEEP_CSV_HEADER, sharpness_sweep
+from .normlab import SWEEP_CSV_HEADER, sharpness_sweep
 from .positive import TauCoefficients, sawyer_testing
 from .shifts import (
     GridEnsemble,
@@ -457,8 +457,6 @@ exit codes:
      assertion (Lerner decomposition, stopping family) or another bug
   2  configuration error: unreadable or invalid config file, unknown field,
      bad parameter value, or bad command-line arguments
-  3  numerical non-convergence of a power iteration, with its value bracket;
-     the sharpness sweep skips such a solve, so no current verb returns it
 """
 
 
@@ -486,13 +484,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NonConvergenceError as exc:
-        lo, hi = exc.bracket
-        print(
-            f"numerical non-convergence: {exc} (value bracket [{lo}, {hi}])",
-            file=sys.stderr,
-        )
-        return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

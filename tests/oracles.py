@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from czlab.dyadics import GridSpec, StepFunction, ancestor
+from czlab.normlab import LinearOperator, NonConvergenceError, norm_p2
 from czlab.shifts import HaarFunction, HaarShift
 
 
@@ -251,9 +252,8 @@ def bruteforce_lp_norm(T: np.ndarray, w, sigma, p: float, seed: int = 0, maxiter
 
 # -- per-vector kernel and search loops -------------------------------------
 #
-# The one-vector-at-a-time forms of the shift kernel, the power iteration and
-# the restart search.  The block-evaluated library code must reproduce them
-# bit for bit.
+# The one-vector-at-a-time forms of the shift kernel and the restart search.
+# The block-evaluated library code must reproduce them bit for bit.
 
 
 def loop_level_integrals(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
@@ -309,12 +309,6 @@ def loop_truncation(S, values: np.ndarray) -> np.ndarray:
     return best
 
 
-class LoopNonConvergence(RuntimeError):
-    def __init__(self, bracket):
-        super().__init__("no convergence")
-        self.bracket = bracket
-
-
 def loop_lp_norm(vals, weight: StepFunction, p: float) -> float:
     return float((np.abs(vals) ** p * weight.values).sum() * weight.grid.cell_volume) ** (1.0 / p)
 
@@ -333,61 +327,31 @@ def loop_ratio(apply1, w, sigma, p, fvals, out_norm=loop_lp_norm) -> float:
     return out_norm(apply1(sigma.values * fvals), w, p) / fnorm
 
 
-def loop_norm_p2(apply1, adjoint1, w, sigma, tol=1e-8, max_iter=10_000):
-    """Power iteration from three starts run one after the other; returns
-    (value, witness values, iterations) or raises LoopNonConvergence."""
-    import math
+def rowwise(apply1):
+    """Lift a one-vector map to arrays of shape (..., cells), one row at a time."""
 
-    cells = w.grid.cells
-    sq_sigma = np.sqrt(sigma.values)
+    def apply(v):
+        return np.array([apply1(row) for row in v.reshape(-1, v.shape[-1])]).reshape(v.shape)
 
-    def B(u):
-        return sq_sigma * adjoint1(w.values * apply1(sq_sigma * u))
-
-    rng = np.random.default_rng(20540)
-    starts = [np.ones(cells), rng.standard_normal(cells), rng.standard_normal(cells)]
-    best_theta, best_u, total = -math.inf, starts[0] / math.sqrt(cells), 0
-    for u in starts:
-        u = u / np.linalg.norm(u)
-        theta, theta_prev, settled = 0.0, -math.inf, False
-        for _ in range(max_iter):
-            v = B(u)
-            total += 1
-            theta = float(u @ v)
-            nv = float(np.linalg.norm(v))
-            if nv == 0.0:
-                theta, settled = 0.0, True
-                break
-            u = v / nv
-            if theta_prev > -math.inf and abs(theta - theta_prev) <= 0.01 * tol * max(abs(theta), 1e-300):
-                settled = True
-                break
-            theta_prev = theta
-        if not settled:
-            resid = float(np.linalg.norm(B(u) - theta * u))
-            raise LoopNonConvergence(
-                (math.sqrt(max(theta, 0.0)), math.sqrt(max(theta, 0.0) + resid))
-            )
-        if theta > best_theta:
-            best_theta, best_u = max(theta, 0.0), u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fvals = np.where(sq_sigma > 0, best_u / sq_sigma, 0.0)
-    return loop_ratio(apply1, w, sigma, 2.0, fvals), fvals, total
+    return apply
 
 
 def loop_search(out_norm, apply1, linear, w, sigma, p, seed, budget, steps, random_starts):
     """Scan every start, keep them all, sort, then ascent-refine the `budget`
     best one after the other.  `linear` is (apply1, adjoint1) of the linear
-    part or None; returns (value, input, evaluations)."""
+    part or None; returns (value, input, evaluations).  The spectral start is
+    the library's norm_p2 witness for the row-by-row linear part: this oracle
+    checks the scan and the ascent, not the spectral solve."""
     grid = w.grid
 
     def stream():
         for Q in grid.all_cubes():
             yield StepFunction.indicator(Q).values
         if linear is not None:
+            lin = LinearOperator(grid, rowwise(linear[0]), rowwise(linear[1]))
             try:
-                yield loop_norm_p2(*linear, w, sigma)[1]
-            except LoopNonConvergence:
+                yield norm_p2(lin, w, sigma).witness.values
+            except NonConvergenceError:
                 pass
         rng = np.random.default_rng([seed, 1])
         for _ in range(random_starts):

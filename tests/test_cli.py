@@ -264,8 +264,9 @@ class TestMainEntry:
         assert info.value.code == 0
         out = capsys.readouterr().out
         assert "exit codes:" in out
-        for code in "0123":
+        for code in "012":
             assert f"\n  {code}  " in out
+        assert "\n  3  " not in out
 
     def test_sweep_names_one_dimensional_operators(self, tmp_path, capsys):
         path = write_config(
@@ -300,28 +301,6 @@ class TestMainEntry:
         a = (tmp_path / "o1" / "stopping_audit.csv").read_bytes()
         b = (tmp_path / "o2" / "stopping_audit.csv").read_bytes()
         assert a != b
-
-
-class TestExitThree:
-    def test_nonconvergence_maps_to_exit_three(self, tmp_path, monkeypatch):
-        import czlab.cli as cli_mod
-        from czlab.normlab import NonConvergenceError
-
-        def boom(*args, **kwargs):
-            raise NonConvergenceError("forced", (1.0, 2.0))
-
-        monkeypatch.setattr(cli_mod, "sharpness_sweep", boom)
-        path = write_config(
-            tmp_path,
-            {
-                "verb": "sharpness-sweep",
-                "grid": {"d": 1, "N": 4},
-                "seed": 1,
-                "params": {"operators": ["petermichl"], "p": [2.0], "N": [4]},
-                "output": {"format": "csv"},
-            },
-        )
-        assert main(["sharpness-sweep", "--config", path, "--out", str(tmp_path / "o")]) == 3
 
 
 class TestOperatorSeedValidation:
