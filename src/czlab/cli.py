@@ -481,10 +481,7 @@ def main(argv=None) -> int:
             )
         out_dir = args.out or cfg.out_path or "czlab-out"
         run(cfg, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 0

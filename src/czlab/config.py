@@ -89,22 +89,13 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
             raise ConfigError(f"unknown field {key!r} in {where}")
 
 
-def _check_weight_spec(spec, where: str):
+def _check_kind_spec(spec, fields: dict[str, set[str]], where: str):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
     kind = spec.get("kind")
-    if kind not in _WEIGHT_FIELDS:
-        raise ConfigError(f"{where}.kind must be one of {sorted(_WEIGHT_FIELDS)}")
-    _require_keys(spec, _WEIGHT_FIELDS[kind], where)
-
-
-def _check_operator_spec(spec, where: str):
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where} must be an object")
-    kind = spec.get("kind")
-    if kind not in _OPERATOR_FIELDS:
-        raise ConfigError(f"{where}.kind must be one of {sorted(_OPERATOR_FIELDS)}")
-    _require_keys(spec, _OPERATOR_FIELDS[kind], where)
+    if kind not in fields:
+        raise ConfigError(f"{where}.kind must be one of {sorted(fields)}")
+    _require_keys(spec, fields[kind], where)
 
 
 def _spec_is_random(spec) -> bool:
@@ -142,10 +133,10 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     randomized = cfg_verb in _ALWAYS_RANDOM
     for key in ("weight", "w", "sigma"):
         if key in params:
-            _check_weight_spec(params[key], f"params.{key}")
+            _check_kind_spec(params[key], _WEIGHT_FIELDS, f"params.{key}")
             randomized = randomized or _spec_is_random(params[key])
     if "operator" in params:
-        _check_operator_spec(params["operator"], "params.operator")
+        _check_kind_spec(params["operator"], _OPERATOR_FIELDS, "params.operator")
         randomized = randomized or _spec_is_random(params["operator"])
     if "tau" in params:
         spec = params["tau"]

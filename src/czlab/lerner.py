@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadics import DyadicCube, GridMismatchError, StepFunction
+from .dyadics import DyadicCube, GridMismatchError, StepFunction, _maximal_subcubes
 
 __all__ = [
     "Decomposition",
@@ -162,26 +162,6 @@ class Decomposition:
         )
 
 
-def _select_heavy_subcubes(phi, Q, exceptional, threshold_fraction):
-    """Maximal proper dyadic subcubes of Q where the exceptional set fills
-    more than the given fraction."""
-    grid = phi.grid
-    selected = []
-
-    def descend(R):
-        for idx in range(1 << grid.d):
-            child = R.child(idx)
-            frac = float(exceptional[child.cell_slice].mean())
-            if frac > threshold_fraction:
-                selected.append(child)
-            elif child.level < grid.N:
-                descend(child)
-
-    if Q.level < grid.N:
-        descend(Q)
-    return selected
-
-
 def lerner_decompose(phi: StepFunction, Q0: DyadicCube) -> Decomposition:
     """Median decomposition of phi on the cube Q0.
 
@@ -209,10 +189,8 @@ def lerner_decompose(phi: StepFunction, Q0: DyadicCube) -> Decomposition:
         for Q in active:
             mQ = median(phi, Q)
             om = oscillation(phi, Q, lam)
-            exceptional = np.zeros(grid.cells, dtype=bool)
-            sl = Q.cell_slice
-            exceptional[sl] = np.abs(phi.values[sl] - mQ) > 2.0 * om
-            for picked in _select_heavy_subcubes(phi, Q, exceptional, select_fraction):
+            exceptional = np.abs(phi.values[Q.cell_slice] - mQ) > 2.0 * om
+            for picked in _maximal_subcubes(Q, exceptional.astype(float), select_fraction):
                 om_parent = oscillation(phi, picked.parent(), lam)
                 next_gen.append((picked, om_parent))
         if not next_gen:

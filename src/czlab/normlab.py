@@ -442,28 +442,23 @@ def _sweep_block(grid, fam, param, w, ops, p_list, seed, budget, random_starts):
 
 def sharpness_sweep(
     operator_kinds=("petermichl", "random2a", "random2b"),
-    weight_family: str = "default",
     p_list=(1.5, 2.0, 3.0),
     N_list=(8, 10),
-    d: int = 1,
     seed: int = 0,
     budget: int = 6,
     random_starts: int = 16,
 ) -> list[SweepRow]:
-    """Measured truncation norms against the characteristic bound, per row.
+    """Measured truncation norms against the characteristic bound, per row,
+    on the one-dimensional grids of levels N_list.
 
     Every row uses the dual weight sigma = w^(1-p'), the two-weight bracket,
     and the bound bracket * (ainfty(w)^(1/p') + ainfty(sigma)^(1/p)); the
     final column carries the single-characteristic comparison
     ap^max(1, 1/(p-1)).  All A_infty values are dyadic-mode.
     """
-    if d != 1:
-        raise ValueError("the default sweep operators require d = 1")
-    if weight_family != "default":
-        raise ValueError("unknown weight family")
     rows = []
     for N in N_list:
-        grid = GridSpec(d, int(N))
+        grid = GridSpec(1, int(N))
         ops = [
             (name, truncation_operator(S))
             for name, S in default_operators(grid, seed, operator_kinds)

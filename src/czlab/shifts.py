@@ -80,11 +80,6 @@ class HaarFunction:
     def sup_norm(self) -> float:
         return max(abs(v) for v in self.child_values)
 
-    def cell_values(self) -> np.ndarray:
-        """Values on the finest cells of the supporting cube."""
-        per_child = self.cube.cell_count >> self.cube.grid.d
-        return np.repeat(np.asarray(self.child_values, dtype=float), per_child)
-
     def value_at_cell(self, cell_z: int) -> float:
         """Value at the finest cell with Z-index `cell_z` (0 outside)."""
         sl = self.cube.cell_slice

@@ -20,6 +20,7 @@ from .dyadics import (
     DyadicCube,
     GridMismatchError,
     StepFunction,
+    _maximal_subcubes,
     level_averages,
     level_integrals,
     require_weight,
@@ -43,26 +44,13 @@ PACKING_FRACTION = 0.25
 
 
 def stopping_children(w: StepFunction, Q: DyadicCube) -> list[DyadicCube]:
-    """Maximal dyadic subcubes of Q whose w-average exceeds four times Q's."""
+    """Maximal dyadic subcubes of Q whose w-average exceeds four times Q's,
+    ordered by first cell."""
     require_weight(w)
     if Q.grid != w.grid:
         raise GridMismatchError("cube does not belong to the weight's grid")
-    grid = w.grid
-    avgs = level_averages(w)
-    threshold = STOPPING_RATIO * avgs[Q.level][Q.zindex]
-    selected: list[DyadicCube] = []
-
-    def descend(R: DyadicCube):
-        for idx in range(1 << grid.d):
-            child = R.child(idx)
-            if avgs[child.level][child.zindex] > threshold:
-                selected.append(child)
-            elif child.level < grid.N:
-                descend(child)
-
-    if Q.level < grid.N:
-        descend(Q)
-    return selected
+    threshold = STOPPING_RATIO * level_averages(w)[Q.level][Q.zindex]
+    return _maximal_subcubes(Q, w.values[Q.cell_slice], threshold)
 
 
 @dataclass(frozen=True)
@@ -102,10 +90,10 @@ class StoppingFamily:
 
     def packing_margins(self) -> dict[DyadicCube, float]:
         """Per-member ratio (sum of stopping-children volumes) / volume."""
-        return {
-            S: sum(c.volume for c in self.children_of(S)) / S.volume
-            for S in self.cubes
-        }
+        covered = dict.fromkeys(self.cubes, 0.0)
+        for Q, S in self.parents.items():
+            covered[S] += Q.volume  # powers of two: exact in any order
+        return {S: total / S.volume for S, total in covered.items()}
 
     def to_json(self) -> str:
         cubes = self.cubes

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from czlab.dyadics import GridSpec, StepFunction, ancestor
+from czlab.dyadics import GridSpec, StepFunction, ancestor, level_averages
+from czlab.lerner import median, oscillation
 from czlab.normlab import LinearOperator, NonConvergenceError, norm_p2
 from czlab.shifts import HaarFunction, HaarShift
 
@@ -184,6 +185,64 @@ def brute_local_sharp(phi: StepFunction, Q, lam: float) -> np.ndarray:
         sl = R.cell_slice
         out[sl] = np.maximum(out[sl], om)
     return out
+
+
+def _loop_maximal(Q, heavy) -> list:
+    """Depth-first walk of Q's proper subcubes in Z-order that keeps each
+    `heavy` cube and does not descend below it."""
+    selected = []
+
+    def descend(R):
+        for idx in range(1 << Q.grid.d):
+            child = R.child(idx)
+            if heavy(child):
+                selected.append(child)
+            elif child.level < Q.grid.N:
+                descend(child)
+
+    if Q.level < Q.grid.N:
+        descend(Q)
+    return selected
+
+
+def loop_stopping_children(w: StepFunction, Q) -> list:
+    """Maximal subcubes of Q whose full-grid w-average exceeds four times Q's."""
+    avgs = level_averages(w)
+    threshold = 4.0 * avgs[Q.level][Q.zindex]
+    return _loop_maximal(Q, lambda R: avgs[R.level][R.zindex] > threshold)
+
+
+def loop_heavy_subcubes(Q, exceptional: np.ndarray, threshold_fraction: float) -> list:
+    """Maximal proper subcubes of Q where the full-grid boolean mask
+    `exceptional` fills more than the given fraction."""
+    return _loop_maximal(
+        Q, lambda R: float(exceptional[R.cell_slice].mean()) > threshold_fraction
+    )
+
+
+def loop_lerner_generations(phi: StepFunction, Q0) -> tuple:
+    """The median decomposition's generations, each cube's heavy subcubes
+    selected by `loop_heavy_subcubes` on a full-grid exceptional mask."""
+    grid = phi.grid
+    lam = 2.0 ** (-grid.d - 2)
+    generations = []
+    active = [Q0]
+    while active:
+        nxt = []
+        for Q in active:
+            mQ = median(phi, Q)
+            om = oscillation(phi, Q, lam)
+            exceptional = np.zeros(grid.cells, dtype=bool)
+            sl = Q.cell_slice
+            exceptional[sl] = np.abs(phi.values[sl] - mQ) > 2.0 * om
+            for picked in loop_heavy_subcubes(Q, exceptional, 2.0 ** (-grid.d - 1)):
+                nxt.append((picked, oscillation(phi, picked.parent(), lam)))
+        if not nxt:
+            break
+        nxt.sort(key=lambda item: (item[0].level, item[0].zindex))
+        generations.append(tuple(nxt))
+        active = [Q for Q, _ in nxt]
+    return tuple(generations)
 
 
 def brute_ap(w: StepFunction, p: float) -> float:

@@ -7,7 +7,7 @@ from czlab.dyadics import GridSpec, StepFunction
 from czlab.lerner import lerner_decompose, local_sharp_maximal, median, oscillation
 from czlab.positive import CubeFamily, lambda_constant
 
-from oracles import brute_local_sharp, brute_oscillation
+from oracles import brute_local_sharp, brute_oscillation, loop_lerner_generations
 
 
 def step(grid, vals):
@@ -162,6 +162,17 @@ class TestDecomposition:
                     cover[Q.cell_slice] = True
                 for Q, _ in a:
                     assert cover[Q.cell_slice].sum() * 2 < Q.cell_count
+
+    @pytest.mark.parametrize("d,N", [(1, 6), (2, 3), (3, 2)])
+    def test_generations_match_loop_selection(self, d, N):
+        g = GridSpec(d, N)
+        rng = np.random.default_rng(20 + d)
+        for _ in range(8):
+            raw = rng.standard_cauchy(g.cells)
+            for phi in (step(g, raw), step(g, np.sign(raw) * raw**2)):
+                for Q0 in (g.root(), g.cube_from_zindex(1, 1)):
+                    dec = lerner_decompose(phi, Q0)
+                    assert dec.generations == loop_lerner_generations(phi, Q0)
 
     def test_2d_certificates(self):
         g = GridSpec(2, 3)

@@ -14,6 +14,8 @@ from czlab.stopping import (
     stopping_children,
 )
 
+from oracles import loop_stopping_children
+
 
 def ones(grid):
     return StepFunction.constant(grid, 1.0)
@@ -56,6 +58,30 @@ class TestStoppingChildren:
             assert cover.max(initial=0) <= 1
 
 
+    @pytest.mark.parametrize("d,N", [(1, 7), (2, 4), (3, 2)])
+    def test_cascades_and_spikes_match_loop_walk(self, d, N):
+        g = GridSpec(d, N)
+        cubes = [g.root(), g.cube_from_zindex(1, (1 << d) - 1), g.cube_from_zindex(N, 3)]
+        weights = [cascade_weight(g, 800 + seed, 0.8) for seed in range(8)]
+        for cell in (0, 5, g.cells - 1):
+            vals = np.ones(g.cells)
+            vals[cell] = 1e3
+            weights.append(StepFunction(g, vals))
+        for w in weights:
+            for Q in cubes:
+                assert stopping_children(w, Q) == loop_stopping_children(w, Q)
+        assert stopping_children(weights[0], cubes[2]) == []
+
+    def test_average_equal_to_threshold_is_not_selected(self):
+        # root average 14/8, threshold 7.0: exactly the spike cell's average
+        g = GridSpec(1, 3)
+        vals = np.ones(g.cells)
+        vals[0] = 7.0
+        assert stopping_children(StepFunction(g, vals), g.root()) == []
+        vals[0] = 7.5
+        assert stopping_children(StepFunction(g, vals), g.root()) == [g.cube(3, (0,))]
+
+
 class TestStoppingFamily:
     def test_constant_weight_trivial_family(self):
         g = GridSpec(1, 5)
@@ -69,6 +95,16 @@ class TestStoppingFamily:
         depth = max(S.level for S in fam.cubes)
         assert depth >= 2
         assert all(v < 0.25 for v in fam.packing_margins().values())
+
+    def test_packing_margins_match_children_sums(self):
+        for d, N in ((1, 8), (2, 4)):
+            g = GridSpec(d, N)
+            for seed in range(10):
+                fam = build_stopping_family(cascade_weight(g, 900 + seed, 0.8), g.root())
+                want = {
+                    S: sum(c.volume for c in fam.children_of(S)) / S.volume for S in fam.cubes
+                }
+                assert list(fam.packing_margins().items()) == list(want.items())
 
     def test_forest_nesting(self):
         g = GridSpec(1, 7)
