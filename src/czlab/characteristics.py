@@ -141,6 +141,10 @@ def maximal_function(f: StepFunction, mode: str = "dyadic") -> StepFunction:
     raise ValueError("mode must be 'dyadic' or 'centered'")
 
 
+# Entries per block of centred windows, (radii x cells), evaluated at once.
+_WINDOW_BLOCK = 1 << 13
+
+
 def _centered_maximal(f: StepFunction) -> StepFunction:
     grid = f.grid
     if grid.d == 1:
@@ -152,10 +156,13 @@ def _centered_maximal(f: StepFunction) -> StepFunction:
         centers = 2 * np.arange(M) + 1
         best = np.abs(f.values).copy()
         nodes = 2 * M
-        for j in range(2, nodes + 1, 2):  # t = j * dx/2, full-cell multiples
-            lo = np.clip(centers - j, 0, nodes)
-            hi = np.clip(centers + j, 0, nodes)
-            best = np.maximum(best, (P[hi] - P[lo]) / (j * grid.cell_volume))
+        radii = np.arange(2, nodes + 1, 2)[:, None]  # t = j * dx/2, full-cell multiples
+        step = max(1, _WINDOW_BLOCK // M)  # bounds each (radii x M) block
+        for k in range(0, len(radii), step):
+            j = radii[k : k + step]
+            lo = np.maximum(centers - j, 0)
+            hi = np.minimum(centers + j, nodes)
+            best = np.maximum(best, ((P[hi] - P[lo]) / (j * grid.cell_volume)).max(axis=0))
         return f.with_values(best)
     if grid.d == 2:
         return f.with_values(_centered_maximal_2d(f))

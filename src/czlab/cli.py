@@ -203,12 +203,14 @@ def _run_hilbert_approx(cfg: ExperimentConfig, out_dir: str):
             [str(i)]
             + [_fmt(v) for v in spec]
             + [_fmt(res.pairing), _fmt(res.oracle_pairing), _fmt(res.constant), _fmt(resid)]
+            + [_fmt(res.exact_pairing), _fmt(res.exact_pairing / res.oracle_pairing)]
         )
     outputs = [
         _write_csv(
             out_dir,
             "hilbert_approx.csv",
-            "pair,f_lo,f_hi,g_lo,g_hi,avg_pairing,oracle_pairing,pair_constant,residual",
+            "pair,f_lo,f_hi,g_lo,g_hi,avg_pairing,oracle_pairing,pair_constant,residual,"
+            "exact_pairing,exact_constant",
             rows,
         )
     ]

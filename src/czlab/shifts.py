@@ -619,9 +619,13 @@ class GridEnsemble:
 
 @dataclass(frozen=True)
 class HilbertAverageResult:
+    """`pairing` is the ensemble average, `exact_pairing` the uniform average
+    over all 2^N cell translations, `constant` = pairing / oracle_pairing."""
+
     pairing: float
     oracle_pairing: float
     constant: float
+    exact_pairing: float
 
 
 def _toroidal_gap_cells(fmask: np.ndarray, gmask: np.ndarray) -> int:
@@ -637,16 +641,64 @@ def _toroidal_gap_cells(fmask: np.ndarray, gmask: np.ndarray) -> int:
     return int(np.minimum(diff, M - diff).min())
 
 
+def _offset_pairings(S: HaarShift, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
+    """<S f(. + o), g(. + o)> for every cyclic cell offset o, as one array.
+
+    In the frame of offset o the level-K cube z covers the len_K = M >> K
+    cells from z len_K + o on, so its integral is W_K[(z len_K + o) % M],
+    where W_K lists every cyclic window sum of len_K cells: W_K is W_{K+1}
+    plus W_{K+1} one window further on, added as _level_sums adds children.
+    A one-dimensional shift that carries the same rows on every cube of a
+    level (checked) then has, per level, one length-M array of terms, read
+    at the offsets o + z len_K.
+    """
+    grid = S.grid
+    if grid.d != 1:
+        raise ValueError("offset pairings are built for d = 1")
+    M = grid.cells
+    starts = np.arange(M)
+
+    def window_sums(values):  # W_0 .. W_N
+        sums = [values * grid.cell_volume]
+        for K in range(grid.N - 1, -1, -1):
+            finer = sums[-1]
+            sums.append(_child_sum([finer, np.roll(finer, -(M >> (K + 1)))], K == grid.N - 1))
+        return sums[::-1]
+
+    def coefficients(sums, level, idx, h):
+        # row r's Haar coefficient on the cube whose first cell is s, for every s
+        terms = sums[level][(starts + idx[:, :, None] * (M >> level)) % M] * h[:, :, None]
+        return _child_sum(list(terms.transpose(1, 0, 2)))
+
+    sums_f, sums_g = window_sums(f_values), window_sums(g_values)
+    total = np.zeros(M)
+    for L, lv in S.levels.items():
+        k, rest = divmod(len(lv.h_in), 1 << L)
+        cube = np.arange(len(lv.h_in))[:, None] // max(k, 1)
+        rows = np.hstack(
+            [lv.in_idx - (cube << (S.n + 1)), lv.out_idx - (cube << (S.m + 1)), lv.h_in, lv.h_out]
+        )
+        if rest or not np.array_equal(rows, np.tile(rows[:k], (1 << L, 1))):
+            raise ValueError("offset pairings need the same rows on every cube of a level")
+        a = coefficients(sums_f, L + S.n + 1, lv.in_idx[:k], lv.h_in[:k])
+        b = coefficients(sums_g, L + S.m + 1, lv.out_idx[:k], lv.h_out[:k])
+        per_start = (a * b).sum(axis=0) * float(1 << L)
+        total += np.tile(per_start.reshape(1 << L, -1).sum(axis=0), 1 << L)
+    return total
+
+
 def hilbert_average(
     ensemble: GridEnsemble, f: StepFunction, g: StepFunction
 ) -> HilbertAverageResult:
     """Average the Petermichl pairing over the ensemble's translated grids.
 
-    For each grid, f and g are re-indexed into that grid's frame, the shift
-    applied, and the L^2 pairing accumulated with the ensemble weights.
-    Supports must be separated by at least one cell in the cyclic metric;
-    the result carries the fitted proportionality constant against the
-    quadrature pairing <Hf, g>.
+    The pairing <S f(. + o), g(. + o)> of every cyclic cell offset o comes
+    from one pass over cyclic window sums (_offset_pairings); the ensemble
+    average weighs each offset present by its summed coefficients, and
+    `exact_pairing` is the plain mean over all offsets.  Supports must be
+    separated by at least one cell in the cyclic metric; the result carries
+    the fitted proportionality constant against the quadrature pairing
+    <Hf, g>.
     """
     base = ensemble.grids[0]
     if f.grid.d != 1 or (f.grid.d, f.grid.N) != (base.d, base.N):
@@ -656,21 +708,15 @@ def hilbert_average(
     if gap < 1:
         raise ValueError("overlapping supports: the averaged pairing needs separation")
     frame = GridSpec(base.d, base.N)
-    shift_op = build_petermichl(frame)
     vol = frame.cell_volume
-    # pairings only depend on the translation offset; compute each offset once
-    weights: dict[int, float] = {}
-    for grid, coeff in zip(ensemble.grids, ensemble.coefficients):
-        weights[grid.shift_cells[0]] = weights.get(grid.shift_cells[0], 0.0) + coeff
-    offsets = sorted(weights)
-    cells = np.arange(frame.cells)
-    step = max(1, _BLOCK_BYTES // (8 * frame.cells))
+    pairings = _offset_pairings(build_petermichl(frame), f.values, g.values)
+    offsets = np.array([grid.shift_cells[0] for grid in ensemble.grids])
+    # weights summed in ensemble order, offsets visited in increasing order
+    weights = np.bincount(offsets, weights=ensemble.coefficients, minlength=frame.cells)
+    present = np.unique(offsets)
     total = 0.0
-    for k in range(0, len(offsets), step):
-        offs = np.array(offsets[k : k + step])
-        rolled = (cells + offs[:, None]) % frame.cells  # row j: np.roll(., -offs[j])
-        for off, sf, gs in zip(offs.tolist(), shift_op.apply(f.values[rolled]), g.values[rolled]):
-            total += weights[off] * float(np.dot(sf, gs) * vol)
+    for weight, pairing in zip(weights[present].tolist(), pairings[present].tolist()):
+        total += weight * pairing
     oracle = float(np.dot(hilbert_direct(StepFunction(frame, f.values)).values, g.values) * vol)
     constant = total / oracle if oracle != 0.0 else math.nan
-    return HilbertAverageResult(total, oracle, constant)
+    return HilbertAverageResult(total, oracle, constant, float(pairings.mean()))

@@ -49,7 +49,8 @@ def stopping_children(w: StepFunction, Q: DyadicCube) -> list[DyadicCube]:
     require_weight(w)
     if Q.grid != w.grid:
         raise GridMismatchError("cube does not belong to the weight's grid")
-    threshold = STOPPING_RATIO * level_averages(w)[Q.level][Q.zindex]
+    mean = level_integrals(w)[Q.level][Q.zindex] * float(1 << (w.grid.d * Q.level))
+    threshold = STOPPING_RATIO * mean
     return _maximal_subcubes(Q, w.values[Q.cell_slice], threshold)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from czlab.dyadics import GridSpec, StepFunction, ancestor, level_averages
 from czlab.lerner import median, oscillation
 from czlab.normlab import LinearOperator, NonConvergenceError, norm_p2
-from czlab.shifts import HaarFunction, HaarShift
+from czlab.shifts import HaarFunction, HaarShift, build_petermichl
 
 
 def cell_cube(grid: GridSpec, z: int):
@@ -452,3 +452,40 @@ def brute_toroidal_gap(fmask: np.ndarray, gmask: np.ndarray) -> int:
     gi = np.flatnonzero(gmask)
     diff = np.abs(fi[:, None] - gi[None, :])
     return int(np.minimum(diff, fmask.size - diff).min())
+
+
+def loop_offset_pairing(S, f_values: np.ndarray, g_values: np.ndarray, offset: int) -> float:
+    """<S f(. + offset), g(. + offset)>: both rolled into the translated frame,
+    the shift applied to the rolled f, then the L^2 pairing."""
+    sf = S.apply(np.roll(f_values, -offset))
+    return float(np.dot(sf, np.roll(g_values, -offset)) * S.grid.cell_volume)
+
+
+def loop_hilbert_average(ensemble, f: StepFunction, g: StepFunction) -> float:
+    """Ensemble-weighted Petermichl pairing, one translated grid at a time:
+    coefficients summed per offset in ensemble order, offsets visited in
+    increasing order."""
+    S = build_petermichl(GridSpec(1, f.grid.N))
+    weights: dict[int, float] = {}
+    for grid, coeff in zip(ensemble.grids, ensemble.coefficients):
+        weights[grid.shift_cells[0]] = weights.get(grid.shift_cells[0], 0.0) + coeff
+    total = 0.0
+    for off in sorted(weights):
+        total += weights[off] * loop_offset_pairing(S, f.values, g.values, off)
+    return total
+
+
+def loop_centered_maximal(f: StepFunction) -> np.ndarray:
+    """Centred maximal function in d = 1, one window radius at a time."""
+    grid = f.grid
+    M = grid.cells
+    half = np.repeat(np.abs(f.values), 2) * (grid.cell_volume / 2.0)
+    P = np.concatenate([[0.0], np.cumsum(half)])
+    centers = 2 * np.arange(M) + 1
+    best = np.abs(f.values).copy()
+    nodes = 2 * M
+    for j in range(2, nodes + 1, 2):
+        lo = np.clip(centers - j, 0, nodes)
+        hi = np.clip(centers + j, 0, nodes)
+        best = np.maximum(best, (P[hi] - P[lo]) / (j * grid.cell_volume))
+    return best

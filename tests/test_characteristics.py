@@ -13,7 +13,7 @@ from czlab.characteristics import (
 from czlab.dyadics import GridSpec, StepFunction, average
 from czlab.families import cascade_weight, power_weight
 
-from oracles import brute_ap
+from oracles import brute_ap, loop_centered_maximal
 
 
 def weight(grid, vals):
@@ -174,6 +174,17 @@ class TestMaximalFunction:
             lo = StepFunction(g, np.minimum(np.abs(f.values), np.abs(h.values)))
             hi = StepFunction(g, np.maximum(np.abs(f.values), np.abs(h.values)))
             assert np.all(maximal_function(lo).values <= maximal_function(hi).values + 1e-13)
+
+    @pytest.mark.parametrize("N", [0, 1, 4, 8, 9, 10])
+    def test_centered_matches_per_radius_loop(self, N):
+        # from N = 8 on the radii span several blocks
+        g = GridSpec(1, N)
+        w = cascade_weight(g, 300 + N, 0.6)
+        sparse = np.zeros(g.cells)
+        sparse[g.cells // 4 : g.cells // 2] = w.values[g.cells // 4 : g.cells // 2]
+        for f in (w, w.with_values(sparse)):
+            got = maximal_function(f, "centered").values
+            assert got.tobytes() == loop_centered_maximal(f).tobytes()
 
     def test_centered_windows_against_direct_scan(self):
         # direct window scan at half-cell resolution

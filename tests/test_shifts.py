@@ -6,6 +6,7 @@ import pytest
 from czlab.dyadics import GridSpec, StepFunction, ancestor
 from czlab.shifts import (
     GridEnsemble,
+    _offset_pairings,
     HaarFunction,
     HaarShift,
     build_paraproduct,
@@ -20,6 +21,8 @@ from czlab.shifts import (
 from oracles import (
     brute_truncation,
     dense_shift_matrix,
+    loop_hilbert_average,
+    loop_offset_pairing,
     loop_petermichl,
     loop_random_shift,
     matrix_of,
@@ -338,12 +341,70 @@ class TestHilbertAverage:
         mean = float(np.mean(ratios))
         assert all(abs(r - mean) / abs(mean) < 0.05 for r in ratios)
 
+    def test_matches_loop_oracle_byte_for_byte(self):
+        # indicator pairings are exact dyadic rationals, so both paths agree
+        # exactly; the ensembles repeat offsets and weigh them unevenly
+        g = self.grid()
+        rng = np.random.default_rng(17)
+        pairs = [
+            (1 / 16, 3 / 16, 5 / 16, 7 / 16),
+            (0.5, 0.75, 0.0, 0.375),
+            (0.25, 0.3125, 0.875, 1.0),
+        ]
+        for seed, (f_lo, f_hi, g_lo, g_hi) in enumerate(pairs):
+            f, h = self.indicator(g, f_lo, f_hi), self.indicator(g, g_lo, g_hi)
+            pool = rng.integers(0, g.cells, size=12)
+            offs = rng.choice(pool, size=40)
+            coeffs = rng.standard_normal(40) if seed else rng.uniform(0.1, 3.0, 40)
+            ens = GridEnsemble(
+                tuple(GridSpec(1, g.N, (int(o) / g.cells,)) for o in offs), tuple(coeffs)
+            )
+            assert hilbert_average(ens, f, h).pairing == loop_hilbert_average(ens, f, h)
+
+    def test_exact_pairing_is_the_all_offsets_average(self):
+        g = self.grid()
+        f = self.indicator(g, 1 / 16, 3 / 16)
+        h = self.indicator(g, 0.5, 0.625)
+        order = np.random.default_rng(5).permutation(g.cells)
+        ens = GridEnsemble(
+            tuple(GridSpec(1, g.N, (int(o) / g.cells,)) for o in order), (1.0,) * g.cells
+        )
+        res = hilbert_average(ens, f, h)
+        assert res.exact_pairing == loop_hilbert_average(ens, f, h)
+        assert res.pairing == res.exact_pairing
+
     def test_ensemble_normalization(self):
         g = GridSpec(1, 4)
         ens = GridEnsemble((g, g), (2.0, 2.0))
         assert ens.coefficients == (0.5, 0.5)
         with pytest.raises(ValueError):
             GridEnsemble((g,), (0.0,))
+
+
+class TestOffsetPairings:
+    """All-offset pairings against rolling, applying and pairing per offset."""
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 6])
+    def test_matches_per_offset_apply(self, N, adjoint):
+        g = GridSpec(1, N)
+        S = build_petermichl(g).adjoint() if adjoint else build_petermichl(g)
+        rng = np.random.default_rng(N)
+        offsets = range(g.cells)
+        # indicators: every term is a dyadic rational, so equality is exact
+        f, h = (rng.integers(0, 2, g.cells).astype(float) for _ in range(2))
+        want = [loop_offset_pairing(S, f, h, o) for o in offsets]
+        assert _offset_pairings(S, f, h).tolist() == want
+        f, h = (rng.standard_normal(g.cells) for _ in range(2))
+        want = np.array([loop_offset_pairing(S, f, h, o) for o in offsets])
+        got = _offset_pairings(S, f, h)
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+    def test_rejects_shift_that_varies_across_cubes(self):
+        g = GridSpec(1, 5)
+        v = np.ones(g.cells)
+        with pytest.raises(ValueError, match="same rows"):
+            _offset_pairings(build_random_shift(1, 1, 3, g), v, v)
 
 
 class TestKernelSupBound:
