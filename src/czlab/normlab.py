@@ -4,8 +4,13 @@ For p = 2 the norm of f -> T(sigma f) from L^2(sigma) to L^2(w) is the top
 singular value of a weighted conjugation, computed by Lanczos iteration on the
 self-adjoint composition.  For general p only certified lower bounds are
 reported: every estimate stores a witness function that reproduces it.  The
-sweep assembles, for each (operator, weight, p, N) row, the measured norm,
-the characteristic-based bound it is tested against, and their ratio.
+strong search starts from that spectral witness, seeded random vectors and
+one iterate of Boyd's p-norm power method (D. W. Boyd, Linear Algebra Appl. 9
+(1974); N. J. Higham, Numer. Math. 62 (1992)) on the linear part, then
+refines the best starts by a randomised ascent; the weak-type search scans
+every cube indicator in place of the Boyd iterate.  The sweep assembles, for
+each (operator, weight, p, N) row, the measured norm, the characteristic-based
+bound it is tested against, and their ratio.
 """
 
 from __future__ import annotations
@@ -129,6 +134,10 @@ class NormEstimate:
 
 # Rows per block of start vectors or ascent candidates in the norm searches.
 _SEARCH_BLOCK = 32
+# Boyd's power iteration stops when the linear ratio gains less than this
+# relative amount in one step, or after this many steps.
+_BOYD_RTOL = 1e-8
+_BOYD_STEPS = 100
 
 
 def _lp_norms(block, weight, p) -> list[float]:
@@ -216,11 +225,13 @@ def norm_p2(
     return NormEstimate(value, "spectral", StepFunction(grid, fvals), 2.0, k)
 
 
-def _start_blocks(op, w, sigma, p, seed, random_starts):
-    """Deterministic restart stream in blocks of rows: cube indicators
-    (coarsest level first, Z-order within a level), the spectral witness
-    where available, then seeded random starts g and |g|."""
-    grid = op.grid
+def _linear_part(op) -> LinearOperator | None:
+    return op if isinstance(op, LinearOperator) else op.linear_part
+
+
+def _indicator_blocks(grid):
+    """Every cube indicator in blocks of rows, coarsest level first, Z-order
+    within a level."""
     cells = np.arange(grid.cells)
     levels = np.repeat(np.arange(grid.N + 1), [1 << (grid.d * k) for k in range(grid.N + 1)])
     zs = np.concatenate([np.arange(1 << (grid.d * k)) for k in range(grid.N + 1)])
@@ -229,12 +240,21 @@ def _start_blocks(op, w, sigma, p, seed, random_starts):
     for k in range(0, lo.size, _SEARCH_BLOCK):
         sl = slice(k, k + _SEARCH_BLOCK)
         yield ((cells >= lo[sl, None]) & (cells < hi[sl, None])).astype(float)
-    linear = op if isinstance(op, LinearOperator) else op.linear_part
-    if linear is not None:
-        try:
-            yield norm_p2(linear, w, sigma).witness.values[None]
-        except NonConvergenceError:
-            pass
+
+
+def _spectral_start(linear, w, sigma):
+    """The norm_p2 witness of the linear part as a one-row block, or None
+    when there is no linear part or its spectral solve does not converge."""
+    if linear is None:
+        return None
+    try:
+        return norm_p2(linear, w, sigma).witness.values[None]
+    except NonConvergenceError:
+        return None
+
+
+def _random_blocks(grid, seed, random_starts):
+    """Seeded random starts g and |g|, interleaved, in blocks of rows."""
     rng = np.random.default_rng([seed, 1])
     for k in range(0, random_starts, _SEARCH_BLOCK // 2):
         g = rng.standard_normal((min(_SEARCH_BLOCK // 2, random_starts - k), grid.cells))
@@ -244,10 +264,47 @@ def _start_blocks(op, w, sigma, p, seed, random_starts):
         yield block
 
 
-def _search(out_norms, op, w, sigma, p, seed, budget, steps, random_starts):
-    """Maximise _ratios with output norms `out_norms` over the restart stream
-    and the ascent (see norm_lp_lower); returns the best value, the input
-    attaining it and the number of evaluations."""
+def _boyd(linear, w, sigma, p, start):
+    """Boyd's p-norm power iteration for f -> T(sigma f) from L^p(sigma) to
+    L^p(w) on a one-row block `start`.
+
+    One step is y = T(sigma f), z = T^t(w sign(y)|y|^(p-1)) and
+    f <- sign(z)|z|^(p'-1), normalised in L^p(sigma), so ||y||_{L^p(w)} is
+    the linear ratio; in exact arithmetic it never falls.  y and z are
+    divided by their largest magnitude before the power: that changes only
+    the length of the next iterate and keeps every power in [0, 1].  Stops
+    when y or z vanishes, when the ratio gains less than _BOYD_RTOL relative,
+    or after _BOYD_STEPS steps.  Returns the last iterate and the number of
+    row applications of T and T^t.
+    """
+    pprime = p / (p - 1.0)
+    f = start / _lp_norms(start, sigma, p)[0]
+    prev, apps = 0.0, 0
+    for _ in range(_BOYD_STEPS):
+        y = linear.apply(sigma.values * f)
+        apps += 1
+        ratio = _lp_norms(y, w, p)[0]
+        if ratio <= prev * (1.0 + _BOYD_RTOL):  # also y = 0, where the ratio is 0
+            break
+        prev = ratio
+        ymax = float(np.max(np.abs(y)))
+        z = linear.adjoint(w.values * np.sign(y) * (np.abs(y) / ymax) ** (p - 1.0))
+        apps += 1
+        zmax = float(np.max(np.abs(z)))
+        if zmax == 0.0:
+            break
+        f = np.sign(z) * (np.abs(z) / zmax) ** (pprime - 1.0)
+        f = f / _lp_norms(f, sigma, p)[0]
+    return f, apps
+
+
+def _search(out_norms, op, w, sigma, p, seed, budget, steps, starts):
+    """Maximise _ratios with output norms `out_norms` over a start stream and
+    the ascent (see norm_lp_lower); returns the best value, the input
+    attaining it and the number of evaluations.
+
+    starts(best) yields (K, cells) blocks; best() returns the best-scoring
+    start scanned so far as a one-row block, or None before the first."""
 
     def values(block):
         return _ratios(op.apply, w, sigma, p, block, out_norms)
@@ -256,7 +313,7 @@ def _search(out_norms, op, w, sigma, p, seed, budget, steps, random_starts):
     # vector); best score first, stream order breaks ties
     top: list[tuple[float, int, np.ndarray | None]] = []
     scanned = 0
-    for block in _start_blocks(op, w, sigma, p, seed, random_starts):
+    for block in starts(lambda: top[0][2][None] if top else None):
         ranked = top + [(val, scanned + i, None) for i, val in enumerate(values(block))]
         ranked.sort(key=lambda rec: (-rec[0], rec[1]))
         top = [
@@ -264,6 +321,8 @@ def _search(out_norms, op, w, sigma, p, seed, budget, steps, random_starts):
             for val, idx, fv in ranked[: max(budget, 1)]
         ]
         scanned += len(block)
+    if not top:
+        raise ValueError("the search has no start: give random_starts >= 1")
     best_val, _, best_f = top[0]
     refined = max(0, min(budget, scanned))
     # the ascents run in lockstep, each with its own stream, step and accept rule
@@ -303,22 +362,42 @@ def norm_lp_lower(
 ) -> NormEstimate:
     """Certified lower bound for ||f -> T(sigma f)|| from L^p(sigma) to L^p(w).
 
-    Scans the full restart stream (all cube indicators, the p = 2 spectral
-    witness when the operator has a linear part, and seeded random starts),
-    then ascent-refines the `budget` best scans with multiplicative and
-    additive perturbations, halving the step on non-improvement.  Larger
-    budgets refine supersets, so the estimate is monotone in the budget.
+    Scans the start stream: the p = 2 spectral witness of the linear part
+    (norm_p2), seeded random starts g and |g|, then one Boyd iterate (see
+    _boyd) of the linear part from the spectral witness, or from the best
+    scanned start when the spectral solve does not converge.  Every start is
+    scored on the operator itself; a truncation dominates |S f|, so it scores
+    at least the linear ratio.  Then ascent-refines the `budget` best scans
+    with multiplicative and additive perturbations, halving the step on
+    non-improvement.  Larger budgets refine supersets, so the estimate is
+    monotone in the budget.  `iterations` counts the evaluations and the
+    Boyd iteration's row applications of the linear part.  Raises ValueError
+    when there is no start: no spectral witness and random_starts < 1.
     """
     require_weight(w)
     require_weight(sigma, "sigma")
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, infinity)")
+    linear = _linear_part(op)
+    boyd_apps = 0
+
+    def starts(best):
+        nonlocal boyd_apps
+        spectral = _spectral_start(linear, w, sigma)
+        if spectral is not None:
+            yield spectral
+        yield from _random_blocks(w.grid, seed, random_starts)
+        boyd_from = spectral if spectral is not None else best()
+        if linear is not None and boyd_from is not None:
+            block, boyd_apps = _boyd(linear, w, sigma, p, boyd_from)
+            yield block
+
     best_val, best_f, evals = _search(
-        _lp_norms, op, w, sigma, p, seed, budget, steps, random_starts
+        _lp_norms, op, w, sigma, p, seed, budget, steps, starts
     )
     fnorm = _lp_norms(best_f[None], sigma, p)[0]
     witness = StepFunction(w.grid, best_f / fnorm if fnorm > 0 else best_f)
-    return NormEstimate(best_val, "search", witness, p, evals)
+    return NormEstimate(best_val, "search", witness, p, evals + boyd_apps)
 
 
 def _weak_functionals(block: np.ndarray, w: StepFunction, p: float) -> list[float]:
@@ -344,15 +423,25 @@ def weak_norm_estimate(
 ) -> float:
     """Lower estimate of the L^p(sigma) -> weak-L^p(w) norm.
 
-    Thresholds are scanned over the finite set of output magnitudes; the
-    search is the strong one's (same restart stream and ascent), so the weak
-    value never exceeds the strong one on shared witnesses.
+    Thresholds are scanned over the finite set of output magnitudes.  The
+    search is the strong one's loop and ascent on a start stream of every
+    cube indicator (coarsest level first, Z-order within a level), the p = 2
+    spectral witness of the linear part and the seeded random starts g and
+    |g|; the weak value never exceeds the strong one on shared witnesses.
     """
     require_weight(w)
     require_weight(sigma, "sigma")
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
-    return _search(_weak_functionals, op, w, sigma, p, seed, budget, steps, random_starts)[0]
+
+    def starts(best):
+        yield from _indicator_blocks(w.grid)
+        spectral = _spectral_start(_linear_part(op), w, sigma)
+        if spectral is not None:
+            yield spectral
+        yield from _random_blocks(w.grid, seed, random_starts)
+
+    return _search(_weak_functionals, op, w, sigma, p, seed, budget, steps, starts)[0]
 
 
 # -- sharpness sweep --------------------------------------------------------

@@ -605,6 +605,14 @@ class GridEnsemble:
             self, "coefficients", tuple(c / total for c in self.coefficients)
         )
 
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """Each grid's first-axis translation in finest cells (shift_cells[0]),
+        in ensemble order, as one read-only integer array built once."""
+        offs = np.array([grid.shift_cells[0] for grid in self.grids], dtype=np.int64)
+        offs.flags.writeable = False
+        return offs
+
     @classmethod
     def random_translations(cls, grid: GridSpec, count: int, seed: int) -> "GridEnsemble":
         """Uniform random translations, quantized to finest cells."""
@@ -710,7 +718,7 @@ def hilbert_average(
     frame = GridSpec(base.d, base.N)
     vol = frame.cell_volume
     pairings = _offset_pairings(build_petermichl(frame), f.values, g.values)
-    offsets = np.array([grid.shift_cells[0] for grid in ensemble.grids])
+    offsets = ensemble.offsets
     # weights summed in ensemble order, offsets visited in increasing order
     weights = np.bincount(offsets, weights=ensemble.coefficients, minlength=frame.cells)
     present = np.unique(offsets)

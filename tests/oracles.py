@@ -395,33 +395,73 @@ def rowwise(apply1):
     return apply
 
 
-def loop_search(out_norm, apply1, linear, w, sigma, p, seed, budget, steps, random_starts):
+def loop_boyd(apply1, adjoint1, w, sigma, p, f):
+    """Boyd's p-norm power iteration one vector at a time: y = T(sigma f),
+    z = T^t(w sign(y)|y|^(p-1)), f <- sign(z)|z|^(p'-1) normalised in
+    L^p(sigma), with y and z scaled by their largest magnitude before the
+    power.  Stops when y or z vanishes, when ||y||_{L^p(w)} gains less than
+    1e-8 relative, or after 100 steps; returns (last iterate, applications of
+    T and T^t)."""
+    pprime = p / (p - 1.0)
+    f = f / loop_lp_norm(f, sigma, p)
+    prev, apps = 0.0, 0
+    for _ in range(100):
+        y = apply1(sigma.values * f)
+        apps += 1
+        ratio = loop_lp_norm(y, w, p)
+        if ratio <= prev * (1.0 + 1e-8):  # also y = 0, where the ratio is 0
+            break
+        prev = ratio
+        ymax = float(np.max(np.abs(y)))
+        z = adjoint1(w.values * np.sign(y) * (np.abs(y) / ymax) ** (p - 1.0))
+        apps += 1
+        zmax = float(np.max(np.abs(z)))
+        if zmax == 0.0:
+            break
+        f = np.sign(z) * (np.abs(z) / zmax) ** (pprime - 1.0)
+        f = f / loop_lp_norm(f, sigma, p)
+    return f, apps
+
+
+def loop_search(out_norm, apply1, linear, w, sigma, p, seed, budget, steps, random_starts,
+                strong=False):
     """Scan every start, keep them all, sort, then ascent-refine the `budget`
     best one after the other.  `linear` is (apply1, adjoint1) of the linear
-    part or None; returns (value, input, evaluations).  The spectral start is
-    the library's norm_p2 witness for the row-by-row linear part: this oracle
-    checks the scan and the ascent, not the spectral solve."""
+    part or None; returns (value, input, evaluations).  The weak stream is
+    every cube indicator, the spectral start and the random starts; the
+    strong stream (`strong`) is the spectral start, the random starts and one
+    Boyd iterate (loop_boyd) from the spectral start, or from the best
+    scanned start without one, and its evaluations also count Boyd's
+    applications.  The spectral start is the library's norm_p2 witness for
+    the row-by-row linear part: this oracle checks the scan, the Boyd loop
+    and the ascent, not the spectral solve."""
     grid = w.grid
-
-    def stream():
-        for Q in grid.all_cubes():
-            yield StepFunction.indicator(Q).values
-        if linear is not None:
-            lin = LinearOperator(grid, rowwise(linear[0]), rowwise(linear[1]))
-            try:
-                yield norm_p2(lin, w, sigma).witness.values
-            except NonConvergenceError:
-                pass
-        rng = np.random.default_rng([seed, 1])
-        for _ in range(random_starts):
-            g = rng.standard_normal(grid.cells)
-            yield g
-            yield np.abs(g)
 
     def value(fv):
         return loop_ratio(apply1, w, sigma, p, fv, out_norm)
 
-    scanned = [(value(fv), idx, fv) for idx, fv in enumerate(stream())]
+    spectral = None
+    if linear is not None:
+        lin = LinearOperator(grid, rowwise(linear[0]), rowwise(linear[1]))
+        try:
+            spectral = norm_p2(lin, w, sigma).witness.values
+        except NonConvergenceError:
+            pass
+    starts = [] if strong else [StepFunction.indicator(Q).values for Q in grid.all_cubes()]
+    if spectral is not None:
+        starts.append(spectral)
+    rng = np.random.default_rng([seed, 1])
+    for _ in range(random_starts):
+        g = rng.standard_normal(grid.cells)
+        starts += [g, np.abs(g)]
+    scanned = [(value(fv), idx, fv) for idx, fv in enumerate(starts)]
+    boyd_apps = 0
+    if strong and linear is not None and scanned:
+        boyd_from = spectral if spectral is not None else min(
+            scanned, key=lambda rec: (-rec[0], rec[1])
+        )[2]
+        fv, boyd_apps = loop_boyd(linear[0], linear[1], w, sigma, p, boyd_from)
+        scanned.append((value(fv), len(scanned), fv))
     scanned.sort(key=lambda rec: (-rec[0], rec[1]))
     best_val, _, best_f = scanned[0]
     refined = max(0, min(budget, len(scanned)))
@@ -443,7 +483,7 @@ def loop_search(out_norm, apply1, linear, w, sigma, p, seed, budget, steps, rand
                 step *= 0.5
         if cur_val > best_val:
             best_val, best_f = cur_val, cur
-    return best_val, best_f, len(scanned) + refined * steps
+    return best_val, best_f, len(scanned) + refined * steps + boyd_apps
 
 
 def brute_toroidal_gap(fmask: np.ndarray, gmask: np.ndarray) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from czlab import shifts
+from czlab import normlab, shifts
 from czlab.dyadics import GridSpec, StepFunction
 from czlab.families import cascade_weight
 from czlab.normlab import (
@@ -36,6 +36,7 @@ from czlab.shifts import (
     hilbert_direct,
 )
 
+import oracles
 from oracles import (
     brute_toroidal_gap,
     loop_apply,
@@ -230,11 +231,29 @@ class TestBlockSearches:
         kw = dict(seed=N + i, budget=budget, steps=9, random_starts=random_starts)
         est = norm_lp_lower(op, w, sigma, p, **kw)
         value, f, evals = loop_search(
-            loop_lp_norm, apply1, linear, w, sigma, p, kw["seed"], budget, 9, random_starts
+            loop_lp_norm, apply1, linear, w, sigma, p, kw["seed"], budget, 9, random_starts,
+            strong=True,
         )
         fnorm = loop_lp_norm(f, sigma, p)
         assert est.lower_bound == value
         assert bits(est.witness.values) == bits(f / fnorm if fnorm > 0 else f)
+        assert est.iterations == evals
+
+    @pytest.mark.parametrize("N,i", CASES)
+    def test_norm_lp_lower_without_spectral_matches_loop(self, N, i, monkeypatch):
+        # with no spectral witness, Boyd starts from the best scanned start
+        def fail(*args, **kwargs):
+            raise NonConvergenceError("no spectral witness", (0.0, 0.0))
+
+        monkeypatch.setattr(normlab, "norm_p2", fail)
+        monkeypatch.setattr(oracles, "norm_p2", fail)
+        op, apply1, linear, w, sigma = _case(N, i)
+        est = norm_lp_lower(op, w, sigma, 3.0, seed=i, budget=2, steps=9, random_starts=3)
+        value, f, evals = loop_search(
+            loop_lp_norm, apply1, linear, w, sigma, 3.0, i, 2, 9, 3, strong=True
+        )
+        assert est.lower_bound == value
+        assert bits(est.witness.values) == bits(f / loop_lp_norm(f, sigma, 3.0))
         assert est.iterations == evals
 
     @pytest.mark.parametrize("N,i", CASES)

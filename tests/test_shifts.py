@@ -373,6 +373,16 @@ class TestHilbertAverage:
         assert res.exact_pairing == loop_hilbert_average(ens, f, h)
         assert res.pairing == res.exact_pairing
 
+    def test_offsets_are_the_grids_shift_cells(self):
+        g = self.grid()
+        for ens in (
+            GridEnsemble.random_translations(g, 300, 9),
+            GridEnsemble((GridSpec(1, g.N, (0.25,)), GridSpec(1, g.N)), (1.0, 2.0)),
+        ):
+            want = [grid.shift_cells[0] for grid in ens.grids]
+            assert ens.offsets.dtype.kind == "i" and ens.offsets.tolist() == want
+            assert ens.offsets is ens.offsets and not ens.offsets.flags.writeable
+
     def test_ensemble_normalization(self):
         g = GridSpec(1, 4)
         ens = GridEnsemble((g, g), (2.0, 2.0))
