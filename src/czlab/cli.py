@@ -178,7 +178,7 @@ def _run_hilbert_approx(cfg: ExperimentConfig, out_dir: str):
     if cfg.d != 1:
         raise ConfigError("hilbert-approx requires grid.d = 1")
     grid = GridSpec(1, cfg.N)
-    count = int(cfg.params.get("count", 10_000))
+    count = cfg.params.get("count", 10_000)
     pairs = cfg.params.get("pairs", _DEFAULT_PAIRS)
     ensemble = GridEnsemble.random_translations(grid, count, cfg.seed)
     M = grid.cells

@@ -102,6 +102,22 @@ def _spec_is_random(spec) -> bool:
     return isinstance(spec, dict) and spec.get("kind") in ("cascade", "random")
 
 
+def _check_hilbert_params(params: dict):
+    # an absent field takes the runner's default, which passes; null does not
+    count = params.get("count", 1)
+    if type(count) is not int or count < 1:  # type(): JSON true is an int to isinstance
+        raise ConfigError("params.count must be a positive integer")
+    pairs = params.get("pairs", [[0, 1, 0, 1]])
+    if not isinstance(pairs, list) or not pairs:
+        raise ConfigError("params.pairs must be a non-empty list of [f_lo, f_hi, g_lo, g_hi]")
+    for i, spec in enumerate(pairs):
+        ok = isinstance(spec, list) and len(spec) == 4 and all(type(v) in (int, float) for v in spec)
+        if not (ok and 0 <= spec[0] < spec[1] <= 1 and 0 <= spec[2] < spec[3] <= 1):
+            raise ConfigError(
+                f"params.pairs[{i}] must be [f_lo, f_hi, g_lo, g_hi] with 0 <= lo < hi <= 1"
+            )
+
+
 def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
@@ -129,6 +145,9 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
         raise ConfigError("field 'params' must be an object")
     allowed = _PARAM_FIELDS[cfg_verb]
     _require_keys(params, allowed, "params")
+
+    if cfg_verb == "hilbert-approx":
+        _check_hilbert_params(params)
 
     randomized = cfg_verb in _ALWAYS_RANDOM
     for key in ("weight", "w", "sigma"):

@@ -102,12 +102,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return 2.0 ** (-self.d * self.N)
 
-    @property
-    def shift_cells(self) -> tuple[int, ...]:
-        """Per-dimension translation measured in finest cells."""
-        scale = 1 << self.N
-        return tuple(int(round(s * scale)) for s in self.shift)
-
     def root(self) -> "DyadicCube":
         return DyadicCube(self, 0, (0,) * self.d)
 
@@ -397,8 +391,9 @@ def level_averages(f: StepFunction) -> list[np.ndarray]:
 
 
 def repeat_to_cells(grid: GridSpec, arr: np.ndarray, level: int) -> np.ndarray:
-    """Expand a per-cube array at `level` to finest-cell resolution."""
-    return np.repeat(arr, 1 << (grid.d * (grid.N - level)))
+    """Expand per-cube values at `level` (the last axis of `arr`) to
+    finest-cell resolution."""
+    return np.repeat(arr, 1 << (grid.d * (grid.N - level)), axis=-1)
 
 
 def average(f: StepFunction, Q: DyadicCube) -> float:

@@ -15,6 +15,7 @@ bound it is tested against, and their ratio.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +25,8 @@ import numpy as np
 from .characteristics import ainfty_characteristic, ap_characteristic, dual_weight, joint_ap
 from .dyadics import GridSpec, StepFunction, require_weight
 from .families import power_weight, two_value_weight
-from .shifts import HaarShift, build_petermichl, build_random_shift
+from .positive import TauCoefficients, _positive_block
+from .shifts import HaarShift, _hilbert_block, _hilbert_taps, build_petermichl, build_random_shift
 
 __all__ = [
     "LinearOperator",
@@ -94,30 +96,14 @@ def truncation_operator(S: HaarShift) -> SublinearOperator:
     )
 
 
-def _rowwise(grid: GridSpec, fn):
-    """Lift a StepFunction map to cell-value arrays of shape (..., cells)."""
-
-    def apply(v):
-        v = np.asarray(v, dtype=float)
-        rows = [fn(StepFunction(grid, row)).values for row in v.reshape(-1, grid.cells)]
-        return np.array(rows).reshape(v.shape)
-
-    return apply
-
-
-def positive_operator(tau) -> LinearOperator:
-    from .positive import apply_positive
-
-    ones = StepFunction.constant(tau.grid, 1.0)
-    fwd = _rowwise(tau.grid, lambda f: apply_positive(tau, ones, f))
+def positive_operator(tau: TauCoefficients) -> LinearOperator:
+    fwd = functools.partial(_positive_block, tau)
     # symmetric kernel: self-adjoint under the unweighted pairing
     return LinearOperator(tau.grid, fwd, fwd, label="positive")
 
 
 def hilbert_operator(grid: GridSpec) -> LinearOperator:
-    from .shifts import hilbert_direct
-
-    fwd = _rowwise(grid, hilbert_direct)
+    fwd = functools.partial(_hilbert_block, taps=_hilbert_taps(grid, [0.0])[0])
     return LinearOperator(grid, fwd, lambda v: -fwd(v), label="hilbert")
 
 

@@ -22,6 +22,7 @@ from .dyadics import (
     GridMismatchError,
     GridSpec,
     StepFunction,
+    _level_sums,
     level_integrals,
     lp_norm,
     repeat_to_cells,
@@ -120,31 +121,36 @@ class CubeFamily:
     def __contains__(self, Q):
         return Q in set(self.cubes)
 
-    def membership_by_level(self) -> list[np.ndarray]:
-        arrs = [np.zeros(1 << (self.grid.d * k)) for k in range(self.grid.N + 1)]
-        for Q in self.cubes:
-            arrs[Q.level][Q.zindex] = 1.0
-        return arrs
-
     def subfamily(self, predicate) -> "CubeFamily":
         kept = [Q for Q in self.cubes if predicate(Q)]
         gens = {Q: g for Q, g in self.generations.items() if Q in set(kept)}
         return CubeFamily(self.grid, kept, gens)
 
 
+def _positive_block(tau: TauCoefficients, values) -> np.ndarray:
+    """sum_Q tau_Q * avg_Q(v) * 1_Q for each row v of a (..., cells) array of
+    cell values; returns an array of the same shape."""
+    grid = tau.grid
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1:] != (grid.cells,):
+        raise GridMismatchError(
+            f"expected cell values of shape (..., {grid.cells}), got {values.shape}"
+        )
+    ints = _level_sums(grid, values)
+    acc = np.zeros(values.shape)
+    for k, tau_k in enumerate(tau.per_level()):
+        if not tau_k.any():
+            continue
+        constants = tau_k * ints[k] * float(1 << (grid.d * k))
+        acc += repeat_to_cells(grid, constants, k)
+    return acc
+
+
 def apply_positive(tau: TauCoefficients, mu: StepFunction, f: StepFunction) -> StepFunction:
     """sum_Q tau_Q * avg_Q(f mu) * 1_Q."""
     if mu.grid != tau.grid or f.grid != tau.grid:
         raise GridMismatchError("operator inputs must share the grid")
-    prod = f * mu
-    ints = level_integrals(prod)
-    acc = np.zeros(tau.grid.cells)
-    for k, tau_k in enumerate(tau.per_level()):
-        if not tau_k.any():
-            continue
-        constants = tau_k * ints[k] * float(1 << (tau.grid.d * k))
-        acc += repeat_to_cells(tau.grid, constants, k)
-    return f.with_values(acc)
+    return f.with_values(_positive_block(tau, f.values * mu.values))
 
 
 @dataclass(frozen=True)
@@ -257,7 +263,7 @@ def _overlap_histograms(family: CubeFamily):
     pairs keyed by cube.
     """
     grid = family.grid
-    member = family.membership_by_level()
+    member = TauCoefficients.indicator(family).per_level()
     suffix = np.zeros(grid.cells)
     suffix_at = [None] * (grid.N + 2)
     suffix_at[grid.N + 1] = suffix

@@ -523,44 +523,50 @@ def build_paraproduct(a: dict[DyadicCube, float], grid: GridSpec) -> HaarShift:
 # -- discretized Hilbert transform ----------------------------------------
 
 
-def _hilbert_kernel_taps(M: int, eps: float | None) -> np.ndarray:
-    """Convolution taps c[k] = 1/k for offsets with |k|*dx > eps (p.v. drops 0)."""
-    taps = np.zeros(2 * M - 1)
-    ks = np.arange(-(M - 1), M)
-    nz = ks != 0
-    if eps is not None:
-        nz &= np.abs(ks) / M > eps
-    taps[nz] = 1.0 / ks[nz]
+def _hilbert_taps(grid: GridSpec, cutoffs) -> np.ndarray:
+    """Circular taps of length 2 cells, one row per cutoff eps in `cutoffs`.
+
+    Entry k mod 2M (M cells) of a row is 1/k for the offsets 0 < |k| < M with
+    |k| / M > eps (eps = 0 keeps them all; the p.v. drops k = 0), so a cyclic
+    convolution of length 2M never wraps a kept offset around.
+    """
+    if grid.d != 1:
+        raise ValueError("the Hilbert kernel is one-dimensional")
+    M = grid.cells
+    k = np.arange(1, M)
+    half = np.where(k / M > np.asarray(cutoffs, dtype=float)[:, None], 1.0 / k, 0.0)
+    taps = np.zeros((len(half), 2 * M))
+    taps[:, 1:M] = half
+    taps[:, M + 1 :] = -half[:, ::-1]
     return taps
 
 
-def _hilbert_convolve(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    # taps[m] holds 1/k at offset k = m - (M-1), so position i of the full
-    # convolution at index i + M - 1 sums f_j / (i - j)
-    M = values.size
-    full = np.convolve(values, taps)
-    return full[M - 1 : 2 * M - 1]
+def _hilbert_block(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """sum_j v_j taps(i - j) at every cell i, for each row v of a (..., cells)
+    array against a tap row (2 cells,) or against each row of a tap stack.
+
+    One rfft/irfft product of length 2 cells; rows are independent, so each
+    row of a block has the bytes of the one-row result.  A row whose length
+    is not half the taps' fails to broadcast (ValueError).
+    """
+    M = values.shape[-1]
+    spectrum = np.fft.rfft(values, 2 * M) * np.fft.rfft(taps)
+    return np.fft.irfft(spectrum, 2 * M)[..., :M]
 
 
 def hilbert_direct(f: StepFunction) -> StepFunction:
     """Discrete principal-value convolution against 1/(x - y), midpoint rule.
 
-    The self-cell is omitted, which keeps the kernel matrix exactly
-    skew-symmetric.  Serves as the quadrature oracle for the averaging
-    experiments.
+    The self-cell is omitted, which makes the kernel matrix exactly
+    skew-symmetric; the FFT product that applies it is skew-symmetric up to
+    rounding.  Serves as the quadrature oracle for the averaging experiments.
     """
-    if f.grid.d != 1:
-        raise ValueError("the Hilbert kernel is one-dimensional")
-    taps = _hilbert_kernel_taps(f.grid.cells, None)
-    return f.with_values(_hilbert_convolve(f.values, taps))
+    return hilbert_truncated(f, 0.0)
 
 
 def hilbert_truncated(f: StepFunction, eps: float) -> StepFunction:
     """Hilbert convolution restricted to |x - y| > eps."""
-    if f.grid.d != 1:
-        raise ValueError("the Hilbert kernel is one-dimensional")
-    taps = _hilbert_kernel_taps(f.grid.cells, eps)
-    return f.with_values(_hilbert_convolve(f.values, taps))
+    return f.with_values(_hilbert_block(f.values, _hilbert_taps(f.grid, [eps])[0]))
 
 
 def hilbert_maximal(f: StepFunction) -> StepFunction:
@@ -569,60 +575,52 @@ def hilbert_maximal(f: StepFunction) -> StepFunction:
     The cutoff grid is eps in {2^-k : 0 <= k <= N+1}; the finest cutoff keeps
     every off-diagonal cell, so the full principal-value sum participates.
     """
-    if f.grid.d != 1:
-        raise ValueError("the Hilbert kernel is one-dimensional")
-    best = np.zeros(f.grid.cells)
-    for k in range(0, f.grid.N + 2):
-        out = hilbert_truncated(f, 2.0 ** (-k)).values
-        np.maximum(best, np.abs(out), out=best)
-    return f.with_values(best)
+    taps = _hilbert_taps(f.grid, [2.0 ** (-k) for k in range(f.grid.N + 2)])
+    return f.with_values(np.abs(_hilbert_block(f.values, taps)).max(axis=0))
 
 
 # -- averaging over translated grids ---------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridEnsemble:
-    """Weighted family of translated grids used for averaging.
+    """Weighted family of cyclic translations of one d = 1 grid, for averaging.
 
-    Coefficients are normalized so their absolute values sum to one.
+    `grid` is the untranslated frame, `offsets` each translation in finest
+    cells (a read-only integer array with entries in [0, cells)) and
+    `coefficients` their weights, normalized so their absolute values sum
+    to one.
     """
 
-    grids: tuple[GridSpec, ...]
+    grid: GridSpec
+    offsets: np.ndarray
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.grids) != len(self.coefficients) or not self.grids:
-            raise ValueError("need one coefficient per grid, at least one grid")
-        base = self.grids[0]
-        for g in self.grids:
-            if (g.d, g.N) != (base.d, base.N):
-                raise ValueError("ensemble grids must share dimension and depth")
+        if self.grid.d != 1 or any(self.grid.shift):
+            raise ValueError("the ensemble frame must be an untranslated d = 1 grid")
+        offsets = np.asarray(self.offsets)
+        if offsets.size != len(self.coefficients) or not offsets.size:
+            raise ValueError("need one coefficient per offset, at least one offset")
+        if offsets.ndim != 1 or offsets.dtype.kind not in "iu":
+            raise ValueError("offsets must be a one-dimensional integer array")
+        if offsets.min() < 0 or offsets.max() >= self.grid.cells:
+            raise ValueError(f"offsets must lie in [0, {self.grid.cells})")
         total = sum(abs(c) for c in self.coefficients)
         if total == 0.0:
             raise ValueError("ensemble coefficients must not all vanish")
+        offsets = offsets.astype(np.int64)  # a copy: callers keep theirs
+        offsets.flags.writeable = False
+        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(
             self, "coefficients", tuple(c / total for c in self.coefficients)
         )
 
-    @functools.cached_property
-    def offsets(self) -> np.ndarray:
-        """Each grid's first-axis translation in finest cells (shift_cells[0]),
-        in ensemble order, as one read-only integer array built once."""
-        offs = np.array([grid.shift_cells[0] for grid in self.grids], dtype=np.int64)
-        offs.flags.writeable = False
-        return offs
-
     @classmethod
     def random_translations(cls, grid: GridSpec, count: int, seed: int) -> "GridEnsemble":
         """Uniform random translations, quantized to finest cells."""
-        if grid.d != 1:
-            raise ValueError("translation ensembles are built for d = 1")
         rng = np.random.default_rng(seed)
-        offs = rng.integers(0, grid.cells, size=count)
-        scale = float(grid.cells)
-        grids = tuple(GridSpec(1, grid.N, (int(o) / scale,)) for o in offs)
-        return cls(grids, (1.0 / count,) * count)
+        return cls(grid, rng.integers(0, grid.cells, size=count), (1.0 / count,) * count)
 
 
 @dataclass(frozen=True)
@@ -708,20 +706,18 @@ def hilbert_average(
     the fitted proportionality constant against the quadrature pairing
     <Hf, g>.
     """
-    base = ensemble.grids[0]
-    if f.grid.d != 1 or (f.grid.d, f.grid.N) != (base.d, base.N):
+    frame = ensemble.grid
+    if (f.grid.d, f.grid.N) != (1, frame.N):
         raise GridMismatchError("functions must live on the ensemble's cell grid")
     f._check(g)
     gap = _toroidal_gap_cells(f.values != 0.0, g.values != 0.0)
     if gap < 1:
         raise ValueError("overlapping supports: the averaged pairing needs separation")
-    frame = GridSpec(base.d, base.N)
     vol = frame.cell_volume
     pairings = _offset_pairings(build_petermichl(frame), f.values, g.values)
-    offsets = ensemble.offsets
     # weights summed in ensemble order, offsets visited in increasing order
-    weights = np.bincount(offsets, weights=ensemble.coefficients, minlength=frame.cells)
-    present = np.unique(offsets)
+    weights = np.bincount(ensemble.offsets, weights=ensemble.coefficients, minlength=frame.cells)
+    present = np.unique(ensemble.offsets)
     total = 0.0
     for weight, pairing in zip(weights[present].tolist(), pairings[present].tolist()):
         total += weight * pairing

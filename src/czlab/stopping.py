@@ -14,8 +14,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dyadics import (
     DyadicCube,
     GridMismatchError,
@@ -25,7 +23,7 @@ from .dyadics import (
     level_integrals,
     require_weight,
 )
-from .positive import CubeFamily, lambda_constant
+from .positive import CubeFamily, lambda_constant, type_l_apply
 
 __all__ = [
     "StoppingFamily",
@@ -223,11 +221,8 @@ def distributional_check(
         raise ValueError("nu must be 'lebesgue' or 'sigma'")
     if lam is None:
         lam = max(lambda_constant(cls), 1.0) if len(cls) else 1.0
-    aw = level_averages(w)
-    total = np.zeros(grid.cells)
-    for Q in cls.cubes:
-        total[Q.cell_slice] += aw[Q.level][Q.zindex]
-    threshold = K * lam * 2.0 ** (-b) * t * aw[S.level][S.zindex]
+    total = type_l_apply(cls, StepFunction.constant(grid, 1.0), w).values
+    threshold = K * lam * 2.0 ** (-b) * t * level_averages(w)[S.level][S.zindex]
     sl = S.cell_slice
     exceeds = total[sl] > threshold
     if nu == "lebesgue":

@@ -501,18 +501,30 @@ def loop_offset_pairing(S, f_values: np.ndarray, g_values: np.ndarray, offset: i
     return float(np.dot(sf, np.roll(g_values, -offset)) * S.grid.cell_volume)
 
 
-def loop_hilbert_average(ensemble, f: StepFunction, g: StepFunction) -> float:
-    """Ensemble-weighted Petermichl pairing, one translated grid at a time:
-    coefficients summed per offset in ensemble order, offsets visited in
-    increasing order."""
+def loop_hilbert_average(pairs, f: StepFunction, g: StepFunction) -> float:
+    """Weighted Petermichl pairing over (offset, coefficient) pairs, one
+    translated grid at a time: coefficients summed per offset in the given
+    order, offsets visited in increasing order."""
     S = build_petermichl(GridSpec(1, f.grid.N))
     weights: dict[int, float] = {}
-    for grid, coeff in zip(ensemble.grids, ensemble.coefficients):
-        weights[grid.shift_cells[0]] = weights.get(grid.shift_cells[0], 0.0) + coeff
+    for off, coeff in pairs:
+        weights[off] = weights.get(off, 0.0) + coeff
     total = 0.0
     for off in sorted(weights):
         total += weights[off] * loop_offset_pairing(S, f.values, g.values, off)
     return total
+
+
+def loop_hilbert(values: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    """Midpoint-rule Hilbert sums sum_j f_j / (i - j) over |i - j| / M > eps
+    (the self-cell always dropped), by direct convolution against 1/k."""
+    M = values.size
+    ks = np.arange(-(M - 1), M)
+    keep = (ks != 0) & (np.abs(ks) / M > eps)
+    taps = np.zeros(2 * M - 1)
+    taps[keep] = 1.0 / ks[keep]
+    # taps[m] holds 1/k at k = m - (M - 1), so cell i sits at index i + M - 1
+    return np.convolve(values, taps)[M - 1 : 2 * M - 1]
 
 
 def loop_centered_maximal(f: StepFunction) -> np.ndarray:

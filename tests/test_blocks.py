@@ -166,6 +166,37 @@ class TestBlockKernel:
             S.truncation(StepFunction.constant(GridSpec(1, 4), 1.0))
 
 
+class TestPositiveBlocks:
+    """positive_operator on blocks against one apply_positive call per row."""
+
+    @pytest.mark.parametrize("d,N", [(1, 5), (2, 3), (3, 2)])
+    def test_block_rows_match_apply_positive(self, d, N):
+        g = GridSpec(d, N)
+        rng = np.random.default_rng(40 + d)
+        tau = TauCoefficients(
+            g, {Q: float(rng.uniform(0.0, 2.0)) for Q in g.all_cubes() if rng.random() < 0.6}
+        )
+        X = rng.standard_normal((4, g.cells)) * 10.0 ** rng.integers(-3, 4, (4, 1))
+        X[rng.random(X.shape) < 0.2] = 0.0
+        X[rng.random(X.shape) < 0.2] = -0.0
+        X[3] = -0.0
+        op = positive_operator(tau)
+        out = op.apply(X)
+        ones = StepFunction.constant(g, 1.0)
+        for row, got in zip(X, out):
+            assert bits(got) == bits(apply_positive(tau, ones, StepFunction(g, row)).values)
+            assert bits(op.apply(row)) == bits(got)
+        assert bits(op.apply(X.reshape(2, 2, -1))) == bits(out)
+        assert bits(op.adjoint(X)) == bits(out)
+
+    def test_wrong_length_rejected(self):
+        g = GridSpec(2, 2)
+        op = positive_operator(TauCoefficients(g, {g.root(): 1.0}))
+        for bad in (np.ones(15), np.ones((2, 17)), np.float64(1.0)):
+            with pytest.raises(ValueError):
+                op.apply(bad)
+
+
 # -- norm searches -----------------------------------------------------------
 
 

@@ -255,6 +255,23 @@ class TestMainEntry:
         path = write_config(tmp_path, {"verb": "characteristics", "grid": {"d": 1, "N": 2}, "bogus": 1})
         assert main(["characteristics", "--config", path]) == 2
 
+    @pytest.mark.parametrize(
+        "params,field",
+        [
+            ({"count": -5}, "params.count"),
+            ({"count": 2.7}, "params.count"),
+            ({"pairs": [[0.1, 0.2, 0.5]]}, "params.pairs[0]"),
+            ({"pairs": [[0.1, 0.2, 0.5, 0.6], [0.1, 0.2, 0.5, 1.5]]}, "params.pairs[1]"),
+        ],
+    )
+    def test_exit_two_on_bad_hilbert_params(self, tmp_path, capsys, params, field):
+        cfg = {"verb": "hilbert-approx", "grid": {"d": 1, "N": 5}, "seed": 1, "params": params}
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["hilbert-approx", "--config", path, "--out", out]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_exit_two_on_missing_file(self, tmp_path):
         assert main(["characteristics", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from czlab.dyadics import GridSpec, StepFunction, ancestor
+from czlab.normlab import hilbert_operator
 from czlab.shifts import (
     GridEnsemble,
     _offset_pairings,
@@ -21,6 +22,7 @@ from czlab.shifts import (
 from oracles import (
     brute_truncation,
     dense_shift_matrix,
+    loop_hilbert,
     loop_hilbert_average,
     loop_offset_pairing,
     loop_petermichl,
@@ -302,6 +304,57 @@ class TestHilbertDirect:
         assert np.allclose(hm, brute)
 
 
+class TestHilbertOracle:
+    """The FFT kernel against direct convolution sums, one cutoff at a time,
+    within 1e-13 of the reference's largest entry."""
+
+    @staticmethod
+    def assert_close(got, ref):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @staticmethod
+    def rows(g):
+        rng = np.random.default_rng(g.N)
+        X = rng.standard_normal((4, g.cells))
+        X[1] = 1.0
+        X[2] = rng.random(g.cells) < 0.3
+        X[3] *= 1e3
+        return X
+
+    @pytest.mark.parametrize("N", [3, 6, 10, 12])
+    def test_direct_truncated_maximal(self, N):
+        g = GridSpec(1, N)
+        for row in self.rows(g):
+            f = StepFunction(g, row)
+            self.assert_close(hilbert_direct(f).values, loop_hilbert(row))
+            refs = [loop_hilbert(row, 2.0**-k) for k in range(N + 2)]
+            for k, ref in enumerate(refs):
+                self.assert_close(hilbert_truncated(f, 2.0**-k).values, ref)
+            self.assert_close(hilbert_maximal(f).values, np.abs(refs).max(axis=0))
+
+    @pytest.mark.parametrize("N", [3, 6, 10, 12])
+    def test_operator_blocks(self, N):
+        g = GridSpec(1, N)
+        X = self.rows(g)
+        op = hilbert_operator(g)
+        out = op.apply(X)
+        assert out.shape == X.shape
+        assert op.adjoint(X).tobytes() == (-out).tobytes()
+        for row, got in zip(X, out):
+            self.assert_close(got, loop_hilbert(row))
+            # a block row has the bytes of the one-row calls
+            assert got.tobytes() == op.apply(row).tobytes()
+            assert got.tobytes() == hilbert_direct(StepFunction(g, row)).values.tobytes()
+
+    def test_operator_rejects_wrong_length(self):
+        op = hilbert_operator(GridSpec(1, 3))
+        for bad in (np.ones(7), np.ones((2, 9))):
+            with pytest.raises(ValueError):
+                op.apply(bad)
+        with pytest.raises(ValueError):
+            hilbert_operator(GridSpec(2, 2))
+
+
 class TestHilbertAverage:
     def grid(self):
         return GridSpec(1, 7)
@@ -322,7 +375,7 @@ class TestHilbertAverage:
         g = self.grid()
         f = self.indicator(g, 0.125, 0.25)
         h = self.indicator(g, 0.5, 0.625)
-        ens = GridEnsemble((GridSpec(1, g.N),), (1.0,))
+        ens = GridEnsemble(GridSpec(1, g.N), [0], (1.0,))
         res = hilbert_average(ens, f, h)
         from czlab.shifts import build_petermichl as bp
 
@@ -356,39 +409,57 @@ class TestHilbertAverage:
             pool = rng.integers(0, g.cells, size=12)
             offs = rng.choice(pool, size=40)
             coeffs = rng.standard_normal(40) if seed else rng.uniform(0.1, 3.0, 40)
-            ens = GridEnsemble(
-                tuple(GridSpec(1, g.N, (int(o) / g.cells,)) for o in offs), tuple(coeffs)
-            )
-            assert hilbert_average(ens, f, h).pairing == loop_hilbert_average(ens, f, h)
+            ens = GridEnsemble(g, offs, tuple(coeffs))
+            pairs = zip(offs.tolist(), ens.coefficients)
+            assert hilbert_average(ens, f, h).pairing == loop_hilbert_average(pairs, f, h)
 
     def test_exact_pairing_is_the_all_offsets_average(self):
         g = self.grid()
         f = self.indicator(g, 1 / 16, 3 / 16)
         h = self.indicator(g, 0.5, 0.625)
         order = np.random.default_rng(5).permutation(g.cells)
-        ens = GridEnsemble(
-            tuple(GridSpec(1, g.N, (int(o) / g.cells,)) for o in order), (1.0,) * g.cells
-        )
+        ens = GridEnsemble(g, order, (1.0,) * g.cells)
         res = hilbert_average(ens, f, h)
-        assert res.exact_pairing == loop_hilbert_average(ens, f, h)
+        assert res.exact_pairing == loop_hilbert_average(zip(order.tolist(), ens.coefficients), f, h)
         assert res.pairing == res.exact_pairing
 
-    def test_offsets_are_the_grids_shift_cells(self):
+    def test_offsets_are_stored_read_only_integers(self):
         g = self.grid()
-        for ens in (
-            GridEnsemble.random_translations(g, 300, 9),
-            GridEnsemble((GridSpec(1, g.N, (0.25,)), GridSpec(1, g.N)), (1.0, 2.0)),
-        ):
-            want = [grid.shift_cells[0] for grid in ens.grids]
-            assert ens.offsets.dtype.kind == "i" and ens.offsets.tolist() == want
-            assert ens.offsets is ens.offsets and not ens.offsets.flags.writeable
+        ens = GridEnsemble.random_translations(g, 300, 9)
+        want = np.random.default_rng(9).integers(0, g.cells, size=300)
+        assert ens.grid == g
+        assert ens.offsets.dtype == np.int64 and np.array_equal(ens.offsets, want)
+        assert not ens.offsets.flags.writeable
+        given = np.array([32, 0])
+        ens = GridEnsemble(g, given, (1.0, 2.0))
+        given[0] = 5  # the ensemble keeps its own copy
+        assert ens.offsets.tolist() == [32, 0]
 
     def test_ensemble_normalization(self):
         g = GridSpec(1, 4)
-        ens = GridEnsemble((g, g), (2.0, 2.0))
+        ens = GridEnsemble(g, [3, 3], (2.0, 2.0))
         assert ens.coefficients == (0.5, 0.5)
         with pytest.raises(ValueError):
-            GridEnsemble((g,), (0.0,))
+            GridEnsemble(g, [0], (0.0,))
+
+    @pytest.mark.parametrize(
+        "frame,offsets,coefficients,match",
+        [
+            (GridSpec(1, 4), [0.0, 2.0], (1.0, 1.0), "integer"),
+            (GridSpec(1, 4), [True], (1.0,), "integer"),
+            (GridSpec(1, 4), [[0, 1]], (1.0, 1.0), "integer"),
+            (GridSpec(1, 4), [0, 16], (1.0, 1.0), "lie in"),
+            (GridSpec(1, 4), [-1], (1.0,), "lie in"),
+            (GridSpec(1, 4), [0, 1], (1.0,), "one coefficient per offset"),
+            (GridSpec(1, 4), [], (), "one coefficient per offset"),
+            (GridSpec(1, 4), [0, 1], (0.0, -0.0), "vanish"),
+            (GridSpec(2, 2), [0], (1.0,), "d = 1"),
+            (GridSpec(1, 4, (0.25,)), [0], (1.0,), "untranslated"),
+        ],
+    )
+    def test_rejected(self, frame, offsets, coefficients, match):
+        with pytest.raises(ValueError, match=match):
+            GridEnsemble(frame, offsets, coefficients)
 
 
 class TestOffsetPairings:
