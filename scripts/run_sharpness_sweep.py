@@ -18,7 +18,10 @@ def main():
     ap.add_argument("--seed", type=int, default=20250810)
     ap.add_argument("--N", type=int, nargs="+", default=[8, 10])
     ap.add_argument("--p", type=float, nargs="+", default=[1.5, 2.0, 3.0])
-    ap.add_argument("--budget", type=int, default=6)
+    ap.add_argument(
+        "--budget", type=int, default=6,
+        help="how many of the best-scoring starts Boyd's iteration refines per search",
+    )
     args = ap.parse_args()
 
     cfg = parse_config(

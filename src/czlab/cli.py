@@ -183,13 +183,18 @@ def _run_hilbert_approx(cfg: ExperimentConfig, out_dir: str):
     ensemble = GridEnsemble.random_translations(grid, count, cfg.seed)
     M = grid.cells
     results = []
-    for spec in pairs:
-        f_lo, f_hi, g_lo, g_hi = (float(v) for v in spec)
+    for i, spec in enumerate(pairs):
+        f_lo, f_hi, g_lo, g_hi = (int(round(float(v) * M)) for v in spec)
         fv = np.zeros(M)
-        fv[int(round(f_lo * M)) : int(round(f_hi * M))] = 1.0
+        fv[f_lo:f_hi] = 1.0
         gv = np.zeros(M)
-        gv[int(round(g_lo * M)) : int(round(g_hi * M))] = 1.0
-        res = hilbert_average(ensemble, StepFunction(grid, fv), StepFunction(grid, gv))
+        gv[g_lo:g_hi] = 1.0
+        try:
+            res = hilbert_average(ensemble, StepFunction(grid, fv), StepFunction(grid, gv))
+        except ValueError as exc:
+            raise ConfigError(
+                f"params.pairs[{i}] rounds to cells [{f_lo}, {f_hi}) and [{g_lo}, {g_hi}) of {M}: {exc}"
+            ) from exc
         results.append((spec, res))
     avgs = np.array([r.pairing for _, r in results])
     oras = np.array([r.oracle_pairing for _, r in results])

@@ -38,6 +38,13 @@ _PARAM_FIELDS = {
     "invariant-suite": {"samples"},
 }
 
+# integer params with their least value (0 or 1)
+_INTEGER_FIELDS = {
+    "hilbert-approx": {"count": 1},
+    "stopping-audit": {"count": 1},
+    "sharpness-sweep": {"budget": 0, "random_starts": 0},
+}
+
 _WEIGHT_FIELDS = {
     "constant": {"kind", "value"},
     "two_value": {"kind", "value", "level"},
@@ -103,10 +110,6 @@ def _spec_is_random(spec) -> bool:
 
 
 def _check_hilbert_params(params: dict):
-    # an absent field takes the runner's default, which passes; null does not
-    count = params.get("count", 1)
-    if type(count) is not int or count < 1:  # type(): JSON true is an int to isinstance
-        raise ConfigError("params.count must be a positive integer")
     pairs = params.get("pairs", [[0, 1, 0, 1]])
     if not isinstance(pairs, list) or not pairs:
         raise ConfigError("params.pairs must be a non-empty list of [f_lo, f_hi, g_lo, g_hi]")
@@ -146,6 +149,11 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     allowed = _PARAM_FIELDS[cfg_verb]
     _require_keys(params, allowed, "params")
 
+    for key, least in _INTEGER_FIELDS.get(cfg_verb, {}).items():
+        # an absent field takes the runner's default, which passes; null does not
+        value = params.get(key, least)
+        if type(value) is not int or value < least:  # type(): JSON true is an int to isinstance
+            raise ConfigError(f"params.{key} must be a {('non-negative', 'positive')[least]} integer")
     if cfg_verb == "hilbert-approx":
         _check_hilbert_params(params)
 

@@ -4,18 +4,19 @@ For p = 2 the norm of f -> T(sigma f) from L^2(sigma) to L^2(w) is the top
 singular value of a weighted conjugation, computed by Lanczos iteration on the
 self-adjoint composition.  For general p only certified lower bounds are
 reported: every estimate stores a witness function that reproduces it.  The
-strong search starts from that spectral witness, seeded random vectors and
-one iterate of Boyd's p-norm power method (D. W. Boyd, Linear Algebra Appl. 9
-(1974); N. J. Higham, Numer. Math. 62 (1992)) on the linear part, then
-refines the best starts by a randomised ascent; the weak-type search scans
-every cube indicator in place of the Boyd iterate.  The sweep assembles, for
-each (operator, weight, p, N) row, the measured norm, the characteristic-based
-bound it is tested against, and their ratio.
+strong search scores the spectral witness and seeded random vectors; the
+weak-type search adds every cube indicator.  Both then refine their best
+starts by Boyd's p-norm power iteration (D. W. Boyd, Linear Algebra Appl. 9
+(1974); N. J. Higham, Numer. Math. 62 (1992)), linearising the operator at
+each iterate, so a maximal truncation is refined as a linear shift is.  The
+sweep assembles, for each (operator, weight, p, N) row, the measured norm,
+the characteristic-based bound it is tested against, and their ratio.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -90,10 +91,15 @@ def shift_operator(S: HaarShift) -> LinearOperator:
     return LinearOperator(S.grid, lambda v: S.apply(v), lambda v: adj.apply(v), label="shift")
 
 
+@dataclass(frozen=True)
+class _ShiftTruncation(SublinearOperator):
+    """A shift's maximal truncation, which the searches linearise."""
+
+    shift: HaarShift | None = None
+
+
 def truncation_operator(S: HaarShift) -> SublinearOperator:
-    return SublinearOperator(
-        S.grid, lambda v: S.truncation(v), shift_operator(S), label="shift-truncation"
-    )
+    return _ShiftTruncation(S.grid, S.truncation, shift_operator(S), "shift-truncation", S)
 
 
 def positive_operator(tau: TauCoefficients) -> LinearOperator:
@@ -118,11 +124,11 @@ class NormEstimate:
     iterations: int
 
 
-# Rows per block of start vectors or ascent candidates in the norm searches.
+# Rows per block of start vectors in the norm searches.
 _SEARCH_BLOCK = 32
-# Boyd's power iteration stops when the linear ratio gains less than this
-# relative amount in one step, or after this many steps.
-_BOYD_RTOL = 1e-8
+# A row of Boyd's power iteration stops when its score gains less than this
+# relative amount in one step, or after this many scores.
+_BOYD_RTOL = 1e-5
 _BOYD_STEPS = 100
 
 
@@ -133,12 +139,12 @@ def _lp_norms(block, weight, p) -> list[float]:
     return [float(s) ** (1.0 / p) for s in sums]
 
 
-def _ratios(op_apply, w, sigma, p, block, out_norms=_lp_norms) -> list[float]:
-    """out_norms(T(sigma f), w, p) / ||f||_{L^p(sigma)} for each row f of a
-    (K, cells) block; out_norms defaults to the L^p(w) norms."""
+def _ratios(out, block, w, sigma, p, out_norms=_lp_norms) -> list[float]:
+    """out_norms(T(sigma f), w, p) / ||f||_{L^p(sigma)} for the rows f of a
+    (K, cells) block and the rows `out` of T(sigma f); out_norms defaults to
+    the L^p(w) norms."""
     fnorms = _lp_norms(block, sigma, p)
-    outs = out_norms(op_apply(sigma.values * block), w, p)
-    return [out / fn if fn != 0.0 else 0.0 for out, fn in zip(outs, fnorms)]
+    return [o / fn if fn != 0.0 else 0.0 for o, fn in zip(out_norms(out, w, p), fnorms)]
 
 
 def norm_p2(
@@ -207,12 +213,8 @@ def norm_p2(
         beta.append(b)
         Q = np.vstack([Q, v / b])
     fvals = (y @ Q) / sq_sigma
-    value = _ratios(op.apply, w, sigma, 2.0, fvals[None])[0]
+    value = _ratios(op.apply(sigma.values * fvals[None]), fvals[None], w, sigma, 2.0)[0]
     return NormEstimate(value, "spectral", StepFunction(grid, fvals), 2.0, k)
-
-
-def _linear_part(op) -> LinearOperator | None:
-    return op if isinstance(op, LinearOperator) else op.linear_part
 
 
 def _indicator_blocks(grid):
@@ -228,15 +230,15 @@ def _indicator_blocks(grid):
         yield ((cells >= lo[sl, None]) & (cells < hi[sl, None])).astype(float)
 
 
-def _spectral_start(linear, w, sigma):
-    """The norm_p2 witness of the linear part as a one-row block, or None
-    when there is no linear part or its spectral solve does not converge."""
-    if linear is None:
-        return None
-    try:
-        return norm_p2(linear, w, sigma).witness.values[None]
-    except NonConvergenceError:
-        return None
+def _spectral_start(op, w, sigma):
+    """Yields the norm_p2 witness of op's linear part as a one-row block,
+    unless there is no linear part or its spectral solve does not converge."""
+    linear = op if isinstance(op, LinearOperator) else op.linear_part
+    if linear is not None:
+        try:
+            yield norm_p2(linear, w, sigma).witness.values[None]
+        except NonConvergenceError:
+            pass
 
 
 def _random_blocks(grid, seed, random_starts):
@@ -244,63 +246,61 @@ def _random_blocks(grid, seed, random_starts):
     rng = np.random.default_rng([seed, 1])
     for k in range(0, random_starts, _SEARCH_BLOCK // 2):
         g = rng.standard_normal((min(_SEARCH_BLOCK // 2, random_starts - k), grid.cells))
-        block = np.empty((2 * len(g), grid.cells))
-        block[0::2] = g
-        block[1::2] = np.abs(g)
-        yield block
+        yield np.stack([g, np.abs(g)], axis=1).reshape(-1, grid.cells)
 
 
-def _boyd(linear, w, sigma, p, start):
-    """Boyd's p-norm power iteration for f -> T(sigma f) from L^p(sigma) to
-    L^p(w) on a one-row block `start`.
+def _linearisation(op):
+    """x -> (op applied to each row of x, adjoint(u, rows) of op's linear
+    map at those rows of x), or None for an operator without one."""
+    if isinstance(op, LinearOperator):
+        return lambda x: (op.apply(x), lambda u, rows: op.adjoint(u))
+    return op.shift._selected if isinstance(op, _ShiftTruncation) else None
 
-    One step is y = T(sigma f), z = T^t(w sign(y)|y|^(p-1)) and
-    f <- sign(z)|z|^(p'-1), normalised in L^p(sigma), so ||y||_{L^p(w)} is
-    the linear ratio; in exact arithmetic it never falls.  y and z are
-    divided by their largest magnitude before the power: that changes only
-    the length of the next iterate and keeps every power in [0, 1].  Stops
-    when y or z vanishes, when the ratio gains less than _BOYD_RTOL relative,
-    or after _BOYD_STEPS steps.  Returns the last iterate and the number of
-    row applications of T and T^t.
-    """
+
+def _boyd(out_norms, linearise, w, sigma, p, block):
+    """Boyd's p-norm power iteration from each row of a (K, cells) block:
+    at f, linearise gives y = T(sigma f) and a linear L with L f = T f and
+    |L g| <= |T g|, and f <- sign(z)|z|^(p'-1) for z = L^t(w sign(y)|y|^(p-1))
+    never lowers the L^p score in exact arithmetic (Boyd: ||L f'|| >= ||L f||).
+    y and z are divided by their largest magnitude, keeping powers in [0, 1].
+    Every iterate, the start included, is scored by _ratios with out_norms; a
+    row stops when its score gains less than _BOYD_RTOL relative (so on y = 0
+    or z = 0) or at its _BOYD_STEPS-th score.  Returns each row's best score,
+    the iterates attaining them and the row applications of T and L^t."""
     pprime = p / (p - 1.0)
-    f = start / _lp_norms(start, sigma, p)[0]
-    prev, apps = 0.0, 0
-    for _ in range(_BOYD_STEPS):
-        y = linear.apply(sigma.values * f)
-        apps += 1
-        ratio = _lp_norms(y, w, p)[0]
-        if ratio <= prev * (1.0 + _BOYD_RTOL):  # also y = 0, where the ratio is 0
+    best, best_f = np.zeros(len(block)), block.copy()
+    rows = np.arange(len(block))  # the rows still iterating
+    f, apps = block, 0
+    for step in range(_BOYD_STEPS):
+        y, adjoint = linearise(sigma.values * f)
+        apps += len(rows)
+        vals = np.array(_ratios(y, f, w, sigma, p, out_norms))
+        go = vals > best[rows] * (1.0 + _BOYD_RTOL)
+        up = vals > best[rows]
+        best[rows[up]], best_f[rows[up]] = vals[up], f[up]
+        if step + 1 == _BOYD_STEPS or not go.any():
             break
-        prev = ratio
-        ymax = float(np.max(np.abs(y)))
-        z = linear.adjoint(w.values * np.sign(y) * (np.abs(y) / ymax) ** (p - 1.0))
-        apps += 1
-        zmax = float(np.max(np.abs(z)))
-        if zmax == 0.0:
-            break
-        f = np.sign(z) * (np.abs(z) / zmax) ** (pprime - 1.0)
-        f = f / _lp_norms(f, sigma, p)[0]
-    return f, apps
+        y, rows = y[go], rows[go]
+        ymax = np.max(np.abs(y), axis=1, keepdims=True)
+        z = adjoint(w.values * np.sign(y) * (np.abs(y) / ymax) ** (p - 1.0), go)
+        apps += len(rows)
+        zmax = np.max(np.abs(z), axis=1, keepdims=True)
+        f = np.sign(z) * (np.abs(z) / np.where(zmax == 0.0, 1.0, zmax)) ** (pprime - 1.0)
+    return best.tolist(), best_f, apps
 
 
-def _search(out_norms, op, w, sigma, p, seed, budget, steps, starts):
-    """Maximise _ratios with output norms `out_norms` over a start stream and
-    the ascent (see norm_lp_lower); returns the best value, the input
-    attaining it and the number of evaluations.
-
-    starts(best) yields (K, cells) blocks; best() returns the best-scoring
-    start scanned so far as a one-row block, or None before the first."""
-
-    def values(block):
-        return _ratios(op.apply, w, sigma, p, block, out_norms)
-
+def _search(out_norms, op, w, sigma, p, budget, starts):
+    """Maximise _ratios with output norms `out_norms` over the (K, cells)
+    blocks of `starts`, then by _boyd from the `budget` best starts if op
+    has a linearisation; returns the best value, the input attaining it and
+    the row applications of the operator and its adjoint."""
     # the `budget` best starts so far (at least one) as (value, stream index,
     # vector); best score first, stream order breaks ties
     top: list[tuple[float, int, np.ndarray | None]] = []
     scanned = 0
-    for block in starts(lambda: top[0][2][None] if top else None):
-        ranked = top + [(val, scanned + i, None) for i, val in enumerate(values(block))]
+    for block in starts:
+        values = _ratios(op.apply(sigma.values * block), block, w, sigma, p, out_norms)
+        ranked = top + [(val, scanned + i, None) for i, val in enumerate(values)]
         ranked.sort(key=lambda rec: (-rec[0], rec[1]))
         top = [
             (val, idx, block[idx - scanned].copy() if fv is None else fv)
@@ -309,31 +309,13 @@ def _search(out_norms, op, w, sigma, p, seed, budget, steps, starts):
         scanned += len(block)
     if not top:
         raise ValueError("the search has no start: give random_starts >= 1")
-    best_val, _, best_f = top[0]
-    refined = max(0, min(budget, scanned))
-    # the ascents run in lockstep, each with its own stream, step and accept rule
-    rngs = [np.random.default_rng([seed, 2, idx]) for _, idx, _ in top[:refined]]
-    cur = [fv.astype(float) for _, _, fv in top[:refined]]
-    cur_val = [val for val, _, _ in top[:refined]]
-    step = [0.5] * refined
-    for it in range(steps if refined else 0):
-        cands = []
-        for r in range(refined):
-            noise = rngs[r].standard_normal(cur[r].size)
-            if it % 2 == 0:
-                cands.append(cur[r] * np.exp(step[r] * noise))
-            else:
-                scale = float(np.max(np.abs(cur[r]))) or 1.0
-                cands.append(cur[r] + step[r] * scale * noise)
-        for r, cand_val in enumerate(values(np.array(cands))):
-            if cand_val > cur_val[r]:
-                cur[r], cur_val[r] = cands[r], cand_val
-            else:
-                step[r] *= 0.5
-    for r in range(refined):
-        if cur_val[r] > best_val:
-            best_val, best_f = cur_val[r], cur[r]
-    return best_val, best_f, scanned + refined * steps
+    linearise = _linearisation(op)
+    if linearise is None or budget < 1:
+        return top[0][0], top[0][2], scanned
+    # each row ends at or above its start, so the first best row wins
+    vals, fs, apps = _boyd(out_norms, linearise, w, sigma, p, np.array([t[2] for t in top[:budget]]))
+    best = int(np.argmax(vals))
+    return vals[best], fs[best], scanned + apps
 
 
 def norm_lp_lower(
@@ -343,47 +325,31 @@ def norm_lp_lower(
     p: float,
     budget: int = 8,
     seed: int = 0,
-    steps: int = 50,
     random_starts: int = 32,
 ) -> NormEstimate:
     """Certified lower bound for ||f -> T(sigma f)|| from L^p(sigma) to L^p(w).
 
-    Scans the start stream: the p = 2 spectral witness of the linear part
-    (norm_p2), seeded random starts g and |g|, then one Boyd iterate (see
-    _boyd) of the linear part from the spectral witness, or from the best
-    scanned start when the spectral solve does not converge.  Every start is
-    scored on the operator itself; a truncation dominates |S f|, so it scores
-    at least the linear ratio.  Then ascent-refines the `budget` best scans
-    with multiplicative and additive perturbations, halving the step on
-    non-improvement.  Larger budgets refine supersets, so the estimate is
-    monotone in the budget.  `iterations` counts the evaluations and the
-    Boyd iteration's row applications of the linear part.  Raises ValueError
-    when there is no start: no spectral witness and random_starts < 1.
+    Scores the p = 2 spectral witness of the linear part (norm_p2) and
+    seeded random starts g and |g| on the operator itself, then runs Boyd's
+    iteration (_boyd) from the `budget` best, linearised at each iterate: a
+    shift truncation by the cutoff each cell selects (other sublinear
+    operators are not refined).  A refined row never falls below its start
+    and larger budgets refine supersets, so the estimate is monotone in the
+    budget.  `iterations` counts scored starts and Boyd's row applications.
+    Raises ValueError when there is no start: no spectral witness and
+    random_starts < 1.
     """
     require_weight(w)
     require_weight(sigma, "sigma")
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, infinity)")
-    linear = _linear_part(op)
-    boyd_apps = 0
-
-    def starts(best):
-        nonlocal boyd_apps
-        spectral = _spectral_start(linear, w, sigma)
-        if spectral is not None:
-            yield spectral
-        yield from _random_blocks(w.grid, seed, random_starts)
-        boyd_from = spectral if spectral is not None else best()
-        if linear is not None and boyd_from is not None:
-            block, boyd_apps = _boyd(linear, w, sigma, p, boyd_from)
-            yield block
-
-    best_val, best_f, evals = _search(
-        _lp_norms, op, w, sigma, p, seed, budget, steps, starts
+    starts = itertools.chain(
+        _spectral_start(op, w, sigma), _random_blocks(w.grid, seed, random_starts)
     )
+    best_val, best_f, apps = _search(_lp_norms, op, w, sigma, p, budget, starts)
     fnorm = _lp_norms(best_f[None], sigma, p)[0]
     witness = StepFunction(w.grid, best_f / fnorm if fnorm > 0 else best_f)
-    return NormEstimate(best_val, "search", witness, p, evals + boyd_apps)
+    return NormEstimate(best_val, "search", witness, p, apps)
 
 
 def _weak_functionals(block: np.ndarray, w: StepFunction, p: float) -> list[float]:
@@ -404,30 +370,28 @@ def weak_norm_estimate(
     p: float,
     seed: int = 0,
     budget: int = 4,
-    steps: int = 30,
     random_starts: int = 16,
 ) -> float:
     """Lower estimate of the L^p(sigma) -> weak-L^p(w) norm.
 
     Thresholds are scanned over the finite set of output magnitudes.  The
-    search is the strong one's loop and ascent on a start stream of every
-    cube indicator (coarsest level first, Z-order within a level), the p = 2
-    spectral witness of the linear part and the seeded random starts g and
-    |g|; the weak value never exceeds the strong one on shared witnesses.
+    search is the strong one's scan and Boyd refinement, scored by the weak
+    functional, on a start stream of every cube indicator (coarsest level
+    first, Z-order within a level), the p = 2 spectral witness of the linear
+    part and the seeded random starts g and |g|; at p = 1, where Boyd's
+    duality map is undefined, the starts are not refined.  The weak value
+    never exceeds the strong one on shared witnesses.
     """
     require_weight(w)
     require_weight(sigma, "sigma")
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
-
-    def starts(best):
-        yield from _indicator_blocks(w.grid)
-        spectral = _spectral_start(_linear_part(op), w, sigma)
-        if spectral is not None:
-            yield spectral
-        yield from _random_blocks(w.grid, seed, random_starts)
-
-    return _search(_weak_functionals, op, w, sigma, p, seed, budget, steps, starts)[0]
+    starts = itertools.chain(
+        _indicator_blocks(w.grid),
+        _spectral_start(op, w, sigma),
+        _random_blocks(w.grid, seed, random_starts),
+    )
+    return _search(_weak_functionals, op, w, sigma, p, budget if p > 1.0 else 0, starts)[0]
 
 
 # -- sharpness sweep --------------------------------------------------------

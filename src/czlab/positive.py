@@ -9,7 +9,6 @@ counting function has bounded exponential moments.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ from .dyadics import (
     StepFunction,
     _level_sums,
     level_integrals,
-    lp_norm,
     repeat_to_cells,
     require_weight,
 )
@@ -190,16 +188,10 @@ def sawyer_testing(
     w: StepFunction,
     sigma: StepFunction,
     p: float,
-    testing_input: str = "weight",
-    search_budget: int = 16,
-    seed: int = 0,
 ) -> TestingConstant:
-    """Dual testing constant with exponent p' = p/(p-1).
-
-    Default mode feeds w into the R-localized operator:
+    """Dual testing constant with exponent p' = p/(p-1): w fed into the
+    R-localized operator,
     sup_R w(R)^(-1/p') || sum_{Q subset R} tau_Q avg_Q(w) 1_Q ||_{L^p'(sigma)}.
-    testing_input="sup" replaces the fixed input by a budgeted search over
-    normalized inputs (comparison mode, not the default).
     """
     require_weight(w)
     require_weight(sigma, "sigma")
@@ -208,35 +200,8 @@ def sawyer_testing(
     grid = tau.grid
     if w.grid != grid or sigma.grid != grid:
         raise GridMismatchError("weights must live on the operator's grid")
-    pprime = p / (p - 1.0)
-    if testing_input == "sup":
-        return _sawyer_testing_sup(tau, w, sigma, pprime, search_budget, seed)
-    if testing_input != "weight":
-        raise ValueError("testing_input must be 'weight' or 'sup'")
-    ratios = _testing_ratios(tau, w, sigma, level_integrals(w), pprime)
+    ratios = _testing_ratios(tau, w, sigma, level_integrals(w), p / (p - 1.0))
     return TestingConstant(*_sup_over_cubes(grid, ratios))
-
-
-def _sawyer_testing_sup(tau, w, sigma, pprime, budget, seed):
-    """Comparison reading: supremum over normalized inputs f of the localized
-    operator, approximated by the weight itself, the constant, indicator
-    starts and seeded random inputs (all non-negative)."""
-    grid = tau.grid
-    rng = np.random.default_rng(seed)
-    wints = level_integrals(w)
-    starts = itertools.chain(
-        (w, StepFunction.constant(grid, 1.0)),
-        (StepFunction.indicator(Q) for Q in grid.all_cubes()),
-        (StepFunction(grid, np.abs(rng.standard_normal(grid.cells))) for _ in range(budget)),
-    )
-    best = -math.inf
-    witness = None
-    for f in starts:
-        top, top_Q = _sup_over_cubes(grid, _testing_ratios(tau, f, sigma, wints, pprime))
-        value = top / lp_norm(f, pprime, sigma)
-        if value > best:
-            best, witness = value, top_Q
-    return TestingConstant(best, witness)
 
 
 def strong_norm_bound(

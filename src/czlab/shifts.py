@@ -238,19 +238,33 @@ class HaarShift:
             raise GridMismatchError(
                 f"expected cell values of shape ({cells},) or (K, {cells}), got {vals.shape}"
             )
-        block = vals.reshape(-1, cells)
         plan = self._plan
         if plan is None:
             return np.zeros(vals.shape)
-        # cap the largest intermediate, K x rows x 2^d floats, per chunk of rows
-        step = max(1, _BLOCK_BYTES // (8 * plan.gather.size))
-        if block.shape[0] <= step:
-            out = plan.run(block, truncate)
-        else:
-            out = np.concatenate(
-                [plan.run(block[k : k + step], truncate) for k in range(0, block.shape[0], step)]
-            )
+        out = self._chunked(lambda b: plan.run(b, truncate), vals.reshape(-1, cells))
         return out.reshape(vals.shape)
+
+    def _chunked(self, fn, *blocks):
+        """fn over row chunks of the blocks, outputs concatenated: the chunks
+        cap the kernel's largest intermediate, K x rows x 2^d floats."""
+        step = max(1, _BLOCK_BYTES // (8 * self._plan.gather.size))
+        if blocks[0].shape[0] <= step:
+            return fn(*blocks)
+        parts = [fn(*(b[k : k + step] for b in blocks)) for k in range(0, blocks[0].shape[0], step)]
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(col) for col in zip(*parts))
+        return np.concatenate(parts)
+
+    def _selected(self, block):
+        """The truncation of each row f of a (K, cells) block and adjoint(u,
+        rows), the transpose of the maps L selected at those rows: L g is g's
+        partial sum through f's maximising cutoff, with that sum's sign, so
+        |L g| <= truncation(g) and L f = truncation(f)."""
+        plan = self._plan
+        if plan is None:
+            return np.zeros(block.shape), lambda u, rows: np.zeros(u.shape)
+        out, level, sign = self._chunked(lambda b: plan.run(b, True, select=True), block)
+        return out, lambda u, rows: self._chunked(plan.selected_adjoint, level[rows], sign[rows], u)
 
     def adjoint(self) -> "HaarShift":
         """Transpose with respect to the unweighted L^2 pairing."""
@@ -326,12 +340,13 @@ class _KernelPlan(NamedTuple):
 
     The row arrays are child-major: entry [i, r] belongs to child i of row r.
     `gather` indexes the integrals over the cubes of levels `top`..N and
-    `scatter` (flattened) the flat per-cube outputs of the output levels,
-    both laid out coarsest level first; `scale` is each row's 1/|Q|.  Each
+    `scatter` the flat per-cube outputs of the output levels, both laid out
+    coarsest level first; `scale` is each row's 1/|Q|.  Each
     output level has a (start, stop, parent) entry in `outputs`: its slice
     of the flat outputs, and for every cube the index of its ancestor at the
     previous output level (None at the first).  `to_cells` maps the finest
-    output level onto the cells (None when it is the cell level).
+    output level onto the cells (None when it is the cell level), and
+    `cell_index[j]` each cell to its cube's slot in output level j.
     """
 
     grid: GridSpec
@@ -343,6 +358,7 @@ class _KernelPlan(NamedTuple):
     h_out: np.ndarray
     outputs: tuple
     to_cells: np.ndarray | None
+    cell_index: np.ndarray
 
     @classmethod
     def build(cls, S: HaarShift) -> "_KernelPlan":
@@ -373,45 +389,85 @@ class _KernelPlan(NamedTuple):
             np.concatenate(
                 [np.full(len(lv.h_in), float(1 << (d * level))) for level, lv in levels]
             ),
-            child_major([lv.out_idx + out_start[j] for j, (_, lv) in enumerate(levels)]).ravel(),
+            child_major([lv.out_idx + out_start[j] for j, (_, lv) in enumerate(levels)]),
             child_major([lv.h_out for _, lv in levels]),
             outputs,
             ancestors(grid.N, grid.N - out_levels[-1]) if out_levels[-1] < grid.N else None,
+            np.array([ancestors(grid.N, grid.N - L) + out_start[j] for j, L in enumerate(out_levels)]),
         )
 
-    def run(self, block: np.ndarray, truncate: bool) -> np.ndarray:
+    def _rows(self, values, take, h_take, put, h_put, size):
+        """Each row of `values` read at `take`, weighed by h_take, summed over
+        children, scaled by 1/|Q|, weighed by h_put and added in order onto
+        `size` bins at `put` (a bin is one child's: its terms arrive in row
+        order)."""
+        K = values.shape[0]
+        terms = values.take(take, axis=1)
+        terms *= h_take
+        coef = _child_sum(list(terms.transpose(1, 0, 2)))
+        coef *= self.scale
+        return np.bincount(
+            (put + size * np.arange(K)[:, None, None]).ravel(),
+            weights=(coef[:, None, :] * h_put).ravel(),
+            minlength=K * size,
+        ).reshape(K, size)
+
+    def run(self, block: np.ndarray, truncate: bool, select: bool = False):
         """apply (or truncation) of every row of a (K, cells) block.
 
         Row i equals the one-row result bit for bit: every sum below adds
         the same terms in the same order as the per-level formulas do.
+        `select` (with truncate) adds, per cell, the index into `outputs` of
+        the first level attaining the max, and the sign of its partial sum.
         """
-        K = block.shape[0]
         pyramid = np.concatenate(_level_sums(self.grid, block, self.top), axis=-1)
-        terms = pyramid.take(self.gather, axis=1)
-        terms *= self.h_in
-        coef = _child_sum(list(terms.transpose(1, 0, 2)))
-        coef *= self.scale  # the 1/|Q| factor
-        size = self.outputs[-1][1]
-        # in-order per-bin sums: an output cube is child i of its Q', so all
-        # its terms sit in child row i, in row order
-        contrib = np.bincount(
-            (self.scatter + size * np.arange(K)[:, None]).ravel(),
-            weights=(coef[:, None, :] * self.h_out).ravel(),
-            minlength=K * size,
-        ).reshape(K, size)
+        contrib = self._rows(
+            pyramid, self.gather, self.h_in, self.scatter, self.h_out, self.outputs[-1][1]
+        )
         # coarse to fine: carry the running partial sum (and the running max
         # of its modulus) down to each output level and add that level's terms
-        acc = best = None
-        for start, stop, parent in self.outputs:
+        acc = best = level = pick = None  # pick: the partial sum attaining best
+        for j, (start, stop, parent) in enumerate(self.outputs):
             if parent is None:
                 acc = contrib[:, start:stop] + 0.0
-                best = np.abs(acc) if truncate else None
+                if truncate:
+                    best = np.abs(acc)
+                    level, pick = np.zeros(acc.shape, dtype=int), acc
             else:
                 acc = acc.take(parent, axis=1) + contrib[:, start:stop]
                 if truncate:
-                    best = np.maximum(best.take(parent, axis=1), np.abs(acc))
-        out = best if truncate else acc
-        return out if self.to_cells is None else out.take(self.to_cells, axis=1)
+                    above, best = np.abs(acc), best.take(parent, axis=1)
+                    if select:
+                        new = above > best
+                        level = np.where(new, j, level.take(parent, axis=1))
+                        pick = np.where(new, acc, pick.take(parent, axis=1))
+                    best = np.maximum(best, above)
+        picked = [best if truncate else acc] + ([level, np.sign(pick)] if select else [])
+        if self.to_cells is not None:
+            picked = [a.take(self.to_cells, axis=1) for a in picked]
+        return tuple(picked) if select else picked[0]
+
+    def selected_adjoint(self, level, sign, block: np.ndarray) -> np.ndarray:
+        """L^t u for each row u of a (K, cells) block, where L g = sign times
+        g's partial sum through output level `level`, cell by cell (run's
+        selection).  The signed integrals of u, binned at the selected
+        levels and suffix-summed from fine to coarse, go back through the
+        rows onto the input cubes, which are carried down to the cells."""
+        d, N, K = self.grid.d, self.grid.N, block.shape[0]
+        size = self.outputs[-1][1]
+        masked = np.bincount(
+            (self.cell_index[level, np.arange(block.shape[1])] + size * np.arange(K)[:, None]).ravel(),
+            weights=(sign * block * self.grid.cell_volume).ravel(),
+            minlength=K * size,
+        ).reshape(K, size)
+        for (start, stop, _), (lo, hi, _) in zip(self.outputs[-2::-1], self.outputs[:0:-1]):
+            masked[:, start:stop] += masked[:, lo:hi].reshape(K, stop - start, -1).sum(axis=-1)
+        sizes = [1 << (d * L) for L in range(self.top, N + 1)]
+        values = self._rows(masked, self.scatter, self.h_out, self.gather, self.h_in, sum(sizes))
+        out = values[:, : sizes[0]]
+        for start, n in zip(np.cumsum(sizes[:-1]).tolist(), sizes[1:]):
+            out = np.repeat(out, 1 << d, axis=1) + values[:, start : start + n]
+        return out
 
 
 # -- constructors ---------------------------------------------------------

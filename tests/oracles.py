@@ -325,9 +325,9 @@ def loop_level_integrals(values: np.ndarray, grid: GridSpec) -> list[np.ndarray]
     return sums
 
 
-def _loop_level_outputs(S, values: np.ndarray):
-    """Per-Q-level (Q level, output level, per-output-cube constants)."""
-    ints = loop_level_integrals(values, S.grid)
+def _loop_level_outputs(S, ints):
+    """Per-Q-level (Q level, output level, per-output-cube constants), from
+    the integrals `ints` of the input over the cubes of each level."""
     d = S.grid.d
     out = []
     for level, lv in S.levels.items():
@@ -350,14 +350,17 @@ def _to_cells(grid: GridSpec, arr: np.ndarray, level: int) -> np.ndarray:
 def loop_apply(S, values: np.ndarray) -> np.ndarray:
     """S applied to one vector of cell values, level by level."""
     acc = np.zeros(S.grid.cells)
-    for _, out_level, contrib in _loop_level_outputs(S, values):
+    for _, out_level, contrib in _loop_level_outputs(S, loop_level_integrals(values, S.grid)):
         acc += _to_cells(S.grid, contrib, out_level)
     return acc
 
 
 def loop_truncation(S, values: np.ndarray) -> np.ndarray:
     """Maximal truncation of one vector: running max over every cutoff level."""
-    outputs = {level: (out_level, c) for level, out_level, c in _loop_level_outputs(S, values)}
+    outputs = {
+        level: (out_level, c)
+        for level, out_level, c in _loop_level_outputs(S, loop_level_integrals(values, S.grid))
+    }
     acc = np.zeros(S.grid.cells)
     best = np.zeros(S.grid.cells)
     for level in range(S.grid.N + 1):
@@ -366,6 +369,65 @@ def loop_truncation(S, values: np.ndarray) -> np.ndarray:
             acc = acc + _to_cells(S.grid, contrib, out_level)
         np.maximum(best, np.abs(acc), out=best)
     return best
+
+
+def loop_selection(S, values: np.ndarray):
+    """The maximal truncation of one vector with its selection per cell:
+    the index (in S.levels order) of the first level whose partial sum
+    attains the maximal modulus, and that sum's sign."""
+    acc = best = level = sign = None
+    outputs = _loop_level_outputs(S, loop_level_integrals(values, S.grid))
+    for j, (_, out_level, contrib) in enumerate(outputs):
+        here = _to_cells(S.grid, contrib, out_level)
+        if j == 0:
+            acc = here + 0.0
+            best, level, sign = np.abs(acc), np.zeros(acc.size, dtype=int), np.sign(acc)
+            continue
+        acc = acc + here
+        new = np.abs(acc) > best
+        level = np.where(new, j, level)
+        sign = np.where(new, np.sign(acc), sign)
+        best = np.maximum(best, np.abs(acc))
+    if acc is None:
+        return np.zeros(S.grid.cells), None, None
+    return best, level, sign
+
+
+def loop_selected_adjoint(S, level, sign, u: np.ndarray) -> np.ndarray:
+    """Transpose of the map L g = sign * (partial sum of g through S.levels
+    entry `level`) at one vector u, level by level: each output level's
+    cubes take the sign-masked integrals of u over the cells that selected
+    it or a finer level, then go through the adjoint's per-level terms."""
+    grid, d = S.grid, S.grid.d
+    if level is None:
+        return np.zeros(grid.cells)
+    out_levels = [lvl + S.m + 1 for lvl in S.levels]
+    v = sign * u * grid.cell_volume
+    ints = [None] * (grid.N + 1)
+    finer = None
+    for j in range(len(out_levels) - 1, -1, -1):
+        L = out_levels[j]
+        mine = level == j
+        ints[L] = np.bincount(  # float, as the kernel's bins, even when no cell selected L
+            np.arange(grid.cells)[mine] >> (d * (grid.N - L)), weights=v[mine], minlength=1 << (d * L)
+        ).astype(float)
+        if finer is not None:
+            ints[L] += finer.reshape(1 << (d * L), -1).sum(axis=1)
+        finer = ints[L]
+    acc = np.zeros(grid.cells)
+    for _, out_level, contrib in _loop_level_outputs(S.adjoint(), ints):
+        acc += _to_cells(grid, contrib, out_level)
+    return acc
+
+
+def dense_selected_map(S, level, sign) -> np.ndarray:
+    """Row x of the dense map L: sign[x] times row x of the partial-sum
+    matrix through S.levels entry level[x], summed from the dense per-level
+    kernel matrices."""
+    per_level = dense_shift_matrix_by_level(S)
+    partial = np.cumsum([per_level[k] for k in sorted(per_level)], axis=0)
+    cells = np.arange(S.grid.cells)
+    return sign[:, None] * partial[level, cells]
 
 
 def loop_lp_norm(vals, weight: StepFunction, p: float) -> float:
@@ -395,51 +457,46 @@ def rowwise(apply1):
     return apply
 
 
-def loop_boyd(apply1, adjoint1, w, sigma, p, f):
-    """Boyd's p-norm power iteration one vector at a time: y = T(sigma f),
-    z = T^t(w sign(y)|y|^(p-1)), f <- sign(z)|z|^(p'-1) normalised in
-    L^p(sigma), with y and z scaled by their largest magnitude before the
-    power.  Stops when y or z vanishes, when ||y||_{L^p(w)} gains less than
-    1e-8 relative, or after 100 steps; returns (last iterate, applications of
-    T and T^t)."""
+def loop_boyd(out_norm, linearise1, w, sigma, p, f):
+    """Boyd's p-norm power iteration one vector at a time.  linearise1(x)
+    gives T x and the adjoint of T's linear map at x; the step is y =
+    T(sigma f), z = L^t(w sign(y)|y|^(p-1)), f <- sign(z)|z|^(p'-1), with y
+    and z scaled by their largest magnitude before the power.  Every
+    iterate, f included, is scored by loop_ratio; stops when the score gains
+    less than 1e-5 relative (z = 0 gives f = 0, scored 0) or at the 100th
+    score.
+    Returns (best score, iterate attaining it, applications of T and L^t)."""
     pprime = p / (p - 1.0)
-    f = f / loop_lp_norm(f, sigma, p)
-    prev, apps = 0.0, 0
-    for _ in range(100):
-        y = apply1(sigma.values * f)
+    best, best_f, prev, apps = -np.inf, f, 0.0, 0
+    for step in range(100):
+        y, adjoint1 = linearise1(sigma.values * f)
         apps += 1
-        ratio = loop_lp_norm(y, w, p)
-        if ratio <= prev * (1.0 + 1e-8):  # also y = 0, where the ratio is 0
+        val = loop_ratio(lambda x: y, w, sigma, p, f, out_norm)
+        if val > best:
+            best, best_f = val, f
+        if step == 99 or not val > prev * (1.0 + 1e-5):
             break
-        prev = ratio
+        prev = val
         ymax = float(np.max(np.abs(y)))
         z = adjoint1(w.values * np.sign(y) * (np.abs(y) / ymax) ** (p - 1.0))
         apps += 1
-        zmax = float(np.max(np.abs(z)))
-        if zmax == 0.0:
-            break
+        zmax = float(np.max(np.abs(z))) or 1.0
         f = np.sign(z) * (np.abs(z) / zmax) ** (pprime - 1.0)
-        f = f / loop_lp_norm(f, sigma, p)
-    return f, apps
+    return best, best_f, apps
 
 
-def loop_search(out_norm, apply1, linear, w, sigma, p, seed, budget, steps, random_starts,
+def loop_search(out_norm, apply1, linear, linearise1, w, sigma, p, seed, budget, random_starts,
                 strong=False):
-    """Scan every start, keep them all, sort, then ascent-refine the `budget`
-    best one after the other.  `linear` is (apply1, adjoint1) of the linear
-    part or None; returns (value, input, evaluations).  The weak stream is
-    every cube indicator, the spectral start and the random starts; the
-    strong stream (`strong`) is the spectral start, the random starts and one
-    Boyd iterate (loop_boyd) from the spectral start, or from the best
-    scanned start without one, and its evaluations also count Boyd's
-    applications.  The spectral start is the library's norm_p2 witness for
-    the row-by-row linear part: this oracle checks the scan, the Boyd loop
-    and the ascent, not the spectral solve."""
+    """Scan every start, keep them all, sort, then Boyd-refine (loop_boyd)
+    the `budget` best one after the other.  `linear` is (apply1, adjoint1)
+    of the linear part or None, `linearise1` as in loop_boyd or None (no
+    refinement); returns (value, input, scored starts plus Boyd's
+    applications).  The strong stream (`strong`) is the spectral start and
+    the random starts; the weak one puts every cube indicator first and is
+    not refined at p = 1.  The spectral start is the library's norm_p2
+    witness for the row-by-row linear part: this oracle checks the scan and
+    the Boyd loop, not the spectral solve."""
     grid = w.grid
-
-    def value(fv):
-        return loop_ratio(apply1, w, sigma, p, fv, out_norm)
-
     spectral = None
     if linear is not None:
         lin = LinearOperator(grid, rowwise(linear[0]), rowwise(linear[1]))
@@ -454,36 +511,18 @@ def loop_search(out_norm, apply1, linear, w, sigma, p, seed, budget, steps, rand
     for _ in range(random_starts):
         g = rng.standard_normal(grid.cells)
         starts += [g, np.abs(g)]
-    scanned = [(value(fv), idx, fv) for idx, fv in enumerate(starts)]
-    boyd_apps = 0
-    if strong and linear is not None and scanned:
-        boyd_from = spectral if spectral is not None else min(
-            scanned, key=lambda rec: (-rec[0], rec[1])
-        )[2]
-        fv, boyd_apps = loop_boyd(linear[0], linear[1], w, sigma, p, boyd_from)
-        scanned.append((value(fv), len(scanned), fv))
+    scanned = [(loop_ratio(apply1, w, sigma, p, fv, out_norm), idx, fv) for idx, fv in enumerate(starts)]
     scanned.sort(key=lambda rec: (-rec[0], rec[1]))
     best_val, _, best_f = scanned[0]
-    refined = max(0, min(budget, len(scanned)))
-    for rank in range(refined):
-        val, idx, fv = scanned[rank]
-        rng = np.random.default_rng([seed, 2, idx])
-        cur, cur_val, step = fv.astype(float), val, 0.5
-        for it in range(steps):
-            noise = rng.standard_normal(cur.size)
-            if it % 2 == 0:
-                cand = cur * np.exp(step * noise)
-            else:
-                scale = float(np.max(np.abs(cur))) or 1.0
-                cand = cur + step * scale * noise
-            cand_val = value(cand)
-            if cand_val > cur_val:
-                cur, cur_val = cand, cand_val
-            else:
-                step *= 0.5
-        if cur_val > best_val:
-            best_val, best_f = cur_val, cur
-    return best_val, best_f, len(scanned) + refined * steps + boyd_apps
+    apps = len(scanned)
+    if linearise1 is None or not (strong or p > 1.0):
+        return best_val, best_f, apps
+    for _, _, fv in scanned[:budget]:
+        val, f, used = loop_boyd(out_norm, linearise1, w, sigma, p, fv)
+        apps += used
+        if val > best_val:
+            best_val, best_f = val, f
+    return best_val, best_f, apps
 
 
 def brute_toroidal_gap(fmask: np.ndarray, gmask: np.ndarray) -> int:

@@ -302,13 +302,13 @@ def test_criterion_7_maximal_function_bound():
     )
 
 
-# Criterion 8's weak estimates for kappa = 1..4 to 17 significant digits:
-# the weak search keeps its cube-indicator stream, so they stay fixed.
+# Criterion 8's weak estimates for kappa = 1..4 to 17 significant digits,
+# from the cube-indicator stream refined by Boyd's iteration.
 PINNED_WEAK = [
-    "1.1836430119152612",
+    "1.183643011915261",
     "1.0976592956333564",
     "1.0901520218987935",
-    "1.0826960930206444",
+    "1.0826960930206442",
 ]
 
 

@@ -42,6 +42,8 @@ from oracles import (
     loop_apply,
     loop_lp_norm,
     loop_search,
+    loop_selected_adjoint,
+    loop_selection,
     loop_truncation,
     loop_weak_functional,
     matrix_of,
@@ -151,6 +153,59 @@ class TestBlockKernel:
             for i, x in enumerate(X):
                 assert bits(out[i]) == bits(loop(S, x))
 
+    @settings(max_examples=80, deadline=None)
+    @given(shift_cases())
+    def test_selection_rows_match_loop_kernel(self, case):
+        S, X = case
+        U = X[::-1] * 3.0
+        out, adjoint = S._selected(X)
+        Z = adjoint(U, slice(None))
+        for i, x in enumerate(X):
+            want, level, sign = loop_selection(S, x)
+            assert bits(out[i]) == bits(want) == bits(loop_truncation(S, x))
+            assert bits(Z[i]) == bits(loop_selected_adjoint(S, level, sign, U[i]))
+        if len(X) > 1:  # a subset of rows pairs with those rows' maps
+            assert bits(adjoint(U[1:], np.arange(1, len(X)))) == bits(Z[1:])
+
+    @pytest.mark.parametrize(
+        "kind,d,N,m,n",
+        [
+            ("random", 1, 6, 2, 0),
+            ("random", 1, 6, 0, 3),
+            ("noncancellative", 1, 5, 1, 2),
+            ("random", 2, 3, 1, 0),
+            ("noncancellative", 2, 3, 0, 1),
+            ("json", 2, 3, 1, 1),
+            ("paraproduct", 1, 5, 0, 0),
+            ("paraproduct", 2, 3, 0, 0),
+            ("petermichl", 1, 6, 1, 0),
+            ("random", 1, 4, 4, 0),  # no level has room: the empty shift
+        ],
+    )
+    def test_selected_adjoint_is_the_dense_transpose(self, kind, d, N, m, n):
+        S = make_shift(kind, d, N, m, n, seed=5)
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((4, S.grid.cells))
+        X[:, ::3] = -0.0
+        X[:, 1::5] = 0.0
+        X[3] = -0.0
+        U = rng.standard_normal((4, S.grid.cells))
+        U[:, 1::4] = -0.0
+        out, adjoint = S._selected(X)
+        Z = adjoint(U, slice(None))
+        if not S.levels:
+            assert bits(out) == bits(Z) == bits(np.zeros(X.shape))
+            return
+        _, level, sign = S._plan.run(X, True, select=True)
+        G = rng.standard_normal(X.shape)
+        trunc = S.truncation(G)
+        for i in range(len(X)):
+            L = oracles.dense_selected_map(S, level[i], sign[i])
+            tol = 1e-12 * max(1.0, np.abs(out[i]).max(), np.abs(Z[i]).max())
+            assert np.abs(L @ X[i] - out[i]).max() <= tol  # L f = truncation(f)
+            assert np.all(np.abs(L @ G[i]) <= trunc[i] * (1 + 1e-12) + 1e-12)
+            assert np.abs(L.T @ U[i] - Z[i]).max() <= tol
+
     def test_empty_shift_gives_zeros(self):
         S = build_random_shift(4, 0, 1, GridSpec(1, 4))  # no level has room
         X = np.ones((2, 16))
@@ -217,11 +272,24 @@ def search_cases(N: int):
     def shift_pair(S):
         return (lambda v: loop_apply(S, v), lambda v: loop_apply(S.adjoint(), v))
 
+    def linear(apply1, adjoint1):
+        return lambda v: (apply1(v), adjoint1)
+
+    def selected(v):
+        out, level, sign = loop_selection(P, v)
+        return out, lambda u: loop_selected_adjoint(P, level, sign, u)
+
     return [
-        ("shift", shift_operator(R), shift_pair(R)[0], shift_pair(R)),
-        ("truncation", truncation_operator(P), lambda v: loop_truncation(P, v), shift_pair(P)),
-        ("positive", positive_operator(tau), pos, (pos, pos)),
-        ("hilbert", hilbert_operator(g), hil, (hil, lambda v: -hil(v))),
+        ("shift", shift_operator(R), shift_pair(R)[0], shift_pair(R), linear(*shift_pair(R))),
+        (
+            "truncation",
+            truncation_operator(P),
+            lambda v: loop_truncation(P, v),
+            shift_pair(P),
+            selected,
+        ),
+        ("positive", positive_operator(tau), pos, (pos, pos), linear(pos, pos)),
+        ("hilbert", hilbert_operator(g), hil, (hil, lambda v: -hil(v)), linear(hil, lambda v: -hil(v))),
     ]
 
 
@@ -230,14 +298,15 @@ CASES = [(N, i) for N in (3, 5) for i in range(4)]
 
 def _case(N, i):
     g = GridSpec(1, N)
-    name, op, apply1, linear = search_cases(N)[i]
-    return op, apply1, linear, cascade_weight(g, 10 + N, 0.6), cascade_weight(g, 20 + N, 0.6)
+    name, op, apply1, linear, linearise1 = search_cases(N)[i]
+    w, sigma = cascade_weight(g, 10 + N, 0.6), cascade_weight(g, 20 + N, 0.6)
+    return op, apply1, linear, linearise1, w, sigma
 
 
 class TestBlockSearches:
     @pytest.mark.parametrize("N,i", CASES)
     def test_norm_p2_matches_dense_svd(self, N, i):
-        op, _, linear, w, sigma = _case(N, i)
+        op, _, linear, _, w, sigma = _case(N, i)
         lin = op if isinstance(op, LinearOperator) else op.linear_part
         est = norm_p2(lin, w, sigma)
         T = matrix_of(linear[0], w.grid.cells)
@@ -248,7 +317,7 @@ class TestBlockSearches:
         assert abs(reproduced - est.lower_bound) <= 1e-12 * want
 
     def test_norm_p2_nonconvergence_bracket(self):
-        op, _, linear, w, sigma = _case(5, 0)
+        op, _, linear, _, w, sigma = _case(5, 0)
         with pytest.raises(NonConvergenceError) as info:
             norm_p2(op, w, sigma, max_iter=2)
         lo, hi = info.value.bracket
@@ -258,11 +327,10 @@ class TestBlockSearches:
     @pytest.mark.parametrize("N,i", CASES)
     @pytest.mark.parametrize("p,budget,random_starts", [(1.5, 3, 5), (2.0, 0, 2), (3.0, 4, 20)])
     def test_norm_lp_lower_matches_loop(self, N, i, p, budget, random_starts):
-        op, apply1, linear, w, sigma = _case(N, i)
-        kw = dict(seed=N + i, budget=budget, steps=9, random_starts=random_starts)
-        est = norm_lp_lower(op, w, sigma, p, **kw)
+        op, apply1, linear, linearise1, w, sigma = _case(N, i)
+        est = norm_lp_lower(op, w, sigma, p, seed=N + i, budget=budget, random_starts=random_starts)
         value, f, evals = loop_search(
-            loop_lp_norm, apply1, linear, w, sigma, p, kw["seed"], budget, 9, random_starts,
+            loop_lp_norm, apply1, linear, linearise1, w, sigma, p, N + i, budget, random_starts,
             strong=True,
         )
         fnorm = loop_lp_norm(f, sigma, p)
@@ -272,16 +340,16 @@ class TestBlockSearches:
 
     @pytest.mark.parametrize("N,i", CASES)
     def test_norm_lp_lower_without_spectral_matches_loop(self, N, i, monkeypatch):
-        # with no spectral witness, Boyd starts from the best scanned start
+        # with no spectral witness, the random starts alone are refined
         def fail(*args, **kwargs):
             raise NonConvergenceError("no spectral witness", (0.0, 0.0))
 
         monkeypatch.setattr(normlab, "norm_p2", fail)
         monkeypatch.setattr(oracles, "norm_p2", fail)
-        op, apply1, linear, w, sigma = _case(N, i)
-        est = norm_lp_lower(op, w, sigma, 3.0, seed=i, budget=2, steps=9, random_starts=3)
+        op, apply1, linear, linearise1, w, sigma = _case(N, i)
+        est = norm_lp_lower(op, w, sigma, 3.0, seed=i, budget=2, random_starts=3)
         value, f, evals = loop_search(
-            loop_lp_norm, apply1, linear, w, sigma, 3.0, i, 2, 9, 3, strong=True
+            loop_lp_norm, apply1, linear, linearise1, w, sigma, 3.0, i, 2, 3, strong=True
         )
         assert est.lower_bound == value
         assert bits(est.witness.values) == bits(f / loop_lp_norm(f, sigma, 3.0))
@@ -290,10 +358,29 @@ class TestBlockSearches:
     @pytest.mark.parametrize("N,i", CASES)
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_weak_norm_estimate_matches_loop(self, N, i, p):
-        op, apply1, linear, w, sigma = _case(N, i)
-        got = weak_norm_estimate(op, w, sigma, p, seed=i, budget=2, steps=8, random_starts=3)
-        want = loop_search(loop_weak_functional, apply1, linear, w, sigma, p, i, 2, 8, 3)[0]
+        op, apply1, linear, linearise1, w, sigma = _case(N, i)
+        got = weak_norm_estimate(op, w, sigma, p, seed=i, budget=2, random_starts=3)
+        want = loop_search(
+            loop_weak_functional, apply1, linear, linearise1, w, sigma, p, i, 2, 3
+        )[0]
         assert got == want
+
+    @pytest.mark.parametrize("N,i", CASES)
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_refined_rows_never_fall_below_their_starts(self, N, i, p):
+        op, _, _, _, w, sigma = _case(N, i)
+        starts = np.random.default_rng(N + i).standard_normal((5, w.grid.cells))
+        starts[1] = np.abs(starts[1])
+        def scores(f, out_norms):
+            return normlab._ratios(op.apply(sigma.values * f), f, w, sigma, p, out_norms)
+
+        for out_norms in (normlab._lp_norms, normlab._weak_functionals):
+            after, fs, apps = normlab._boyd(
+                out_norms, normlab._linearisation(op), w, sigma, p, starts
+            )
+            assert all(a >= b for a, b in zip(after, scores(starts, out_norms)))
+            assert after == scores(fs, out_norms)  # each value is its iterate's
+            assert 5 <= apps <= 2 * normlab._BOYD_STEPS * 5
 
 
 # -- toroidal gap ------------------------------------------------------------

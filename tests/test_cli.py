@@ -272,6 +272,55 @@ class TestMainEntry:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "verb,params,field",
+        [
+            ("stopping-audit", {"count": 0}, "params.count must be a positive integer"),
+            ("stopping-audit", {"count": -5}, "params.count must be a positive integer"),
+            ("stopping-audit", {"count": 2.7}, "params.count must be a positive integer"),
+            ("stopping-audit", {"count": True}, "params.count must be a positive integer"),
+            ("sharpness-sweep", {"budget": -1}, "params.budget must be a non-negative integer"),
+            ("sharpness-sweep", {"budget": 2.5}, "params.budget must be a non-negative integer"),
+            ("sharpness-sweep", {"budget": True}, "params.budget must be a non-negative integer"),
+            (
+                "sharpness-sweep",
+                {"random_starts": -3},
+                "params.random_starts must be a non-negative integer",
+            ),
+            (
+                "sharpness-sweep",
+                {"random_starts": 1.5},
+                "params.random_starts must be a non-negative integer",
+            ),
+            (
+                "sharpness-sweep",
+                {"random_starts": False},
+                "params.random_starts must be a non-negative integer",
+            ),
+        ],
+    )
+    def test_exit_two_on_bad_counts(self, tmp_path, capsys, verb, params, field):
+        cfg = {"verb": verb, "grid": {"d": 1, "N": 4}, "seed": 3, "params": params}
+        path = write_config(tmp_path, cfg)
+        assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "pair,cells",
+        [
+            ([0.1, 0.11, 0.5, 0.6], "cells [1, 1) and [4, 5) of 8"),  # f selects no cell
+            ([0.1, 0.6, 0.4, 0.9], "cells [1, 5) and [3, 7) of 8"),  # overlapping supports
+        ],
+    )
+    def test_exit_two_names_the_rounded_hilbert_pair(self, tmp_path, capsys, pair, cells):
+        params = {"count": 4, "pairs": [[0.0, 0.25, 0.5, 0.75], pair]}
+        cfg = {"verb": "hilbert-approx", "grid": {"d": 1, "N": 3}, "seed": 1, "params": params}
+        path = write_config(tmp_path, cfg)
+        assert main(["hilbert-approx", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert f"params.pairs[1] rounds to {cells}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_exit_two_on_missing_file(self, tmp_path):
         assert main(["characteristics", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from czlab.characteristics import _sup_over_cubes
-from czlab.dyadics import GridSpec, StepFunction, level_integrals, lp_norm
+from czlab.dyadics import GridSpec, StepFunction, lp_norm
 from czlab.families import cascade_weight
 from czlab.positive import (
     CubeFamily,
     LAMBDA_FLOOR,
     TauCoefficients,
-    _testing_ratios,
     apply_positive,
     lambda_constant,
     sawyer_testing,
@@ -117,21 +115,6 @@ class TestSawyerTesting:
             p = (1.5, 2.0, 3.0)[seed % 3]
             got = sawyer_testing(tau, w, sigma, p).value
             assert got == pytest.approx(_testing_by_definition(tau, w, sigma, p), rel=1e-10)
-
-    def test_sup_mode_dominates_weight_mode_scaled(self):
-        # the comparison reading with f = w/||w|| is included in the sup scan
-        # (offsets 1 and 6: no indicator or random start reaches this value)
-        g = GridSpec(1, 2)
-        for k, p in ((0, 2.0), (1, 1.5), (6, 2.0)):
-            tau = rand_tau(g, 1100 + k)
-            w = rand_weight(g, 1200 + k)
-            sigma = rand_weight(g, 1300 + k)
-            pprime = p / (p - 1.0)
-            t_weight, _ = _sup_over_cubes(
-                g, _testing_ratios(tau, w, sigma, level_integrals(w), pprime)
-            )
-            sup_t = sawyer_testing(tau, w, sigma, p, testing_input="sup", seed=3)
-            assert sup_t.value >= t_weight / lp_norm(w, pprime, sigma)
 
 
 def _testing_by_definition(tau, w, sigma, p):
