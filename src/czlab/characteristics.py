@@ -49,7 +49,7 @@ class CharacteristicReport:
         return json.dumps(
             {
                 "value": self.value,
-                "witness": {"level": self.witness.level, "coords": list(self.witness.coords)},
+                "witness": self.witness.to_dict(),
                 "p": p,
             },
             separators=(",", ":"),

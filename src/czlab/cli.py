@@ -17,13 +17,14 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, astuple
 
 import numpy as np
 
 from . import __version__
 from .characteristics import ainfty_characteristic, ap_characteristic, dual_weight, joint_ap
 from .config import ConfigError, ExperimentConfig, load_config
-from .dyadics import DyadicCube, GridSpec, StepFunction, _morton_decode
+from .dyadics import GridSpec, StepFunction, _morton_decode, read_cube_values
 from .families import cascade_weight, random_step, weight_from_spec
 from .lerner import lerner_decompose
 from .normlab import SWEEP_CSV_HEADER, sharpness_sweep
@@ -58,14 +59,12 @@ def _write_csv(out_dir: str, name: str, header: str, rows: list[list[str]]) -> s
     return _write_text(out_dir, name, "\n".join(lines) + "\n")
 
 
-def _cube_dict(Q: DyadicCube) -> dict:
-    return {"level": Q.level, "coords": list(Q.coords)}
-
-
-def _x_left(grid: GridSpec) -> np.ndarray:
+def _cell_rows(grid: GridSpec, *columns) -> list[list[str]]:
+    """One CSV row per cell: cell_index, x_left, then the cell's value in each column."""
     # left endpoint of every cell along the first axis, shift applied on the torus
     coord = _morton_decode(np.arange(grid.cells), grid.d, grid.N)[0]
-    return (coord / (1 << grid.N) + grid.shift[0]) % 1.0
+    x_left = (coord / (1 << grid.N) + grid.shift[0]) % 1.0
+    return [[str(i), *map(_fmt, row)] for i, row in enumerate(zip(x_left, *columns))]
 
 
 def _build_operator(grid: GridSpec, spec: dict, default_seed: int | None = None) -> HaarShift:
@@ -84,10 +83,9 @@ def _build_operator(grid: GridSpec, spec: dict, default_seed: int | None = None)
             bool(spec.get("cancellative", True)),
         )
     if kind == "paraproduct":
-        coeffs = {
-            grid.cube(item["cube"]["level"], item["cube"]["coords"]): float(item["a"])
-            for item in spec["coefficients"]
-        }
+        coeffs = read_cube_values(
+            grid, spec.get("coefficients"), "a", "params.operator.coefficients"
+        )
         return build_paraproduct(coeffs, grid)
     raise ConfigError(f"unknown operator kind {kind!r}")
 
@@ -98,6 +96,8 @@ def _load_step_function(path: str, grid: GridSpec) -> StepFunction:
             f = StepFunction.from_json(fh.read())
     except FileNotFoundError as exc:
         raise ConfigError(f"input file not found: {path}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"params.input {path}: {exc}") from exc
     if (f.grid.d, f.grid.N) != (grid.d, grid.N):
         raise ConfigError("input function does not match the configured grid")
     return f
@@ -111,22 +111,21 @@ def _run_characteristics(cfg: ExperimentConfig, out_dir: str):
     w = weight_from_spec(grid, cfg.params.get("weight", {"kind": "constant", "value": 1.0}), cfg.seed)
     p_list = [float(p) for p in cfg.params.get("p", [2.0])]
     mode = cfg.params.get("ainfty_mode", "dyadic")
-    rows = []
-    records = []
+    reports = []
     for p in p_list:
-        rep = ap_characteristic(w, p)
-        rows.append(["ap", _fmt(p), _fmt(rep.value), str(rep.witness.level), str(rep.witness.zindex)])
-        records.append({"quantity": "ap", "p": p, "value": rep.value, "witness": _cube_dict(rep.witness)})
         sigma = dual_weight(w, p)
-        repj = joint_ap(w, sigma, p)
-        rows.append(["joint_ap", _fmt(p), _fmt(repj.value), str(repj.witness.level), str(repj.witness.zindex)])
-        records.append({"quantity": "joint_ap", "p": p, "value": repj.value, "witness": _cube_dict(repj.witness)})
-        reps = ainfty_characteristic(sigma, mode)
-        rows.append(["ainfty_sigma", _fmt(p), _fmt(reps.value), str(reps.witness.level), str(reps.witness.zindex)])
-        records.append({"quantity": "ainfty_sigma", "p": p, "value": reps.value, "witness": _cube_dict(reps.witness)})
-    repi = ainfty_characteristic(w, mode)
-    rows.append(["ainfty_w", "inf", _fmt(repi.value), str(repi.witness.level), str(repi.witness.zindex)])
-    records.append({"quantity": "ainfty_w", "p": "inf", "value": repi.value, "witness": _cube_dict(repi.witness)})
+        reports.append(("ap", p, ap_characteristic(w, p)))
+        reports.append(("joint_ap", p, joint_ap(w, sigma, p)))
+        reports.append(("ainfty_sigma", p, ainfty_characteristic(sigma, mode)))
+    reports.append(("ainfty_w", math.inf, ainfty_characteristic(w, mode)))
+    rows = [
+        [q, _fmt(p), _fmt(rep.value), str(rep.witness.level), str(rep.witness.zindex)]
+        for q, p, rep in reports
+    ]
+    records = [
+        {"quantity": q, "p": p if p < math.inf else "inf", "value": rep.value, "witness": rep.witness.to_dict()}
+        for q, p, rep in reports
+    ]
     outputs = [
         _write_csv(out_dir, "characteristics.csv", "quantity,p,value,witness_level,witness_zindex", rows)
     ]
@@ -145,10 +144,7 @@ def _run_shift_apply(cfg: ExperimentConfig, out_dir: str):
     S = _build_operator(f.grid, cfg.params.get("operator", {"kind": "petermichl"}), cfg.seed)
     sf = S.apply(f)
     snat = S.truncation(f)
-    rows = [
-        [str(i), _fmt(x), _fmt(a), _fmt(b)]
-        for i, (x, a, b) in enumerate(zip(_x_left(f.grid), sf.values, snat.values))
-    ]
+    rows = _cell_rows(f.grid, sf.values, snat.values)
     outputs = [_write_csv(out_dir, "shift_apply.csv", "cell_index,x_left,sf,snat", rows)]
     if cfg.out_format == "json":
         outputs.append(
@@ -225,13 +221,7 @@ def _run_hilbert_approx(cfg: ExperimentConfig, out_dir: str):
 
 def _build_tau(grid: GridSpec, spec, seed) -> TauCoefficients:
     if isinstance(spec, list):
-        return TauCoefficients(
-            grid,
-            {
-                grid.cube(item["cube"]["level"], item["cube"]["coords"]): float(item["tau"])
-                for item in spec
-            },
-        )
+        return TauCoefficients(grid, read_cube_values(grid, spec, "tau", "params.tau"))
     rng = np.random.default_rng(seed)
     density = float(spec.get("density", 0.5))
     scale = float(spec.get("scale", 1.0))
@@ -258,8 +248,8 @@ def _run_sawyer_test(cfg: ExperimentConfig, out_dir: str):
         "T_p": second.value,
         "proxy": first.value + second.value,
         "witnesses": {
-            "T_pprime": _cube_dict(first.witness),
-            "T_p": _cube_dict(second.witness),
+            "T_pprime": first.witness.to_dict(),
+            "T_p": second.witness.to_dict(),
         },
     }
     outputs = [
@@ -280,10 +270,7 @@ def _run_lerner_decompose(cfg: ExperimentConfig, out_dir: str):
             phi = random_step(grid, cfg.seed, int(spec.get("spikes", 0)))
     dec = lerner_decompose(phi, grid.root())
     outputs = [_write_text(out_dir, "lerner_decompose.json", dec.to_json() + "\n")]
-    rows = [
-        [str(i), _fmt(x), _fmt(r)]
-        for i, (x, r) in enumerate(zip(_x_left(grid), dec.residual.values))
-    ]
+    rows = _cell_rows(grid, dec.residual.values)
     outputs.append(_write_csv(out_dir, "lerner_residual.csv", "cell_index,x_left,residual", rows))
     return outputs, {"c_lerner": dec.empirical_constant(), "generations": len(dec.generations)}
 
@@ -338,24 +325,9 @@ def _run_sharpness_sweep(cfg: ExperimentConfig, out_dir: str):
         budget=budget,
         random_starts=random_starts,
     )
-    csv_rows = [
-        [
-            r.family,
-            r.param,
-            _fmt(r.p),
-            str(r.N),
-            _fmt(r.joint_ap),
-            _fmt(r.ainfty_w),
-            _fmt(r.ainfty_sigma),
-            _fmt(r.norm),
-            _fmt(r.rhs),
-            _fmt(r.ratio),
-            _fmt(r.buckley_rhs),
-        ]
-        for r in rows
-    ]
+    csv_rows = [[_fmt(v) if isinstance(v, float) else str(v) for v in astuple(r)] for r in rows]
     outputs = [_write_csv(out_dir, "sweep.csv", SWEEP_CSV_HEADER, csv_rows)]
-    mirror = [r.__dict__ for r in rows]
+    mirror = [asdict(r) for r in rows]
     outputs.append(
         _write_text(out_dir, "sweep.json", json.dumps(mirror, separators=(",", ":")) + "\n")
     )

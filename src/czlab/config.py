@@ -13,17 +13,6 @@ from typing import Any
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "VERBS"]
 
-VERBS = (
-    "characteristics",
-    "shift-apply",
-    "hilbert-approx",
-    "sawyer-test",
-    "lerner-decompose",
-    "stopping-audit",
-    "sharpness-sweep",
-    "invariant-suite",
-)
-
 # verbs whose outputs depend on pseudo-randomness even with fixed params
 _ALWAYS_RANDOM = {"hilbert-approx", "stopping-audit", "sharpness-sweep", "invariant-suite"}
 
@@ -37,6 +26,8 @@ _PARAM_FIELDS = {
     "sharpness-sweep": {"operators", "p", "N", "budget", "random_starts"},
     "invariant-suite": {"samples"},
 }
+
+VERBS = tuple(_PARAM_FIELDS)
 
 # integer params with their least value (0 or 1)
 _INTEGER_FIELDS = {
@@ -85,9 +76,6 @@ class ExperimentConfig:
         if self.out_path is not None:
             out["output"]["path"] = self.out_path
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str):

@@ -30,6 +30,7 @@ __all__ = [
     "level_averages",
     "repeat_to_cells",
     "require_weight",
+    "read_cube_values",
 ]
 
 # Hard cap on 2^(d*N): keeps every dense per-cell array comfortably in memory.
@@ -124,6 +125,54 @@ class GridSpec:
     def cube_count(self) -> int:
         return sum(1 << (self.d * k) for k in range(self.N + 1))
 
+    # The serialised forms: a grid header {d, N, shift} and a cube {level, coords}.
+
+    def to_dict(self) -> dict:
+        return {"d": self.d, "N": self.N, "shift": list(self.shift)}
+
+    @classmethod
+    def from_dict(cls, obj) -> "GridSpec":
+        """The grid of a header written by to_dict; `shift` may be omitted."""
+        if not isinstance(obj, dict):
+            raise ValueError("grid header must be an object {d, N, shift}")
+        for key in ("d", "N"):
+            if type(obj.get(key)) is not int:  # type(): JSON true is an int to isinstance
+                raise ValueError(f"grid header field {key!r} must be an integer")
+        shift = obj.get("shift", [])
+        if not (isinstance(shift, list) and all(type(s) in (int, float) for s in shift)):
+            raise ValueError("grid header field 'shift' must be a list of numbers")
+        return cls(obj["d"], obj["N"], tuple(shift))
+
+    def cube_from_dict(self, obj) -> "DyadicCube":
+        """The cube of this grid written by DyadicCube.to_dict."""
+        if not isinstance(obj, dict):
+            raise ValueError("cube must be an object {level, coords}")
+        level, coords = obj.get("level"), obj.get("coords")
+        if type(level) is not int:
+            raise ValueError("cube field 'level' must be an integer")
+        if not isinstance(coords, list) or [type(c) for c in coords] != [int] * self.d:
+            raise ValueError(f"cube field 'coords' must be a list of {self.d} integers")
+        return DyadicCube(self, level, tuple(coords))
+
+
+def read_cube_values(grid: GridSpec, items, key: str, where: str) -> dict[DyadicCube, float]:
+    """The table {cube: number} of a coefficient list
+    [{"cube": {level, coords}, key: number}, ...]; a malformed item raises
+    ValueError naming it as where[i]."""
+    form = f'{{"cube": {{level, coords}}, "{key}": number}}'
+    if not isinstance(items, list):
+        raise ValueError(f"{where} must be a list of {form} items")
+    table = {}
+    for i, item in enumerate(items):
+        if not (isinstance(item, dict) and type(item.get(key)) in (int, float)):
+            raise ValueError(f"{where}[{i}] must be an object {form}")
+        try:
+            Q = grid.cube_from_dict(item.get("cube"))
+        except ValueError as exc:
+            raise ValueError(f"{where}[{i}].cube: {exc}") from None
+        table[Q] = float(item[key])
+    return table
+
 
 @dataclass(frozen=True)
 class DyadicCube:
@@ -184,6 +233,9 @@ class DyadicCube:
 
     def parent(self) -> "DyadicCube":
         return ancestor(self, 1)
+
+    def to_dict(self) -> dict:
+        return {"level": self.level, "coords": list(self.coords)}
 
     def child(self, index: int) -> "DyadicCube":
         """Child number `index` in Z-order, 0 <= index < 2^d."""
@@ -297,9 +349,7 @@ class StepFunction:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "d": self.grid.d,
-                "N": self.grid.N,
-                "shift": list(self.grid.shift),
+                **self.grid.to_dict(),
                 "values": self._values.tolist(),
             },
             separators=(",", ":"),
@@ -308,8 +358,11 @@ class StepFunction:
     @classmethod
     def from_json(cls, text: str) -> "StepFunction":
         obj = json.loads(text)
-        grid = GridSpec(int(obj["d"]), int(obj["N"]), tuple(obj.get("shift", ())))
-        return cls(grid, obj["values"])
+        grid = GridSpec.from_dict(obj)
+        values = obj.get("values")
+        if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+            raise ValueError("step function field 'values' must be a list of numbers")
+        return cls(grid, values)
 
     def __repr__(self):
         return f"StepFunction(d={self.grid.d}, N={self.grid.N}, cells={self.grid.cells})"

@@ -145,12 +145,12 @@ class Decomposition:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "q0": {"level": self.base.level, "coords": list(self.base.coords)},
+                "q0": self.base.to_dict(),
                 "median": self.median,
                 "generations": [
                     [
                         {
-                            "cube": {"level": Q.level, "coords": list(Q.coords)},
+                            "cube": Q.to_dict(),
                             "omega_parent": om,
                         }
                         for Q, om in gen

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -396,9 +396,6 @@ def weak_norm_estimate(
 
 # -- sharpness sweep --------------------------------------------------------
 
-SWEEP_CSV_HEADER = "family,param,p,N,joint_ap,ainfty_w,ainfty_sigma,norm,rhs,ratio,buckley_rhs"
-
-
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep configuration with the measured norm and the tested bound."""
@@ -414,6 +411,9 @@ class SweepRow:
     rhs: float
     ratio: float
     buckley_rhs: float
+
+
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def default_weight_family(grid: GridSpec):

@@ -23,6 +23,7 @@ from .dyadics import (
     StepFunction,
     _level_sums,
     level_integrals,
+    read_cube_values,
     repeat_to_cells,
     require_weight,
 )
@@ -78,7 +79,7 @@ class TauCoefficients:
 
     def to_json(self) -> str:
         items = [
-            {"cube": {"level": Q.level, "coords": list(Q.coords)}, "tau": t}
+            {"cube": Q.to_dict(), "tau": t}
             for Q, t in sorted(
                 self.table.items(), key=lambda kv: (kv[0].level, kv[0].zindex)
             )
@@ -87,14 +88,7 @@ class TauCoefficients:
 
     @classmethod
     def from_json(cls, grid: GridSpec, text: str) -> "TauCoefficients":
-        items = json.loads(text)
-        return cls(
-            grid,
-            {
-                grid.cube(it["cube"]["level"], it["cube"]["coords"]): it["tau"]
-                for it in items
-            },
-        )
+        return cls(grid, read_cube_values(grid, json.loads(text), "tau", "tau list"))
 
 
 class CubeFamily:

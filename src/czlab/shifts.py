@@ -281,17 +281,11 @@ class HaarShift:
         for Q, pairs in self.entries.items():
             items.append(
                 {
-                    "cube": {"level": Q.level, "coords": list(Q.coords)},
+                    "cube": Q.to_dict(),
                     "pairs": [
                         {
-                            "rprime": {
-                                "level": h_in.cube.level,
-                                "coords": list(h_in.cube.coords),
-                            },
-                            "qprime": {
-                                "level": h_out.cube.level,
-                                "coords": list(h_out.cube.coords),
-                            },
+                            "rprime": h_in.cube.to_dict(),
+                            "qprime": h_out.cube.to_dict(),
                             "h_vals": list(h_in.child_values),
                             "g_vals": list(h_out.child_values),
                         }
@@ -304,9 +298,7 @@ class HaarShift:
                 "m": self.m,
                 "n": self.n,
                 "cancellative": self.cancellative,
-                "d": self.grid.d,
-                "N": self.grid.N,
-                "shift": list(self.grid.shift),
+                **self.grid.to_dict(),
                 "entries": items,
             },
             separators=(",", ":"),
@@ -315,14 +307,14 @@ class HaarShift:
     @classmethod
     def from_json(cls, text: str) -> "HaarShift":
         obj = json.loads(text)
-        grid = GridSpec(int(obj["d"]), int(obj["N"]), tuple(obj.get("shift", ())))
+        grid = GridSpec.from_dict(obj)
         entries = {}
         for item in obj["entries"]:
-            Q = grid.cube(item["cube"]["level"], item["cube"]["coords"])
+            Q = grid.cube_from_dict(item["cube"])
             pairs = []
             for rec in item["pairs"]:
-                rp = grid.cube(rec["rprime"]["level"], rec["rprime"]["coords"])
-                qp = grid.cube(rec["qprime"]["level"], rec["qprime"]["coords"])
+                rp = grid.cube_from_dict(rec["rprime"])
+                qp = grid.cube_from_dict(rec["qprime"])
                 pairs.append(
                     (_haar_function(rp, rec["h_vals"]), _haar_function(qp, rec["g_vals"]))
                 )

@@ -47,6 +47,11 @@ def stopping_children(w: StepFunction, Q: DyadicCube) -> list[DyadicCube]:
     require_weight(w)
     if Q.grid != w.grid:
         raise GridMismatchError("cube does not belong to the weight's grid")
+    return _children(w, Q)
+
+
+def _children(w: StepFunction, Q: DyadicCube) -> list[DyadicCube]:
+    """stopping_children without the checks of w and Q."""
     mean = level_integrals(w)[Q.level][Q.zindex] * float(1 << (w.grid.d * Q.level))
     threshold = STOPPING_RATIO * mean
     return _maximal_subcubes(Q, w.values[Q.cell_slice], threshold)
@@ -75,17 +80,14 @@ class StoppingFamily:
         )
 
     def smallest_containing(self, Q: DyadicCube) -> DyadicCube:
-        """The deepest stopping cube containing Q, found by forest descent."""
+        """The deepest stopping cube containing Q: its first ancestor (or Q
+        itself) in the family, since the members containing Q form one chain
+        of stopping parents."""
         if not self.root.contains(Q):
             raise ValueError("cube lies outside the stopping root")
-        current = self.root
-        while True:
-            nxt = next(
-                (S for S in self.children_of(current) if S.contains(Q)), None
-            )
-            if nxt is None:
-                return current
-            current = nxt
+        while Q != self.root and Q not in self.parents:
+            Q = Q.parent()
+        return Q
 
     def packing_margins(self) -> dict[DyadicCube, float]:
         """Per-member ratio (sum of stopping-children volumes) / volume."""
@@ -99,14 +101,14 @@ class StoppingFamily:
         index = {Q: i for i, Q in enumerate(cubes)}
         nodes = [
             {
-                "cube": {"level": Q.level, "coords": list(Q.coords)},
+                "cube": Q.to_dict(),
                 "parent": index[self.parents[Q]] if Q in self.parents else None,
             }
             for Q in cubes
         ]
         return json.dumps(
             {
-                "root": {"level": self.root.level, "coords": list(self.root.coords)},
+                "root": self.root.to_dict(),
                 "nodes": nodes,
             },
             separators=(",", ":"),
@@ -119,20 +121,16 @@ def build_stopping_family(w: StepFunction, Q0: DyadicCube) -> StoppingFamily:
     The strict quarter packing bound is asserted for every member before the
     family is returned.
     """
-    require_weight(w)
     parents: dict[DyadicCube, DyadicCube] = {}
-    frontier = [Q0]
-    while frontier:
-        nxt = []
-        for S in frontier:
-            kids = stopping_children(w, S)
+    generation = {Q0: stopping_children(w, Q0)}  # checks w and Q0; _children does not
+    while generation:
+        for S, kids in generation.items():
             total = sum(c.volume for c in kids)
             if not total < PACKING_FRACTION * S.volume:
                 raise AssertionError("packing bound violated by stopping children")
             for c in kids:
                 parents[c] = S
-            nxt.extend(kids)
-        frontier = nxt
+        generation = {c: _children(w, c) for kids in generation.values() for c in kids}
     return StoppingFamily(Q0, w, parents)
 
 

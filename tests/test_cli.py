@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from czlab.cli import main, run
-from czlab.config import ConfigError, parse_config
+from czlab.cli import _VERB_RUNNERS, main, run
+from czlab.config import VERBS, ConfigError, parse_config
 from czlab.dyadics import GridSpec, StepFunction
 
 
@@ -35,6 +35,10 @@ class TestConfigParsing:
         cfg = parse_config(self.base())
         again = parse_config(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
+
+    def test_every_verb_has_one_runner(self):
+        assert len(VERBS) == len(set(VERBS))
+        assert set(_VERB_RUNNERS) == set(VERBS)
 
     def test_unknown_top_level_field_named(self):
         obj = self.base()
@@ -319,6 +323,46 @@ class TestMainEntry:
         path = write_config(tmp_path, cfg)
         assert main(["hilbert-approx", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"params.pairs[1] rounds to {cells}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "tau,field",
+        [
+            ([{"cube": {"level": 0, "coords": [0]}, "tau": 0.5}, {"cube": {"level": 1}, "tau": 1.0}],
+             "params.tau[1].cube"),
+            ([{"cube": {"level": 0, "coords": [0]}}], "params.tau[0]"),
+            ([0.5], "params.tau[0]"),
+        ],
+    )
+    def test_exit_two_on_malformed_tau_list(self, tmp_path, capsys, tau, field):
+        cfg = {"verb": "sawyer-test", "grid": {"d": 1, "N": 3}, "params": {"tau": tau}}
+        path = write_config(tmp_path, cfg)
+        assert main(["sawyer-test", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_exit_two_on_malformed_paraproduct_coefficient(self, tmp_path, capsys):
+        fpath = tmp_path / "f.json"
+        fpath.write_text(StepFunction.constant(GridSpec(1, 3), 1.0).to_json())
+        coefficients = [
+            {"cube": {"level": 0, "coords": [0]}, "a": 0.5},
+            {"cube": {"level": 1, "coords": [1]}},
+        ]
+        operator = {"kind": "paraproduct", "coefficients": coefficients}
+        params = {"input": str(fpath), "operator": operator}
+        cfg = {"verb": "shift-apply", "grid": {"d": 1, "N": 3}, "params": params}
+        path = write_config(tmp_path, cfg)
+        assert main(["shift-apply", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "params.operator.coefficients[1]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_exit_two_on_input_file_without_values(self, tmp_path, capsys):
+        fpath = tmp_path / "f.json"
+        fpath.write_text(json.dumps({"d": 1, "N": 3, "shift": [0.0]}))
+        cfg = {"verb": "lerner-decompose", "grid": {"d": 1, "N": 3}, "params": {"input": str(fpath)}}
+        path = write_config(tmp_path, cfg)
+        assert main(["lerner-decompose", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "params.input" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_exit_two_on_missing_file(self, tmp_path):

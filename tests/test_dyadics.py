@@ -45,6 +45,53 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(1, -1)
 
+    def test_header_and_cube_forms_round_trip(self):
+        grid = GridSpec(2, 3, (0.25, 0.5))
+        assert GridSpec.from_dict(grid.to_dict()) == grid
+        assert GridSpec.from_dict({"d": 2, "N": 3}) == GridSpec(2, 3)
+        Q = grid.cube(2, (3, 1))
+        assert grid.cube_from_dict(Q.to_dict()) == Q
+
+    @pytest.mark.parametrize(
+        "obj,field",
+        [
+            ([1, 3], "object"),
+            ({"N": 3}, "'d'"),
+            ({"d": 1}, "'N'"),
+            ({"d": 1.0, "N": 3}, "'d'"),
+            ({"d": True, "N": 3}, "'d'"),
+            ({"d": 1, "N": "3"}, "'N'"),
+            ({"d": 1, "N": 3, "shift": 0.25}, "'shift'"),
+            ({"d": 1, "N": 3, "shift": ["0.25"]}, "'shift'"),
+            ({"d": 1, "N": 3, "shift": [0.3]}, "multiples"),
+            ({"d": 0, "N": 3}, "dimension"),
+        ],
+    )
+    def test_from_dict_rejects(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            GridSpec.from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "obj,field",
+        [
+            (None, "object"),
+            ([1, [0, 0]], "object"),
+            ({"coords": [0, 0]}, "'level'"),
+            ({"level": 1}, "'coords'"),
+            ({"level": 1.0, "coords": [0, 0]}, "'level'"),
+            ({"level": False, "coords": [0, 0]}, "'level'"),
+            ({"level": 1, "coords": [0]}, "'coords'"),
+            ({"level": 1, "coords": [0, 0, 0]}, "'coords'"),
+            ({"level": 1, "coords": (0, 0)}, "'coords'"),
+            ({"level": 1, "coords": [0, 0.5]}, "'coords'"),
+            ({"level": 4, "coords": [0, 0]}, "outside"),
+            ({"level": 1, "coords": [0, 2]}, "outside"),
+        ],
+    )
+    def test_cube_from_dict_rejects(self, obj, field):
+        with pytest.raises(ValueError, match=field):
+            GridSpec(2, 3).cube_from_dict(obj)
+
     def test_levels_tile_the_root(self):
         # partition: cell slices at each level cover 0..cells disjointly
         for grid in (GridSpec(1, 4), GridSpec(2, 2)):
