@@ -86,7 +86,10 @@ def _build_operator(grid: GridSpec, spec: dict, default_seed: int | None = None)
         coeffs = read_cube_values(
             grid, spec.get("coefficients"), "a", "params.operator.coefficients"
         )
-        return build_paraproduct(coeffs, grid)
+        try:
+            return build_paraproduct(coeffs, grid)
+        except ValueError as exc:
+            raise ConfigError(f"params.operator.coefficients: {exc}") from None
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -265,7 +268,12 @@ def _run_lerner_decompose(cfg: ExperimentConfig, out_dir: str):
     else:
         spec = cfg.params.get("function", {"kind": "random", "spikes": 2})
         if spec["kind"] == "values":
-            phi = StepFunction(grid, spec["values"])
+            values = spec["values"]
+            if len(values) != grid.cells:
+                raise ConfigError(
+                    f"params.function.values must list {grid.cells} cell values, got {len(values)}"
+                )
+            phi = StepFunction(grid, values)
         else:
             phi = random_step(grid, cfg.seed, int(spec.get("spikes", 0)))
     dec = lerner_decompose(phi, grid.root())

@@ -8,6 +8,7 @@ parsed config serializes back to the same structure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -171,6 +172,12 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
             randomized = True
         else:
             _require_keys(spec, {"kind", "values"}, "params.function")
+            values = spec.get("values")
+            if not (
+                isinstance(values, list)
+                and all(type(v) in (int, float) and math.isfinite(v) for v in values)
+            ):
+                raise ConfigError("params.function.values must be a list of finite numbers, one per cell")
     if randomized and seed is None:
         raise ConfigError(f"field 'seed' is mandatory for randomized verb {cfg_verb!r}")
 

@@ -167,6 +167,8 @@ class HaarShift:
                 for arr in levels[level]:
                     arr.setflags(write=False)
                 self.levels[level] = levels[level]
+        if not all(np.isfinite(lv.h_in).all() and np.isfinite(lv.h_out).all() for lv in self.levels.values()):
+            raise ValueError("Haar coefficients must be finite")
         if self.normalization_audit() > 1.0 + _NORMALIZATION_TOL:
             raise ValueError("joint normalization violated: |h_in| |h_out| > 1")
 
@@ -238,22 +240,9 @@ class HaarShift:
             raise GridMismatchError(
                 f"expected cell values of shape ({cells},) or (K, {cells}), got {vals.shape}"
             )
-        plan = self._plan
-        if plan is None:
+        if self._plan is None:
             return np.zeros(vals.shape)
-        out = self._chunked(lambda b: plan.run(b, truncate), vals.reshape(-1, cells))
-        return out.reshape(vals.shape)
-
-    def _chunked(self, fn, *blocks):
-        """fn over row chunks of the blocks, outputs concatenated: the chunks
-        cap the kernel's largest intermediate, K x rows x 2^d floats."""
-        step = max(1, _BLOCK_BYTES // (8 * self._plan.gather.size))
-        if blocks[0].shape[0] <= step:
-            return fn(*blocks)
-        parts = [fn(*(b[k : k + step] for b in blocks)) for k in range(0, blocks[0].shape[0], step)]
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(col) for col in zip(*parts))
-        return np.concatenate(parts)
+        return self._plan.run(vals.reshape(-1, cells), truncate).reshape(vals.shape)
 
     def _selected(self, block):
         """The truncation of each row f of a (K, cells) block and adjoint(u,
@@ -263,8 +252,8 @@ class HaarShift:
         plan = self._plan
         if plan is None:
             return np.zeros(block.shape), lambda u, rows: np.zeros(u.shape)
-        out, level, sign = self._chunked(lambda b: plan.run(b, True, select=True), block)
-        return out, lambda u, rows: self._chunked(plan.selected_adjoint, level[rows], sign[rows], u)
+        out, level, sign = plan.run(block, True, select=True)
+        return out, lambda u, rows: plan.selected_adjoint(level[rows], sign[rows], u)
 
     def adjoint(self) -> "HaarShift":
         """Transpose with respect to the unweighted L^2 pairing."""
@@ -322,8 +311,9 @@ class HaarShift:
         return cls(grid, int(obj["m"]), int(obj["n"]), entries, bool(obj["cancellative"]))
 
 
-# Byte cap on the fused kernel's largest intermediate (K x rows x 2^d floats);
-# larger blocks are applied a chunk of rows at a time.
+# Byte cap on the largest intermediate of the fused kernel's pair pass
+# (block rows x live pairs x 2^d floats); larger blocks take it a chunk of
+# rows at a time.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -388,21 +378,23 @@ class _KernelPlan(NamedTuple):
             np.array([ancestors(grid.N, grid.N - L) + out_start[j] for j, L in enumerate(out_levels)]),
         )
 
-    def _rows(self, values, take, h_take, put, h_put, size):
+    @staticmethod
+    def _rows(values, take, h_take, scale, put, h_put, size):
         """Each row of `values` read at `take`, weighed by h_take, summed over
-        children, scaled by 1/|Q|, weighed by h_put and added in order onto
-        `size` bins at `put` (a bin is one child's: its terms arrive in row
-        order)."""
-        K = values.shape[0]
-        terms = values.take(take, axis=1)
-        terms *= h_take
-        coef = _child_sum(list(terms.transpose(1, 0, 2)))
-        coef *= self.scale
-        return np.bincount(
-            (put + size * np.arange(K)[:, None, None]).ravel(),
-            weights=(coef[:, None, :] * h_put).ravel(),
-            minlength=K * size,
-        ).reshape(K, size)
+        children, scaled by `scale` (1/|Q|), weighed by h_put and added in
+        order onto `size` bins at `put` (a bin is one child's: its terms
+        arrive in coefficient-row order), a chunk of rows of `values` at a
+        time as _BLOCK_BYTES allows."""
+        step = max(1, _BLOCK_BYTES // (8 * take.size or 1))
+        parts = []
+        for k in range(0, max(len(values), 1), step):
+            terms = values[k : k + step].take(take, axis=1)
+            terms *= h_take
+            coef = _child_sum(list(terms.transpose(1, 0, 2))) * scale
+            bins = (put + size * np.arange(len(coef))[:, None, None]).ravel()
+            weights = (coef[:, None, :] * h_put).ravel()
+            parts.append(np.bincount(bins, weights, len(coef) * size).reshape(-1, size))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def run(self, block: np.ndarray, truncate: bool, select: bool = False):
         """apply (or truncation) of every row of a (K, cells) block.
@@ -413,9 +405,13 @@ class _KernelPlan(NamedTuple):
         the first level attaining the max, and the sign of its partial sum.
         """
         pyramid = np.concatenate(_level_sums(self.grid, block, self.top), axis=-1)
-        contrib = self._rows(
-            pyramid, self.gather, self.h_in, self.scatter, self.h_out, self.outputs[-1][1]
-        )
+        # a pair whose integrals are zero in every row adds 0 * h = +-0 (h is
+        # finite) to bins that start at +0, moving none: skip it (NaN is nonzero)
+        pairs = (self.gather, self.h_in, self.scale, self.scatter, self.h_out)
+        if not pyramid.all() and not (live := pyramid.any(axis=0)).all():
+            keep = np.flatnonzero(live[self.gather].any(axis=0))
+            pairs = (a[..., keep] for a in pairs)
+        contrib = self._rows(pyramid, *pairs, self.outputs[-1][1])
         # coarse to fine: carry the running partial sum (and the running max
         # of its modulus) down to each output level and add that level's terms
         acc = best = level = pick = None  # pick: the partial sum attaining best
@@ -455,7 +451,8 @@ class _KernelPlan(NamedTuple):
         for (start, stop, _), (lo, hi, _) in zip(self.outputs[-2::-1], self.outputs[:0:-1]):
             masked[:, start:stop] += masked[:, lo:hi].reshape(K, stop - start, -1).sum(axis=-1)
         sizes = [1 << (d * L) for L in range(self.top, N + 1)]
-        values = self._rows(masked, self.scatter, self.h_out, self.gather, self.h_in, sum(sizes))
+        # not pruned: these sums are mostly nonzero, so slicing costs more than it skips
+        values = self._rows(masked, self.scatter, self.h_out, self.scale, self.gather, self.h_in, sum(sizes))
         out = values[:, : sizes[0]]
         for start, n in zip(np.cumsum(sizes[:-1]).tolist(), sizes[1:]):
             out = np.repeat(out, 1 << d, axis=1) + values[:, start : start + n]

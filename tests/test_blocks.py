@@ -90,6 +90,10 @@ def shift_cases(draw):
     X[rng.random(X.shape) < 0.2] = -0.0
     if K > 1:
         X[1] = 1.0
+    if draw(st.booleans()):  # sparse rows: pairs that read only the zeroed runs are skipped
+        lo, hi = np.sort(rng.integers(0, S.grid.cells + 1, 2))
+        X[:, :lo] = 0.0
+        X[:, hi:] = -0.0
     return S, X
 
 
@@ -152,6 +156,14 @@ class TestBlockKernel:
             out = method(X)
             for i, x in enumerate(X):
                 assert bits(out[i]) == bits(loop(S, x))
+
+    def test_chunked_sparse_block_matches_rows(self, monkeypatch):
+        S = build_random_shift(2, 1, 4, GridSpec(1, 7))
+        X = np.vstack([cube_indicators(S.grid, 5)[:6], cube_indicators(S.grid, 2)[1:3]])
+        # the cap sizes chunks from the live pairs only: one row, then a few
+        for cap in (1, 8 * S._plan.gather.size):
+            monkeypatch.setattr(shifts, "_BLOCK_BYTES", cap)
+            assert_rows_match_loops(S, X)
 
     @settings(max_examples=80, deadline=None)
     @given(shift_cases())
@@ -219,6 +231,70 @@ class TestBlockKernel:
                 S.apply(bad)
         with pytest.raises(ValueError):
             S.truncation(StepFunction.constant(GridSpec(1, 4), 1.0))
+
+
+def cube_indicators(grid: GridSpec, level: int) -> np.ndarray:
+    """The indicator of every cube of `level`, one row per cube in Z-order."""
+    return np.repeat(np.eye(1 << (grid.d * level)), grid.cells >> (grid.d * level), axis=1)
+
+
+def assert_rows_match_loops(S: HaarShift, X: np.ndarray):
+    """apply, truncation, _selected and its adjoint at U = 3 X reversed, row
+    by row against the loop kernels, bit for bit."""
+    A, T = S.apply(X), S.truncation(X)
+    U = X[::-1] * 3.0
+    out, adjoint = S._selected(X)
+    Z = adjoint(U, slice(None))
+    for i, x in enumerate(X):
+        want, level, sign = loop_selection(S, x)
+        assert bits(A[i]) == bits(loop_apply(S, x))
+        assert bits(T[i]) == bits(out[i]) == bits(want) == bits(loop_truncation(S, x))
+        assert bits(Z[i]) == bits(loop_selected_adjoint(S, level, sign, U[i]))
+
+
+class TestPrunedKernel:
+    """Blocks whose rows leave most Haar pairs unread: cube indicators and
+    rows with zero runs, through the kernel that skips those pairs."""
+
+    CASES = [
+        ("random", 1, 6, 2, 0),
+        ("random", 1, 6, 0, 3),
+        ("noncancellative", 1, 5, 1, 2),
+        ("random", 2, 3, 1, 0),
+        ("noncancellative", 2, 3, 0, 1),
+        ("paraproduct", 1, 5, 0, 0),
+        ("paraproduct", 2, 3, 0, 0),
+        ("petermichl", 1, 6, 1, 0),
+    ]
+
+    @staticmethod
+    def shift(kind, d, N, m, n, adjoint):
+        S = make_shift(kind, d, N, m, n, seed=11)
+        return S.adjoint() if adjoint else S
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("kind,d,N,m,n", CASES)
+    def test_indicator_blocks_of_every_level(self, kind, d, N, m, n, adjoint):
+        S = self.shift(kind, d, N, m, n, adjoint)
+        for level in range(N + 1):
+            assert_rows_match_loops(S, cube_indicators(S.grid, level))
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("kind,d,N,m,n", CASES)
+    def test_mixed_blocks(self, kind, d, N, m, n, adjoint):
+        S = self.shift(kind, d, N, m, n, adjoint)
+        g, rng = S.grid, np.random.default_rng(12)
+        dense = rng.standard_normal(g.cells)
+        indicators = [cube_indicators(g, level)[-1] for level in range(N + 1)]
+        assert_rows_match_loops(S, np.vstack([dense] + indicators))
+        runs = rng.standard_normal((5, g.cells))
+        runs[0, : g.cells // 2] = 0.0
+        runs[1, g.cells // 4 :] = -0.0
+        runs[2, ::3] = -0.0
+        runs[3] = -0.0
+        runs[4] = 0.0
+        assert_rows_match_loops(S, runs)
+        assert_rows_match_loops(S, runs[3:])  # no pair is read at all
 
 
 class TestPositiveBlocks:

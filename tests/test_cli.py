@@ -356,6 +356,34 @@ class TestMainEntry:
         assert "params.operator.coefficients[1]" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
+    def test_exit_two_on_non_finite_paraproduct_coefficient(self, tmp_path, capsys):
+        fpath = tmp_path / "f.json"
+        fpath.write_text(StepFunction.constant(GridSpec(1, 3), 1.0).to_json())
+        coefficients = [{"cube": {"level": 1, "coords": [1]}, "a": float("nan")}]
+        operator = {"kind": "paraproduct", "coefficients": coefficients}
+        params = {"input": str(fpath), "operator": operator}
+        cfg = {"verb": "shift-apply", "grid": {"d": 1, "N": 3}, "params": params}
+        path = write_config(tmp_path, cfg)
+        assert main(["shift-apply", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "params.operator.coefficients" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            {"kind": "values"},  # no values
+            {"kind": "values", "values": [1.0, 2.0]},  # 2 of 8 cells
+            {"kind": "values", "values": [1.0, "2", 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]},
+            {"kind": "values", "values": [1.0, float("nan"), 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]},
+        ],
+    )
+    def test_exit_two_on_bad_lerner_values(self, tmp_path, capsys, function):
+        cfg = {"verb": "lerner-decompose", "grid": {"d": 1, "N": 3}, "params": {"function": function}}
+        path = write_config(tmp_path, cfg)
+        assert main(["lerner-decompose", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "params.function.values" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_exit_two_on_input_file_without_values(self, tmp_path, capsys):
         fpath = tmp_path / "f.json"
         fpath.write_text(json.dumps({"d": 1, "N": 3, "shift": [0.0]}))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -559,3 +560,28 @@ class TestParaproductSerialization:
         f = rand_step(g, 91)
         assert np.array_equal(P2.apply(f).values, P.apply(f).values)
         assert P2.to_json() == P.to_json()
+
+
+class TestNonFiniteCoefficients:
+    """A shift with a NaN or infinite child value is refused at construction."""
+
+    @pytest.mark.parametrize("key", ["h_vals", "g_vals"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_json_rejected(self, key, bad):
+        obj = json.loads(build_random_shift(1, 0, 3, GridSpec(1, 3)).to_json())
+        obj["entries"][0]["pairs"][0][key] = [bad, bad]
+        with pytest.raises(ValueError, match="finite"):
+            HaarShift.from_json(json.dumps(obj))
+
+    def test_paraproduct_rejected(self):
+        g = GridSpec(1, 3)
+        with pytest.raises(ValueError, match="finite"):
+            build_paraproduct({g.cube(1, (1,)): math.nan}, g)
+
+    def test_levels_rejected(self):
+        S = build_random_shift(1, 1, 5, GridSpec(2, 3))
+        level, lv = next(iter(S.levels.items()))
+        h_out = lv.h_out.copy()
+        h_out[0, 0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            HaarShift._from_levels(S.grid, S.m, S.n, {level: lv._replace(h_out=h_out)}, True)
