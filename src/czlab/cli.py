@@ -27,7 +27,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .dyadics import GridSpec, StepFunction, _morton_decode, read_cube_values
 from .families import cascade_weight, random_step, weight_from_spec
 from .lerner import lerner_decompose
-from .normlab import SWEEP_CSV_HEADER, sharpness_sweep
+from .normlab import OPERATOR_KINDS, SWEEP_CSV_HEADER, sharpness_sweep
 from .positive import TauCoefficients, sawyer_testing
 from .shifts import (
     GridEnsemble,
@@ -224,7 +224,11 @@ def _run_hilbert_approx(cfg: ExperimentConfig, out_dir: str):
 
 def _build_tau(grid: GridSpec, spec, seed) -> TauCoefficients:
     if isinstance(spec, list):
-        return TauCoefficients(grid, read_cube_values(grid, spec, "tau", "params.tau"))
+        table = read_cube_values(grid, spec, "tau", "params.tau")
+        try:
+            return TauCoefficients(grid, table)
+        except ValueError as exc:
+            raise ConfigError(f"params.tau: {exc}") from None
     rng = np.random.default_rng(seed)
     density = float(spec.get("density", 0.5))
     scale = float(spec.get("scale", 1.0))
@@ -320,7 +324,7 @@ def _run_sharpness_sweep(cfg: ExperimentConfig, out_dir: str):
         raise ConfigError(
             "sharpness-sweep requires grid.d = 1 (the default sweep operators are one-dimensional)"
         )
-    operators = tuple(cfg.params.get("operators", ["petermichl", "random2a", "random2b"]))
+    operators = tuple(cfg.params.get("operators", OPERATOR_KINDS))
     p_list = tuple(float(p) for p in cfg.params.get("p", [1.5, 2.0, 3.0]))
     N_list = tuple(int(n) for n in cfg.params.get("N", [min(cfg.N, 8), cfg.N]))
     budget = int(cfg.params.get("budget", 6))

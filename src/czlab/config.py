@@ -8,9 +8,11 @@ parsed config serializes back to the same structure.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any
+
+from .dyadics import _finite_number
+from .normlab import OPERATOR_KINDS
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "VERBS"]
 
@@ -110,6 +112,26 @@ def _check_hilbert_params(params: dict):
             )
 
 
+def _check_sweep_params(params: dict, grid_N: int):
+    """Each list the sharpness sweep iterates over is non-empty and holds
+    only values it can run: known operator kinds, exponents p in (1, inf)
+    and levels N in [1, grid.N]."""
+    items_ok = {
+        "operators": (lambda v: v in OPERATOR_KINDS, f"one of {list(OPERATOR_KINDS)}"),
+        "p": (lambda v: _finite_number(v) and v > 1, "a finite number greater than 1"),
+        "N": (lambda v: type(v) is int and 1 <= v <= grid_N, f"an integer in [1, grid.N = {grid_N}]"),
+    }
+    for key, (ok, what) in items_ok.items():
+        if key not in params:
+            continue
+        items = params[key]
+        if not isinstance(items, list) or not items:
+            raise ConfigError(f"params.{key} must be a non-empty list")
+        for i, v in enumerate(items):
+            if not ok(v):
+                raise ConfigError(f"params.{key}[{i}] must be {what}")
+
+
 def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
@@ -145,6 +167,8 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
             raise ConfigError(f"params.{key} must be a {('non-negative', 'positive')[least]} integer")
     if cfg_verb == "hilbert-approx":
         _check_hilbert_params(params)
+    if cfg_verb == "sharpness-sweep":
+        _check_sweep_params(params, N)
 
     randomized = cfg_verb in _ALWAYS_RANDOM
     for key in ("weight", "w", "sigma"):
@@ -175,7 +199,7 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
             values = spec.get("values")
             if not (
                 isinstance(values, list)
-                and all(type(v) in (int, float) and math.isfinite(v) for v in values)
+                and all(_finite_number(v) for v in values)
             ):
                 raise ConfigError("params.function.values must be a list of finite numbers, one per cell")
     if randomized and seed is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,12 @@ __all__ = [
 
 # Hard cap on 2^(d*N): keeps every dense per-cell array comfortably in memory.
 _MAX_CELL_BITS = 24
+
+
+def _finite_number(v) -> bool:
+    """True for a JSON number (an int or float, not a bool) that converts to
+    a finite float."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 class GridMismatchError(ValueError):
@@ -157,14 +164,14 @@ class GridSpec:
 
 def read_cube_values(grid: GridSpec, items, key: str, where: str) -> dict[DyadicCube, float]:
     """The table {cube: number} of a coefficient list
-    [{"cube": {level, coords}, key: number}, ...]; a malformed item raises
-    ValueError naming it as where[i]."""
-    form = f'{{"cube": {{level, coords}}, "{key}": number}}'
+    [{"cube": {level, coords}, key: number}, ...]; a malformed item or a
+    non-finite number raises ValueError naming it as where[i]."""
+    form = f'{{"cube": {{level, coords}}, "{key}": finite number}}'
     if not isinstance(items, list):
         raise ValueError(f"{where} must be a list of {form} items")
     table = {}
     for i, item in enumerate(items):
-        if not (isinstance(item, dict) and type(item.get(key)) in (int, float)):
+        if not (isinstance(item, dict) and _finite_number(item.get(key))):
             raise ValueError(f"{where}[{i}] must be an object {form}")
         try:
             Q = grid.cube_from_dict(item.get("cube"))
@@ -360,8 +367,8 @@ class StepFunction:
         obj = json.loads(text)
         grid = GridSpec.from_dict(obj)
         values = obj.get("values")
-        if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
-            raise ValueError("step function field 'values' must be a list of numbers")
+        if not (isinstance(values, list) and all(_finite_number(v) for v in values)):
+            raise ValueError("step function field 'values' must be a list of finite numbers")
         return cls(grid, values)
 
     def __repr__(self):

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -132,6 +132,15 @@ _BOYD_RTOL = 1e-5
 _BOYD_STEPS = 100
 
 
+class _Rows(NamedTuple):
+    """Weights given row by row: values[i] (of a (K, cells) array) weighs
+    row i of a block.  It reads like a StepFunction in _lp_norms, _ratios
+    and _weak_functionals, which also take one StepFunction for every row."""
+
+    grid: GridSpec
+    values: np.ndarray
+
+
 def _lp_norms(block, weight, p) -> list[float]:
     """||v||_{L^p(weight)} for each row v of a (K, cells) block."""
     sums = (np.abs(block) ** p * weight.values).sum(axis=-1) * weight.grid.cell_volume
@@ -147,6 +156,83 @@ def _ratios(out, block, w, sigma, p, out_norms=_lp_norms) -> list[float]:
     return [o / fn if fn != 0.0 else 0.0 for o, fn in zip(out_norms(out, w, p), fnorms)]
 
 
+def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10_000) -> list:
+    """norm_p2 of op for each (w, sigma) of `problems`, run in lockstep: one
+    batched B-application and one batched eigh of the equal-size Ritz
+    tridiagonals per step for the problems still running, each problem
+    re-orthogonalised against its own basis.  Every row and every stacked
+    eigh gives the one-problem bits.  Returns per problem its NormEstimate,
+    or the NonConvergenceError it met at the step cap."""
+    grid = op.grid
+    for w, sigma in problems:
+        require_weight(w)
+        require_weight(sigma, "sigma")
+        if w.grid != grid or sigma.grid != grid:
+            raise ValueError("weights must live on the operator's grid")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    sq_sigma = np.array([np.sqrt(sigma.values) for _, sigma in problems])
+    wv = np.array([w.values for w, _ in problems])
+    # A seeded normal start, not ones: ones lies in the kernel of every
+    # cancellative shift at w = sigma = 1.
+    q = np.random.default_rng(20540).standard_normal(grid.cells)
+    # per problem: Krylov basis (one row per step taken), alphas and betas
+    bases = [(q / np.linalg.norm(q))[None] for _ in problems]
+    alpha: list[list[float]] = [[] for _ in problems]
+    beta: list[list[float]] = [[] for _ in problems]
+    results: list = [None] * len(problems)
+    converged = {}  # problem -> (top Ritz vector, steps taken)
+    live = list(range(len(problems)))
+    steps = min(max_iter, grid.cells)
+    for k in range(1, steps + 1):
+        if not live:
+            break
+        # B = D_sqrt(sigma) T* W T D_sqrt(sigma), applied to each last basis row
+        sq = sq_sigma[live]
+        V = sq * op.adjoint(wv[live] * op.apply(sq * np.array([bases[i][-1] for i in live])))
+        norms, tridiagonals = [], []
+        for i, v in zip(live, V):
+            Q = bases[i]
+            alpha[i].append(float(Q[-1] @ v))
+            for _ in range(2):  # full re-orthogonalisation; twice is enough
+                v -= (Q @ v) @ Q
+            norms.append(float(np.linalg.norm(v)))
+            tridiagonals.append(np.diag(alpha[i]) + np.diag(beta[i], 1) + np.diag(beta[i], -1))
+        ritz, Y = np.linalg.eigh(np.array(tridiagonals))
+        running = []
+        for i, v, b, r, Yi in zip(live, V, norms, ritz, Y):
+            theta, y = max(float(r[-1]), 0.0), Yi[:, -1]
+            resid = b * abs(float(y[-1]))
+            # The Ritz residual is stopped four decades below the requested
+            # tolerance: the value error then sits far inside tol whenever the
+            # top eigenvalue is separated (it shrinks like resid^2 / gap).
+            # Breakdown (b at rounding level) means the basis spans an
+            # invariant subspace.
+            if resid <= 1e-4 * tol * theta or b <= grid.cells * np.finfo(float).eps * theta:
+                converged[i] = (y, k)
+            elif k == steps:
+                results[i] = NonConvergenceError(
+                    f"Lanczos did not converge within {steps} steps",
+                    (math.sqrt(theta), math.sqrt(theta + resid)),
+                )
+            else:
+                beta[i].append(b)
+                bases[i] = np.vstack([bases[i], v / b])
+                running.append(i)
+        live = running
+    # the value is the ratio re-evaluated at each Ritz witness
+    if converged:
+        done = list(converged)
+        F = np.array([(converged[i][0] @ bases[i]) / sq_sigma[i] for i in done])
+        sigmas = _Rows(grid, np.array([problems[i][1].values for i in done]))
+        values = _ratios(op.apply(sigmas.values * F), F, _Rows(grid, wv[done]), sigmas, 2.0)
+        for i, f, value in zip(done, F, values):
+            results[i] = NormEstimate(value, "spectral", StepFunction(grid, f), 2.0, converged[i][1])
+    return results
+
+
 def norm_p2(
     op: LinearOperator,
     w: StepFunction,
@@ -158,63 +244,18 @@ def norm_p2(
 
     Single-vector Lanczos with full re-orthogonalisation on the weighted
     self-adjoint composition B = D_sqrt(sigma) T* W T D_sqrt(sigma), from a
-    seeded normal start.  It stops when the top Ritz pair's residual falls
-    below 1e-4 * tol times its value, or on breakdown; `iterations` counts the
-    Lanczos steps, one B-application each, at most min(max_iter, cells).  The
-    reported value is the ratio re-evaluated at the Ritz witness, so the
-    estimate certifies itself.  Raises NonConvergenceError with a value
-    bracket at the step cap, and ValueError for max_iter < 1 or a tol that is
-    not finite and positive.
+    seeded normal start (_lanczos with one problem).  It stops when the top
+    Ritz pair's residual falls below 1e-4 * tol times its value, or on
+    breakdown; `iterations` counts the Lanczos steps, one B-application
+    each, at most min(max_iter, cells).  The reported value is the ratio
+    re-evaluated at the Ritz witness, so the estimate certifies itself.
+    Raises NonConvergenceError with a value bracket at the step cap, and
+    ValueError for max_iter < 1 or a tol that is not finite and positive.
     """
-    require_weight(w)
-    require_weight(sigma, "sigma")
-    grid = op.grid
-    if w.grid != grid or sigma.grid != grid:
-        raise ValueError("weights must live on the operator's grid")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    sq_sigma = np.sqrt(sigma.values)
-    wv = w.values
-
-    def B(u):
-        return sq_sigma * op.adjoint(wv * op.apply(sq_sigma * u))
-
-    # A seeded normal start, not ones: ones lies in the kernel of every
-    # cancellative shift at w = sigma = 1.
-    q = np.random.default_rng(20540).standard_normal(grid.cells)
-    Q = (q / np.linalg.norm(q))[None]  # Krylov basis, one row per step taken
-    alpha: list[float] = []
-    beta: list[float] = []
-    steps = min(max_iter, grid.cells)
-    for k in range(1, steps + 1):
-        v = B(Q[-1])
-        alpha.append(float(Q[-1] @ v))
-        for _ in range(2):  # full re-orthogonalisation; twice is enough
-            v -= (Q @ v) @ Q
-        b = float(np.linalg.norm(v))
-        T = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-        ritz, Y = np.linalg.eigh(T)
-        theta, y = max(float(ritz[-1]), 0.0), Y[:, -1]
-        resid = b * abs(float(y[-1]))
-        # The Ritz residual is stopped four decades below the requested
-        # tolerance: the value error then sits far inside tol whenever the
-        # top eigenvalue is separated (it shrinks like resid^2 / gap).
-        # Breakdown (b at rounding level) means the basis spans an invariant
-        # subspace.
-        if resid <= 1e-4 * tol * theta or b <= grid.cells * np.finfo(float).eps * theta:
-            break
-        if k == steps:
-            raise NonConvergenceError(
-                f"Lanczos did not converge within {steps} steps",
-                (math.sqrt(theta), math.sqrt(theta + resid)),
-            )
-        beta.append(b)
-        Q = np.vstack([Q, v / b])
-    fvals = (y @ Q) / sq_sigma
-    value = _ratios(op.apply(sigma.values * fvals[None]), fvals[None], w, sigma, 2.0)[0]
-    return NormEstimate(value, "spectral", StepFunction(grid, fvals), 2.0, k)
+    (est,) = _lanczos(op, [(w, sigma)], tol, max_iter)
+    if isinstance(est, NonConvergenceError):
+        raise est
+    return est
 
 
 def _indicator_blocks(grid):
@@ -263,17 +304,19 @@ def _boyd(out_norms, linearise, w, sigma, p, block):
     |L g| <= |T g|, and f <- sign(z)|z|^(p'-1) for z = L^t(w sign(y)|y|^(p-1))
     never lowers the L^p score in exact arithmetic (Boyd: ||L f'|| >= ||L f||).
     y and z are divided by their largest magnitude, keeping powers in [0, 1].
-    Every iterate, the start included, is scored by _ratios with out_norms; a
-    row stops when its score gains less than _BOYD_RTOL relative (so on y = 0
-    or z = 0) or at its _BOYD_STEPS-th score.  Returns each row's best score,
-    the iterates attaining them and the row applications of T and L^t."""
+    w and sigma are StepFunctions or _Rows, one weight per row.  Every
+    iterate, the start included, is scored by _ratios with out_norms; a row
+    stops when its score gains less than _BOYD_RTOL relative (so on y = 0 or
+    z = 0) or at its _BOYD_STEPS-th score.  Returns each row's best score,
+    the iterates attaining them and each row's applications of T and L^t."""
     pprime = p / (p - 1.0)
+    w, sigma = (_Rows(x.grid, np.broadcast_to(x.values, block.shape)) for x in (w, sigma))
     best, best_f = np.zeros(len(block)), block.copy()
     rows = np.arange(len(block))  # the rows still iterating
-    f, apps = block, 0
+    f, apps = block, np.zeros(len(block), dtype=int)
     for step in range(_BOYD_STEPS):
         y, adjoint = linearise(sigma.values * f)
-        apps += len(rows)
+        apps[rows] += 1
         vals = np.array(_ratios(y, f, w, sigma, p, out_norms))
         go = vals > best[rows] * (1.0 + _BOYD_RTOL)
         up = vals > best[rows]
@@ -281,21 +324,19 @@ def _boyd(out_norms, linearise, w, sigma, p, block):
         if step + 1 == _BOYD_STEPS or not go.any():
             break
         y, rows = y[go], rows[go]
+        w, sigma = (_Rows(x.grid, x.values[go]) for x in (w, sigma))
         ymax = np.max(np.abs(y), axis=1, keepdims=True)
         z = adjoint(w.values * np.sign(y) * (np.abs(y) / ymax) ** (p - 1.0), go)
-        apps += len(rows)
+        apps[rows] += 1
         zmax = np.max(np.abs(z), axis=1, keepdims=True)
         f = np.sign(z) * (np.abs(z) / np.where(zmax == 0.0, 1.0, zmax)) ** (pprime - 1.0)
     return best.tolist(), best_f, apps
 
 
-def _search(out_norms, op, w, sigma, p, budget, starts):
-    """Maximise _ratios with output norms `out_norms` over the (K, cells)
-    blocks of `starts`, then by _boyd from the `budget` best starts if op
-    has a linearisation; returns the best value, the input attaining it and
-    the row applications of the operator and its adjoint."""
-    # the `budget` best starts so far (at least one) as (value, stream index,
-    # vector); best score first, stream order breaks ties
+def _scan(out_norms, op, w, sigma, p, keep, starts):
+    """The `keep` best rows of the (K, cells) blocks of `starts` by _ratios
+    with out_norms, as (value, stream index, vector), best score first and
+    stream order breaking ties, and the number of rows scanned."""
     top: list[tuple[float, int, np.ndarray | None]] = []
     scanned = 0
     for block in starts:
@@ -304,18 +345,60 @@ def _search(out_norms, op, w, sigma, p, budget, starts):
         ranked.sort(key=lambda rec: (-rec[0], rec[1]))
         top = [
             (val, idx, block[idx - scanned].copy() if fv is None else fv)
-            for val, idx, fv in ranked[: max(budget, 1)]
+            for val, idx, fv in ranked[:keep]
         ]
         scanned += len(block)
     if not top:
         raise ValueError("the search has no start: give random_starts >= 1")
+    return top, scanned
+
+
+def _searches(out_norms, op, problems, p, budget, streams):
+    """For each (w, sigma) of `problems`, maximise _ratios with output norms
+    `out_norms` over the (K, cells) blocks of its start stream in `streams`,
+    then, if op has a linearisation, by _boyd from its `budget` best starts:
+    one Boyd block holds every problem's starts, with per-row weights.
+    Returns per problem the best value, the input attaining it and the row
+    applications of the operator and its adjoint."""
+    scans = [
+        _scan(out_norms, op, w, sigma, p, max(budget, 1), starts)
+        for (w, sigma), starts in zip(problems, streams)
+    ]
     linearise = _linearisation(op)
     if linearise is None or budget < 1:
-        return top[0][0], top[0][2], scanned
-    # each row ends at or above its start, so the first best row wins
-    vals, fs, apps = _boyd(out_norms, linearise, w, sigma, p, np.array([t[2] for t in top[:budget]]))
-    best = int(np.argmax(vals))
-    return vals[best], fs[best], scanned + apps
+        return [(top[0][0], top[0][2], scanned) for top, scanned in scans]
+    counts = [len(top) for top, _ in scans]
+    block = np.array([fv for top, _ in scans for _, _, fv in top])
+    grid = problems[0][0].grid
+    w, sigma = (
+        _Rows(grid, np.repeat([pr[k].values for pr in problems], counts, axis=0)) for k in (0, 1)
+    )
+    vals, fs, apps = _boyd(out_norms, linearise, w, sigma, p, block)
+    out, start = [], 0
+    for (_, scanned), n in zip(scans, counts):
+        # each row ends at or above its start, so the problem's first best row wins
+        best = start + int(np.argmax(vals[start : start + n]))
+        out.append((vals[best], fs[best], scanned + int(apps[start : start + n].sum())))
+        start += n
+    return out
+
+
+def _lp_searches(op, problems, p, budget, seed, random_starts, spectral) -> list[NormEstimate]:
+    """norm_lp_lower's search for each (w, sigma) of `problems`, whose
+    start streams are its spectral starts (in `spectral`) and the random
+    starts."""
+    streams = [
+        itertools.chain(starts, _random_blocks(w.grid, seed, random_starts))
+        for (w, _), starts in zip(problems, spectral)
+    ]
+    estimates = []
+    for (w, sigma), (val, f, apps) in zip(
+        problems, _searches(_lp_norms, op, problems, p, budget, streams)
+    ):
+        fnorm = _lp_norms(f[None], sigma, p)[0]
+        witness = StepFunction(w.grid, f / fnorm if fnorm > 0 else f)
+        estimates.append(NormEstimate(val, "search", witness, p, apps))
+    return estimates
 
 
 def norm_lp_lower(
@@ -343,22 +426,19 @@ def norm_lp_lower(
     require_weight(sigma, "sigma")
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, infinity)")
-    starts = itertools.chain(
-        _spectral_start(op, w, sigma), _random_blocks(w.grid, seed, random_starts)
-    )
-    best_val, best_f, apps = _search(_lp_norms, op, w, sigma, p, budget, starts)
-    fnorm = _lp_norms(best_f[None], sigma, p)[0]
-    witness = StepFunction(w.grid, best_f / fnorm if fnorm > 0 else best_f)
-    return NormEstimate(best_val, "search", witness, p, apps)
+    spectral = [_spectral_start(op, w, sigma)]
+    return _lp_searches(op, [(w, sigma)], p, budget, seed, random_starts, spectral)[0]
 
 
-def _weak_functionals(block: np.ndarray, w: StepFunction, p: float) -> list[float]:
+def _weak_functionals(block: np.ndarray, w, p: float) -> list[float]:
     """Per row of a (K, cells) block: max over thresholds of
     lam * w{|out| > lam}^(1/p), lam at output values."""
     mags = np.abs(block)
     order = np.argsort(mags, axis=-1)[:, ::-1]
     sorted_mags = np.take_along_axis(mags, order, axis=-1)
-    wmass = np.cumsum(w.values[order], axis=-1) * w.grid.cell_volume
+    wv = w.values  # one weight, or one per row
+    wvals = wv[order] if wv.ndim == 1 else np.take_along_axis(wv, order, axis=-1)
+    wmass = np.cumsum(wvals, axis=-1) * w.grid.cell_volume
     vals = sorted_mags * wmass ** (1.0 / p)
     return vals.max(axis=-1, initial=0.0).tolist()
 
@@ -391,7 +471,8 @@ def weak_norm_estimate(
         _spectral_start(op, w, sigma),
         _random_blocks(w.grid, seed, random_starts),
     )
-    return _search(_weak_functionals, op, w, sigma, p, budget if p > 1.0 else 0, starts)[0]
+    budget = budget if p > 1.0 else 0
+    return _searches(_weak_functionals, op, [(w, sigma)], p, budget, [starts])[0][0]
 
 
 # -- sharpness sweep --------------------------------------------------------
@@ -426,41 +507,57 @@ def default_weight_family(grid: GridSpec):
     return out
 
 
-def default_operators(grid: GridSpec, seed: int, kinds=None):
+# The sweep's operator kinds, in the order their rows appear.
+OPERATOR_KINDS = ("petermichl", "random2a", "random2b")
+
+
+def default_operators(grid: GridSpec, seed: int, kinds=OPERATOR_KINDS):
     """Petermichl plus two random complexity-2 shifts, built on demand."""
     builders = {
         "petermichl": lambda: build_petermichl(grid),
         "random2a": lambda: build_random_shift(2, 2, seed + 1, grid),
         "random2b": lambda: build_random_shift(2, 2, seed + 2, grid),
     }
-    if kinds is None:
-        kinds = tuple(builders)
     unknown = [k for k in kinds if k not in builders]
     if unknown:
         raise ValueError(f"unknown operator kinds: {unknown}")
     return [(k, builders[k]()) for k in builders if k in kinds]
 
 
-def _sweep_block(grid, fam, param, w, ops, p_list, seed, budget, random_starts):
+def _sweep_norms(trunc, problems, p_list, seed, budget, random_starts) -> list[float]:
+    """norm_lp_lower of one truncation for each (w, sigma) of `problems`,
+    listed weight by weight with sigma the dual weight of each p of p_list
+    in turn.  The spectral starts come from one lockstep Lanczos run over
+    all problems, and each p's searches share one Boyd block."""
+    spectral = [
+        [] if isinstance(est, NonConvergenceError) else [est.witness.values[None]]
+        for est in _lanczos(trunc.linear_part, problems)
+    ]
+    norms = [0.0] * len(problems)
+    for j, p in enumerate(p_list):
+        group = slice(j, None, len(p_list))
+        estimates = _lp_searches(
+            trunc, problems[group], p, budget, seed, random_starts, spectral[group]
+        )
+        norms[group] = [est.lower_bound for est in estimates]
+    return norms
+
+
+def _sweep_block(grid, fam, param, w, sigmas, p_list, norms):
     """Rows for one (grid, weight) combination, in deterministic order;
-    ops holds the grid's (name, truncation operator) pairs."""
+    sigmas holds the dual weight of each p, and norms the grid's (operator
+    name, norm per p) pairs."""
     ainf_w = ainfty_characteristic(w).value
     rows = []
-    for p in p_list:
-        sigma = dual_weight(w, p)
+    for j, (p, sigma) in enumerate(zip(p_list, sigmas)):
         pprime = p / (p - 1.0)
         bracket = joint_ap(w, sigma, p).value
         ainf_sigma = ainfty_characteristic(sigma).value
         ap_val = ap_characteristic(w, p).value
         rhs = bracket * (ainf_w ** (1.0 / pprime) + ainf_sigma ** (1.0 / p))
         buckley = ap_val ** max(1.0, 1.0 / (p - 1.0))
-        for op_name, trunc in ops:
-            # at p = 2 the stream carries the spectral witness, and the
-            # truncation dominates |S f|, so the search already covers norm_p2
-            norm_val = norm_lp_lower(
-                trunc, w, sigma, p,
-                budget=budget, seed=seed, random_starts=random_starts,
-            ).lower_bound
+        for op_name, op_norms in norms:
+            norm_val = op_norms[j]
             rows.append(
                 SweepRow(
                     family=f"{op_name}:{fam}",
@@ -480,7 +577,7 @@ def _sweep_block(grid, fam, param, w, ops, p_list, seed, budget, random_starts):
 
 
 def sharpness_sweep(
-    operator_kinds=("petermichl", "random2a", "random2b"),
+    operator_kinds=OPERATOR_KINDS,
     p_list=(1.5, 2.0, 3.0),
     N_list=(8, 10),
     seed: int = 0,
@@ -493,17 +590,24 @@ def sharpness_sweep(
     Every row uses the dual weight sigma = w^(1-p'), the two-weight bracket,
     and the bound bracket * (ainfty(w)^(1/p') + ainfty(sigma)^(1/p)); the
     final column carries the single-characteristic comparison
-    ap^max(1, 1/(p-1)).  All A_infty values are dyadic-mode.
+    ap^max(1, 1/(p-1)).  All A_infty values are dyadic-mode.  The norms are
+    norm_lp_lower's, searched for all weights of an (operator, p) at once
+    (_sweep_norms).
     """
     rows = []
     for N in N_list:
         grid = GridSpec(1, int(N))
-        ops = [
-            (name, truncation_operator(S))
+        weights = default_weight_family(grid)
+        problems = [(w, dual_weight(w, p)) for _, _, w in weights for p in p_list]
+        # at p = 2 the stream carries the spectral witness, and the
+        # truncation dominates |S f|, so the search already covers norm_p2
+        norms = [
+            (name, _sweep_norms(truncation_operator(S), problems, p_list, seed, budget, random_starts))
             for name, S in default_operators(grid, seed, operator_kinds)
         ]
-        for fam, param, w in default_weight_family(grid):
-            rows.extend(
-                _sweep_block(grid, fam, param, w, ops, p_list, seed, budget, random_starts)
-            )
+        for i, (fam, param, w) in enumerate(weights):
+            per_w = slice(i * len(p_list), (i + 1) * len(p_list))
+            sigmas = [sigma for _, sigma in problems[per_w]]
+            per_op = [(name, op_norms[per_w]) for name, op_norms in norms]
+            rows.extend(_sweep_block(grid, fam, param, w, sigmas, p_list, per_op))
     return rows

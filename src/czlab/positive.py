@@ -57,8 +57,8 @@ class TauCoefficients:
             if Q.grid != grid:
                 raise GridMismatchError("coefficient cube from a different grid")
             t = float(t)
-            if t < 0.0:
-                raise ValueError("tau coefficients must be non-negative")
+            if not 0.0 <= t < math.inf:  # NaN fails too
+                raise ValueError("tau coefficients must be finite and non-negative")
             if t != 0.0:
                 table[Q] = t
         self.table = table

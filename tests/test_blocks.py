@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from czlab import normlab, shifts
 from czlab.dyadics import GridSpec, StepFunction
-from czlab.families import cascade_weight
+from czlab.characteristics import (
+    ainfty_characteristic,
+    ap_characteristic,
+    dual_weight,
+    joint_ap,
+)
+from czlab.families import cascade_weight, two_value_weight
 from czlab.normlab import (
     LinearOperator,
     NonConvergenceError,
@@ -456,7 +462,104 @@ class TestBlockSearches:
             )
             assert all(a >= b for a, b in zip(after, scores(starts, out_norms)))
             assert after == scores(fs, out_norms)  # each value is its iterate's
-            assert 5 <= apps <= 2 * normlab._BOYD_STEPS * 5
+            assert 5 <= apps.sum() <= 2 * normlab._BOYD_STEPS * 5
+
+
+class TestBatchedSearches:
+    """The batched internals (lockstep Lanczos, one Boyd block for several
+    (w, sigma) problems, the sweep's grouping) against one-problem calls,
+    bit for bit."""
+
+    @staticmethod
+    def problems(g):
+        one = StepFunction.constant(g, 1.0)
+        tv = two_value_weight(g, 16.0, 1)
+        w1, w2 = cascade_weight(g, 31, 0.6), cascade_weight(g, 32, 0.6)
+        return [(one, one), (one, tv), (w1, one), (w1, tv), (w2, w1)]
+
+    @pytest.mark.parametrize("N,i", CASES)
+    def test_lockstep_lanczos_matches_separate_calls(self, N, i):
+        op = _case(N, i)[0]
+        lin = op if isinstance(op, LinearOperator) else op.linear_part
+        problems = self.problems(op.grid)
+        batched = normlab._lanczos(lin, problems)
+        for (w, sigma), est in zip(problems, batched):
+            alone = norm_p2(lin, w, sigma)
+            assert est.lower_bound == alone.lower_bound
+            assert bits(est.witness.values) == bits(alone.witness.values)
+            assert est.iterations == alone.iterations
+
+    def test_lockstep_nonconvergence_stays_per_problem(self):
+        g = GridSpec(1, 4)
+        op = shift_operator(build_random_shift(1, 1, 9, g))
+        one = StepFunction.constant(g, 1.0)
+        w = StepFunction(g, np.random.default_rng(5).uniform(0.5, 2.0, g.cells))
+        problems = [(one, one), (w, one), (one, two_value_weight(g, 16.0, 1)), (w, w)]
+        batched = normlab._lanczos(op, problems, max_iter=6)
+        failed = [isinstance(est, NonConvergenceError) for est in batched]
+        assert failed == [False, True, False, True]
+        for (w, sigma), est in zip(problems, batched):
+            if isinstance(est, NonConvergenceError):
+                with pytest.raises(NonConvergenceError) as info:
+                    norm_p2(op, w, sigma, max_iter=6)
+                assert est.bracket == info.value.bracket
+            else:
+                alone = norm_p2(op, w, sigma, max_iter=6)
+                assert (est.lower_bound, est.iterations) == (alone.lower_bound, alone.iterations)
+                assert bits(est.witness.values) == bits(alone.witness.values)
+        assert batched[1].bracket != batched[3].bracket
+
+    @pytest.mark.parametrize("N,i", CASES)
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_boyd_with_row_weights_matches_separate_calls(self, N, i, p):
+        op = _case(N, i)[0]
+        g = op.grid
+        problems = self.problems(g)
+        rng = np.random.default_rng(N + i)
+        blocks = [rng.standard_normal((2, g.cells)) for _ in problems]
+        blocks[0][1] = np.abs(blocks[0][1])
+        w, sigma = (
+            normlab._Rows(g, np.repeat([pr[k].values for pr in problems], 2, axis=0)) for k in (0, 1)
+        )
+        linearise = normlab._linearisation(op)
+        for out_norms in (normlab._lp_norms, normlab._weak_functionals):
+            vals, fs, apps = normlab._boyd(out_norms, linearise, w, sigma, p, np.concatenate(blocks))
+            for k, ((w1, sigma1), block) in enumerate(zip(problems, blocks)):
+                rows = slice(2 * k, 2 * k + 2)
+                alone = normlab._boyd(out_norms, linearise, w1, sigma1, p, block)
+                assert vals[rows] == alone[0]
+                assert bits(fs[rows]) == bits(alone[1])
+                assert apps[rows].tolist() == alone[2].tolist()
+
+    @pytest.mark.parametrize("N", [5, 6])
+    def test_sweep_rows_match_one_weight_at_a_time(self, N):
+        seed, p_list, budget, random_starts = 5, (1.5, 2.0, 3.0), 2, 3
+        rows = normlab.sharpness_sweep(
+            normlab.OPERATOR_KINDS, p_list, (N,), seed, budget, random_starts
+        )
+        grid = GridSpec(1, N)
+        ops = normlab.default_operators(grid, seed)
+        want = []
+        for fam, param, w in normlab.default_weight_family(grid):
+            ainf_w = ainfty_characteristic(w).value
+            for p in p_list:
+                sigma = dual_weight(w, p)
+                bracket = joint_ap(w, sigma, p).value
+                ainf_sigma = ainfty_characteristic(sigma).value
+                rhs = bracket * (ainf_w ** (1.0 / (p / (p - 1.0))) + ainf_sigma ** (1.0 / p))
+                buckley = ap_characteristic(w, p).value ** max(1.0, 1.0 / (p - 1.0))
+                for name, S in ops:
+                    norm = norm_lp_lower(
+                        truncation_operator(S), w, sigma, p,
+                        budget=budget, seed=seed, random_starts=random_starts,
+                    ).lower_bound
+                    want.append(
+                        normlab.SweepRow(
+                            f"{name}:{fam}", param, p, N, bracket, ainf_w, ainf_sigma,
+                            norm, rhs, norm / rhs, buckley,
+                        )
+                    )
+        assert rows == want
 
 
 # -- toroidal gap ------------------------------------------------------------

@@ -369,6 +369,54 @@ class TestMainEntry:
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
+        "params,field",
+        [
+            ({"p": 2}, "params.p must be a non-empty list"),
+            ({"p": []}, "params.p must be a non-empty list"),
+            ({"p": [2.0, 1.0]}, "params.p[1] must be a finite number greater than 1"),
+            ({"p": [float("nan")]}, "params.p[0] must be a finite number greater than 1"),
+            ({"p": ["3"]}, "params.p[0] must be a finite number greater than 1"),
+            ({"N": []}, "params.N must be a non-empty list"),
+            ({"N": [5.5]}, "params.N[0] must be an integer in [1, grid.N = 6]"),
+            ({"N": [True]}, "params.N[0] must be an integer in [1, grid.N = 6]"),
+            ({"N": [4, 0]}, "params.N[1] must be an integer in [1, grid.N = 6]"),
+            ({"N": [7]}, "params.N[0] must be an integer in [1, grid.N = 6]"),
+            ({"operators": "petermichl"}, "params.operators must be a non-empty list"),
+            ({"operators": []}, "params.operators must be a non-empty list"),
+            ({"operators": ["petermichl", "hilbert"]}, "params.operators[1] must be one of"),
+        ],
+    )
+    def test_exit_two_on_bad_sweep_lists(self, tmp_path, capsys, params, field):
+        cfg = {"verb": "sharpness-sweep", "grid": {"d": 1, "N": 6}, "seed": 3, "params": params}
+        path = write_config(tmp_path, cfg)
+        assert main(["sharpness-sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "tau,field",
+        [(float("nan"), "params.tau[0]"), (float("inf"), "params.tau[0]"), (-1.0, "params.tau")],
+    )
+    def test_exit_two_on_bad_tau_value(self, tmp_path, capsys, tau, field):
+        items = [{"cube": {"level": 0, "coords": [0]}, "tau": tau}]
+        cfg = {"verb": "sawyer-test", "grid": {"d": 1, "N": 3}, "params": {"tau": items}}
+        path = write_config(tmp_path, cfg)
+        assert main(["sawyer-test", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("verb", ["shift-apply", "lerner-decompose"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_exit_two_on_non_finite_input_values(self, tmp_path, capsys, verb, bad):
+        fpath = tmp_path / "f.json"
+        fpath.write_text('{"d": 1, "N": 3, "shift": [0.0], "values": [%s, 1, 1, 1, 1, 1, 1, 1]}' % bad)
+        cfg = {"verb": verb, "grid": {"d": 1, "N": 3}, "params": {"input": str(fpath)}}
+        path = write_config(tmp_path, cfg)
+        assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "params.input" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
         "function",
         [
             {"kind": "values"},  # no values

@@ -284,6 +284,14 @@ class TestStepFunction:
         assert g2.grid == g
         assert np.array_equal(g2.values, f.values)
 
+    @pytest.mark.parametrize(
+        "bad", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="huge-int")]
+    )
+    def test_from_json_rejects_non_finite_values(self, bad):
+        text = '{"d": 1, "N": 1, "shift": [0.0], "values": [1.0, %s]}' % bad
+        with pytest.raises(ValueError, match="finite numbers"):
+            StepFunction.from_json(text)
+
 
 class TestLpNorm:
     def test_constant_one_every_p(self):

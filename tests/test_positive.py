@@ -53,6 +53,12 @@ class TestApplyPositive:
         with pytest.raises(ValueError, match="non-negative"):
             TauCoefficients(g, {g.root(): -0.5})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, bad):
+        g = GridSpec(1, 2)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TauCoefficients(g, {g.root(): bad})
+
     def test_dense_matrix_oracle(self):
         for seed in range(10):
             g = GridSpec(1, 3) if seed % 2 else GridSpec(2, 2)
