@@ -183,7 +183,7 @@ def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10
     alpha: list[list[float]] = [[] for _ in problems]
     beta: list[list[float]] = [[] for _ in problems]
     results: list = [None] * len(problems)
-    converged = {}  # problem -> (top Ritz vector, steps taken)
+    converged = {}  # problem -> (Ritz witness, steps taken)
     live = list(range(len(problems)))
     steps = min(max_iter, grid.cells)
     for k in range(1, steps + 1):
@@ -211,7 +211,8 @@ def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10
             # Breakdown (b at rounding level) means the basis spans an
             # invariant subspace.
             if resid <= 1e-4 * tol * theta or b <= grid.cells * np.finfo(float).eps * theta:
-                converged[i] = (y, k)
+                converged[i] = ((y @ bases[i]) / sq_sigma[i], k)
+                bases[i] = None  # free the basis while other problems run
             elif k == steps:
                 results[i] = NonConvergenceError(
                     f"Lanczos did not converge within {steps} steps",
@@ -225,7 +226,7 @@ def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10
     # the value is the ratio re-evaluated at each Ritz witness
     if converged:
         done = list(converged)
-        F = np.array([(converged[i][0] @ bases[i]) / sq_sigma[i] for i in done])
+        F = np.array([converged[i][0] for i in done])
         sigmas = _Rows(grid, np.array([problems[i][1].values for i in done]))
         values = _ratios(op.apply(sigmas.values * F), F, _Rows(grid, wv[done]), sigmas, 2.0)
         for i, f, value in zip(done, F, values):
