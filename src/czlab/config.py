@@ -37,6 +37,7 @@ _INTEGER_FIELDS = {
     "hilbert-approx": {"count": 1},
     "stopping-audit": {"count": 1},
     "sharpness-sweep": {"budget": 0, "random_starts": 0},
+    "invariant-suite": {"samples": 1},
 }
 
 _WEIGHT_FIELDS = {
@@ -175,6 +176,10 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
         if key in params:
             _check_kind_spec(params[key], _WEIGHT_FIELDS, f"params.{key}")
             randomized = randomized or _spec_is_random(params[key])
+    if cfg_verb == "stopping-audit" and "seed" in params.get("weight", {}):
+        raise ConfigError(
+            "params.weight.seed is not used by stopping-audit: sample i draws from seed + i"
+        )
     if "operator" in params:
         _check_kind_spec(params["operator"], _OPERATOR_FIELDS, "params.operator")
         randomized = randomized or _spec_is_random(params["operator"])

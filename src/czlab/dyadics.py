@@ -50,6 +50,8 @@ class GridMismatchError(ValueError):
 
 def _morton_encode(coords, d, level):
     """Interleave the low `level` bits of d coordinates into one index."""
+    if d == 1:  # one axis: the Z-index is the coordinate
+        return coords[0] & ((1 << level) - 1)
     z = 0
     for b in range(level):
         for a in range(d):
@@ -59,6 +61,8 @@ def _morton_encode(coords, d, level):
 
 def _morton_decode(z, d, level):
     """De-interleave a Z-index, or an integer array of them, into d coordinates."""
+    if d == 1:
+        return (z & ((1 << level) - 1),)
     coords = [z & 0 for _ in range(d)]  # zeros of z's kind: arrays stay arrays at level 0
     for b in range(level):
         for a in range(d):
@@ -281,7 +285,7 @@ class StepFunction:
     returns new functions on the same grid.
     """
 
-    __slots__ = ("grid", "_values", "_sums")
+    __slots__ = ("grid", "_values", "_sums", "_avgs")
 
     def __init__(self, grid: GridSpec, values):
         arr = np.array(values, dtype=float)
@@ -293,6 +297,7 @@ class StepFunction:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "_values", arr)
         object.__setattr__(self, "_sums", None)
+        object.__setattr__(self, "_avgs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepFunction is immutable")
@@ -445,9 +450,15 @@ def level_integrals(f: StepFunction) -> list[np.ndarray]:
 
 
 def level_averages(f: StepFunction) -> list[np.ndarray]:
-    """Averages of f over every cube, one Z-ordered array per level."""
-    sums = level_integrals(f)
-    return [s * float(1 << (f.grid.d * k)) for k, s in enumerate(sums)]
+    """Averages of f over every cube, one Z-ordered array per level.  Cached
+    on the function."""
+    if f._avgs is not None:
+        return f._avgs
+    avgs = [s * float(1 << (f.grid.d * k)) for k, s in enumerate(level_integrals(f))]
+    for arr in avgs:
+        arr.setflags(write=False)
+    object.__setattr__(f, "_avgs", avgs)
+    return avgs
 
 
 def repeat_to_cells(grid: GridSpec, arr: np.ndarray, level: int) -> np.ndarray:

@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dyadics import (
     DyadicCube,
     GridMismatchError,
@@ -44,17 +46,15 @@ PACKING_FRACTION = 0.25
 def stopping_children(w: StepFunction, Q: DyadicCube) -> list[DyadicCube]:
     """Maximal dyadic subcubes of Q whose w-average exceeds four times Q's,
     ordered by first cell."""
+    _check_weight_and_cube(w, Q)
+    threshold = STOPPING_RATIO * level_averages(w)[Q.level][Q.zindex]
+    return _maximal_subcubes(Q, w.values[Q.cell_slice], threshold)
+
+
+def _check_weight_and_cube(w: StepFunction, Q: DyadicCube):
     require_weight(w)
     if Q.grid != w.grid:
         raise GridMismatchError("cube does not belong to the weight's grid")
-    return _children(w, Q)
-
-
-def _children(w: StepFunction, Q: DyadicCube) -> list[DyadicCube]:
-    """stopping_children without the checks of w and Q."""
-    mean = level_integrals(w)[Q.level][Q.zindex] * float(1 << (w.grid.d * Q.level))
-    threshold = STOPPING_RATIO * mean
-    return _maximal_subcubes(Q, w.values[Q.cell_slice], threshold)
 
 
 @dataclass(frozen=True)
@@ -116,21 +116,39 @@ class StoppingFamily:
 
 
 def build_stopping_family(w: StepFunction, Q0: DyadicCube) -> StoppingFamily:
-    """Iterate stopping children from Q0 until exhaustion.
+    """The stopping forest rooted at Q0, found in one pass down Q0's subtree.
 
-    The strict quarter packing bound is asserted for every member before the
-    family is returned.
+    A cube below Q0 is a stopping cube exactly when its w-average exceeds
+    four times that of its deepest stopping ancestor, so the pass walks the
+    levels below Q0 carrying, per cube, that threshold and the ancestor's
+    member number; each selected cube passes its own on to its descendants.
+    The members, listed level by level, are the iterated stopping children
+    of Q0, from the same comparisons as stopping_children makes.  The strict
+    quarter packing bound is asserted for every member before the family is
+    returned.
     """
-    parents: dict[DyadicCube, DyadicCube] = {}
-    generation = {Q0: stopping_children(w, Q0)}  # checks w and Q0; _children does not
-    while generation:
-        for S, kids in generation.items():
-            total = sum(c.volume for c in kids)
-            if not total < PACKING_FRACTION * S.volume:
-                raise AssertionError("packing bound violated by stopping children")
-            for c in kids:
-                parents[c] = S
-        generation = {c: _children(w, c) for kids in generation.values() for c in kids}
+    _check_weight_and_cube(w, Q0)
+    grid, fold, avgs = w.grid, 1 << w.grid.d, level_averages(w)
+    members, parents = [Q0], {}
+    covered = [0.0]  # per member: its stopping children's volume, powers of two summed exactly
+    threshold = np.full(1, STOPPING_RATIO * avgs[Q0.level][Q0.zindex])
+    owner = np.zeros(1, dtype=np.intp)  # member number of each cube's deepest stopping ancestor
+    for level in range(Q0.level + 1, grid.N + 1):
+        first = Q0.zindex * fold ** (level - Q0.level)  # Q0's subtree at this level is contiguous
+        avg = avgs[level][first : first + fold ** (level - Q0.level)]
+        threshold = np.repeat(threshold, fold)
+        owner = np.repeat(owner, fold)
+        hit = np.flatnonzero(avg > threshold)
+        for z, S in zip(hit.tolist(), owner[hit].tolist()):
+            Q = grid.cube_from_zindex(level, first + z)
+            parents[Q] = members[S]
+            covered[S] += Q.volume
+            members.append(Q)
+            covered.append(0.0)
+        threshold[hit] = STOPPING_RATIO * avg[hit]
+        owner[hit] = np.arange(len(members) - hit.size, len(members))
+    if not all(c < PACKING_FRACTION * S.volume for c, S in zip(covered, members)):
+        raise AssertionError("packing bound violated by stopping children")
     return StoppingFamily(Q0, w, parents)
 
 

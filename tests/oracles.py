@@ -212,6 +212,21 @@ def loop_stopping_children(w: StepFunction, Q) -> list:
     return _loop_maximal(Q, lambda R: avgs[R.level][R.zindex] > threshold)
 
 
+def loop_stopping_family(w: StepFunction, Q0) -> dict:
+    """The stopping parents {member: parent} of Q0's family, built generation
+    by generation from loop_stopping_children."""
+    parents = {}
+    generation = [Q0]
+    while generation:
+        nxt = []
+        for S in generation:
+            for child in loop_stopping_children(w, S):
+                parents[child] = S
+                nxt.append(child)
+        generation = nxt
+    return parents
+
+
 def loop_heavy_subcubes(Q, exceptional: np.ndarray, threshold_fraction: float) -> list:
     """Maximal proper subcubes of Q where the full-grid boolean mask
     `exceptional` fills more than the given fraction."""

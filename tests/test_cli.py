@@ -283,6 +283,12 @@ class TestMainEntry:
             ("stopping-audit", {"count": -5}, "params.count must be a positive integer"),
             ("stopping-audit", {"count": 2.7}, "params.count must be a positive integer"),
             ("stopping-audit", {"count": True}, "params.count must be a positive integer"),
+            ("invariant-suite", {"samples": 0}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": -3}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": 2.7}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": "5"}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": True}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": None}, "params.samples must be a positive integer"),
             ("sharpness-sweep", {"budget": -1}, "params.budget must be a non-negative integer"),
             ("sharpness-sweep", {"budget": 2.5}, "params.budget must be a non-negative integer"),
             ("sharpness-sweep", {"budget": True}, "params.budget must be a non-negative integer"),
@@ -308,6 +314,17 @@ class TestMainEntry:
         path = write_config(tmp_path, cfg)
         assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("seed", [5, 99])
+    def test_exit_two_on_stopping_audit_weight_seed(self, tmp_path, capsys, seed):
+        # sample i draws from the config seed + i, so a weight seed would be ignored
+        weight = {"kind": "cascade", "volatility": 0.6, "seed": seed}
+        cfg = {"verb": "stopping-audit", "grid": {"d": 1, "N": 4}, "seed": 3,
+               "params": {"count": 2, "weight": weight}}
+        path = write_config(tmp_path, cfg)
+        assert main(["stopping-audit", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "params.weight.seed" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize(

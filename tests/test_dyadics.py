@@ -103,7 +103,7 @@ class TestGridSpec:
 
 
 class TestCubes:
-    @pytest.mark.parametrize("d,N", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("d,N", [(1, 0), (1, 4), (1, 12), (2, 0), (2, 3), (3, 2)])
     def test_morton_decode_array_matches_scalar(self, d, N):
         z = np.arange(1 << (d * N))
         coords = _morton_decode(z, d, N)

@@ -14,7 +14,7 @@ from czlab.stopping import (
     stopping_children,
 )
 
-from oracles import loop_stopping_children
+from oracles import loop_stopping_children, loop_stopping_family
 
 
 def ones(grid):
@@ -78,8 +78,12 @@ class TestStoppingChildren:
         vals = np.ones(g.cells)
         vals[0] = 7.0
         assert stopping_children(StepFunction(g, vals), g.root()) == []
+        assert build_stopping_family(StepFunction(g, vals), g.root()).parents == {}
         vals[0] = 7.5
         assert stopping_children(StepFunction(g, vals), g.root()) == [g.cube(3, (0,))]
+        assert build_stopping_family(StepFunction(g, vals), g.root()).parents == {
+            g.cube(3, (0,)): g.root()
+        }
 
 
 class TestStoppingFamily:
@@ -105,6 +109,34 @@ class TestStoppingFamily:
                     S: sum(c.volume for c in fam.children_of(S)) / S.volume for S in fam.cubes
                 }
                 assert list(fam.packing_margins().items()) == list(want.items())
+
+    @pytest.mark.parametrize("d,N", [(1, 7), (2, 4), (3, 2)])
+    def test_family_matches_generation_by_generation_loop(self, d, N):
+        g = GridSpec(d, N)
+        roots = [g.root(), g.cube_from_zindex(1, (1 << d) - 1), g.cube_from_zindex(2, 5),
+                 g.cube_from_zindex(N, 3)]
+        weights = [cascade_weight(g, 700 + seed, 0.8) for seed in range(6)]
+        for cell in (0, g.cells // 3, g.cells - 1):
+            vals = np.ones(g.cells)
+            vals[cell] = 1e6  # deep enough for a chain of several generations
+            weights.append(StepFunction(g, vals))
+        generations = 0
+        for w in weights:
+            for Q0 in roots:
+                fam = build_stopping_family(w, Q0)
+                want = loop_stopping_family(w, Q0)
+                assert fam.parents == want
+                margins = {
+                    S: sum(c.volume for c, P in want.items() if P == S) / S.volume
+                    for S in sorted([Q0, *want], key=lambda Q: (Q.level, Q.zindex))
+                }
+                assert list(fam.packing_margins().items()) == list(margins.items())
+                for Q in want:
+                    chain = 1
+                    while want[Q] != Q0:
+                        Q, chain = want[Q], chain + 1
+                    generations = max(generations, chain)
+        assert generations >= 2  # some family has stopping grandchildren
 
     def test_forest_nesting(self):
         g = GridSpec(1, 7)
