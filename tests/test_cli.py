@@ -283,12 +283,6 @@ class TestMainEntry:
             ("stopping-audit", {"count": -5}, "params.count must be a positive integer"),
             ("stopping-audit", {"count": 2.7}, "params.count must be a positive integer"),
             ("stopping-audit", {"count": True}, "params.count must be a positive integer"),
-            ("invariant-suite", {"samples": 0}, "params.samples must be a positive integer"),
-            ("invariant-suite", {"samples": -3}, "params.samples must be a positive integer"),
-            ("invariant-suite", {"samples": 2.7}, "params.samples must be a positive integer"),
-            ("invariant-suite", {"samples": "5"}, "params.samples must be a positive integer"),
-            ("invariant-suite", {"samples": True}, "params.samples must be a positive integer"),
-            ("invariant-suite", {"samples": None}, "params.samples must be a positive integer"),
             ("sharpness-sweep", {"budget": -1}, "params.budget must be a non-negative integer"),
             ("sharpness-sweep", {"budget": 2.5}, "params.budget must be a non-negative integer"),
             ("sharpness-sweep", {"budget": True}, "params.budget must be a non-negative integer"),
@@ -307,6 +301,12 @@ class TestMainEntry:
                 {"random_starts": False},
                 "params.random_starts must be a non-negative integer",
             ),
+            ("invariant-suite", {"samples": 0}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": -3}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": 2.7}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": "5"}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": True}, "params.samples must be a positive integer"),
+            ("invariant-suite", {"samples": None}, "params.samples must be a positive integer"),
         ],
     )
     def test_exit_two_on_bad_counts(self, tmp_path, capsys, verb, params, field):
