@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -142,8 +143,10 @@ class _Rows(NamedTuple):
 
 
 def _lp_norms(block, weight, p) -> list[float]:
-    """||v||_{L^p(weight)} for each row v of a (K, cells) block."""
-    sums = (np.abs(block) ** p * weight.values).sum(axis=-1) * weight.grid.cell_volume
+    """||v||_{L^p(weight)} for each row v of a (K, cells) block; a boolean
+    block is its own p-th power (0^p = 0 and 1^p = 1 exactly)."""
+    powers = block if block.dtype == bool else np.abs(block) ** p
+    sums = (powers * weight.values).sum(axis=-1) * weight.grid.cell_volume
     # the root as a Python float: numpy's array power takes a sqrt fast path
     return [float(s) ** (1.0 / p) for s in sums]
 
@@ -156,6 +159,26 @@ def _ratios(out, block, w, sigma, p, out_norms=_lp_norms) -> list[float]:
     return [o / fn if fn != 0.0 else 0.0 for o, fn in zip(out_norms(out, w, p), fnorms)]
 
 
+def _require_problem(grid, w, sigma):
+    """Raises ValueError unless w and sigma are valid weights on `grid`."""
+    require_weight(w)
+    require_weight(sigma, "sigma")
+    if w.grid != grid or sigma.grid != grid:
+        raise ValueError("weights must live on the operator's grid")
+
+
+def _require_count(name, value) -> int:
+    """Returns value as an int; raises ValueError naming it unless it is a
+    non-negative integer (numpy integers pass)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return count
+
+
 def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10_000) -> list:
     """norm_p2 of op for each (w, sigma) of `problems`, run in lockstep: one
     batched B-application and one batched eigh of the equal-size Ritz
@@ -165,10 +188,7 @@ def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10
     or the NonConvergenceError it met at the step cap."""
     grid = op.grid
     for w, sigma in problems:
-        require_weight(w)
-        require_weight(sigma, "sigma")
-        if w.grid != grid or sigma.grid != grid:
-            raise ValueError("weights must live on the operator's grid")
+        _require_problem(grid, w, sigma)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -260,8 +280,8 @@ def norm_p2(
 
 
 def _indicator_blocks(grid):
-    """Every cube indicator in blocks of rows, coarsest level first, Z-order
-    within a level."""
+    """Every cube indicator in boolean blocks of rows, coarsest level first,
+    Z-order within a level."""
     cells = np.arange(grid.cells)
     levels = np.repeat(np.arange(grid.N + 1), [1 << (grid.d * k) for k in range(grid.N + 1)])
     zs = np.concatenate([np.arange(1 << (grid.d * k)) for k in range(grid.N + 1)])
@@ -269,7 +289,7 @@ def _indicator_blocks(grid):
     lo, hi = zs << bits, (zs + 1) << bits
     for k in range(0, lo.size, _SEARCH_BLOCK):
         sl = slice(k, k + _SEARCH_BLOCK)
-        yield ((cells >= lo[sl, None]) & (cells < hi[sl, None])).astype(float)
+        yield (cells >= lo[sl, None]) & (cells < hi[sl, None])
 
 
 def _spectral_start(op, w, sigma):
@@ -336,8 +356,8 @@ def _boyd(out_norms, linearise, w, sigma, p, block):
 
 def _scan(out_norms, op, w, sigma, p, keep, starts):
     """The `keep` best rows of the (K, cells) blocks of `starts` by _ratios
-    with out_norms, as (value, stream index, vector), best score first and
-    stream order breaking ties, and the number of rows scanned."""
+    with out_norms, as (value, stream index, float vector), best score first
+    and stream order breaking ties, and the number of rows scanned."""
     top: list[tuple[float, int, np.ndarray | None]] = []
     scanned = 0
     for block in starts:
@@ -345,7 +365,7 @@ def _scan(out_norms, op, w, sigma, p, keep, starts):
         ranked = top + [(val, scanned + i, None) for i, val in enumerate(values)]
         ranked.sort(key=lambda rec: (-rec[0], rec[1]))
         top = [
-            (val, idx, block[idx - scanned].copy() if fv is None else fv)
+            (val, idx, block[idx - scanned].astype(float) if fv is None else fv)
             for val, idx, fv in ranked[:keep]
         ]
         scanned += len(block)
@@ -420,25 +440,33 @@ def norm_lp_lower(
     operators are not refined).  A refined row never falls below its start
     and larger budgets refine supersets, so the estimate is monotone in the
     budget.  `iterations` counts scored starts and Boyd's row applications.
-    Raises ValueError when there is no start: no spectral witness and
-    random_starts < 1.
+    Raises ValueError for weights off the operator's grid, a budget or
+    random_starts that is not a non-negative integer, and when there is no
+    start: no spectral witness and random_starts = 0.
     """
-    require_weight(w)
-    require_weight(sigma, "sigma")
+    _require_problem(op.grid, w, sigma)
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, infinity)")
+    budget = _require_count("budget", budget)
+    random_starts = _require_count("random_starts", random_starts)
     spectral = [_spectral_start(op, w, sigma)]
     return _lp_searches(op, [(w, sigma)], p, budget, seed, random_starts, spectral)[0]
 
 
 def _weak_functionals(block: np.ndarray, w, p: float) -> list[float]:
     """Per row of a (K, cells) block: max over thresholds of
-    lam * w{|out| > lam}^(1/p), lam at output values."""
+    lam * w{|out| > lam}^(1/p), lam at output values.  Under one constant
+    weight the magnitudes are sorted without their order: every permutation
+    of a constant array is that array, so the masses are one cumsum."""
     mags = np.abs(block)
-    order = np.argsort(mags, axis=-1)[:, ::-1]
-    sorted_mags = np.take_along_axis(mags, order, axis=-1)
     wv = w.values  # one weight, or one per row
-    wvals = wv[order] if wv.ndim == 1 else np.take_along_axis(wv, order, axis=-1)
+    if wv.ndim == 1 and (wv == wv[0]).all():
+        # one 1-D mass row, its cumsum and root taken once for every row
+        sorted_mags, wvals = np.sort(mags, axis=-1)[:, ::-1], wv
+    else:
+        order = np.argsort(mags, axis=-1)[:, ::-1]
+        sorted_mags = np.take_along_axis(mags, order, axis=-1)
+        wvals = wv[order] if wv.ndim == 1 else np.take_along_axis(wv, order, axis=-1)
     wmass = np.cumsum(wvals, axis=-1) * w.grid.cell_volume
     vals = sorted_mags * wmass ** (1.0 / p)
     return vals.max(axis=-1, initial=0.0).tolist()
@@ -461,12 +489,15 @@ def weak_norm_estimate(
     first, Z-order within a level), the p = 2 spectral witness of the linear
     part and the seeded random starts g and |g|; at p = 1, where Boyd's
     duality map is undefined, the starts are not refined.  The weak value
-    never exceeds the strong one on shared witnesses.
+    never exceeds the strong one on shared witnesses.  Raises ValueError
+    for weights off the operator's grid and for a budget or random_starts
+    that is not a non-negative integer.
     """
-    require_weight(w)
-    require_weight(sigma, "sigma")
+    _require_problem(op.grid, w, sigma)
     if not (1.0 <= p < math.inf):
         raise ValueError("p must lie in [1, infinity)")
+    budget = _require_count("budget", budget)
+    random_starts = _require_count("random_starts", random_starts)
     starts = itertools.chain(
         _indicator_blocks(w.grid),
         _spectral_start(op, w, sigma),
@@ -593,8 +624,11 @@ def sharpness_sweep(
     final column carries the single-characteristic comparison
     ap^max(1, 1/(p-1)).  All A_infty values are dyadic-mode.  The norms are
     norm_lp_lower's, searched for all weights of an (operator, p) at once
-    (_sweep_norms).
+    (_sweep_norms).  Raises ValueError for a budget or random_starts that
+    is not a non-negative integer.
     """
+    budget = _require_count("budget", budget)
+    random_starts = _require_count("random_starts", random_starts)
     rows = []
     for N in N_list:
         grid = GridSpec(1, int(N))

@@ -6,6 +6,7 @@ the per-vector computation bit for bit (signs of zeros included).  The p = 2
 spectral solve is checked against a dense SVD instead.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ from czlab.normlab import (
     truncation_operator,
     weak_norm_estimate,
 )
-from czlab.positive import TauCoefficients, apply_positive
+from czlab.positive import CubeFamily, TauCoefficients, apply_positive
 from czlab.shifts import (
     HaarShift,
     _toroidal_gap_cells,
@@ -448,6 +449,55 @@ class TestBlockSearches:
         assert got == want
 
     @pytest.mark.parametrize("N,i", CASES)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_weak_norm_estimate_lebesgue_matches_loop(self, N, i, p):
+        # w = sigma = 1: the scan scores under a constant weight
+        op, apply1, linear, linearise1, w, _ = _case(N, i)
+        one = StepFunction.constant(w.grid, 1.0)
+        got = weak_norm_estimate(op, one, one, p, seed=i, budget=2, random_starts=3)
+        want = loop_search(
+            loop_weak_functional, apply1, linear, linearise1, one, one, p, i, 2, 3
+        )[0]
+        assert got == want
+
+    @pytest.mark.parametrize("lebesgue,budget", [(False, 4), (True, 1)])
+    def test_weak_search_refining_indicators_matches_loop(self, lebesgue, budget):
+        # the all-cubes positive operator: every start Boyd refines is a
+        # cube indicator, kept from a boolean block
+        g = GridSpec(1, 4)
+        tau = TauCoefficients.indicator(CubeFamily(g, list(g.all_cubes())))
+        op = positive_operator(tau)
+        if lebesgue:
+            w = sigma = StepFunction.constant(g, 1.0)
+        else:
+            w, sigma = cascade_weight(g, 14, 0.6), cascade_weight(g, 24, 0.6)
+        ones = StepFunction.constant(g, 1.0)
+
+        def pos(v):
+            return apply_positive(tau, ones, StepFunction(g, v)).values
+
+        def stream():  # weak_norm_estimate's start stream at seed 5
+            return itertools.chain(
+                normlab._indicator_blocks(g),
+                normlab._spectral_start(op, w, sigma),
+                normlab._random_blocks(g, 5, 3),
+            )
+
+        out_norms = normlab._weak_functionals
+        top, _ = normlab._scan(out_norms, op, w, sigma, 1.5, budget, stream())
+        assert all(idx < 2 ** (g.N + 1) - 1 and fv.dtype == float for _, idx, fv in top)
+        value, f, apps = normlab._searches(
+            out_norms, op, [(w, sigma)], 1.5, budget, [stream()]
+        )[0]
+        want = loop_search(
+            loop_weak_functional, pos, (pos, pos), lambda v: (pos(v), pos),
+            w, sigma, 1.5, 5, budget, 3,
+        )
+        assert f.dtype == float
+        assert (value, bits(f), apps) == (want[0], bits(want[1]), want[2])
+        assert weak_norm_estimate(op, w, sigma, 1.5, seed=5, budget=budget, random_starts=3) == value
+
+    @pytest.mark.parametrize("N,i", CASES)
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_refined_rows_never_fall_below_their_starts(self, N, i, p):
         op, _, _, _, w, sigma = _case(N, i)
@@ -463,6 +513,56 @@ class TestBlockSearches:
             assert all(a >= b for a, b in zip(after, scores(starts, out_norms)))
             assert after == scores(fs, out_norms)  # each value is its iterate's
             assert 5 <= apps.sum() <= 2 * normlab._BOYD_STEPS * 5
+
+
+class TestScoringBlocks:
+    """The weak functional and the L^p norms of a block against the
+    one-vector oracles, bit for bit."""
+
+    @staticmethod
+    def rows(g):
+        """Rows with ties, exact zeros (signed), an all-zero row and a
+        random row."""
+        rng = np.random.default_rng(g.N)
+        ties = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=(3, g.cells))
+        ties[0, ::3] = -0.0
+        return np.vstack([ties, np.zeros(g.cells), rng.standard_normal(g.cells)])
+
+    @pytest.mark.parametrize("value", [1.0, 0.3])
+    @pytest.mark.parametrize("p", [1.0, 1.01, 1.5, 3.0])
+    def test_weak_functional_under_a_constant_weight(self, value, p):
+        # 0.3's cumsum rounds, so the masses are checked bit for bit
+        g = GridSpec(1, 5)
+        X, w = self.rows(g), StepFunction.constant(g, value)
+        got = normlab._weak_functionals(X, w, p)
+        assert got == [loop_weak_functional(x, w, p) for x in X]
+        assert got[3] == 0.0
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_weak_functional_per_row_and_cascade_weights(self, p):
+        # a cascade weight and per-row (_Rows) weights keep the argsort path
+        g = GridSpec(1, 5)
+        X = self.rows(g)
+        cascade = cascade_weight(g, 3, 0.6)
+        assert normlab._weak_functionals(X, cascade, p) == [
+            loop_weak_functional(x, cascade, p) for x in X
+        ]
+        per_row = np.array([cascade_weight(g, 30 + k, 0.6).values for k in range(len(X))])
+        per_row[1] = 0.3  # a constant row among the _Rows
+        got = normlab._weak_functionals(X, normlab._Rows(g, per_row), p)
+        assert got == [
+            loop_weak_functional(x, StepFunction(g, wv), p) for x, wv in zip(X, per_row)
+        ]
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 3.0])
+    def test_lp_norms_of_boolean_indicator_blocks(self, p):
+        g = GridSpec(1, 5)
+        sigma = cascade_weight(g, 8, 0.6)
+        for block in normlab._indicator_blocks(g):
+            assert block.dtype == bool
+            got = normlab._lp_norms(block, sigma, p)
+            assert got == normlab._lp_norms(block.astype(float), sigma, p)
+            assert got == [loop_lp_norm(x.astype(float), sigma, p) for x in block]
 
 
 class TestBatchedSearches:

@@ -413,6 +413,67 @@ class TestWeightValidation:
             with pytest.raises(ValueError, match="positive"):
                 norm_lp_lower(op, *args, 3.0)
 
+    @pytest.mark.parametrize(
+        "search,linear,off_grid",
+        [
+            (weak_norm_estimate, True, "sigma"),
+            (weak_norm_estimate, True, "both"),
+            (norm_lp_lower, False, "both"),
+            (norm_lp_lower, True, "w"),
+            (weak_norm_estimate, False, "w"),
+        ],
+    )
+    def test_weights_off_the_operator_grid_rejected(self, search, linear, off_grid):
+        # rejected before any start is built: the operator is never applied
+        g, coarse = GridSpec(1, 5), GridSpec(1, 4)
+
+        def fail(v):
+            raise AssertionError("operator applied")
+
+        part = LinearOperator(g, fail, fail) if linear else None
+        op = SublinearOperator(g, fail, part)
+        w = StepFunction.constant(coarse if off_grid in ("w", "both") else g, 1.0)
+        sigma = StepFunction.constant(coarse if off_grid in ("sigma", "both") else g, 1.0)
+        with pytest.raises(ValueError, match="operator's grid"):
+            search(op, w, sigma, 1.5)
+
+    @pytest.mark.parametrize(
+        "search,name,bad",
+        [
+            (norm_lp_lower, "budget", 2.5),
+            (norm_lp_lower, "budget", -1),
+            (norm_lp_lower, "random_starts", -3),
+            (norm_lp_lower, "random_starts", 4.0),
+            (weak_norm_estimate, "budget", -1),
+            (weak_norm_estimate, "budget", 2.5),
+            (weak_norm_estimate, "random_starts", -3),
+            (weak_norm_estimate, "random_starts", "8"),
+        ],
+    )
+    def test_bad_counts_rejected(self, search, name, bad):
+        g = GridSpec(1, 3)
+        one = StepFunction.constant(g, 1.0)
+        op = shift_operator(build_petermichl(g))
+        with pytest.raises(ValueError, match=name):
+            search(op, one, one, 1.5, **{name: bad})
+
+    @pytest.mark.parametrize("name,bad", [("budget", -1), ("budget", 2.5), ("random_starts", -2)])
+    def test_sweep_bad_counts_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            sharpness_sweep(("petermichl",), (2.0,), (3,), **{name: bad})
+
+    @pytest.mark.parametrize("search", [norm_lp_lower, weak_norm_estimate])
+    def test_numpy_integer_counts_accepted(self, search):
+        g = GridSpec(1, 4)
+        w, sigma = rand_weight(g, 51), rand_weight(g, 52)
+        op = truncation_operator(build_random_shift(1, 1, 53, g))
+        got = search(op, w, sigma, 1.5, budget=np.int64(2), random_starts=np.int32(3))
+        want = search(op, w, sigma, 1.5, budget=2, random_starts=3)
+        if search is norm_lp_lower:
+            assert np.array_equal(got.witness.values, want.witness.values)
+            got, want = ((e.lower_bound, e.iterations) for e in (got, want))
+        assert got == want
+
 
 class TestHilbertOperator:
     def test_skew_adjoint(self):
