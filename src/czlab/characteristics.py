@@ -137,7 +137,7 @@ def maximal_function(f: StepFunction, mode: str = "dyadic") -> StepFunction:
     if mode == "dyadic":
         return f.with_values(_dyadic_running_max(f)[0])
     if mode == "centered":
-        return _centered_maximal(f)
+        return f.with_values(_centered_maximal(f))
     raise ValueError("mode must be 'dyadic' or 'centered'")
 
 
@@ -145,31 +145,34 @@ def maximal_function(f: StepFunction, mode: str = "dyadic") -> StepFunction:
 _WINDOW_BLOCK = 1 << 13
 
 
-def _centered_maximal(f: StepFunction) -> StepFunction:
+def _centered_maximal(f: StepFunction, Q: DyadicCube | None = None) -> np.ndarray:
+    """The centred maximal function of f at the cells of Q (default the
+    root), in Z-order; the windows still reach the whole grid."""
     grid = f.grid
+    sl = grid.root().cell_slice if Q is None else Q.cell_slice
     if grid.d == 1:
         M = grid.cells
         # prefix sums at half-cell resolution: window ends x +- t land on
         # half-cell nodes when x is a cell center and t a multiple of dx/2
         half = np.repeat(np.abs(f.values), 2) * (grid.cell_volume / 2.0)
         P = np.concatenate([[0.0], np.cumsum(half)])
-        centers = 2 * np.arange(M) + 1
-        best = np.abs(f.values).copy()
+        centers = 2 * np.arange(sl.start, sl.stop) + 1
+        best = np.abs(f.values[sl])
         nodes = 2 * M
         radii = np.arange(2, nodes + 1, 2)[:, None]  # t = j * dx/2, full-cell multiples
-        step = max(1, _WINDOW_BLOCK // M)  # bounds each (radii x M) block
+        step = max(1, _WINDOW_BLOCK // len(centers))  # bounds each (radii x centers) block
         for k in range(0, len(radii), step):
             j = radii[k : k + step]
             lo = np.maximum(centers - j, 0)
             hi = np.minimum(centers + j, nodes)
             best = np.maximum(best, ((P[hi] - P[lo]) / (j * grid.cell_volume)).max(axis=0))
-        return f.with_values(best)
+        return best
     if grid.d == 2:
-        return f.with_values(_centered_maximal_2d(f))
+        return _centered_maximal_2d(f, sl)
     raise NotImplementedError("centered maximal function implemented for d <= 2")
 
 
-def _centered_maximal_2d(f: StepFunction) -> np.ndarray:
+def _centered_maximal_2d(f: StepFunction, sl: slice) -> np.ndarray:
     grid = f.grid
     n = 1 << grid.N
     dx = 1.0 / n
@@ -180,19 +183,22 @@ def _centered_maximal_2d(f: StepFunction) -> np.ndarray:
     half = np.repeat(np.repeat(raster, 2, axis=0), 2, axis=1) * (dx / 2.0) ** 2
     P = np.zeros((2 * n + 1, 2 * n + 1))
     P[1:, 1:] = half.cumsum(axis=0).cumsum(axis=1)
-    i0 = 2 * np.arange(n) + 1
-    best = raster.copy()
-    for j in range(2, 2 * n + 1, 2):
-        lo0 = np.clip(i0 - j, 0, 2 * n)
-        hi0 = np.clip(i0 + j, 0, 2 * n)
-        box = (
-            P[np.ix_(hi0, hi0)]
-            - P[np.ix_(lo0, hi0)]
-            - P[np.ix_(hi0, lo0)]
-            + P[np.ix_(lo0, lo0)]
-        )
-        best = np.maximum(best, box / (j * dx) ** 2)
-    return best[c0, c1]
+    # the cells of sl fill a square raster block from (c0, c1)[sl.start]
+    c0, c1 = c0[sl], c1[sl]
+    r0, r1, side = int(c0[0]), int(c1[0]), math.isqrt(len(c0))
+    i0 = 2 * np.arange(r0, r0 + side) + 1
+    i1 = 2 * np.arange(r1, r1 + side) + 1
+    best = raster[r0 : r0 + side, r1 : r1 + side].copy()
+    radii = np.arange(2, 2 * n + 1, 2)[:, None, None]  # t = j * dx/2, full-cell multiples
+    areas = np.array([(j * dx) ** 2 for j in range(2, 2 * n + 1, 2)])[:, None, None]
+    step = max(1, _WINDOW_BLOCK // side**2)  # bounds each (radii x block) array
+    for k in range(0, len(radii), step):
+        j = radii[k : k + step]
+        lo0, hi0 = (np.clip(i0[:, None] + s * j, 0, 2 * n) for s in (-1, 1))
+        lo1, hi1 = (np.clip(i1 + s * j, 0, 2 * n) for s in (-1, 1))
+        box = P[hi0, hi1] - P[lo0, hi1] - P[hi0, lo1] + P[lo0, lo1]
+        best = np.maximum(best, (box / areas[k : k + step]).max(axis=0))
+    return best[c0 - r0, c1 - r1]
 
 
 def ainfty_characteristic(w: StepFunction, mode: str = "dyadic") -> CharacteristicReport:
@@ -200,7 +206,7 @@ def ainfty_characteristic(w: StepFunction, mode: str = "dyadic") -> Characterist
 
     In dyadic mode the inner maximal function is the dyadic one restricted to
     subcubes of Q, which makes the value exact; centered mode uses the
-    centered-window operator applied to w 1_Q.
+    centered-window operator applied to w 1_Q, evaluated at Q's cells only.
     """
     require_weight(w)
     grid = w.grid
@@ -221,8 +227,8 @@ def ainfty_characteristic(w: StepFunction, mode: str = "dyadic") -> Characterist
             masked = np.zeros(grid.cells)
             sl = Q.cell_slice
             masked[sl] = w.values[sl]
-            M = _centered_maximal(w.with_values(masked))
-            ratio = float(M.values[sl].sum() * grid.cell_volume / wsums[Q.level][Q.zindex])
+            M = _centered_maximal(w.with_values(masked), Q)
+            ratio = float(M.sum() * grid.cell_volume / wsums[Q.level][Q.zindex])
             if ratio > best:
                 best = ratio
                 witness = Q

@@ -279,9 +279,10 @@ def norm_p2(
     return est
 
 
-def _indicator_blocks(grid):
+def _indicator_blocks(grid, image=None):
     """Every cube indicator in boolean blocks of rows, coarsest level first,
-    Z-order within a level."""
+    Z-order within a level.  Given `image`, each block comes as the start
+    (block, image(levels, zs)), from its cubes' levels and Z-indices."""
     cells = np.arange(grid.cells)
     levels = np.repeat(np.arange(grid.N + 1), [1 << (grid.d * k) for k in range(grid.N + 1)])
     zs = np.concatenate([np.arange(1 << (grid.d * k)) for k in range(grid.N + 1)])
@@ -289,7 +290,18 @@ def _indicator_blocks(grid):
     lo, hi = zs << bits, (zs + 1) << bits
     for k in range(0, lo.size, _SEARCH_BLOCK):
         sl = slice(k, k + _SEARCH_BLOCK)
-        yield (cells >= lo[sl, None]) & (cells < hi[sl, None])
+        block = (cells >= lo[sl, None]) & (cells < hi[sl, None])
+        yield block if image is None else (block, image(levels[sl], zs[sl]))
+
+
+def _cube_image(op, sigma):
+    """(levels, zs) -> op applied to sigma times the indicators of those
+    cubes, by the shift kernel's cube path, when op is a shift truncation
+    whose plan cancels and sigma is 1 on every cell; otherwise None."""
+    plan = op.shift._plan if isinstance(op, _ShiftTruncation) else None
+    if plan is None or not (sigma.values == 1.0).all() or not plan.cancels:
+        return None
+    return functools.partial(plan.cubes, truncate=True)
 
 
 def _spectral_start(op, w, sigma):
@@ -357,11 +369,13 @@ def _boyd(out_norms, linearise, w, sigma, p, block):
 def _scan(out_norms, op, w, sigma, p, keep, starts):
     """The `keep` best rows of the (K, cells) blocks of `starts` by _ratios
     with out_norms, as (value, stream index, float vector), best score first
-    and stream order breaking ties, and the number of rows scanned."""
+    and stream order breaking ties, and the number of rows scanned.  A
+    start is a block, or a (block, op(sigma * block)) pair."""
     top: list[tuple[float, int, np.ndarray | None]] = []
     scanned = 0
-    for block in starts:
-        values = _ratios(op.apply(sigma.values * block), block, w, sigma, p, out_norms)
+    for start in starts:
+        block, out = start if isinstance(start, tuple) else (start, op.apply(sigma.values * start))
+        values = _ratios(out, block, w, sigma, p, out_norms)
         ranked = top + [(val, scanned + i, None) for i, val in enumerate(values)]
         ranked.sort(key=lambda rec: (-rec[0], rec[1]))
         top = [
@@ -488,7 +502,10 @@ def weak_norm_estimate(
     functional, on a start stream of every cube indicator (coarsest level
     first, Z-order within a level), the p = 2 spectral witness of the linear
     part and the seeded random starts g and |g|; at p = 1, where Boyd's
-    duality map is undefined, the starts are not refined.  The weak value
+    duality map is undefined, the starts are not refined.  A shift
+    truncation images its indicators from their ancestors' coefficient pairs
+    alone when sigma = 1 and its input Haar functions cancel exactly
+    (_cube_image); the values are the same bits.  The weak value
     never exceeds the strong one on shared witnesses.  Raises ValueError
     for weights off the operator's grid and for a budget or random_starts
     that is not a non-negative integer.
@@ -499,7 +516,7 @@ def weak_norm_estimate(
     budget = _require_count("budget", budget)
     random_starts = _require_count("random_starts", random_starts)
     starts = itertools.chain(
-        _indicator_blocks(w.grid),
+        _indicator_blocks(w.grid, _cube_image(op, sigma)),
         _spectral_start(op, w, sigma),
         _random_blocks(w.grid, seed, random_starts),
     )

@@ -46,7 +46,11 @@ _NORMALIZATION_TOL = 1e-12
 
 
 def _exact_zero_sum(vals: np.ndarray) -> np.ndarray:
-    """Recenter each row (last axis) so it sums to exactly zero in floating point."""
+    """Recenter each row (last axis) and move what is left of its sum into
+    its last entry.  On 10^5 standard normal rows of 2 or 4 values (d = 1,
+    2), numpy's sum of the result was exactly zero; rows of 8 (d = 3), which
+    numpy sums pairwise, kept a rounding-size residue about a quarter of
+    the time."""
     vals = vals - vals.mean(axis=-1, keepdims=True)
     vals[..., -1] -= vals.sum(axis=-1)
     return vals
@@ -317,7 +321,16 @@ class HaarShift:
 _BLOCK_BYTES = 1 << 18
 
 
-class _KernelPlan(NamedTuple):
+def _heap_start(d: int, level):
+    """Position of the first cube of `level` (an int or an int array) in the
+    heap order of all cubes (levels 0, 1, ... in turn, Z-order within each):
+    cube z of `level` sits at _heap_start(d, level) + z, and the parent of
+    position h at (h - 1) >> d."""
+    return ((1 << (d * level)) - 1) // ((1 << d) - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelPlan:
     """All levels' coefficient rows of a shift, concatenated in level order.
 
     The row arrays are child-major: entry [i, r] belongs to child i of row r.
@@ -328,7 +341,8 @@ class _KernelPlan(NamedTuple):
     of the flat outputs, and for every cube the index of its ancestor at the
     previous output level (None at the first).  `to_cells` maps the finest
     output level onto the cells (None when it is the cell level), and
-    `cell_index[j]` each cell to its cube's slot in output level j.
+    `cell_index[j]` each cell to its cube's slot in output level j.  The
+    cube path's `cancels` and `_by_rprime` are built on first use.
     """
 
     grid: GridSpec
@@ -396,14 +410,9 @@ class _KernelPlan(NamedTuple):
             parts.append(np.bincount(bins, weights, len(coef) * size).reshape(-1, size))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def run(self, block: np.ndarray, truncate: bool, select: bool = False):
-        """apply (or truncation) of every row of a (K, cells) block.
-
-        Row i equals the one-row result bit for bit: every sum below adds
-        the same terms in the same order as the per-level formulas do.
-        `select` (with truncate) adds, per cell, the index into `outputs` of
-        the first level attaining the max, and the sign of its partial sum.
-        """
+    def _pair_pass(self, block: np.ndarray) -> np.ndarray:
+        """The flat per-cube output terms of each row of a (K, cells) block:
+        its integrals through every coefficient pair, binned in pair order."""
         pyramid = np.concatenate(_level_sums(self.grid, block, self.top), axis=-1)
         # a pair whose integrals are zero in every row adds 0 * h = +-0 (h is
         # finite) to bins that start at +0, moving none: skip it (NaN is nonzero)
@@ -411,7 +420,10 @@ class _KernelPlan(NamedTuple):
         if not pyramid.all() and not (live := pyramid.any(axis=0)).all():
             keep = np.flatnonzero(live[self.gather].any(axis=0))
             pairs = (a[..., keep] for a in pairs)
-        contrib = self._rows(pyramid, *pairs, self.outputs[-1][1])
+        return self._rows(pyramid, *pairs, self.outputs[-1][1])
+
+    def _output_pass(self, contrib: np.ndarray, truncate: bool, select: bool = False):
+        """run's result from the pair pass's per-cube terms `contrib`."""
         # coarse to fine: carry the running partial sum (and the running max
         # of its modulus) down to each output level and add that level's terms
         acc = best = level = pick = None  # pick: the partial sum attaining best
@@ -434,6 +446,66 @@ class _KernelPlan(NamedTuple):
         if self.to_cells is not None:
             picked = [a.take(self.to_cells, axis=1) for a in picked]
         return tuple(picked) if select else picked[0]
+
+    def run(self, block: np.ndarray, truncate: bool, select: bool = False):
+        """apply (or truncation) of every row of a (K, cells) block.
+
+        Row i equals the one-row result bit for bit: every sum below adds
+        the same terms in the same order as the per-level formulas do.
+        `select` (with truncate) adds, per cell, the index into `outputs` of
+        the first level attaining the max, and the sign of its partial sum.
+        """
+        return self._output_pass(self._pair_pass(block), truncate, select)
+
+    @functools.cached_property
+    def cancels(self) -> bool:
+        """Whether every pair's coefficient is exactly 0 on a row equal to 1
+        on its R': the pair pass's child sums on the constant row."""
+        ones = np.concatenate(_level_sums(self.grid, np.ones((1, self.grid.cells)), self.top), axis=-1)
+        terms = ones.take(self.gather, axis=1) * self.h_in
+        return not _child_sum(list(terms.transpose(1, 0, 2))).any()
+
+    @functools.cached_property
+    def _by_rprime(self):
+        """The pairs grouped by their R', in pair order within a group:
+        (order, first, count), where `order` lists the pairs group by group
+        and `first` and `count` give each group's start in `order` and its
+        size, indexed by the heap position of R' (_heap_start)."""
+        d = self.grid.d
+        # gather[0] holds child 0 of each R', counted from level top's first cube
+        rprime = (self.gather[0] + _heap_start(d, self.top) - 1) >> d
+        count = np.bincount(rprime, minlength=_heap_start(d, self.grid.N))
+        return np.argsort(rprime, kind="stable"), np.cumsum(count) - count, count
+
+    def cubes(self, levels: np.ndarray, zs: np.ndarray, truncate: bool) -> np.ndarray:
+        """run(block, truncate) for the block of indicators of the cubes Q
+        of `levels` and Z-indices `zs`, one row each, on a plan that cancels.
+
+        Of 1_Q's pairs, one whose R' misses Q reads zero integrals, and one
+        whose R' lies in Q has coefficient 0 (cancels): both add +-0 to bins
+        that start at +0, moving none.  A strict ancestor R' of Q, with Q in
+        its child i, has coefficient (|Q| h_in[i]) * scale, the one nonzero
+        term of the pair pass's child sum.  Each shift level holds one such
+        R' and feeds its own output level, so one bincount over their pairs,
+        in pair order, gives the pair pass's terms bit for bit.
+        """
+        d, N, size = self.grid.d, self.grid.N, self.outputs[-1][1]
+        order, first, count = self._by_rprime
+        up = levels[:, None] - np.arange(N)  # from Q up to its ancestor at level 0..N-1
+        row, level = np.nonzero(up > 0)
+        child = zs[row] >> (d * (up[row, level] - 1))  # the child of R' that holds Q
+        key = _heap_start(d, level) + (child >> d)
+        n = count[key]
+        pair = order[np.repeat(first[key] + n - np.cumsum(n), n) + np.arange(n.sum())]
+        row = np.repeat(row, n)
+        volume = np.ldexp(1.0, -d * levels)  # |Q|, as the integrals of 1_Q give it
+        coef = volume[row] * self.h_in[np.repeat(child & ((1 << d) - 1), n), pair] * self.scale[pair]
+        contrib = np.bincount(
+            (self.scatter[:, pair] + size * row).ravel(),
+            (coef * self.h_out[:, pair]).ravel(),
+            len(zs) * size,
+        ).reshape(len(zs), size)
+        return self._output_pass(contrib, truncate)
 
     def selected_adjoint(self, level, sign, block: np.ndarray) -> np.ndarray:
         """L^t u for each row u of a (K, cells) block, where L g = sign times
@@ -496,7 +568,10 @@ def build_random_shift(
     Every admissible (Q', R') pair receives Gaussian child values, recentered
     when cancellative, then rescaled so the joint normalization holds with
     equality wherever the pair is nonzero.  Values are drawn level by level,
-    pairs in (Q, Q', R') Z-order, input values before output values.
+    pairs in (Q, Q', R') Z-order, input values before output values.  The
+    rescaling rounds: in d = 1 every Haar function still sums to exactly 0,
+    but in d >= 2 half or more do not (|sum| below 1e-15), so those shifts
+    cancel only up to rounding.
     """
     if m < 0 or n < 0:
         raise ValueError("shift parameters must be non-negative")

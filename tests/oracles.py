@@ -595,3 +595,48 @@ def loop_centered_maximal(f: StepFunction) -> np.ndarray:
         hi = np.clip(centers + j, 0, nodes)
         best = np.maximum(best, (P[hi] - P[lo]) / (j * grid.cell_volume))
     return best
+
+
+def loop_centered_maximal_2d(f: StepFunction) -> np.ndarray:
+    """Centred maximal function in d = 2 over the whole raster, one window
+    radius at a time; Z-order bit 2b is bit b of the row, bit 2b + 1 of the
+    column."""
+    grid = f.grid
+    n = 1 << grid.N
+    dx = 1.0 / n
+    z = np.arange(grid.cells)
+    c0 = sum((((z >> (2 * b)) & 1) << b for b in range(grid.N)), np.zeros_like(z))
+    c1 = sum((((z >> (2 * b + 1)) & 1) << b for b in range(grid.N)), np.zeros_like(z))
+    raster = np.zeros((n, n))
+    raster[c0, c1] = np.abs(f.values)
+    half = np.repeat(np.repeat(raster, 2, axis=0), 2, axis=1) * (dx / 2.0) ** 2
+    P = np.zeros((2 * n + 1, 2 * n + 1))
+    P[1:, 1:] = half.cumsum(axis=0).cumsum(axis=1)
+    centers = 2 * np.arange(n) + 1
+    best = raster.copy()
+    for j in range(2, 2 * n + 1, 2):
+        lo = np.clip(centers - j, 0, 2 * n)
+        hi = np.clip(centers + j, 0, 2 * n)
+        box = P[np.ix_(hi, hi)] - P[np.ix_(lo, hi)] - P[np.ix_(hi, lo)] + P[np.ix_(lo, lo)]
+        best = np.maximum(best, box / (j * dx) ** 2)
+    return best[c0, c1]
+
+
+def loop_centered_ainfty(w: StepFunction) -> tuple[float, int, int]:
+    """Centred A_infty of w as (value, witness level, witness Z-index): for
+    every cube Q, the whole-grid centred maximal function of w 1_Q, read on
+    Q's cells; the first cube (coarsest level, then Z-order) attaining the
+    largest ratio wins."""
+    grid = w.grid
+    maximal = loop_centered_maximal if grid.d == 1 else loop_centered_maximal_2d
+    wsums = loop_level_integrals(w.values, grid)
+    best = (-np.inf, -1, -1)
+    for Q in grid.all_cubes():
+        sl = Q.cell_slice
+        masked = np.zeros(grid.cells)
+        masked[sl] = w.values[sl]
+        M = maximal(w.with_values(masked))
+        ratio = float(M[sl].sum() * grid.cell_volume / wsums[Q.level][Q.zindex])
+        if ratio > best[0]:
+            best = (ratio, Q.level, Q.zindex)
+    return best

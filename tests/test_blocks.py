@@ -7,6 +7,7 @@ spectral solve is checked against a dense SVD instead.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -302,6 +303,150 @@ class TestPrunedKernel:
         runs[4] = 0.0
         assert_rows_match_loops(S, runs)
         assert_rows_match_loops(S, runs[3:])  # no pair is read at all
+
+
+def gapped_json_shift() -> HaarShift:
+    """A random (2, 1) shift read back from JSON without its level-1 cubes,
+    with one pair listed twice more, its output values negated and then
+    scaled by 1e-20: the three terms of a bin then sum to nonzero in pair
+    order (a - a + 1e-20 a) and to zero in reverse."""
+    obj = json.loads(build_random_shift(2, 1, 5, GridSpec(1, 6)).to_json())
+    obj["entries"] = [item for item in obj["entries"] if item["cube"]["level"] != 1]
+    pairs = obj["entries"][0]["pairs"]
+    pairs += [{**pairs[1], "g_vals": [s * v for v in pairs[1]["g_vals"]]} for s in (-1.0, 1e-20)]
+    return HaarShift.from_json(json.dumps(obj))
+
+
+def truncation_loops(S: HaarShift):
+    """loop_search's (apply1, linear, linearise1) for S's maximal truncation."""
+
+    def selected(v):
+        out, level, sign = loop_selection(S, v)
+        return out, lambda u: loop_selected_adjoint(S, level, sign, u)
+
+    linear = (lambda v: loop_apply(S, v), lambda v: loop_apply(S.adjoint(), v))
+    return (lambda v: loop_truncation(S, v)), linear, selected
+
+
+class TestCubePath:
+    """The kernel's cube path (_KernelPlan.cubes), which images cube
+    indicators from their ancestors' coefficient pairs alone, against the
+    loop kernels; and the weak search's choice between it and op.apply."""
+
+    @staticmethod
+    def assert_cube_images_match_loops(S: HaarShift) -> bool:
+        """Every level's cube images, truncated and not, against the loop
+        kernels bit for bit; False when the path declines the shift."""
+        plan = S._plan
+        if plan is None or not plan.cancels:
+            return False
+        g = S.grid
+        for level in range(g.N + 1):
+            zs = np.arange(1 << (g.d * level))
+            levels = np.full(zs.size, level)
+            X = cube_indicators(g, level)
+            for truncate, loop in ((True, loop_truncation), (False, loop_apply)):
+                images = plan.cubes(levels, zs, truncate)
+                assert images.shape == X.shape
+                for image, x in zip(images, X):
+                    assert bits(image) == bits(loop(S, x))
+        return True
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("kind,d,N,m,n", TestPrunedKernel.CASES)
+    def test_cube_images_of_every_level(self, kind, d, N, m, n, adjoint):
+        S = TestPrunedKernel.shift(kind, d, N, m, n, adjoint)
+        taken = self.assert_cube_images_match_loops(S)
+        # exactly cancelling input Haar functions: d = 1 random and
+        # Petermichl shifts, and the paraproduct's adjoint in any d
+        if (d == 1 and kind in ("random", "petermichl")) or (kind == "paraproduct" and adjoint):
+            assert taken
+        if kind in ("noncancellative", "paraproduct") and not adjoint:
+            assert not taken
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_cube_images_of_a_gapped_json_shift(self, adjoint):
+        S = gapped_json_shift()
+        assert 1 not in S.levels and len(S.levels[0].h_in) == 4 * 2 + 2
+        assert self.assert_cube_images_match_loops(S.adjoint() if adjoint else S)
+
+    def test_empty_shift_declines(self):
+        S = build_random_shift(4, 0, 1, GridSpec(1, 4))  # no level has room
+        assert not self.assert_cube_images_match_loops(S)
+        one = StepFunction.constant(S.grid, 1.0)
+        assert normlab._cube_image(truncation_operator(S), one) is None
+
+    @pytest.mark.parametrize(
+        "name",
+        ["paraproduct", "noncancellative", "random d=2", "cascade sigma", "linear shift"],
+    )
+    def test_declined_weak_searches_match_loop(self, name):
+        g = GridSpec(2, 3) if name == "random d=2" else GridSpec(1, 5)
+        w = cascade_weight(g, 41, 0.6)
+        sigma = cascade_weight(g, 42, 0.6) if name == "cascade sigma" else StepFunction.constant(g, 1.0)
+        kind = {"paraproduct": "paraproduct", "noncancellative": "noncancellative"}.get(name, "random")
+        S = make_shift(kind, g.d, g.N, 1, 1, seed=43)
+        op = shift_operator(S) if name == "linear shift" else truncation_operator(S)
+        assert normlab._cube_image(op, sigma) is None
+        if name == "linear shift":
+            apply1, linear = (lambda v: loop_apply(S, v)), truncation_loops(S)[1]
+            linearise1 = lambda v: (apply1(v), linear[1])
+        else:
+            apply1, linear, linearise1 = truncation_loops(S)
+        got = weak_norm_estimate(op, w, sigma, 1.5, seed=2, budget=2, random_starts=3)
+        want = loop_search(loop_weak_functional, apply1, linear, linearise1, w, sigma, 1.5, 2, 2, 3)
+        assert got == want[0]
+
+    @pytest.mark.parametrize("name", ["random (2, 2)", "json gap", "paraproduct adjoint d=2"])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_cube_path_weak_searches_match_loop(self, name, p):
+        if name == "json gap":
+            S = gapped_json_shift()
+        elif name == "random (2, 2)":
+            S = build_random_shift(2, 2, 44, GridSpec(1, 6))
+        else:
+            S = make_shift("paraproduct", 2, 3, 0, 0, seed=45).adjoint()
+        g = S.grid
+        one = StepFunction.constant(g, 1.0)
+        op = truncation_operator(S)
+        assert normlab._cube_image(op, one) is not None
+        for w in (one, cascade_weight(g, 46, 0.6)):
+            got = weak_norm_estimate(op, w, one, p, seed=3, budget=2, random_starts=3)
+            want = loop_search(loop_weak_functional, *truncation_loops(S), w, one, p, 3, 2, 3)
+            assert got == want[0]
+
+    def test_weak_search_skips_the_pair_pass_on_indicator_blocks(self, monkeypatch):
+        # a fallback to op.apply on the indicator blocks would show here
+        g = GridSpec(1, 6)
+        S = build_random_shift(2, 2, 47, g)
+        one = StepFunction.constant(g, 1.0)
+        seed, budget, random_starts = 3, 2, 4
+        seen, imaged = [], []
+        pair_pass, cubes = shifts._KernelPlan._pair_pass, shifts._KernelPlan.cubes
+
+        def spy_pair_pass(plan, block):
+            seen.append(block.copy())
+            return pair_pass(plan, block)
+
+        def spy_cubes(plan, levels, zs, truncate):
+            imaged.append(len(zs))
+            return cubes(plan, levels, zs, truncate)
+
+        monkeypatch.setattr(shifts._KernelPlan, "_pair_pass", spy_pair_pass)
+        monkeypatch.setattr(shifts._KernelPlan, "cubes", spy_cubes)
+        weak_norm_estimate(
+            truncation_operator(S), one, one, 1.5, seed=seed, budget=budget, random_starts=random_starts
+        )
+        indicators = [block.astype(float) for block in normlab._indicator_blocks(g)]
+        assert imaged == [len(block) for block in indicators]
+        assert not any(
+            x.shape == block.shape and bits(x) == bits(block) for x in seen for block in indicators
+        )
+        spectral = norm_p2(shift_operator(S), one, one).witness.values[None]
+        random = next(normlab._random_blocks(g, seed, random_starts))
+        for rows in (spectral, random):
+            assert any(x.shape == rows.shape and bits(x) == bits(rows) for x in seen)
+        assert any(len(x) == budget for x in seen)  # Boyd's block of the best starts
 
 
 class TestPositiveBlocks:

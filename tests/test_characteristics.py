@@ -13,7 +13,12 @@ from czlab.characteristics import (
 from czlab.dyadics import GridSpec, StepFunction, average
 from czlab.families import cascade_weight, power_weight
 
-from oracles import brute_ap, loop_centered_maximal
+from oracles import (
+    brute_ap,
+    loop_centered_ainfty,
+    loop_centered_maximal,
+    loop_centered_maximal_2d,
+)
 
 
 def weight(grid, vals):
@@ -254,6 +259,18 @@ class TestAinfty:
         rep = ainfty_characteristic(weight(g, [4, 1, 2, 1, 1, 1, 3, 1.0]), "centered")
         assert rep.value >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize("d,N", [(1, 0), (1, 1), (1, 5), (1, 8), (2, 1), (2, 2), (2, 3)])
+    def test_centered_matches_whole_grid_evaluation(self, d, N):
+        # only the centres inside each cube are evaluated: same value and witness bits
+        g = GridSpec(d, N)
+        spike = np.ones(g.cells)
+        spike[g.cells // 3] = 50.0
+        for w in (cascade_weight(g, 500 + N, 0.6), weight(g, spike)):
+            rep = ainfty_characteristic(w, "centered")
+            value, level, z = loop_centered_ainfty(w)
+            assert rep.value.hex() == value.hex()
+            assert (rep.witness.level, rep.witness.zindex) == (level, z)
+
     def test_report_serialization(self):
         g = GridSpec(1, 2)
         rep = ainfty_characteristic(StepFunction.constant(g, 1.0))
@@ -319,6 +336,16 @@ class TestCentered2D:
                             total += absf[a, b] * (hi0 - lo0) * (hi1 - lo1)
                 best = max(best, total / (2 * t) ** 2)
             assert M[z] == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("N", [0, 1, 3, 5])
+    def test_centered_maximal_2d_matches_per_radius_loop(self, N):
+        # from N = 5 on the radii span several blocks
+        g = GridSpec(2, N)
+        w = cascade_weight(g, 600 + N, 0.6)
+        sparse = np.where(np.arange(g.cells) % 5 == 0, w.values, 0.0)
+        for f in (w, w.with_values(sparse)):
+            got = maximal_function(f, "centered").values
+            assert got.tobytes() == loop_centered_maximal_2d(f).tobytes()
 
     def test_ainfty_witness_reproduces_value(self):
         rng = np.random.default_rng(78)
