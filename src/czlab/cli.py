@@ -326,7 +326,7 @@ def _run_sharpness_sweep(cfg: ExperimentConfig, out_dir: str):
         )
     operators = tuple(cfg.params.get("operators", OPERATOR_KINDS))
     p_list = tuple(float(p) for p in cfg.params.get("p", [1.5, 2.0, 3.0]))
-    N_list = tuple(int(n) for n in cfg.params.get("N", [min(cfg.N, 8), cfg.N]))
+    N_list = tuple(int(n) for n in cfg.params.get("N", sorted({min(cfg.N, 8), cfg.N})))
     budget = int(cfg.params.get("budget", 6))
     random_starts = int(cfg.params.get("random_starts", 16))
     rows = sharpness_sweep(

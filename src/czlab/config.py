@@ -115,8 +115,8 @@ def _check_hilbert_params(params: dict):
 
 def _check_sweep_params(params: dict, grid_N: int):
     """Each list the sharpness sweep iterates over is non-empty and holds
-    only values it can run: known operator kinds, exponents p in (1, inf)
-    and levels N in [1, grid.N]."""
+    only values it can run, each once: known operator kinds, exponents p in
+    (1, inf) and levels N in [1, grid.N]."""
     items_ok = {
         "operators": (lambda v: v in OPERATOR_KINDS, f"one of {list(OPERATOR_KINDS)}"),
         "p": (lambda v: _finite_number(v) and v > 1, "a finite number greater than 1"),
@@ -131,6 +131,8 @@ def _check_sweep_params(params: dict, grid_N: int):
         for i, v in enumerate(items):
             if not ok(v):
                 raise ConfigError(f"params.{key}[{i}] must be {what}")
+            if v in items[:i]:
+                raise ConfigError(f"params.{key}[{i}] repeats params.{key}[{items.index(v)}]")
 
 
 def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:

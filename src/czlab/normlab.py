@@ -181,11 +181,16 @@ def _require_count(name, value) -> int:
 
 def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10_000) -> list:
     """norm_p2 of op for each (w, sigma) of `problems`, run in lockstep: one
-    batched B-application and one batched eigh of the equal-size Ritz
-    tridiagonals per step for the problems still running, each problem
-    re-orthogonalised against its own basis.  Every row and every stacked
-    eigh gives the one-problem bits.  Returns per problem its NormEstimate,
-    or the NonConvergenceError it met at the step cap."""
+    batched B-application per step for the problems still running, each
+    problem re-orthogonalised against its own basis.  The top Ritz pair is
+    checked, by one eigh of the stacked equal-size tridiagonals, at steps
+    1-8 and then whenever the step count has grown by an eighth since the
+    last scheduled check (k -> k + max(1, k // 8)), at the step cap, and
+    for a problem whose b is at rounding level against its last checked
+    Ritz value, a lower bound on the current one.  Every problem shares the
+    step count, so every row and every stacked eigh gives the one-problem
+    bits.  Returns per problem its NormEstimate, or the NonConvergenceError
+    it met at the step cap."""
     grid = op.grid
     for w, sigma in problems:
         _require_problem(grid, w, sigma)
@@ -195,53 +200,74 @@ def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10
         raise ValueError(f"tol must be finite and positive, got {tol}")
     sq_sigma = np.array([np.sqrt(sigma.values) for _, sigma in problems])
     wv = np.array([w.values for w, _ in problems])
+    steps = min(max_iter, grid.cells)
+    breakdown = grid.cells * np.finfo(float).eps
     # A seeded normal start, not ones: ones lies in the kernel of every
     # cancellative shift at w = sigma = 1.
     q = np.random.default_rng(20540).standard_normal(grid.cells)
-    # per problem: Krylov basis (one row per step taken), alphas and betas
+    # per problem: the Krylov basis, in a buffer that doubles when full (a
+    # solve copies it O(log k) times), alphas, betas and the last checked
+    # Ritz value
     bases = [(q / np.linalg.norm(q))[None] for _ in problems]
     alpha: list[list[float]] = [[] for _ in problems]
     beta: list[list[float]] = [[] for _ in problems]
+    theta_last = [0.0] * len(problems)
     results: list = [None] * len(problems)
     converged = {}  # problem -> (Ritz witness, steps taken)
     live = list(range(len(problems)))
-    steps = min(max_iter, grid.cells)
+    check = 1  # the next scheduled check
     for k in range(1, steps + 1):
         if not live:
             break
         # B = D_sqrt(sigma) T* W T D_sqrt(sigma), applied to each last basis row
         sq = sq_sigma[live]
-        V = sq * op.adjoint(wv[live] * op.apply(sq * np.array([bases[i][-1] for i in live])))
-        norms, tridiagonals = [], []
+        V = sq * op.adjoint(wv[live] * op.apply(sq * np.array([bases[i][k - 1] for i in live])))
+        norms = []
         for i, v in zip(live, V):
-            Q = bases[i]
+            Q = bases[i][:k]
             alpha[i].append(float(Q[-1] @ v))
             for _ in range(2):  # full re-orthogonalisation; twice is enough
                 v -= (Q @ v) @ Q
             norms.append(float(np.linalg.norm(v)))
-            tridiagonals.append(np.diag(alpha[i]) + np.diag(beta[i], 1) + np.diag(beta[i], -1))
-        ritz, Y = np.linalg.eigh(np.array(tridiagonals))
+        scheduled = k in (check, steps)
+        if k == check:
+            check += max(1, k // 8)
+        checked = [i for i, b in zip(live, norms) if scheduled or b <= breakdown * theta_last[i]]
+        pairs = {}  # checked problem -> top Ritz value (clipped at 0) and vector
+        if checked:
+            T, d = np.zeros((len(checked), k, k)), np.arange(k)
+            T[:, d, d] = [alpha[i] for i in checked]
+            T[:, d[1:], d[:-1]] = T[:, d[:-1], d[1:]] = [beta[i] for i in checked]
+            ritz, Y = np.linalg.eigh(T)
+            pairs = {i: (max(float(r[-1]), 0.0), Yi[:, -1]) for i, r, Yi in zip(checked, ritz, Y)}
         running = []
-        for i, v, b, r, Yi in zip(live, V, norms, ritz, Y):
-            theta, y = max(float(r[-1]), 0.0), Yi[:, -1]
-            resid = b * abs(float(y[-1]))
-            # The Ritz residual is stopped four decades below the requested
-            # tolerance: the value error then sits far inside tol whenever the
-            # top eigenvalue is separated (it shrinks like resid^2 / gap).
-            # Breakdown (b at rounding level) means the basis spans an
-            # invariant subspace.
-            if resid <= 1e-4 * tol * theta or b <= grid.cells * np.finfo(float).eps * theta:
-                converged[i] = ((y @ bases[i]) / sq_sigma[i], k)
-                bases[i] = None  # free the basis while other problems run
-            elif k == steps:
-                results[i] = NonConvergenceError(
-                    f"Lanczos did not converge within {steps} steps",
-                    (math.sqrt(theta), math.sqrt(theta + resid)),
-                )
-            else:
-                beta[i].append(b)
-                bases[i] = np.vstack([bases[i], v / b])
-                running.append(i)
+        for i, v, b in zip(live, V, norms):
+            if i in pairs:
+                theta, y = pairs[i]
+                theta_last[i] = theta
+                resid = b * abs(float(y[-1]))
+                # The Ritz residual is stopped four decades below the requested
+                # tolerance: the value error then sits far inside tol whenever the
+                # top eigenvalue is separated (it shrinks like resid^2 / gap).
+                # Breakdown (b at rounding level) means the basis spans an
+                # invariant subspace.
+                if resid <= 1e-4 * tol * theta or b <= breakdown * theta:
+                    converged[i] = ((y @ bases[i][:k]) / sq_sigma[i], k)
+                    bases[i] = None  # free the basis while other problems run
+                    continue
+                if k == steps:
+                    results[i] = NonConvergenceError(
+                        f"Lanczos did not converge within {steps} steps",
+                        (math.sqrt(theta), math.sqrt(theta + resid)),
+                    )
+                    continue
+            beta[i].append(b)
+            if k == len(bases[i]):
+                grown = np.empty((min(2 * k, steps), grid.cells))
+                grown[:k] = bases[i]
+                bases[i] = grown
+            np.divide(v, b, out=bases[i][k])
+            running.append(i)
         live = running
     # the value is the ratio re-evaluated at each Ritz witness
     if converged:
@@ -265,10 +291,14 @@ def norm_p2(
 
     Single-vector Lanczos with full re-orthogonalisation on the weighted
     self-adjoint composition B = D_sqrt(sigma) T* W T D_sqrt(sigma), from a
-    seeded normal start (_lanczos with one problem).  It stops when the top
-    Ritz pair's residual falls below 1e-4 * tol times its value, or on
-    breakdown; `iterations` counts the Lanczos steps, one B-application
-    each, at most min(max_iter, cells).  The reported value is the ratio
+    seeded normal start (_lanczos with one problem).  The top Ritz pair is
+    checked at steps 1-8, then each time the step count k has grown by an
+    eighth (k -> k + max(1, k // 8)), at the step cap, and on a b at
+    rounding level.  It stops at the first check where the pair's residual
+    is below 1e-4 * tol times its value, or on breakdown, so `iterations`
+    may pass the first step meeting that test by at most k // 8 steps.
+    `iterations` counts the Lanczos steps, one B-application each, at most
+    min(max_iter, cells).  The reported value is the ratio
     re-evaluated at the Ritz witness, so the estimate certifies itself.
     Raises NonConvergenceError with a value bracket at the step cap, and
     ValueError for max_iter < 1 or a tol that is not finite and positive.

@@ -204,6 +204,21 @@ class TestVerbs:
         mirror = json.loads(read(tmp_path, "sweep.json"))
         assert len(mirror) == len(lines) - 1
 
+    def test_sweep_default_levels_run_once(self, tmp_path):
+        # without params.N the sweep runs at min(grid.N, 8) and grid.N, once each
+        cfg = parse_config(
+            {
+                "verb": "sharpness-sweep",
+                "grid": {"d": 1, "N": 4},
+                "seed": 9,
+                "params": {"operators": ["petermichl"], "p": [2.0], "budget": 1, "random_starts": 2},
+                "output": {"format": "csv"},
+            }
+        )
+        run(cfg, str(tmp_path))
+        rows = read(tmp_path, "sweep.csv").strip().split("\n")[1:]
+        assert len(rows) == len(set(rows)) == 9
+
     def test_invariant_suite(self, tmp_path):
         cfg = parse_config(
             {
@@ -401,6 +416,12 @@ class TestMainEntry:
             ({"operators": "petermichl"}, "params.operators must be a non-empty list"),
             ({"operators": []}, "params.operators must be a non-empty list"),
             ({"operators": ["petermichl", "hilbert"]}, "params.operators[1] must be one of"),
+            ({"p": [2.0, 3.0, 2]}, "params.p[2] repeats params.p[0]"),
+            ({"N": [4, 4]}, "params.N[1] repeats params.N[0]"),
+            (
+                {"operators": ["random2a", "petermichl", "random2a"]},
+                "params.operators[2] repeats params.operators[0]",
+            ),
         ],
     )
     def test_exit_two_on_bad_sweep_lists(self, tmp_path, capsys, params, field):

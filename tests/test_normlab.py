@@ -5,7 +5,7 @@ import pytest
 
 from czlab.characteristics import ap_characteristic, dual_weight, joint_ap
 from czlab.dyadics import GridSpec, StepFunction, lp_norm
-from czlab.families import cascade_weight, two_value_weight
+from czlab.families import cascade_weight, power_weight, two_value_weight
 from czlab.normlab import (
     LinearOperator,
     NonConvergenceError,
@@ -117,6 +117,59 @@ class TestNormP2:
         out = StepFunction(g, shift_operator(S).apply(sigma.values * est.witness.values))
         direct = lp_norm(out, 2.0, w) / lp_norm(est.witness, 2.0, sigma)
         assert direct == pytest.approx(est.lower_bound, rel=1e-8)
+
+    @staticmethod
+    def check_steps(steps):
+        """The Lanczos steps whose top Ritz pair is checked on schedule."""
+        k, out = 1, []
+        while k < steps:
+            out.append(k)
+            k += max(1, k // 8)
+        return out + [steps]
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75])
+    def test_skipped_checks_match_dense_svd(self, alpha):
+        # slow Petermichl solves at p = 3's dual weight: past step 8 most
+        # steps skip the Ritz check, and +0.75 stops at 57, past its first
+        # step meeting the stop test (52)
+        g = GridSpec(1, 8)
+        w = power_weight(g, alpha)
+        sigma = dual_weight(w, 3.0)
+        op = shift_operator(build_petermichl(g))
+        est = norm_p2(op, w, sigma)
+        want = weighted_svd_norm(matrix_of(op.apply, g.cells), w, sigma)
+        assert abs(est.lower_bound - want) <= 1e-12 * want
+        out = StepFunction(g, op.apply(sigma.values * est.witness.values))
+        direct = lp_norm(out, 2.0, w) / lp_norm(est.witness, 2.0, sigma)
+        assert direct == pytest.approx(est.lower_bound, rel=1e-12)
+        assert est.iterations > 8
+        assert est.iterations in self.check_steps(g.cells)
+
+    def test_breakdown_between_checks(self):
+        # |d| takes 19 distinct values (0 and 1..18), so the Krylov space of
+        # B = D^2 is invariant at step 19, between the checks at 18 and 20
+        g = GridSpec(1, 6)
+        d = np.concatenate([np.arange(1.0, 19.0), np.zeros(g.cells - 18)])
+        op = LinearOperator(g, lambda v: v * d, lambda v: v * d)
+        one = StepFunction.constant(g, 1.0)
+        assert 19 not in self.check_steps(g.cells)
+        with np.errstate(divide="raise", invalid="raise"):
+            est = norm_p2(op, one, one)
+        assert abs(est.lower_bound - 18.0) <= 1e-12 * 18.0
+        assert est.iterations == 19
+        assert np.all(np.isfinite(est.witness.values))
+
+    def test_step_cap_between_scheduled_checks_raises(self):
+        # 17 lies between the scheduled checks at 16 and 18: the cap is
+        # checked all the same, and the 114-step solve raises there
+        g = GridSpec(1, 8)
+        w = power_weight(g, 0.5)
+        op = shift_operator(build_petermichl(g))
+        assert 17 not in self.check_steps(114)
+        with pytest.raises(NonConvergenceError) as info:
+            norm_p2(op, w, dual_weight(w, 3.0), max_iter=17)
+        lo, hi = info.value.bracket
+        assert 0 < lo <= hi
 
     def test_nonconvergence_raises_with_bracket(self):
         g = GridSpec(1, 4)
@@ -305,7 +358,7 @@ random2a:power +0.50 3.0 1.0871569954033535
 petermichl:power +0.75 1.5 3.2670492512867817
 random2a:power +0.75 1.5 2.751813522565334
 petermichl:power +0.75 2.0 1.9107741410118744
-random2a:power +0.75 2.0 1.4223238256584003
+random2a:power +0.75 2.0 1.4223238256584001
 petermichl:power +0.75 3.0 1.5326340532268092
 random2a:power +0.75 3.0 1.1760396408552991
 petermichl:power +0.90 1.5 4.0625704703109173
