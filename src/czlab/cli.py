@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .characteristics import ainfty_characteristic, ap_characteristic, dual_weight, joint_ap
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, sweep_levels
 from .dyadics import GridSpec, StepFunction, _morton_decode, read_cube_values
 from .families import cascade_weight, random_step, weight_from_spec
 from .lerner import lerner_decompose
@@ -320,13 +320,9 @@ def _run_stopping_audit(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_sharpness_sweep(cfg: ExperimentConfig, out_dir: str):
-    if cfg.d != 1:
-        raise ConfigError(
-            "sharpness-sweep requires grid.d = 1 (the default sweep operators are one-dimensional)"
-        )
     operators = tuple(cfg.params.get("operators", OPERATOR_KINDS))
     p_list = tuple(float(p) for p in cfg.params.get("p", [1.5, 2.0, 3.0]))
-    N_list = tuple(int(n) for n in cfg.params.get("N", sorted({min(cfg.N, 8), cfg.N})))
+    N_list = tuple(int(n) for n in sweep_levels(cfg.params, cfg.N))
     budget = int(cfg.params.get("budget", 6))
     random_starts = int(cfg.params.get("random_starts", 16))
     rows = sharpness_sweep(

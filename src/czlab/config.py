@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .dyadics import _finite_number
-from .normlab import OPERATOR_KINDS
+from .normlab import OPERATOR_KINDS, min_sweep_level
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "VERBS"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "sweep_levels", "VERBS"]
 
 # verbs whose outputs depend on pseudo-randomness even with fixed params
 _ALWAYS_RANDOM = {"hilbert-approx", "stopping-audit", "sharpness-sweep", "invariant-suite"}
@@ -113,10 +113,22 @@ def _check_hilbert_params(params: dict):
             )
 
 
-def _check_sweep_params(params: dict, grid_N: int):
-    """Each list the sharpness sweep iterates over is non-empty and holds
-    only values it can run, each once: known operator kinds, exponents p in
-    (1, inf) and levels N in [1, grid.N]."""
+def sweep_levels(params: dict, grid_N: int) -> list:
+    """The sharpness sweep's levels: params.N, by default min(grid.N, 8) and
+    grid.N, once each."""
+    return params.get("N", sorted({min(grid_N, 8), grid_N}))
+
+
+def _check_sweep_params(params: dict, grid_d: int, grid_N: int):
+    """The grid is one-dimensional, and each list the sharpness sweep
+    iterates over is non-empty and holds only values it can run, each once:
+    known operator kinds, exponents p in (1, inf) and levels N in
+    [1, grid.N], none below the sweep's least level for its operators (the
+    default levels included)."""
+    if grid_d != 1:
+        raise ConfigError(
+            "sharpness-sweep requires grid.d = 1 (the default sweep operators are one-dimensional)"
+        )
     items_ok = {
         "operators": (lambda v: v in OPERATOR_KINDS, f"one of {list(OPERATOR_KINDS)}"),
         "p": (lambda v: _finite_number(v) and v > 1, "a finite number greater than 1"),
@@ -133,6 +145,15 @@ def _check_sweep_params(params: dict, grid_N: int):
                 raise ConfigError(f"params.{key}[{i}] must be {what}")
             if v in items[:i]:
                 raise ConfigError(f"params.{key}[{i}] repeats params.{key}[{items.index(v)}]")
+    kinds = params.get("operators", list(OPERATOR_KINDS))
+    least = min_sweep_level(kinds)
+    levels = sweep_levels(params, grid_N)
+    low = [i for i, v in enumerate(levels) if v < least]
+    if low:
+        where = f"params.N[{low[0]}]" if "N" in params else f"params.N (by default {levels} from grid.N)"
+        raise ConfigError(
+            f"{where} must be at least {least}, the least level the sweep runs at with operators {kinds}"
+        )
 
 
 def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
@@ -171,7 +192,7 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     if cfg_verb == "hilbert-approx":
         _check_hilbert_params(params)
     if cfg_verb == "sharpness-sweep":
-        _check_sweep_params(params, N)
+        _check_sweep_params(params, d, N)
 
     randomized = cfg_verb in _ALWAYS_RANDOM
     for key in ("weight", "w", "sigma"):

@@ -19,6 +19,8 @@ import functools
 import itertools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -58,6 +60,10 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, bracket: tuple[float, float]):
         super().__init__(message)
         self.bracket = bracket
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so a worker process can raise it
+        return type(self), (self.args[0], self.bracket)
 
 
 @dataclass(frozen=True)
@@ -603,6 +609,12 @@ def default_operators(grid: GridSpec, seed: int, kinds=OPERATOR_KINDS):
     return [(k, builders[k]()) for k in builders if k in kinds]
 
 
+def min_sweep_level(kinds=OPERATOR_KINDS) -> int:
+    """The least level N the sweep runs at: the default weights jump at
+    level 3, and a random complexity (2, 2) shift needs 2 + 2 levels."""
+    return 4 if {"random2a", "random2b"} & set(kinds) else 3
+
+
 def _sweep_norms(trunc, problems, p_list, seed, budget, random_starts) -> list[float]:
     """norm_lp_lower of one truncation for each (w, sigma) of `problems`,
     listed weight by weight with sigma the dual weight of each p of p_list
@@ -620,6 +632,58 @@ def _sweep_norms(trunc, problems, p_list, seed, budget, random_starts) -> list[f
         )
         norms[group] = [est.lower_bound for est in estimates]
     return norms
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (1 where the platform cannot say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# The units of a forked sweep worker, set by its pool initializer.
+_WORKER_UNITS: list = []
+
+
+def _set_worker_units(units):
+    global _WORKER_UNITS
+    _WORKER_UNITS = units
+
+
+def _run_worker_unit(i):
+    return _sweep_norms(*_WORKER_UNITS[i])
+
+
+def _sweep_units(units) -> list[list[float]]:
+    """_sweep_norms(*unit) for every unit, in order.
+
+    With two or more usable CPUs and units, the units run in a pool of
+    forked worker processes, one per usable CPU, costliest (most cells)
+    first.  Fork hands each worker the units as built (their operators hold
+    closures, which do not pickle), so only unit indices and norm lists
+    cross processes.  Without fork, or with other threads alive, which fork
+    does not copy safely, the units run inline.  Each unit is the same
+    single-threaded computation either way, so the norms do not depend on
+    the worker count.  An exception raised in a unit is raised here.
+    """
+    workers = min(len(units), _usable_cpus())
+    if workers > 1 and threading.active_count() == 1:
+        # imported here: only this path needs them, and they slow `import czlab`
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            order = sorted(range(len(units)), key=lambda i: -units[i][0].grid.cells)
+            pool = ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_worker_units,
+                initargs=(units,),
+            )
+            try:
+                futures = {i: pool.submit(_run_worker_unit, i) for i in order}
+                return [futures[i].result() for i in range(len(units))]
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [_sweep_norms(*unit) for unit in units]
 
 
 def _sweep_block(grid, fam, param, w, sigmas, p_list, norms):
@@ -671,22 +735,45 @@ def sharpness_sweep(
     final column carries the single-characteristic comparison
     ap^max(1, 1/(p-1)).  All A_infty values are dyadic-mode.  The norms are
     norm_lp_lower's, searched for all weights of an (operator, p) at once
-    (_sweep_norms).  Raises ValueError for a budget or random_starts that
-    is not a non-negative integer.
+    (_sweep_norms).
+
+    Each (operator, N) search is one unit.  The units run in forked worker
+    processes, one per usable CPU (os.sched_getaffinity), and inline
+    otherwise: with one usable CPU or one unit, without the fork start
+    method, or while other threads run.  So `taskset -c 0 czlab
+    sharpness-sweep ...` gives a serial run.  The rows do not depend on the
+    worker count.  Peak memory is this process's plus one unit's working
+    set per worker.  Every grid, weight and operator is built here before
+    any unit starts.  Raises ValueError for a budget or random_starts that
+    is not a non-negative integer, and for N_list levels below
+    min_sweep_level(operator_kinds).
     """
     budget = _require_count("budget", budget)
     random_starts = _require_count("random_starts", random_starts)
-    rows = []
+    least = min_sweep_level(operator_kinds)
+    low = [N for N in N_list if N < least]
+    if low:
+        raise ValueError(
+            f"N_list holds {low}, below {least}, the least level the sweep runs at "
+            f"with operators {list(operator_kinds)}"
+        )
+    levels = []
     for N in N_list:
         grid = GridSpec(1, int(N))
         weights = default_weight_family(grid)
         problems = [(w, dual_weight(w, p)) for _, _, w in weights for p in p_list]
-        # at p = 2 the stream carries the spectral witness, and the
-        # truncation dominates |S f|, so the search already covers norm_p2
-        norms = [
-            (name, _sweep_norms(truncation_operator(S), problems, p_list, seed, budget, random_starts))
-            for name, S in default_operators(grid, seed, operator_kinds)
-        ]
+        levels.append((grid, weights, problems, default_operators(grid, seed, operator_kinds)))
+    # at p = 2 the stream carries the spectral witness, and the truncation
+    # dominates |S f|, so the search already covers norm_p2
+    units = [
+        (truncation_operator(S), problems, p_list, seed, budget, random_starts)
+        for _, _, problems, ops in levels
+        for _, S in ops
+    ]
+    unit_norms = iter(_sweep_units(units))
+    rows = []
+    for grid, weights, problems, ops in levels:
+        norms = [(name, next(unit_norms)) for name, _ in ops]
         for i, (fam, param, w) in enumerate(weights):
             per_w = slice(i * len(p_list), (i + 1) * len(p_list))
             sigmas = [sigma for _, sigma in problems[per_w]]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from czlab import normlab
 from czlab.cli import _VERB_RUNNERS, main, run
 from czlab.config import VERBS, ConfigError, parse_config
 from czlab.dyadics import GridSpec, StepFunction
@@ -219,6 +220,23 @@ class TestVerbs:
         rows = read(tmp_path, "sweep.csv").strip().split("\n")[1:]
         assert len(rows) == len(set(rows)) == 9
 
+    def test_sweep_files_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        cfg = parse_config(
+            {
+                "verb": "sharpness-sweep",
+                "grid": {"d": 1, "N": 5},
+                "seed": 13,
+                "params": {"operators": ["petermichl", "random2b"], "p": [1.5, 2.0], "N": [4, 5],
+                           "budget": 1, "random_starts": 2},
+                "output": {"format": "json"},
+            }
+        )
+        for cpus in (1, 2):
+            monkeypatch.setattr(normlab, "_usable_cpus", lambda: cpus)
+            run(cfg, str(tmp_path / f"cpus{cpus}"))
+        for name in ("sweep.csv", "sweep.json"):
+            assert (tmp_path / "cpus1" / name).read_bytes() == (tmp_path / "cpus2" / name).read_bytes()
+
     def test_invariant_suite(self, tmp_path):
         cfg = parse_config(
             {
@@ -422,10 +440,28 @@ class TestMainEntry:
                 {"operators": ["random2a", "petermichl", "random2a"]},
                 "params.operators[2] repeats params.operators[0]",
             ),
+            ({"N": [2]}, "params.N[0] must be at least 4"),
+            ({"operators": ["petermichl"], "N": [3, 2]}, "params.N[1] must be at least 3"),
+            ({"operators": ["petermichl", "random2b"], "N": [4, 3]}, "params.N[1] must be at least 4"),
         ],
     )
     def test_exit_two_on_bad_sweep_lists(self, tmp_path, capsys, params, field):
         cfg = {"verb": "sharpness-sweep", "grid": {"d": 1, "N": 6}, "seed": 3, "params": params}
+        path = write_config(tmp_path, cfg)
+        assert main(["sharpness-sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "grid_N,params,field",
+        [
+            (3, {}, "params.N (by default [3] from grid.N) must be at least 4"),
+            (3, {"operators": ["random2a"]}, "params.N (by default [3] from grid.N) must be at least 4"),
+            (2, {"operators": ["petermichl"]}, "params.N (by default [2] from grid.N) must be at least 3"),
+        ],
+    )
+    def test_exit_two_on_default_sweep_levels_below_the_least(self, tmp_path, capsys, grid_N, params, field):
+        cfg = {"verb": "sharpness-sweep", "grid": {"d": 1, "N": grid_N}, "seed": 3, "params": params}
         path = write_config(tmp_path, cfg)
         assert main(["sharpness-sweep", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err

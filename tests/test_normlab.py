@@ -1,8 +1,13 @@
 import math
+import multiprocessing
+import os
+import pickle
+import threading
 
 import numpy as np
 import pytest
 
+from czlab import normlab
 from czlab.characteristics import ap_characteristic, dual_weight, joint_ap
 from czlab.dyadics import GridSpec, StepFunction, lp_norm
 from czlab.families import cascade_weight, power_weight, two_value_weight
@@ -179,6 +184,11 @@ class TestNormP2:
             norm_p2(shift_operator(S), one, one, max_iter=2)
         lo, hi = info.value.bracket
         assert 0 <= lo <= hi
+
+    def test_nonconvergence_error_pickles(self):
+        err = pickle.loads(pickle.dumps(NonConvergenceError("m", (1.0, 2.0))))
+        assert type(err) is NonConvergenceError
+        assert str(err) == "m" and err.bracket == (1.0, 2.0)
 
 
 class TestNormLpLower:
@@ -447,6 +457,81 @@ class TestSweep:
             branch.sort(key=lambda r: r.joint_ap)
             norms = [r.norm for r in branch]
             assert all(b >= a * 0.95 for a, b in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize(
+        "kinds,N_list",
+        [(("petermichl",), (4, 2)), (("petermichl", "random2a"), (3,)), (("random2b",), (5, 3))],
+    )
+    def test_levels_below_the_least_rejected(self, kinds, N_list):
+        with pytest.raises(ValueError, match="N_list"):
+            sharpness_sweep(kinds, (2.0,), N_list, seed=1, budget=1, random_starts=1)
+
+
+# Four (operator, N) units, small enough for a quick sweep.
+SMALL_SWEEP = dict(
+    operator_kinds=("petermichl", "random2a"), p_list=(1.5, 3.0), N_list=(4, 5),
+    seed=11, budget=1, random_starts=2,
+)
+
+
+def unit_pids(*unit):
+    """A stand-in for _sweep_norms: the pid of the process that ran the unit."""
+    return [float(os.getpid())] * len(unit[1])
+
+
+class TestSweepWorkers:
+    @pytest.fixture(autouse=True)
+    def no_process_left(self):
+        threads = threading.active_count()
+        yield
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(normlab, "_usable_cpus", lambda: cpus)
+            runs.append(sharpness_sweep(**SMALL_SWEEP))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "cpus,kinds,forked",
+        [(2, ("petermichl", "random2a"), True), (1, ("petermichl", "random2a"), False), (2, ("petermichl",), False)],
+    )
+    def test_units_run_in_workers_with_two_cpus_and_units(self, monkeypatch, cpus, kinds, forked):
+        monkeypatch.setattr(normlab, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(normlab, "_sweep_norms", unit_pids)
+        rows = sharpness_sweep(**{**SMALL_SWEEP, "operator_kinds": kinds, "N_list": (4,)})
+        pids = {r.norm for r in rows}
+        assert (float(os.getpid()) not in pids) == forked
+
+    def test_units_run_inline_while_other_threads_live(self, monkeypatch):
+        monkeypatch.setattr(normlab, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(normlab, "_sweep_norms", unit_pids)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30,))
+        waiter.start()
+        try:
+            rows = sharpness_sweep(**SMALL_SWEEP)
+        finally:
+            release.set()
+            waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert {r.norm for r in rows} == {float(os.getpid())}
+
+    @pytest.mark.parametrize(
+        "error", [NonConvergenceError("unit failed", (1.0, 2.0)), ValueError("bad unit")]
+    )
+    def test_unit_errors_reach_the_caller(self, monkeypatch, error):
+        def failing_unit(*unit):
+            raise error
+
+        monkeypatch.setattr(normlab, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(normlab, "_sweep_norms", failing_unit)
+        with pytest.raises(type(error)) as info:
+            sharpness_sweep(**SMALL_SWEEP)
+        assert str(info.value) == str(error)
+        assert getattr(info.value, "bracket", None) == getattr(error, "bracket", None)
 
 
 class TestWeightValidation:
