@@ -22,8 +22,8 @@ from .characteristics import (
     maximal_function,
 )
 from .shifts import (
-    HaarFunction,
     HaarShift,
+    ShiftLevel,
     GridEnsemble,
     build_petermichl,
     build_random_shift,

@@ -168,12 +168,13 @@ class GridSpec:
 
 def read_cube_values(grid: GridSpec, items, key: str, where: str) -> dict[DyadicCube, float]:
     """The table {cube: number} of a coefficient list
-    [{"cube": {level, coords}, key: number}, ...]; a malformed item or a
-    non-finite number raises ValueError naming it as where[i]."""
+    [{"cube": {level, coords}, key: number}, ...]; a malformed item, a
+    non-finite number or a repeated cube raises ValueError naming it as
+    where[i] (and a repeat the item it repeats)."""
     form = f'{{"cube": {{level, coords}}, "{key}": finite number}}'
     if not isinstance(items, list):
         raise ValueError(f"{where} must be a list of {form} items")
-    table = {}
+    table, first = {}, {}
     for i, item in enumerate(items):
         if not (isinstance(item, dict) and _finite_number(item.get(key))):
             raise ValueError(f"{where}[{i}] must be an object {form}")
@@ -181,6 +182,9 @@ def read_cube_values(grid: GridSpec, items, key: str, where: str) -> dict[Dyadic
             Q = grid.cube_from_dict(item.get("cube"))
         except ValueError as exc:
             raise ValueError(f"{where}[{i}].cube: {exc}") from None
+        if Q in first:
+            raise ValueError(f"{where}[{i}] repeats {where}[{first[Q]}]")
+        first[Q] = i
         table[Q] = float(item[key])
     return table
 

@@ -1,13 +1,14 @@
-"""Haar functions, Haar shift operators, maximal truncations, and the
-representation of the Hilbert transform as an average over translated grids.
+"""Haar shift operators, maximal truncations, and the representation of
+the Hilbert transform as an average over translated grids.
 
 A shift of parameters (m, n) carries, for each cube Q, coefficient pairs
 indexed by subcubes Q' (depth m) and R' (depth n) of Q: an input Haar
-function on R' and an output Haar function on Q', jointly normalized so the
-product of their sup norms is at most one.  That normalization makes the
-induced per-cube kernel bounded by one as well, since at any point pair
-(x, y) exactly one coefficient pair is active.
-"""
+function on R' and an output Haar function on Q', each given by its values
+on the 2^d children of its cube, jointly normalized so the product of their
+sup norms is at most one.  That normalization makes the induced per-cube
+kernel bounded by one as well, since at any point pair (x, y) exactly one
+coefficient pair is active.  A shift holds its pairs as arrays, one
+ShiftLevel of rows per level of Q; `HaarShift.entries` is a per-cube view."""
 
 from __future__ import annotations
 
@@ -29,8 +30,8 @@ from .dyadics import (
 )
 
 __all__ = [
-    "HaarFunction",
     "HaarShift",
+    "ShiftLevel",
     "GridEnsemble",
     "HilbertAverageResult",
     "build_petermichl",
@@ -56,43 +57,6 @@ def _exact_zero_sum(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
-class HaarFunction:
-    """Function supported on a cube and constant on its children.
-
-    `child_values` lists the constant on each child in Z-order.  Cancellative
-    means orthogonal to constants, i.e. the child values sum to zero.
-    """
-
-    cube: DyadicCube
-    child_values: tuple[float, ...]
-    cancellative: bool
-
-    def __post_init__(self):
-        d = self.cube.grid.d
-        if len(self.child_values) != (1 << d):
-            raise ValueError("need one value per child")
-        if self.cube.level >= self.cube.grid.N:
-            raise ValueError("Haar function needs a cube with children")
-        if self.cancellative:
-            total = abs(sum(self.child_values))
-            scale = max((abs(v) for v in self.child_values), default=0.0)
-            if total > 1e-9 * max(scale, 1.0):
-                raise ValueError("cancellative Haar function must sum to zero")
-
-    @property
-    def sup_norm(self) -> float:
-        return max(abs(v) for v in self.child_values)
-
-    def value_at_cell(self, cell_z: int) -> float:
-        """Value at the finest cell with Z-index `cell_z` (0 outside)."""
-        sl = self.cube.cell_slice
-        if not (sl.start <= cell_z < sl.stop):
-            return 0.0
-        per_child = self.cube.cell_count >> self.cube.grid.d
-        return self.child_values[(cell_z - sl.start) // per_child]
-
-
 class ShiftLevel(NamedTuple):
     """Coefficient rows of one level of Q, in (Q Z-index, pair) order.
 
@@ -112,9 +76,49 @@ def _child_indices(z, d: int) -> np.ndarray:
     return (np.asarray(z, dtype=int) << d)[:, None] + np.arange(1 << d)
 
 
-def _haar_function(cube: DyadicCube, values) -> HaarFunction:
-    """Haar function on `cube`, cancellative exactly when its values sum to zero."""
-    return HaarFunction(cube, tuple(values), abs(sum(values)) < 1e-9)
+def _row_sup(h: np.ndarray) -> np.ndarray:
+    """max |h| over each row of a (rows, 2^d) array, a column at a time:
+    numpy reduces a short last axis an order of magnitude slower."""
+    return functools.reduce(np.maximum, np.abs(h).T)
+
+
+def _check_levels(grid: GridSpec, m: int, n: int, levels: dict[int, ShiftLevel], cancellative: bool):
+    """Raise ValueError, naming a level, unless `levels` hold valid rows.
+
+    Shapes and levels are checked level by level; the rows of all levels
+    are then checked at once, concatenated in level order."""
+    d, fold, top = grid.d, 1 << grid.d, grid.N - max(m, n)
+    for level, lv in levels.items():
+        where = f"shift level {level}"
+        integer = lv.in_idx.dtype.kind == lv.out_idx.dtype.kind == "i"
+        if not integer or any(a.shape != (len(lv.in_idx), fold) for a in lv):
+            raise ValueError(f"{where}: need integer in_idx, out_idx and h_in, h_out of shape (rows, {fold})")
+        if not 0 <= level < top:
+            raise ValueError(f"{where}: R' and Q' need children, so levels must lie in [0, {top})")
+    if not any(len(lv.in_idx) for lv in levels.values()):
+        return
+    row_level = np.repeat(list(levels), [len(lv.in_idx) for lv in levels.values()])
+    in_idx, out_idx, h_in, h_out = (np.concatenate(arrays) for arrays in zip(*levels.values()))
+
+    def refuse(bad, what):
+        if bad.any():
+            raise ValueError(f"shift level {row_level[bad.argmax()]}: {what}")
+
+    for idx, depth, name in ((in_idx, n, "in_idx"), (out_idx, m, "out_idx")):
+        # child 0: a multiple of 2^d below its level's cube count, so no bit outside these
+        bits = (1 << (d * (row_level + depth + 1))) - fold
+        bad = (idx[:, 0] & ~bits) != 0
+        for i in range(1, fold):
+            bad |= idx[:, i] != idx[:, 0] + i
+        refuse(bad, f"each {name} row must list the children of one cube, {depth} levels below Q")
+    q = in_idx[:, 0] >> (d * (n + 1))
+    refuse(q != out_idx[:, 0] >> (d * (m + 1)), "R' and Q' of a row must sit in the same cube Q")
+    descents = (q[1:] < q[:-1]) & (row_level[1:] == row_level[:-1])
+    refuse(np.append(False, descents), "rows must come in Z-order of Q")
+    if cancellative:
+        for h in (h_in, h_out):
+            off = np.abs(functools.reduce(np.add, h.T)) > 1e-9 * np.maximum(_row_sup(h), 1.0)
+            refuse(off, "a cancellative shift needs rows summing to zero")
 
 
 class HaarShift:
@@ -122,57 +126,31 @@ class HaarShift:
 
     Each cube Q carries pairs (h_in, h_out), h_in supported on a depth-n
     subcube R' of Q and h_out on a depth-m subcube Q'.  The constructor takes
-    them as `entries`, a map from Q to a list of HaarFunction pairs, and
-    checks every pair; the shift stores them as `levels`, one ShiftLevel of
-    read-only arrays per level of Q.  Complexity is max(m, n).
+    them as `levels`, one ShiftLevel of arrays per level of Q, and checks
+    every row: child indices, depths, a shared Q, Q's Z-order, finite
+    values, zero sums when `cancellative`, and the joint normalization.  The
+    arrays are made read-only and kept as `levels`, without their empty
+    levels.  Complexity is max(m, n).
     """
 
-    def __init__(self, grid: GridSpec, m: int, n: int, entries, cancellative: bool):
+    def __init__(self, grid: GridSpec, m: int, n: int, levels, cancellative: bool):
         if m < 0 or n < 0:
             raise ValueError("shift parameters must be non-negative")
-        rows: dict[int, list] = {}
-        for Q, pairs in sorted(
-            entries.items(), key=lambda item: (item[0].level, item[0].zindex)
-        ):
-            for h_in, h_out in pairs:
-                if h_in.cube.level != Q.level + n or not Q.contains(h_in.cube):
-                    raise ValueError("input Haar function must sit at depth n inside Q")
-                if h_out.cube.level != Q.level + m or not Q.contains(h_out.cube):
-                    raise ValueError("output Haar function must sit at depth m inside Q")
-                rows.setdefault(Q.level, []).append(
-                    (h_in.cube.zindex, h_out.cube.zindex, h_in.child_values, h_out.child_values)
-                )
-        levels = {}
-        for level, recs in rows.items():
-            rz, qz, vin, vout = zip(*recs)
-            levels[level] = ShiftLevel(
-                _child_indices(rz, grid.d),
-                _child_indices(qz, grid.d),
-                np.array(vin, dtype=float),
-                np.array(vout, dtype=float),
-            )
-        self._set_levels(grid, m, n, levels, cancellative)
-
-    @classmethod
-    def _from_levels(cls, grid, m, n, levels, cancellative) -> "HaarShift":
-        """Shift over ready per-level arrays; only the normalization is checked."""
-        S = cls.__new__(cls)
-        S._set_levels(grid, m, n, levels, cancellative)
-        return S
-
-    def _set_levels(self, grid, m, n, levels, cancellative):
         self.grid = grid
         self.m = m
         self.n = n
         self.cancellative = bool(cancellative)
-        self.levels: dict[int, ShiftLevel] = {}
-        for level in sorted(levels):
-            if levels[level].in_idx.size:
-                for arr in levels[level]:
-                    arr.setflags(write=False)
-                self.levels[level] = levels[level]
-        if not all(np.isfinite(lv.h_in).all() and np.isfinite(lv.h_out).all() for lv in self.levels.values()):
+        levels = {
+            level: ShiftLevel(np.asarray(i), np.asarray(o), np.asarray(h, float), np.asarray(g, float))
+            for level, (i, o, h, g) in sorted(levels.items())
+        }
+        if not all(np.isfinite(lv.h_in).all() and np.isfinite(lv.h_out).all() for lv in levels.values()):
             raise ValueError("Haar coefficients must be finite")
+        _check_levels(grid, m, n, levels, self.cancellative)
+        self.levels: dict[int, ShiftLevel] = {level: lv for level, lv in levels.items() if len(lv.in_idx)}
+        for lv in self.levels.values():
+            for arr in lv:
+                arr.setflags(write=False)
         if self.normalization_audit() > 1.0 + _NORMALIZATION_TOL:
             raise ValueError("joint normalization violated: |h_in| |h_out| > 1")
 
@@ -181,24 +159,21 @@ class HaarShift:
         return max(self.m, self.n)
 
     @property
-    def entries(self) -> dict[DyadicCube, list[tuple[HaarFunction, HaarFunction]]]:
-        """Coefficient pairs per cube Q, in (level, Z-index) order.
+    def entries(self) -> dict[DyadicCube, list[tuple[DyadicCube, DyadicCube, tuple, tuple]]]:
+        """Coefficient pairs per cube Q, in (level, Z-index) order, each as
+        (R', Q', input child values, output child values).
 
-        Rebuilt from the arrays on each access; each Haar function is flagged
-        cancellative when its child values sum to zero, as in from_json.
+        Rebuilt from the arrays on each access, so changing it changes no shift.
         """
         d = self.grid.d
         cube = functools.cache(self.grid.cube_from_zindex)  # R', Q' recur across rows
-        out: dict[DyadicCube, list[tuple[HaarFunction, HaarFunction]]] = {}
+        out = {}
         for level, lv in self.levels.items():
             rprime = (lv.in_idx[:, 0] >> d).tolist()
             qprime = (lv.out_idx[:, 0] >> d).tolist()
             for rz, qz, vin, vout in zip(rprime, qprime, lv.h_in.tolist(), lv.h_out.tolist()):
                 out.setdefault(cube(level, rz >> (d * self.n)), []).append(
-                    (
-                        _haar_function(cube(level + self.n, rz), vin),
-                        _haar_function(cube(level + self.m, qz), vout),
-                    )
+                    (cube(level + self.n, rz), cube(level + self.m, qz), tuple(vin), tuple(vout))
                 )
         return out
 
@@ -206,7 +181,7 @@ class HaarShift:
         """Largest sup-norm product over all coefficient pairs."""
         return max(
             (
-                float((np.abs(lv.h_in).max(axis=1) * np.abs(lv.h_out).max(axis=1)).max())
+                float((_row_sup(lv.h_in) * _row_sup(lv.h_out)).max())
                 for lv in self.levels.values()
             ),
             default=0.0,
@@ -265,27 +240,21 @@ class HaarShift:
             level: ShiftLevel(lv.out_idx, lv.in_idx, lv.h_out, lv.h_in)
             for level, lv in self.levels.items()
         }
-        return HaarShift._from_levels(self.grid, self.n, self.m, levels, self.cancellative)
+        return HaarShift(self.grid, self.n, self.m, levels, self.cancellative)
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        items = []
-        for Q, pairs in self.entries.items():
-            items.append(
-                {
-                    "cube": Q.to_dict(),
-                    "pairs": [
-                        {
-                            "rprime": h_in.cube.to_dict(),
-                            "qprime": h_out.cube.to_dict(),
-                            "h_vals": list(h_in.child_values),
-                            "g_vals": list(h_out.child_values),
-                        }
-                        for h_in, h_out in pairs
-                    ],
-                }
-            )
+        items = [
+            {
+                "cube": Q.to_dict(),
+                "pairs": [
+                    {"rprime": rp.to_dict(), "qprime": qp.to_dict(), "h_vals": h, "g_vals": g}
+                    for rp, qp, h, g in pairs
+                ],
+            }
+            for Q, pairs in self.entries.items()
+        ]
         return json.dumps(
             {
                 "m": self.m,
@@ -299,20 +268,34 @@ class HaarShift:
 
     @classmethod
     def from_json(cls, text: str) -> "HaarShift":
+        """The shift to_json wrote.  Each cube may be listed once, and the
+        cubes of one level in Z-order, as to_json lists them."""
         obj = json.loads(text)
         grid = GridSpec.from_dict(obj)
-        entries = {}
-        for item in obj["entries"]:
+        m, n = int(obj["m"]), int(obj["n"])
+        seen: dict[DyadicCube, int] = {}
+        rows: dict[int, list] = {}
+        for i, item in enumerate(obj["entries"]):
             Q = grid.cube_from_dict(item["cube"])
-            pairs = []
-            for rec in item["pairs"]:
+            if Q in seen:
+                raise ValueError(f"entries[{i}] repeats entries[{seen[Q]}]: cube {Q.to_dict()}")
+            seen[Q] = i
+            for j, rec in enumerate(item["pairs"]):
                 rp = grid.cube_from_dict(rec["rprime"])
                 qp = grid.cube_from_dict(rec["qprime"])
-                pairs.append(
-                    (_haar_function(rp, rec["h_vals"]), _haar_function(qp, rec["g_vals"]))
-                )
-            entries[Q] = pairs
-        return cls(grid, int(obj["m"]), int(obj["n"]), entries, bool(obj["cancellative"]))
+                vals = (rec["h_vals"], rec["g_vals"])
+                where = f"entries[{i}].pairs[{j}]"
+                inside = Q.contains(rp) and Q.contains(qp)
+                if not inside or (rp.level - Q.level, qp.level - Q.level) != (n, m):
+                    raise ValueError(f"{where}: rprime and qprime must sit n and m levels inside the cube")
+                if not all(isinstance(v, list) and len(v) == 1 << grid.d for v in vals):
+                    raise ValueError(f"{where}: h_vals and g_vals must each list {1 << grid.d} child values")
+                rows.setdefault(Q.level, []).append((rp.zindex, qp.zindex, *vals))
+        levels = {}
+        for level, recs in rows.items():
+            rz, qz, vin, vout = zip(*recs)
+            levels[level] = ShiftLevel(_child_indices(rz, grid.d), _child_indices(qz, grid.d), vin, vout)
+        return cls(grid, m, n, levels, bool(obj["cancellative"]))
 
 
 # Byte cap on the largest intermediate of the fused kernel's pair pass
@@ -553,7 +536,7 @@ def build_petermichl(grid: GridSpec) -> HaarShift:
             np.tile([1.0, -1.0], (2 * count, 1)),
             np.tile([[1.0, -1.0], [-1.0, 1.0]], (count, 1)),
         )
-    return HaarShift._from_levels(grid, 1, 0, levels, True)
+    return HaarShift(grid, 1, 0, levels, True)
 
 
 def build_random_shift(
@@ -598,7 +581,7 @@ def build_random_shift(
             np.ascontiguousarray(vals[:, 0]),
             np.ascontiguousarray(vals[:, 1]),
         )
-    return HaarShift._from_levels(grid, m, n, levels, cancellative)
+    return HaarShift(grid, m, n, levels, cancellative)
 
 
 def _alternating_pattern(d: int) -> np.ndarray:
@@ -617,9 +600,8 @@ def build_paraproduct(a: dict[DyadicCube, float], grid: GridSpec) -> HaarShift:
     cancellative Haar function scaled by a_Q |Q|^(-1/2), so the coefficient
     bound |a_Q| <= sqrt(|Q|) is exactly the joint normalization.
     """
-    fold = 1 << grid.d
     pattern = _alternating_pattern(grid.d)
-    entries = {}
+    rows: dict[int, list] = {}
     for Q, coeff in a.items():
         if Q.grid != grid:
             raise GridMismatchError("coefficient cube from a different grid")
@@ -630,14 +612,14 @@ def build_paraproduct(a: dict[DyadicCube, float], grid: GridSpec) -> HaarShift:
             raise ValueError(
                 f"coefficient {coeff} violates |a_Q| <= sqrt(|Q|) = {bound}"
             )
-        if coeff == 0.0:
-            continue
-        ones = HaarFunction(Q, (1.0,) * fold, False)
-        h_out = HaarFunction(
-            Q, tuple(coeff / bound * pattern), True
-        )
-        entries.setdefault(Q, []).append((ones, h_out))
-    return HaarShift(grid, 0, 0, entries, False)
+        if coeff != 0.0:
+            rows.setdefault(Q.level, []).append((Q.zindex, coeff / bound))
+    levels = {}
+    for level, recs in rows.items():
+        z, scale = zip(*sorted(recs))
+        idx = _child_indices(z, grid.d)
+        levels[level] = ShiftLevel(idx, idx, np.ones(idx.shape), np.array(scale)[:, None] * pattern)
+    return HaarShift(grid, 0, 0, levels, False)
 
 
 # -- discretized Hilbert transform ----------------------------------------

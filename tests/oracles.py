@@ -12,24 +12,38 @@ import numpy as np
 from czlab.dyadics import GridSpec, StepFunction, ancestor, level_averages
 from czlab.lerner import median, oscillation
 from czlab.normlab import LinearOperator, NonConvergenceError, norm_p2
-from czlab.shifts import HaarFunction, HaarShift, build_petermichl
+from czlab.shifts import HaarShift, ShiftLevel, build_petermichl
 
 
 def cell_cube(grid: GridSpec, z: int):
     return grid.cube_from_zindex(grid.N, z)
 
 
+def _pack_records(grid: GridSpec, m: int, n: int, records, cancellative: bool) -> HaarShift:
+    """The shift of (level, R' Z-index, Q' Z-index, input values, output
+    values) records, each level's listed in Z-order of Q, packed into
+    arrays one record at a time."""
+    fold = 1 << grid.d
+    rows = {}
+    for level, rz, qz, vin, vout in records:
+        in_idx, out_idx, h_in, h_out = rows.setdefault(level, ([], [], [], []))
+        in_idx.append([(rz << grid.d) + i for i in range(fold)])
+        out_idx.append([(qz << grid.d) + i for i in range(fold)])
+        h_in.append([float(v) for v in vin])
+        h_out.append([float(v) for v in vout])
+    levels = {level: ShiftLevel(*(np.array(a) for a in arrays)) for level, arrays in rows.items()}
+    return HaarShift(grid, m, n, levels, cancellative)
+
+
 def loop_petermichl(grid: GridSpec) -> HaarShift:
-    """Petermichl shift assembled pair by pair through the entries constructor."""
-    entries = {}
+    """Petermichl shift assembled pair by pair: per interval Q, the pairs
+    (h_Q, h_Q0) and (h_Q, -h_Q1) on its children Q0 and Q1."""
+    records = []
     for level in range(0, grid.N - 1):
         for Q in grid.cubes(level):
-            u_Q = HaarFunction(Q, (1.0, -1.0), True)
-            entries[Q] = [
-                (u_Q, HaarFunction(Q.child(0), (1.0, -1.0), True)),
-                (u_Q, HaarFunction(Q.child(1), (-1.0, 1.0), True)),
-            ]
-    return HaarShift(grid, 1, 0, entries, True)
+            records.append((level, Q.zindex, Q.child(0).zindex, (1.0, -1.0), (1.0, -1.0)))
+            records.append((level, Q.zindex, Q.child(1).zindex, (1.0, -1.0), (-1.0, 1.0)))
+    return _pack_records(grid, 1, 0, records, True)
 
 
 def _zero_sum(vals: np.ndarray) -> np.ndarray:
@@ -44,14 +58,11 @@ def loop_random_shift(m: int, n: int, seed: int, grid: GridSpec, cancellative: b
     top = grid.N - 1 - max(m, n)
     rng = np.random.default_rng(seed)
     fold = 1 << grid.d
-    entries = {}
+    records = []
     for level in range(0, top + 1):
         for Q in grid.cubes(level):
-            pairs = []
             for qz in range(Q.zindex << (grid.d * m), (Q.zindex + 1) << (grid.d * m)):
-                qprime = grid.cube_from_zindex(level + m, qz)
                 for rz in range(Q.zindex << (grid.d * n), (Q.zindex + 1) << (grid.d * n)):
-                    rprime = grid.cube_from_zindex(level + n, rz)
                     vin = rng.standard_normal(fold)
                     vout = rng.standard_normal(fold)
                     if cancellative:
@@ -61,30 +72,32 @@ def loop_random_shift(m: int, n: int, seed: int, grid: GridSpec, cancellative: b
                     b = np.max(np.abs(vout))
                     if a == 0.0 or b == 0.0:
                         continue
-                    pairs.append(
-                        (
-                            HaarFunction(rprime, tuple(vin / a), cancellative),
-                            HaarFunction(qprime, tuple(vout / b), cancellative),
-                        )
-                    )
-            if pairs:
-                entries[Q] = pairs
-    return HaarShift(grid, m, n, entries, cancellative)
+                    records.append((level, rz, qz, vin / a, vout / b))
+    return _pack_records(grid, m, n, records, cancellative)
+
+
+def _child_value(cube, child_values, cell_z: int) -> float:
+    """Value at the finest cell `cell_z` of the function equal to
+    child_values[i] on child i of `cube` and 0 outside it."""
+    sl = cube.cell_slice
+    if not (sl.start <= cell_z < sl.stop):
+        return 0.0
+    return child_values[(cell_z - sl.start) // (cube.cell_count >> cube.grid.d)]
 
 
 def dense_shift_matrix(S) -> np.ndarray:
     """Kernel-form matrix: K[i, j] = sum_Q |Q|^-1 s_Q(x_i, y_j) * cell volume.
 
-    s_Q is evaluated pointwise: at (x, y) only the pair with Q' containing x
-    and R' containing y is active.
+    s_Q is evaluated pointwise: at (x, y) only the pairs with Q' containing x
+    and R' containing y are active (a pair listed twice counts twice).
     """
     grid = S.grid
     cells = grid.cells
     vol = grid.cell_volume
-    lookup = {
-        Q: {(h_out.cube, h_in.cube): (h_in, h_out) for h_in, h_out in pairs}
-        for Q, pairs in S.entries.items()
-    }
+    lookup = {}
+    for Q, pairs in S.entries.items():
+        for rprime, qprime, h_vals, g_vals in pairs:
+            lookup.setdefault(Q, {}).setdefault((qprime, rprime), []).append((h_vals, g_vals))
     K = np.zeros((cells, cells))
     for i in range(cells):
         xi = cell_cube(grid, i)
@@ -101,30 +114,19 @@ def dense_shift_matrix(S) -> np.ndarray:
                     continue
                 qprime = ancestor(xi, grid.N - level - S.m)
                 rprime = ancestor(yj, grid.N - level - S.n)
-                hit = pairs.get((qprime, rprime))
-                if hit is None:
-                    continue
-                h_in, h_out = hit
-                K[i, j] += (
-                    h_in.value_at_cell(j) * h_out.value_at_cell(i) * vol / Q.volume
-                )
+                for h_vals, g_vals in pairs.get((qprime, rprime), ()):
+                    K[i, j] += (
+                        _child_value(rprime, h_vals, j) * _child_value(qprime, g_vals, i) * vol / Q.volume
+                    )
     return K
 
 
 def dense_shift_matrix_by_level(S) -> dict[int, np.ndarray]:
     """Per-Q-level dense matrices; their sum is dense_shift_matrix(S)."""
-    grid = S.grid
-    out = {}
-    for level in sorted({Q.level for Q in S.entries}):
-        sub = type(S)(
-            grid,
-            S.m,
-            S.n,
-            {Q: pairs for Q, pairs in S.entries.items() if Q.level == level},
-            S.cancellative,
-        )
-        out[level] = dense_shift_matrix(sub)
-    return out
+    return {
+        level: dense_shift_matrix(type(S)(S.grid, S.m, S.n, {level: lv}, S.cancellative))
+        for level, lv in S.levels.items()
+    }
 
 
 def brute_truncation(S, f: StepFunction) -> np.ndarray:

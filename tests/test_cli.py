@@ -382,6 +382,7 @@ class TestMainEntry:
              "params.tau[1].cube"),
             ([{"cube": {"level": 0, "coords": [0]}}], "params.tau[0]"),
             ([0.5], "params.tau[0]"),
+            ([{"cube": {"level": 1, "coords": [0]}, "tau": t} for t in (0.5, 0.9)], "params.tau[1] repeats params.tau[0]"),
         ],
     )
     def test_exit_two_on_malformed_tau_list(self, tmp_path, capsys, tau, field):
@@ -404,6 +405,23 @@ class TestMainEntry:
         path = write_config(tmp_path, cfg)
         assert main(["shift-apply", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "params.operator.coefficients[1]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_exit_two_on_repeated_paraproduct_cube(self, tmp_path, capsys):
+        fpath = tmp_path / "f.json"
+        fpath.write_text(StepFunction.constant(GridSpec(1, 3), 1.0).to_json())
+        coefficients = [
+            {"cube": {"level": 1, "coords": [1]}, "a": 0.5},
+            {"cube": {"level": 0, "coords": [0]}, "a": 0.5},
+            {"cube": {"level": 1, "coords": [1]}, "a": -0.5},
+        ]
+        operator = {"kind": "paraproduct", "coefficients": coefficients}
+        params = {"input": str(fpath), "operator": operator}
+        cfg = {"verb": "shift-apply", "grid": {"d": 1, "N": 3}, "params": params}
+        path = write_config(tmp_path, cfg)
+        assert main(["shift-apply", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "params.operator.coefficients[2] repeats params.operator.coefficients[0]" in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_exit_two_on_non_finite_paraproduct_coefficient(self, tmp_path, capsys):

@@ -59,6 +59,12 @@ class TestApplyPositive:
         with pytest.raises(ValueError, match="finite and non-negative"):
             TauCoefficients(g, {g.root(): bad})
 
+    def test_from_json_rejects_repeated_cube(self):
+        g = GridSpec(1, 2)
+        text = '[{"cube":{"level":1,"coords":[0]},"tau":0.5},{"cube":{"level":1,"coords":[0]},"tau":0.9}]'
+        with pytest.raises(ValueError, match=r"tau list\[1\] repeats tau list\[0\]"):
+            TauCoefficients.from_json(g, text)
+
     def test_dense_matrix_oracle(self):
         for seed in range(10):
             g = GridSpec(1, 3) if seed % 2 else GridSpec(2, 2)

@@ -9,8 +9,8 @@ from czlab.normlab import hilbert_operator
 from czlab.shifts import (
     GridEnsemble,
     _offset_pairings,
-    HaarFunction,
     HaarShift,
+    ShiftLevel,
     build_paraproduct,
     build_petermichl,
     build_random_shift,
@@ -36,23 +36,117 @@ def rand_step(grid, seed):
     return StepFunction(grid, np.random.default_rng(seed).standard_normal(grid.cells))
 
 
-class TestHaarFunction:
-    def test_cancellative_requires_zero_sum(self):
-        g = GridSpec(1, 2)
-        with pytest.raises(ValueError):
-            HaarFunction(g.root(), (1.0, 1.0), True)
-        HaarFunction(g.root(), (1.0, 1.0), False)
+def _update_pair(**fields):
+    """JSON edit: change pair 0 of entries[1]."""
+    return lambda entries: entries[1]["pairs"][0].update(fields)
 
-    def test_needs_children(self):
-        g = GridSpec(1, 1)
-        with pytest.raises(ValueError):
-            HaarFunction(g.cube(1, (0,)), (1.0, -1.0), True)
+
+def _cube(level, z):
+    return {"level": level, "coords": [z]}
+
+
+MISPLACED = r"entries\[1\]\.pairs\[0\]: rprime and qprime must sit"
+
+
+class TestShiftConstructor:
+    """Each faulty row set is refused by HaarShift(...) and, written as JSON,
+    by from_json.  The base is the Petermichl shift at N = 4, (m, n) = (1, 0),
+    with levels 0-2; its JSON lists the level-0 cube, then both level-1 cubes."""
+
+    # fault: (edit of the levels, message; edit of the JSON entries, message)
+    FAULTS = {
+        "child_indices": (
+            lambda L: {**L, 1: L[1]._replace(in_idx=np.vstack([[0, 0], L[1].in_idx[1:]]))},
+            "children of one cube",
+            _update_pair(rprime=_cube(2, 0)),
+            MISPLACED,
+        ),
+        "child_out_of_range": (
+            lambda L: {**L, 1: L[1]._replace(in_idx=np.vstack([[8, 9], L[1].in_idx[1:]]))},
+            "children of one cube",
+            _update_pair(rprime=_cube(1, 5)),
+            "coordinate 5 outside",
+        ),
+        "different_q": (
+            lambda L: {**L, 1: L[1]._replace(out_idx=np.vstack([[4, 5], L[1].out_idx[1:]]))},
+            "same cube Q",
+            _update_pair(qprime=_cube(2, 2)),
+            MISPLACED,
+        ),
+        "level_too_deep": (
+            lambda L: {**L, 3: L[2]},
+            "need children",
+            lambda entries: entries.append(
+                {
+                    "cube": _cube(3, 0),
+                    "pairs": [{**entries[-1]["pairs"][0], "rprime": _cube(3, 0), "qprime": _cube(4, 0)}],
+                }
+            ),
+            "need children",
+        ),
+        "q_order": (
+            lambda L: {**L, 1: ShiftLevel(*(a[::-1] for a in L[1]))},
+            "Z-order",
+            lambda entries: entries.insert(1, entries.pop(2)),
+            "Z-order",
+        ),
+        "shapes": (
+            lambda L: {**L, 1: L[1]._replace(h_in=L[1].h_in[:, :1])},
+            "shape",
+            _update_pair(h_vals=[1.0, -1.0, 0.0]),
+            r"entries\[1\]\.pairs\[0\]: h_vals and g_vals must each list 2 child values",
+        ),
+        "non_zero_sum": (
+            lambda L: {**L, 1: L[1]._replace(h_in=np.vstack([[1.0, 1.0], L[1].h_in[1:]]))},
+            "summing to zero",
+            _update_pair(h_vals=[1.0, 1.0]),
+            "summing to zero",
+        ),
+    }
+
+    @classmethod
+    def faulty(cls, fault, path, cancellative=True):
+        """A thunk building the faulty shift along `path`, and its message."""
+        edit_levels, levels_match, edit_json, json_match = cls.FAULTS[fault]
+        S = build_petermichl(GridSpec(1, 4))
+        if path == "levels":
+            return lambda: HaarShift(S.grid, S.m, S.n, edit_levels(S.levels), cancellative), levels_match
+        obj = {**json.loads(S.to_json()), "cancellative": cancellative}
+        edit_json(obj["entries"])
+        return lambda: HaarShift.from_json(json.dumps(obj)), json_match
+
+    @pytest.mark.parametrize("path", ["levels", "json"])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_rejected(self, fault, path):
+        build, match = self.faulty(fault, path)
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize("path", ["levels", "json"])
+    def test_non_zero_sum_rows_pass_when_not_cancellative(self, path):
+        S = self.faulty("non_zero_sum", path, cancellative=False)[0]()
+        assert not S.cancellative and S.levels[1].h_in[0].tolist() == [1.0, 1.0]
 
     def test_value_lookup(self):
+        # one pair on Q = [1/2, 1): the entries view and the dense oracle read
+        # its child values cell by cell, and zero outside Q
         g = GridSpec(1, 2)
-        h = HaarFunction(g.cube(1, (1,)), (2.0, -2.0), True)
-        assert [h.value_at_cell(z) for z in range(4)] == [0.0, 0.0, 2.0, -2.0]
-        assert h.sup_norm == 2.0
+        idx = np.array([[2, 3]])
+        S = HaarShift(g, 0, 0, {1: ShiftLevel(idx, idx, [[0.5, -0.5]], [[2.0, -2.0]])}, True)
+        Q = g.cube(1, (1,))
+        assert S.entries == {Q: [(Q, Q, (0.5, -0.5), (2.0, -2.0))]}
+        K = np.zeros((4, 4))
+        K[2:, 2:] = [[0.5, -0.5], [-0.5, 0.5]]  # h(y) g(x) |cell| / |Q|
+        assert np.array_equal(dense_shift_matrix(S), K)
+        assert S.normalization_audit() == 1.0
+
+    def test_from_json_rejects_repeated_cube(self):
+        # Petermichl at N = 3 lists the cubes (0, [0]), (1, [0]), (1, [1]);
+        # list the first again with one pair
+        obj = json.loads(build_petermichl(GridSpec(1, 3)).to_json())
+        obj["entries"].append({**obj["entries"][0], "pairs": obj["entries"][0]["pairs"][:1]})
+        with pytest.raises(ValueError, match=r"entries\[3\] repeats entries\[0\]"):
+            HaarShift.from_json(json.dumps(obj))
 
 
 class TestPetermichl:
@@ -71,7 +165,8 @@ class TestPetermichl:
         g = GridSpec(1, 4)
         S = build_petermichl(g)
         Q = g.cube(1, (1,))
-        S1 = HaarShift(g, S.m, S.n, {Q: S.entries[Q]}, True)
+        S1 = HaarShift(g, S.m, S.n, {1: ShiftLevel(*(a[2:4] for a in S.levels[1]))}, True)
+        assert list(S1.entries) == [Q]
         f = rand_step(g, 0)
         out = S1.apply(f)
         mask = np.ones(g.cells, dtype=bool)
@@ -496,8 +591,8 @@ class TestKernelSupBound:
         g = GridSpec(1, 3)
         S = build_random_shift(1, 1, 71, g)
         for Q, pairs in S.entries.items():
-            for h_in, h_out in pairs:
-                assert h_in.sup_norm * h_out.sup_norm <= 1.0 + 1e-12
+            for _, _, h_vals, g_vals in pairs:
+                assert max(map(abs, h_vals)) * max(map(abs, g_vals)) <= 1.0 + 1e-12
 
     def test_complexity_uniform_l2(self):
         # cancellative random shifts of growing complexity: one recorded bound
@@ -584,4 +679,4 @@ class TestNonFiniteCoefficients:
         h_out = lv.h_out.copy()
         h_out[0, 0] = math.nan
         with pytest.raises(ValueError, match="finite"):
-            HaarShift._from_levels(S.grid, S.m, S.n, {level: lv._replace(h_out=h_out)}, True)
+            HaarShift(S.grid, S.m, S.n, {level: lv._replace(h_out=h_out)}, True)
