@@ -273,6 +273,75 @@ class TestDeterminism:
         man_b.pop("wall_time_s")
         assert man_a == man_b
 
+    # config, result file, its exact text: the random tau pins _build_tau's
+    # draw order, the stopping audit its packing_max and carleson_ratio sums
+    PINNED = {
+        "sawyer_random_tau": (
+            {
+                "verb": "sawyer-test",
+                "grid": {"d": 1, "N": 5},
+                "seed": 5,
+                "params": {
+                    "tau": {"kind": "random", "density": 0.6, "scale": 2.0},
+                    "w": {"kind": "cascade", "volatility": 0.5},
+                    "sigma": {"kind": "cascade", "volatility": 0.6},
+                    "p": 2.5,
+                },
+                "output": {"format": "json"},
+            },
+            "sawyer_test.json",
+            '{"T_p":11.566252651046465,"T_pprime":10.807518556750825,"proxy":22.37377120779729,'
+            '"witnesses":{"T_p":{"coords":[3],"level":3},"T_pprime":{"coords":[3],"level":3}}}\n',
+        ),
+        "sawyer_tau_list": (
+            {
+                "verb": "sawyer-test",
+                "grid": {"d": 2, "N": 3},
+                "seed": 9,
+                "params": {
+                    "tau": [
+                        {"cube": {"level": 0, "coords": [0, 0]}, "tau": 0.5},
+                        {"cube": {"level": 1, "coords": [1, 0]}, "tau": 2.0},
+                        {"cube": {"level": 2, "coords": [3, 1]}, "tau": 0.0},
+                        {"cube": {"level": 3, "coords": [2, 5]}, "tau": 1.25},
+                    ],
+                    "w": {"kind": "cascade", "volatility": 0.7},
+                    "p": 1.5,
+                },
+                "output": {"format": "json"},
+            },
+            "sawyer_test.json",
+            '{"T_p":2.4428174877021607,"T_pprime":2.4428174877021607,"proxy":4.885634975404321,'
+            '"witnesses":{"T_p":{"coords":[1,0],"level":1},"T_pprime":{"coords":[1,0],"level":1}}}\n',
+        ),
+        "stopping_audit": (
+            {"verb": "stopping-audit", "grid": {"d": 1, "N": 8}, "seed": 31, "params": {"count": 4}},
+            "stopping_audit.csv",
+            "sample,packing_max,carleson_ratio,ainfty,family_size,depth\n"
+            "0,0.171875,0.74707019892445359,2.6379743200000001,6,6\n"
+            "1,0.171875,0.74707019892445359,2.6379743199999988,6,6\n"
+            "2,0.171875,0.7470701989244537,2.6379743199999992,6,6\n"
+            "3,0.171875,0.74707019892445359,2.6379743199999992,6,6\n",
+        ),
+        "invariant_suite": (
+            {"verb": "invariant-suite", "grid": {"d": 1, "N": 6}, "seed": 2, "params": {"samples": 6}},
+            "invariants.csv",
+            "invariant,samples,statistic,threshold,pass\n"
+            "ap_at_least_one,6,7.7334843808784957,1,True\n"
+            "dual_identity_rel_err,6,1.6969397373861484e-16,1.0000000000000001e-09,True\n"
+            "ainfty_over_ap_p2,6,0.15744388034461709,1,True\n"
+            "maximal_sublinear_violation,6,4.4408920985006262e-16,0,True\n"
+            "stopping_packing_max,6,0.171875,0.25,True\n"
+            "lerner_certificate_failures,6,0,0,True\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_result_bytes(self, tmp_path, case):
+        obj, name, text = self.PINNED[case]
+        run(parse_config(obj), str(tmp_path))
+        assert (tmp_path / name).read_bytes() == text.encode()
+
 
 class TestMainEntry:
     def test_exit_zero(self, tmp_path):
