@@ -65,11 +65,11 @@ def dual_weight(w: StepFunction, p: float) -> StepFunction:
     return w.with_values(w.values ** (1.0 - pprime))
 
 
-def _sup_over_cubes(grid: GridSpec, per_level) -> tuple[float, DyadicCube]:
+def _sup_over_cubes(grid: GridSpec, by_level) -> tuple[float, DyadicCube]:
     """Deterministic supremum: coarsest level first, ties to smallest Z-index."""
     best = -math.inf
     witness = None
-    for level, arr in enumerate(per_level):
+    for level, arr in enumerate(by_level):
         z = int(np.argmax(arr))
         v = float(arr[z])
         if v > best:
@@ -86,8 +86,8 @@ def ap_characteristic(w: StepFunction, p: float) -> CharacteristicReport:
     sigma = dual_weight(w, p)
     aw = level_averages(w)
     asig = level_averages(sigma)
-    per_level = [aw[k] * asig[k] ** (p - 1.0) for k in range(w.grid.N + 1)]
-    value, witness = _sup_over_cubes(w.grid, per_level)
+    ratios = [aw[k] * asig[k] ** (p - 1.0) for k in range(w.grid.N + 1)]
+    value, witness = _sup_over_cubes(w.grid, ratios)
     return CharacteristicReport(value, witness, p)
 
 
@@ -101,10 +101,10 @@ def joint_ap(w: StepFunction, sigma: StepFunction, p: float) -> CharacteristicRe
     pprime = p / (p - 1.0)
     aw = level_averages(w)
     asig = level_averages(sigma)
-    per_level = [
+    ratios = [
         aw[k] ** (1.0 / p) * asig[k] ** (1.0 / pprime) for k in range(w.grid.N + 1)
     ]
-    value, witness = _sup_over_cubes(w.grid, per_level)
+    value, witness = _sup_over_cubes(w.grid, ratios)
     return CharacteristicReport(value, witness, p)
 
 
@@ -213,12 +213,12 @@ def ainfty_characteristic(w: StepFunction, mode: str = "dyadic") -> Characterist
     wsums = level_integrals(w)
     if mode == "dyadic":
         running = _dyadic_running_max(w)
-        per_level = []
+        ratios = []
         for k in range(grid.N + 1):
             contrib = running[k] * grid.cell_volume
             numer = contrib.reshape(1 << (grid.d * k), -1).sum(axis=1)
-            per_level.append(numer / wsums[k])
-        value, witness = _sup_over_cubes(grid, per_level)
+            ratios.append(numer / wsums[k])
+        value, witness = _sup_over_cubes(grid, ratios)
         return CharacteristicReport(value, witness, math.inf)
     if mode == "centered":
         best = -math.inf

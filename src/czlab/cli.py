@@ -298,8 +298,7 @@ def _run_stopping_audit(cfg: ExperimentConfig, out_dir: str):
         seed_i = cfg.seed + i
         w = weight_from_spec(grid, dict(spec, seed=seed_i), seed_i)
         family = build_stopping_family(w, grid.root())
-        margins = family.packing_margins()
-        pack = max(margins.values())
+        pack = max(family.margins)
         ainf = ainfty_characteristic(w).value
         carleson = sum(w.integral(S) for S in family.cubes) / (ainf * w.integral())
         depth = max((S.level for S in family.cubes), default=0)
@@ -387,7 +386,7 @@ def _run_invariant_suite(cfg: ExperimentConfig, out_dir: str):
     for i in range(samples):
         w = cascade_weight(grid, cfg.seed + 2000 + i, 0.7)
         fam = build_stopping_family(w, grid.root())
-        pack = max(pack, max(fam.packing_margins().values()))
+        pack = max(pack, max(fam.margins))
     rows.append(["stopping_packing_max", str(samples), _fmt(pack), _fmt(0.25), str(pack < 0.25)])
     constants["stopping_packing_max"] = pack
 

@@ -214,6 +214,12 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
             if spec.get("kind") != "random":
                 raise ConfigError("params.tau.kind must be 'random' (or give a list)")
             _require_keys(spec, {"kind", "density", "scale"}, "params.tau")
+            # an absent field takes the runner's default, which passes
+            density, scale = spec.get("density", 0), spec.get("scale", 0)
+            if not (_finite_number(density) and 0 <= density <= 1):
+                raise ConfigError("params.tau.density must be a number in [0, 1]")
+            if not (_finite_number(scale) and scale >= 0):
+                raise ConfigError("params.tau.scale must be a finite number >= 0")
             randomized = True
     if "function" in params:
         spec = params["function"]

@@ -166,6 +166,15 @@ class GridSpec:
         return DyadicCube(self, level, tuple(coords))
 
 
+def _read_cube(grid: GridSpec, obj, where: str) -> "DyadicCube":
+    """grid.cube_from_dict(obj); a malformed cube raises ValueError naming
+    the item as `where`."""
+    try:
+        return grid.cube_from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def read_cube_values(grid: GridSpec, items, key: str, where: str) -> dict[DyadicCube, float]:
     """The table {cube: number} of a coefficient list
     [{"cube": {level, coords}, key: number}, ...]; a malformed item, a
@@ -178,10 +187,7 @@ def read_cube_values(grid: GridSpec, items, key: str, where: str) -> dict[Dyadic
     for i, item in enumerate(items):
         if not (isinstance(item, dict) and _finite_number(item.get(key))):
             raise ValueError(f"{where}[{i}] must be an object {form}")
-        try:
-            Q = grid.cube_from_dict(item.get("cube"))
-        except ValueError as exc:
-            raise ValueError(f"{where}[{i}].cube: {exc}") from None
+        Q = _read_cube(grid, item.get("cube"), f"{where}[{i}].cube")
         if Q in first:
             raise ValueError(f"{where}[{i}] repeats {where}[{first[Q]}]")
         first[Q] = i

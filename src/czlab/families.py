@@ -8,9 +8,11 @@ coherent weights across different grid depths.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .dyadics import GridSpec, StepFunction
+from .dyadics import GridSpec, StepFunction, _child_sum
 
 __all__ = [
     "power_weight",
@@ -72,10 +74,12 @@ def cascade_weight(grid: GridSpec, seed: int, volatility: float = 0.5) -> StepFu
     vals = np.ones(1)
     for _ in range(grid.N):
         u = rng.standard_normal((vals.size, fold))
-        u -= u.mean(axis=1, keepdims=True)
-        scale = np.abs(u).max(axis=1, keepdims=True)
+        # column by column: numpy reduces a short last axis far more slowly,
+        # and these give the same bits as u.mean(axis=1) and |u|.max(axis=1)
+        u -= (_child_sum([u[:, i] for i in range(fold)]) / fold)[:, None]
+        scale = functools.reduce(np.maximum, [np.abs(u[:, i]) for i in range(fold)])
         scale[scale == 0.0] = 1.0
-        factors = 1.0 + volatility * u / scale
+        factors = 1.0 + volatility * u / scale[:, None]
         np.clip(factors, 0.05, None, out=factors)
         vals = (np.repeat(vals, fold).reshape(-1, fold) * factors).ravel()
     return StepFunction(grid, vals)

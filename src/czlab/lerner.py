@@ -123,15 +123,6 @@ class Decomposition:
     residual: StepFunction
     majorant: StepFunction
 
-    def family(self):
-        cubes = []
-        labels = {}
-        for gen_index, gen in enumerate(self.generations, start=1):
-            for Q, _ in gen:
-                cubes.append(Q)
-                labels[Q] = gen_index
-        return cubes, labels
-
     def empirical_constant(self) -> float:
         """max over cells of |phi - median| / majorant where the majorant is
         positive; the positive residual part vanishes after scaling by it."""

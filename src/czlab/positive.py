@@ -48,30 +48,26 @@ _LAMBDA_MAX_ITER = 200
 
 
 class TauCoefficients:
-    """Non-negative coefficients tau_Q, finitely supported on a grid's cubes."""
+    """Non-negative coefficients tau_Q, finitely supported on a grid's cubes.
+
+    levels[k] holds tau over the level-k cubes, Z-ordered and read-only, with
+    0 where a cube has no coefficient.
+    """
 
     def __init__(self, grid: GridSpec, coefficients: dict[DyadicCube, float]):
         self.grid = grid
-        table: dict[DyadicCube, float] = {}
+        levels = [np.zeros(1 << (grid.d * k)) for k in range(grid.N + 1)]
         for Q, t in coefficients.items():
             if Q.grid != grid:
                 raise GridMismatchError("coefficient cube from a different grid")
             t = float(t)
             if not 0.0 <= t < math.inf:  # NaN fails too
                 raise ValueError("tau coefficients must be finite and non-negative")
-            if t != 0.0:
-                table[Q] = t
-        self.table = table
-        self._per_level = None
-
-    def per_level(self) -> list[np.ndarray]:
-        """Dense per-level arrays of tau over all cubes, Z-ordered."""
-        if self._per_level is None:
-            arrs = [np.zeros(1 << (self.grid.d * k)) for k in range(self.grid.N + 1)]
-            for Q, t in self.table.items():
-                arrs[Q.level][Q.zindex] = t
-            self._per_level = arrs
-        return self._per_level
+            if t != 0.0:  # -0.0 too: every absent coefficient reads +0.0
+                levels[Q.level][Q.zindex] = t
+        for arr in levels:
+            arr.flags.writeable = False
+        self.levels = tuple(levels)
 
     @classmethod
     def indicator(cls, family: "CubeFamily") -> "TauCoefficients":
@@ -79,10 +75,9 @@ class TauCoefficients:
 
     def to_json(self) -> str:
         items = [
-            {"cube": Q.to_dict(), "tau": t}
-            for Q, t in sorted(
-                self.table.items(), key=lambda kv: (kv[0].level, kv[0].zindex)
-            )
+            {"cube": self.grid.cube_from_zindex(k, z).to_dict(), "tau": float(arr[z])}
+            for k, arr in enumerate(self.levels)
+            for z in np.flatnonzero(arr).tolist()
         ]
         return json.dumps(items, separators=(",", ":"))
 
@@ -92,31 +87,17 @@ class TauCoefficients:
 
 
 class CubeFamily:
-    """A finite set of dyadic cubes, optionally labeled by generation."""
+    """A finite set of dyadic cubes, held in (level, Z-index) order."""
 
-    def __init__(self, grid: GridSpec, cubes, generations: dict[DyadicCube, int] | None = None):
+    def __init__(self, grid: GridSpec, cubes):
         self.grid = grid
-        seen = []
-        for Q in cubes:
-            if Q.grid != grid:
-                raise GridMismatchError("family cube from a different grid")
-            seen.append(Q)
-        self.cubes = tuple(sorted(set(seen), key=lambda Q: (Q.level, Q.zindex)))
-        self.generations = dict(generations) if generations else {}
+        cubes = set(cubes)
+        if any(Q.grid != grid for Q in cubes):
+            raise GridMismatchError("family cube from a different grid")
+        self.cubes = tuple(sorted(cubes, key=lambda Q: (Q.level, Q.zindex)))
 
     def __len__(self):
         return len(self.cubes)
-
-    def __iter__(self):
-        return iter(self.cubes)
-
-    def __contains__(self, Q):
-        return Q in set(self.cubes)
-
-    def subfamily(self, predicate) -> "CubeFamily":
-        kept = [Q for Q in self.cubes if predicate(Q)]
-        gens = {Q: g for Q, g in self.generations.items() if Q in set(kept)}
-        return CubeFamily(self.grid, kept, gens)
 
 
 def _positive_block(tau: TauCoefficients, values) -> np.ndarray:
@@ -130,7 +111,7 @@ def _positive_block(tau: TauCoefficients, values) -> np.ndarray:
         )
     ints = _level_sums(grid, values)
     acc = np.zeros(values.shape)
-    for k, tau_k in enumerate(tau.per_level()):
+    for k, tau_k in enumerate(tau.levels):
         if not tau_k.any():
             continue
         constants = tau_k * ints[k] * float(1 << (grid.d * k))
@@ -168,7 +149,7 @@ def _testing_ratios(tau, f, sigma, wints, pprime) -> list[np.ndarray]:
     suffix = np.zeros(grid.cells)
     out = [None] * (grid.N + 1)
     for k in range(grid.N, -1, -1):
-        tau_k = tau.per_level()[k]
+        tau_k = tau.levels[k]
         if tau_k.any():
             constants = tau_k * fints[k] * float(1 << (grid.d * k))
             suffix = suffix + repeat_to_cells(grid, constants, k)
@@ -215,14 +196,14 @@ def strong_norm_bound(
 
 
 def _overlap_histograms(family: CubeFamily):
-    """Per-cube histograms of the strict overlap count inside each member.
+    """Per-member histograms of the strict overlap count inside it.
 
     For Q in the family and x in Q, the count is the number of family cubes
-    strictly contained in Q that contain x; returned as (counts, fractions)
-    pairs keyed by cube.
+    strictly contained in Q that contain x; returned as one (counts,
+    fractions) pair per member.
     """
     grid = family.grid
-    member = TauCoefficients.indicator(family).per_level()
+    member = TauCoefficients.indicator(family).levels
     suffix = np.zeros(grid.cells)
     suffix_at = [None] * (grid.N + 2)
     suffix_at[grid.N + 1] = suffix
@@ -230,12 +211,12 @@ def _overlap_histograms(family: CubeFamily):
         if member[k].any():
             suffix = suffix + repeat_to_cells(grid, member[k], k)
         suffix_at[k] = suffix
-    out = {}
+    out = []
     for Q in family.cubes:
         u = np.asarray(np.rint(suffix_at[Q.level + 1][Q.cell_slice]), dtype=int)
         counts = np.bincount(u)
         nz = np.flatnonzero(counts)
-        out[Q] = (nz, counts[nz] / u.size)
+        out.append((nz, counts[nz] / u.size))
     return out
 
 
@@ -253,7 +234,7 @@ def lambda_constant(family: CubeFamily) -> float:
 
     def satisfied(lam: float) -> bool:
         inv = 1.0 / lam
-        for counts, fracs in hists.values():
+        for counts, fracs in hists:
             # log-sum-exp guards the exponential moment for tiny lam
             expo = counts * inv + np.log(fracs)
             peak = float(np.max(expo))

@@ -26,7 +26,9 @@ from .dyadics import (
     GridSpec,
     StepFunction,
     _child_sum,
+    _finite_number,
     _level_sums,
+    _read_cube,
 )
 
 __all__ = [
@@ -269,33 +271,52 @@ class HaarShift:
     @classmethod
     def from_json(cls, text: str) -> "HaarShift":
         """The shift to_json wrote.  Each cube may be listed once, and the
-        cubes of one level in Z-order, as to_json lists them."""
+        cubes of one level in Z-order, as to_json lists them.  A malformed
+        field or item raises ValueError naming it, as entries[i].cube or
+        entries[i].pairs[j].rprime for instance."""
         obj = json.loads(text)
         grid = GridSpec.from_dict(obj)
-        m, n = int(obj["m"]), int(obj["n"])
+        for key in ("m", "n"):
+            value = obj.get(key)  # from_dict checked that obj is an object
+            if type(value) is not int or value < 0:  # type(): JSON true is an int to isinstance
+                raise ValueError(f"field {key!r} must be a non-negative integer")
+        if type(obj.get("cancellative")) is not bool:
+            raise ValueError("field 'cancellative' must be true or false")
+        m, n, entries = obj["m"], obj["n"], obj.get("entries")
+        if not isinstance(entries, list):
+            raise ValueError("field 'entries' must be a list of {cube, pairs} items")
         seen: dict[DyadicCube, int] = {}
         rows: dict[int, list] = {}
-        for i, item in enumerate(obj["entries"]):
-            Q = grid.cube_from_dict(item["cube"])
+        for i, item in enumerate(entries):
+            if not (isinstance(item, dict) and isinstance(item.get("pairs"), list)):
+                raise ValueError(f"entries[{i}] must be an object {{cube, pairs: [...]}}")
+            Q = _read_cube(grid, item.get("cube"), f"entries[{i}].cube")
             if Q in seen:
                 raise ValueError(f"entries[{i}] repeats entries[{seen[Q]}]: cube {Q.to_dict()}")
             seen[Q] = i
             for j, rec in enumerate(item["pairs"]):
-                rp = grid.cube_from_dict(rec["rprime"])
-                qp = grid.cube_from_dict(rec["qprime"])
-                vals = (rec["h_vals"], rec["g_vals"])
                 where = f"entries[{i}].pairs[{j}]"
+                if not isinstance(rec, dict):
+                    raise ValueError(f"{where} must be an object {{rprime, qprime, h_vals, g_vals}}")
+                rp = _read_cube(grid, rec.get("rprime"), f"{where}.rprime")
+                qp = _read_cube(grid, rec.get("qprime"), f"{where}.qprime")
+                vals = (rec.get("h_vals"), rec.get("g_vals"))
                 inside = Q.contains(rp) and Q.contains(qp)
                 if not inside or (rp.level - Q.level, qp.level - Q.level) != (n, m):
                     raise ValueError(f"{where}: rprime and qprime must sit n and m levels inside the cube")
-                if not all(isinstance(v, list) and len(v) == 1 << grid.d for v in vals):
-                    raise ValueError(f"{where}: h_vals and g_vals must each list {1 << grid.d} child values")
+                if not all(
+                    isinstance(v, list) and len(v) == 1 << grid.d and all(map(_finite_number, v))
+                    for v in vals
+                ):
+                    raise ValueError(
+                        f"{where}: h_vals and g_vals must each list {1 << grid.d} child values, finite numbers"
+                    )
                 rows.setdefault(Q.level, []).append((rp.zindex, qp.zindex, *vals))
         levels = {}
         for level, recs in rows.items():
             rz, qz, vin, vout = zip(*recs)
             levels[level] = ShiftLevel(_child_indices(rz, grid.d), _child_indices(qz, grid.d), vin, vout)
-        return cls(grid, m, n, levels, bool(obj["cancellative"]))
+        return cls(grid, m, n, levels, obj["cancellative"])
 
 
 # Byte cap on the largest intermediate of the fused kernel's pair pass
@@ -572,8 +593,10 @@ def build_random_shift(
         vals = rng.standard_normal((qz.size, 2, 1 << d))
         if cancellative:
             vals = _exact_zero_sum(vals)
-        scale = np.abs(vals).max(axis=2)
-        keep = (scale != 0.0).all(axis=1)
+        # |vals|.max(axis=2) column by column: the same bits, far faster on
+        # the short axis
+        scale = functools.reduce(np.maximum, [np.abs(vals[:, :, i]) for i in range(1 << d)])
+        keep = (scale[:, 0] != 0.0) & (scale[:, 1] != 0.0)
         vals = vals[keep] / scale[keep][:, :, None]
         levels[level] = ShiftLevel(
             _child_indices(rz[keep], d),

@@ -61,23 +61,16 @@ def _check_weight_and_cube(w: StepFunction, Q: DyadicCube):
 class StoppingFamily:
     """Forest of stopping cubes rooted at a base cube.
 
-    parents maps every member except the root to its stopping parent.
+    cubes lists the members in (level, Z-index) order, the root first;
+    parents maps every member except the root to its stopping parent; and
+    margins[i] is the packing ratio of cubes[i], the volume of its stopping
+    children over its own.
     """
 
     root: DyadicCube
-    weight: StepFunction
+    cubes: tuple[DyadicCube, ...]
     parents: dict[DyadicCube, DyadicCube]
-
-    @property
-    def cubes(self) -> tuple[DyadicCube, ...]:
-        members = [self.root, *self.parents.keys()]
-        return tuple(sorted(set(members), key=lambda Q: (Q.level, Q.zindex)))
-
-    def children_of(self, S: DyadicCube) -> list[DyadicCube]:
-        return sorted(
-            (Q for Q, par in self.parents.items() if par == S),
-            key=lambda Q: (Q.level, Q.zindex),
-        )
+    margins: tuple[float, ...]
 
     def smallest_containing(self, Q: DyadicCube) -> DyadicCube:
         """The deepest stopping cube containing Q: its first ancestor (or Q
@@ -88,13 +81,6 @@ class StoppingFamily:
         while Q != self.root and Q not in self.parents:
             Q = Q.parent()
         return Q
-
-    def packing_margins(self) -> dict[DyadicCube, float]:
-        """Per-member ratio (sum of stopping-children volumes) / volume."""
-        covered = dict.fromkeys(self.cubes, 0.0)
-        for Q, S in self.parents.items():
-            covered[S] += Q.volume  # powers of two: exact in any order
-        return {S: total / S.volume for S, total in covered.items()}
 
     def to_json(self) -> str:
         cubes = self.cubes
@@ -123,9 +109,9 @@ def build_stopping_family(w: StepFunction, Q0: DyadicCube) -> StoppingFamily:
     levels below Q0 carrying, per cube, that threshold and the ancestor's
     member number; each selected cube passes its own on to its descendants.
     The members, listed level by level, are the iterated stopping children
-    of Q0, from the same comparisons as stopping_children makes.  The strict
-    quarter packing bound is asserted for every member before the family is
-    returned.
+    of Q0, from the same comparisons as stopping_children makes, in
+    (level, Z-index) order.  The strict quarter packing bound is asserted
+    for every member before the family is returned.
     """
     _check_weight_and_cube(w, Q0)
     grid, fold, avgs = w.grid, 1 << w.grid.d, level_averages(w)
@@ -147,9 +133,10 @@ def build_stopping_family(w: StepFunction, Q0: DyadicCube) -> StoppingFamily:
             covered.append(0.0)
         threshold[hit] = STOPPING_RATIO * avg[hit]
         owner[hit] = np.arange(len(members) - hit.size, len(members))
-    if not all(c < PACKING_FRACTION * S.volume for c, S in zip(covered, members)):
+    margins = tuple(c / S.volume for c, S in zip(covered, members))
+    if not all(m < PACKING_FRACTION for m in margins):
         raise AssertionError("packing bound violated by stopping children")
-    return StoppingFamily(Q0, w, parents)
+    return StoppingFamily(Q0, tuple(members), parents, margins)
 
 
 def _smallest_bin(ratio: float, lo_exp: int, hi_exp: int) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 from czlab.dyadics import GridSpec, StepFunction, ancestor, level_averages
 from czlab.lerner import median, oscillation
 from czlab.normlab import LinearOperator, NonConvergenceError, norm_p2
-from czlab.shifts import HaarShift, ShiftLevel, build_petermichl
+from czlab.shifts import HaarShift, ShiftLevel, _exact_zero_sum, build_petermichl
 
 
 def cell_cube(grid: GridSpec, z: int):
@@ -44,6 +44,40 @@ def loop_petermichl(grid: GridSpec) -> HaarShift:
             records.append((level, Q.zindex, Q.child(0).zindex, (1.0, -1.0), (1.0, -1.0)))
             records.append((level, Q.zindex, Q.child(1).zindex, (1.0, -1.0), (-1.0, 1.0)))
     return _pack_records(grid, 1, 0, records, True)
+
+
+def axis_reduced_cascade_weight(grid: GridSpec, seed: int, volatility: float = 0.5) -> np.ndarray:
+    """cascade_weight's cell values, each refinement recentred and rescaled
+    with numpy's reductions over the short last axis."""
+    rng = np.random.default_rng(seed)
+    fold = 1 << grid.d
+    vals = np.ones(1)
+    for _ in range(grid.N):
+        u = rng.standard_normal((vals.size, fold))
+        u -= u.mean(axis=1, keepdims=True)
+        scale = np.abs(u).max(axis=1, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        factors = 1.0 + volatility * u / scale
+        np.clip(factors, 0.05, None, out=factors)
+        vals = (np.repeat(vals, fold).reshape(-1, fold) * factors).ravel()
+    return vals
+
+
+def axis_reduced_random_shift_values(m: int, n: int, seed: int, grid: GridSpec, cancellative: bool) -> dict:
+    """build_random_shift's child values per level, {level: (input rows,
+    output rows)}, rescaled with numpy's reductions over the short last axis."""
+    d = grid.d
+    rng = np.random.default_rng(seed)
+    out = {}
+    for level in range(grid.N - max(m, n)):
+        vals = rng.standard_normal((1 << (d * (level + m + n)), 2, 1 << d))
+        if cancellative:
+            vals = _exact_zero_sum(vals)
+        scale = np.abs(vals).max(axis=2)
+        keep = (scale != 0.0).all(axis=1)
+        vals = vals[keep] / scale[keep][:, :, None]
+        out[level] = (vals[:, 0], vals[:, 1])
+    return out
 
 
 def _zero_sum(vals: np.ndarray) -> np.ndarray:
@@ -142,13 +176,28 @@ def brute_truncation(S, f: StepFunction) -> np.ndarray:
     return best
 
 
+def tau_items(tau) -> list:
+    """(cube, tau_Q) for every cube with a nonzero coefficient, read off the
+    per-level arrays."""
+    return [
+        (tau.grid.cube_from_zindex(k, z), float(arr[z]))
+        for k, arr in enumerate(tau.levels)
+        for z in np.flatnonzero(arr).tolist()
+    ]
+
+
+def decomposition_cubes(dec) -> list:
+    """The cubes of a median decomposition's generations, generation by generation."""
+    return [Q for gen in dec.generations for Q, _ in gen]
+
+
 def dense_positive_matrix(tau, mu: StepFunction) -> np.ndarray:
     """K[i, j] = sum over cubes containing both cells of tau_Q mu_j vol / |Q|."""
     grid = tau.grid
     cells = grid.cells
     vol = grid.cell_volume
     K = np.zeros((cells, cells))
-    for Q, t in tau.table.items():
+    for Q, t in tau_items(tau):
         sl = Q.cell_slice
         idx = np.arange(sl.start, sl.stop)
         K[np.ix_(idx, idx)] += t * mu.values[idx][None, :] * vol / Q.volume

@@ -53,9 +53,8 @@ def test_criterion_1_exact_combinatorial_invariants():
             grid = GridSpec(1, 8 + seed % 3)
         w = cascade_weight(grid, 10_000 + seed, 0.7)
         fam = build_stopping_family(w, grid.root())  # packing asserted inside
-        margins = fam.packing_margins()
-        assert all(m < 0.25 for m in margins.values())
-        worst_margin = max(worst_margin, max(margins.values()))
+        assert all(m < 0.25 for m in fam.margins)
+        worst_margin = max(worst_margin, max(fam.margins))
         checked += 1
     assert checked == 200
 

@@ -409,6 +409,13 @@ class TestMainEntry:
             ("invariant-suite", {"samples": "5"}, "params.samples must be a positive integer"),
             ("invariant-suite", {"samples": True}, "params.samples must be a positive integer"),
             ("invariant-suite", {"samples": None}, "params.samples must be a positive integer"),
+            ("sawyer-test", {"tau": {"kind": "random", "density": 5}}, "params.tau.density must be a number in [0, 1]"),
+            ("sawyer-test", {"tau": {"kind": "random", "density": -1}}, "params.tau.density must be a number in [0, 1]"),
+            ("sawyer-test", {"tau": {"kind": "random", "density": "x"}}, "params.tau.density must be a number in [0, 1]"),
+            ("sawyer-test", {"tau": {"kind": "random", "density": True}}, "params.tau.density must be a number in [0, 1]"),
+            ("sawyer-test", {"tau": {"kind": "random", "scale": True}}, "params.tau.scale must be a finite number >= 0"),
+            ("sawyer-test", {"tau": {"kind": "random", "scale": -0.5}}, "params.tau.scale must be a finite number >= 0"),
+            ("sawyer-test", {"tau": {"kind": "random", "scale": float("inf")}}, "params.tau.scale must be a finite number >= 0"),
         ],
     )
     def test_exit_two_on_bad_counts(self, tmp_path, capsys, verb, params, field):

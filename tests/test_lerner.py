@@ -7,7 +7,12 @@ from czlab.dyadics import GridSpec, StepFunction
 from czlab.lerner import lerner_decompose, local_sharp_maximal, median, oscillation
 from czlab.positive import CubeFamily, lambda_constant
 
-from oracles import brute_local_sharp, brute_oscillation, loop_lerner_generations
+from oracles import (
+    brute_local_sharp,
+    brute_oscillation,
+    decomposition_cubes,
+    loop_lerner_generations,
+)
 
 
 def step(grid, vals):
@@ -202,10 +207,10 @@ class TestDecomposition:
         for seed in range(20):
             phi = step(g, rng.standard_cauchy(g.cells))
             dec = lerner_decompose(phi, g.root())
-            cubes, gens = dec.family()
+            cubes = decomposition_cubes(dec)
             if not cubes:
                 continue
-            lam = lambda_constant(CubeFamily(g, cubes, gens))
+            lam = lambda_constant(CubeFamily(g, cubes))
             assert lam <= 4.0
 
     def test_generation_separated_subfamilies(self):
@@ -216,15 +221,16 @@ class TestDecomposition:
             raw = rng.standard_cauchy(g.cells)
             phi = step(g, np.sign(raw) * raw**2)
             dec = lerner_decompose(phi, g.root())
-            cubes, gens = dec.family()
             if len(dec.generations) < 2:
                 continue
             checked += 1
-            fam = CubeFamily(g, cubes, gens)
-            full = lambda_constant(fam)
+            full = lambda_constant(CubeFamily(g, decomposition_cubes(dec)))
             for t in (2, 3):
                 for t0 in range(t):
-                    sub = fam.subfamily(lambda Q: fam.generations[Q] % t == t0)
+                    sub = CubeFamily(
+                        g,
+                        [Q for l, gen in enumerate(dec.generations, 1) if l % t == t0 for Q, _ in gen],
+                    )
                     if len(sub):
                         assert lambda_constant(sub) <= full * (1.0 + 1e-5)
         assert checked >= 3

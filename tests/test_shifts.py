@@ -21,6 +21,7 @@ from czlab.shifts import (
 )
 
 from oracles import (
+    axis_reduced_random_shift_values,
     brute_truncation,
     dense_shift_matrix,
     loop_hilbert,
@@ -38,7 +39,7 @@ def rand_step(grid, seed):
 
 def _update_pair(**fields):
     """JSON edit: change pair 0 of entries[1]."""
-    return lambda entries: entries[1]["pairs"][0].update(fields)
+    return lambda obj: obj["entries"][1]["pairs"][0].update(fields)
 
 
 def _cube(level, z):
@@ -50,10 +51,11 @@ MISPLACED = r"entries\[1\]\.pairs\[0\]: rprime and qprime must sit"
 
 class TestShiftConstructor:
     """Each faulty row set is refused by HaarShift(...) and, written as JSON,
-    by from_json.  The base is the Petermichl shift at N = 4, (m, n) = (1, 0),
-    with levels 0-2; its JSON lists the level-0 cube, then both level-1 cubes."""
+    by from_json; faults only JSON can hold have no levels edit.  The base is
+    the Petermichl shift at N = 4, (m, n) = (1, 0), with levels 0-2; its JSON
+    lists the level-0 cube, then both level-1 cubes."""
 
-    # fault: (edit of the levels, message; edit of the JSON entries, message)
+    # fault: (edit of the levels, message; edit of the JSON object, message)
     FAULTS = {
         "child_indices": (
             lambda L: {**L, 1: L[1]._replace(in_idx=np.vstack([[0, 0], L[1].in_idx[1:]]))},
@@ -65,7 +67,7 @@ class TestShiftConstructor:
             lambda L: {**L, 1: L[1]._replace(in_idx=np.vstack([[8, 9], L[1].in_idx[1:]]))},
             "children of one cube",
             _update_pair(rprime=_cube(1, 5)),
-            "coordinate 5 outside",
+            r"entries\[1\]\.pairs\[0\]\.rprime: coordinate 5 outside",
         ),
         "different_q": (
             lambda L: {**L, 1: L[1]._replace(out_idx=np.vstack([[4, 5], L[1].out_idx[1:]]))},
@@ -76,10 +78,10 @@ class TestShiftConstructor:
         "level_too_deep": (
             lambda L: {**L, 3: L[2]},
             "need children",
-            lambda entries: entries.append(
+            lambda obj: obj["entries"].append(
                 {
                     "cube": _cube(3, 0),
-                    "pairs": [{**entries[-1]["pairs"][0], "rprime": _cube(3, 0), "qprime": _cube(4, 0)}],
+                    "pairs": [{**obj["entries"][-1]["pairs"][0], "rprime": _cube(3, 0), "qprime": _cube(4, 0)}],
                 }
             ),
             "need children",
@@ -87,7 +89,7 @@ class TestShiftConstructor:
         "q_order": (
             lambda L: {**L, 1: ShiftLevel(*(a[::-1] for a in L[1]))},
             "Z-order",
-            lambda entries: entries.insert(1, entries.pop(2)),
+            lambda obj: obj["entries"].insert(1, obj["entries"].pop(2)),
             "Z-order",
         ),
         "shapes": (
@@ -102,6 +104,31 @@ class TestShiftConstructor:
             _update_pair(h_vals=[1.0, 1.0]),
             "summing to zero",
         ),
+        "missing_m": (None, None, lambda obj: obj.pop("m"), "field 'm' must be a non-negative integer"),
+        "missing_g_vals": (
+            None,
+            None,
+            lambda obj: obj["entries"][1]["pairs"][0].pop("g_vals"),
+            r"entries\[1\]\.pairs\[0\]: h_vals and g_vals must each list 2 child values",
+        ),
+        "pairs_not_a_list": (
+            None,
+            None,
+            lambda obj: obj["entries"][1].update(pairs=5),
+            r"entries\[1\] must be an object \{cube, pairs",
+        ),
+        "cube_without_coords": (
+            None,
+            None,
+            lambda obj: obj["entries"][1].update(cube={"level": 1}),
+            r"entries\[1\]\.cube: cube field 'coords'",
+        ),
+        "qprime_out_of_range": (
+            None,
+            None,
+            _update_pair(qprime=_cube(2, 9)),
+            r"entries\[1\]\.pairs\[0\]\.qprime: coordinate 9 outside",
+        ),
     }
 
     @classmethod
@@ -112,11 +139,13 @@ class TestShiftConstructor:
         if path == "levels":
             return lambda: HaarShift(S.grid, S.m, S.n, edit_levels(S.levels), cancellative), levels_match
         obj = {**json.loads(S.to_json()), "cancellative": cancellative}
-        edit_json(obj["entries"])
+        edit_json(obj)
         return lambda: HaarShift.from_json(json.dumps(obj)), json_match
 
-    @pytest.mark.parametrize("path", ["levels", "json"])
-    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize(
+        "fault,path",
+        [(f, p) for f, spec in sorted(FAULTS.items()) for p in ("json", "levels") if spec[0] or p == "json"],
+    )
     def test_fault_rejected(self, fault, path):
         build, match = self.faulty(fault, path)
         with pytest.raises(ValueError, match=match):
@@ -639,6 +668,17 @@ class TestBulkBuilders:
         S = build_random_shift(m, n, seed, g, cancellative)
         ref = loop_random_shift(m, n, seed, g, cancellative)
         _assert_matches_loop_version(S, ref, rand_step(g, 100 + seed))
+
+    @pytest.mark.parametrize("d,N,m,n", [(1, 9, 2, 1), (2, 5, 1, 1), (3, 3, 1, 0)])
+    @pytest.mark.parametrize("cancellative", [True, False])
+    def test_random_shift_values_match_axis_reductions(self, d, N, m, n, cancellative):
+        g = GridSpec(d, N)
+        S = build_random_shift(m, n, 7, g, cancellative)
+        want = axis_reduced_random_shift_values(m, n, 7, g, cancellative)
+        assert sorted(S.levels) == sorted(want)
+        for level, (h_in, h_out) in want.items():
+            assert np.array_equal(S.levels[level].h_in, h_in)
+            assert np.array_equal(S.levels[level].h_out, h_out)
 
     @pytest.mark.parametrize("N", [2, 3, 5])
     def test_petermichl(self, N):

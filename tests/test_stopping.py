@@ -14,7 +14,7 @@ from czlab.stopping import (
     stopping_children,
 )
 
-from oracles import loop_stopping_children, loop_stopping_family
+from oracles import decomposition_cubes, loop_stopping_children, loop_stopping_family
 
 
 def ones(grid):
@@ -90,7 +90,7 @@ class TestStoppingFamily:
     def test_constant_weight_trivial_family(self):
         g = GridSpec(1, 5)
         fam = build_stopping_family(ones(g), g.root())
-        assert fam.cubes == (g.root(),)
+        assert fam.cubes == (g.root(),) and fam.margins == (0.0,)
 
     def test_power_spike_depth(self):
         g = GridSpec(1, 8)
@@ -98,17 +98,18 @@ class TestStoppingFamily:
         fam = build_stopping_family(w, g.root())
         depth = max(S.level for S in fam.cubes)
         assert depth >= 2
-        assert all(v < 0.25 for v in fam.packing_margins().values())
+        assert all(v < 0.25 for v in fam.margins)
 
     def test_packing_margins_match_children_sums(self):
         for d, N in ((1, 8), (2, 4)):
             g = GridSpec(d, N)
             for seed in range(10):
                 fam = build_stopping_family(cascade_weight(g, 900 + seed, 0.8), g.root())
-                want = {
-                    S: sum(c.volume for c in fam.children_of(S)) / S.volume for S in fam.cubes
-                }
-                assert list(fam.packing_margins().items()) == list(want.items())
+                want = tuple(
+                    sum(c.volume for c, P in fam.parents.items() if P == S) / S.volume
+                    for S in fam.cubes
+                )
+                assert fam.margins == want
 
     @pytest.mark.parametrize("d,N", [(1, 7), (2, 4), (3, 2)])
     def test_family_matches_generation_by_generation_loop(self, d, N):
@@ -126,11 +127,11 @@ class TestStoppingFamily:
                 fam = build_stopping_family(w, Q0)
                 want = loop_stopping_family(w, Q0)
                 assert fam.parents == want
-                margins = {
-                    S: sum(c.volume for c, P in want.items() if P == S) / S.volume
-                    for S in sorted([Q0, *want], key=lambda Q: (Q.level, Q.zindex))
-                }
-                assert list(fam.packing_margins().items()) == list(margins.items())
+                cubes = tuple(sorted([Q0, *want], key=lambda Q: (Q.level, Q.zindex)))
+                margins = tuple(
+                    sum(c.volume for c, P in want.items() if P == S) / S.volume for S in cubes
+                )
+                assert fam.cubes == cubes and fam.margins == margins
                 for Q in want:
                     chain = 1
                     while want[Q] != Q0:
@@ -146,7 +147,7 @@ class TestStoppingFamily:
             for S, parent in fam.parents.items():
                 assert parent.contains(S) and parent != S
             for S in fam.cubes:
-                kids = fam.children_of(S)
+                kids = [c for c, P in fam.parents.items() if P == S]
                 cover = np.zeros(g.cells, dtype=int)
                 for c in kids:
                     cover[c.cell_slice] += 1
@@ -291,11 +292,11 @@ class TestDistributionalCheck:
             rng = np.random.default_rng(600 + seed)
             raw = rng.standard_cauchy(g.cells)
             dec = lerner_decompose(StepFunction(g, np.sign(raw) * raw**2), g.root())
-            cubes, gens = dec.family()
+            cubes = decomposition_cubes(dec)
             if not cubes:
                 continue
             checked += 1
-            parts = lab_partition(CubeFamily(g, cubes, gens), w, sigma, p, fam)
+            parts = lab_partition(CubeFamily(g, cubes), w, sigma, p, fam)
             ainf = ainfty_characteristic(w).value
             w_total = w.integral()
             by_ab = {}
