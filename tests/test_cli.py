@@ -334,6 +334,43 @@ class TestDeterminism:
             "stopping_packing_max,6,0.171875,0.25,True\n"
             "lerner_certificate_failures,6,0,0,True\n",
         ),
+        # sample counts that split unevenly into the runners' row blocks
+        "invariant_suite_d1_n10": (
+            {"verb": "invariant-suite", "grid": {"d": 1, "N": 10}, "seed": 4, "params": {"samples": 37}},
+            "invariants.csv",
+            "invariant,samples,statistic,threshold,pass\n"
+            "ap_at_least_one,37,30.243033780422074,1,True\n"
+            "dual_identity_rel_err,37,3.5742962328348077e-16,1.0000000000000001e-09,True\n"
+            "ainfty_over_ap_p2,37,0.034267825868055296,1,True\n"
+            "maximal_sublinear_violation,37,4.4408920985006262e-16,0,True\n"
+            "stopping_packing_max,37,0.18359375,0.25,True\n"
+            "lerner_certificate_failures,37,0,0,True\n",
+        ),
+        "invariant_suite_d2_n5": (
+            {"verb": "invariant-suite", "grid": {"d": 2, "N": 5}, "seed": 8, "params": {"samples": 20}},
+            "invariants.csv",
+            "invariant,samples,statistic,threshold,pass\n"
+            "ap_at_least_one,20,2.0110990417328622,1,True\n"
+            "dual_identity_rel_err,20,1.5815695050078238e-16,1.0000000000000001e-09,True\n"
+            "ainfty_over_ap_p2,20,0.61454598758507495,1,True\n"
+            "maximal_sublinear_violation,20,4.4408920985006262e-16,0,True\n"
+            "stopping_packing_max,20,0.0693359375,0.25,True\n"
+            "lerner_certificate_failures,20,0,0,True\n",
+        ),
+        "stopping_audit_n12": (
+            {"verb": "stopping-audit", "grid": {"d": 1, "N": 12}, "seed": 13, "params": {"count": 9}},
+            "stopping_audit.csv",
+            "sample,packing_max,carleson_ratio,ainfty,family_size,depth\n"
+            "0,0.208740234375,0.85779932500522704,3.3004078622499993,123,12\n"
+            "1,0.208740234375,0.85779932500522671,3.3004078622500002,123,12\n"
+            "2,0.208740234375,0.85779932500522649,3.3004078622499997,123,12\n"
+            "3,0.208740234375,0.85779932500522715,3.3004078622500019,123,12\n"
+            "4,0.208740234375,0.85779932500522682,3.3004078622499993,123,12\n"
+            "5,0.208740234375,0.85779932500522693,3.3004078622499997,123,12\n"
+            "6,0.208740234375,0.85779932500522682,3.3004078622499993,123,12\n"
+            "7,0.208740234375,0.8577993250052266,3.3004078622500002,123,12\n"
+            "8,0.208740234375,0.85779932500522649,3.3004078622500006,123,12\n",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
