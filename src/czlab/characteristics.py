@@ -5,6 +5,12 @@ from the maximal function, the two-weight bracket, dual weights, and the
 maximal functions themselves.  All suprema run over the dyadic cubes of the
 ambient grid and report a witness cube, so every value can be rechecked
 independently.
+
+The dyadic A_p, A_infty and maximal-function computations are row-block
+cores over (K, cells) arrays of K functions, one row each (_ap_rows,
+_ainfty_rows, _maximal_rows); each single-function entry point is the
+one-row case of its core, so a block of samples gives every row the bits
+its own call would.
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ from .dyadics import (
     DyadicCube,
     GridSpec,
     StepFunction,
+    _by_cube,
+    _level_means,
+    _level_sums,
     _morton_decode,
     level_averages,
     level_integrals,
-    repeat_to_cells,
     require_weight,
 )
 
@@ -65,17 +73,41 @@ def dual_weight(w: StepFunction, p: float) -> StepFunction:
     return w.with_values(w.values ** (1.0 - pprime))
 
 
-def _sup_over_cubes(grid: GridSpec, by_level) -> tuple[float, DyadicCube]:
-    """Deterministic supremum: coarsest level first, ties to smallest Z-index."""
-    best = -math.inf
-    witness = None
-    for level, arr in enumerate(by_level):
-        z = int(np.argmax(arr))
-        v = float(arr[z])
-        if v > best:
-            best = v
-            witness = grid.cube_from_zindex(level, z)
-    return best, witness
+def _sup_over_cubes(by_level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic supremum of each row: coarsest level first, ties to
+    smallest Z-index.
+
+    by_level[k] holds the level-k values, shape (..., 2^(d*k)); the result
+    is three arrays of the leading shape: the suprema and the level and
+    Z-index of each witness cube.
+    """
+    # a level holding NaN has NaN as its max, which fmax turns into -inf:
+    # such a level is passed over
+    tops = np.fmax(np.array([arr.max(axis=-1) for arr in by_level]), -math.inf)
+    level = tops.argmax(axis=0)  # the first, coarsest, level attaining the sup
+    best = np.empty(level.shape)
+    zindex = np.empty(level.shape, dtype=np.intp)
+    for i in np.ndindex(level.shape):
+        row = by_level[level[i]][i]
+        zindex[i] = row.argmax()
+        best[i] = row[zindex[i]]
+    return best, level, zindex
+
+
+def _witnessed(grid: GridSpec, sup) -> tuple[float, DyadicCube]:
+    """The value and witness cube of a one-row (0-d) _sup_over_cubes result."""
+    value, level, zindex = sup
+    return float(value), grid.cube_from_zindex(int(level), int(zindex))
+
+
+def _ap_rows(grid: GridSpec, rows: np.ndarray, p: float, aw=None):
+    """A_p of each weight in `rows` (shape (..., cells)) as _sup_over_cubes
+    arrays; `aw`, when given, holds the rows' level averages."""
+    pprime = p / (p - 1.0)
+    if aw is None:
+        aw = _level_means(grid, _level_sums(grid, rows))
+    asig = _level_means(grid, _level_sums(grid, rows ** (1.0 - pprime)))
+    return _sup_over_cubes([a * s ** (p - 1.0) for a, s in zip(aw, asig)])
 
 
 def ap_characteristic(w: StepFunction, p: float) -> CharacteristicReport:
@@ -83,12 +115,8 @@ def ap_characteristic(w: StepFunction, p: float) -> CharacteristicReport:
     require_weight(w)
     if not (1.0 < p < math.inf):
         raise ValueError("p must lie in (1, infinity)")
-    sigma = dual_weight(w, p)
-    aw = level_averages(w)
-    asig = level_averages(sigma)
-    ratios = [aw[k] * asig[k] ** (p - 1.0) for k in range(w.grid.N + 1)]
-    value, witness = _sup_over_cubes(w.grid, ratios)
-    return CharacteristicReport(value, witness, p)
+    sup = _ap_rows(w.grid, w.values, p, level_averages(w))
+    return CharacteristicReport(*_witnessed(w.grid, sup), p)
 
 
 def joint_ap(w: StepFunction, sigma: StepFunction, p: float) -> CharacteristicReport:
@@ -104,25 +132,25 @@ def joint_ap(w: StepFunction, sigma: StepFunction, p: float) -> CharacteristicRe
     ratios = [
         aw[k] ** (1.0 / p) * asig[k] ** (1.0 / pprime) for k in range(w.grid.N + 1)
     ]
-    value, witness = _sup_over_cubes(w.grid, ratios)
-    return CharacteristicReport(value, witness, p)
+    return CharacteristicReport(*_witnessed(w.grid, _sup_over_cubes(ratios)), p)
 
 
-def _dyadic_running_max(f: StepFunction) -> list[np.ndarray]:
-    """For each level k, the cell array max_{j >= k} avg over the level-j cube.
-
-    Entry k gives, at each finest cell x, the largest average of |f| over the
-    dyadic cubes containing x that sit at depth k or deeper.
-    """
-    grid = f.grid
-    avgs = level_averages(abs(f))
-    out = [None] * (grid.N + 1)
-    run = avgs[grid.N].copy()
-    out[grid.N] = run.copy()
+def _maximal_rows(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
+    """Dyadic maximal function of each row of `rows` (shape (..., cells)):
+    at each cell, the largest average of |f| over the dyadic cubes
+    containing it.  Only the running maximum over the levels is kept."""
+    sums = _level_sums(grid, np.abs(rows))
+    run = sums[grid.N]  # the cell integrals, scaled to averages in place
+    run *= float(1 << (grid.d * grid.N))
     for k in range(grid.N - 1, -1, -1):
-        np.maximum(run, repeat_to_cells(grid, avgs[k], k), out=run)
-        out[k] = run.copy()
-    return out
+        _raise_to(grid, run, sums[k] * float(1 << (grid.d * k)), k)
+    return run
+
+
+def _raise_to(grid: GridSpec, run: np.ndarray, avg: np.ndarray, k: int):
+    """run = max(run, avg spread over each level-k cube's cells), in place."""
+    by_cube = _by_cube(grid, run, k)
+    np.maximum(by_cube, avg[..., None], out=by_cube)
 
 
 def maximal_function(f: StepFunction, mode: str = "dyadic") -> StepFunction:
@@ -135,7 +163,7 @@ def maximal_function(f: StepFunction, mode: str = "dyadic") -> StepFunction:
     (so the pointwise bound M f >= |f| holds in both modes).
     """
     if mode == "dyadic":
-        return f.with_values(_dyadic_running_max(f)[0])
+        return f.with_values(_maximal_rows(f.grid, f.values))
     if mode == "centered":
         return f.with_values(_centered_maximal(f))
     raise ValueError("mode must be 'dyadic' or 'centered'")
@@ -201,6 +229,27 @@ def _centered_maximal_2d(f: StepFunction, sl: slice) -> np.ndarray:
     return best[c0 - r0, c1 - r1]
 
 
+def _ainfty_rows(grid: GridSpec, sums: list[np.ndarray]):
+    """Dyadic A_infty of each weight whose level integrals (_level_sums of a
+    (..., cells) block) are `sums`, as _sup_over_cubes arrays.
+
+    One cells-wide running maximum per row rises from the finest level to
+    the root; each level's ratio is taken as the maximum reaches that level,
+    and the ratios are reduced coarsest level first.
+    """
+    ratios = [None] * (grid.N + 1)
+    run = None
+    for k in range(grid.N, -1, -1):
+        avg = sums[k] * float(1 << (grid.d * k))
+        if run is None:
+            run = avg
+        else:
+            _raise_to(grid, run, avg, k)
+        numer = _by_cube(grid, run * grid.cell_volume, k).sum(axis=-1)
+        ratios[k] = numer / sums[k]
+    return _sup_over_cubes(ratios)
+
+
 def ainfty_characteristic(w: StepFunction, mode: str = "dyadic") -> CharacteristicReport:
     """sup over dyadic Q of w(Q)^-1 * integral_Q M(w 1_Q).
 
@@ -212,14 +261,7 @@ def ainfty_characteristic(w: StepFunction, mode: str = "dyadic") -> Characterist
     grid = w.grid
     wsums = level_integrals(w)
     if mode == "dyadic":
-        running = _dyadic_running_max(w)
-        ratios = []
-        for k in range(grid.N + 1):
-            contrib = running[k] * grid.cell_volume
-            numer = contrib.reshape(1 << (grid.d * k), -1).sum(axis=1)
-            ratios.append(numer / wsums[k])
-        value, witness = _sup_over_cubes(grid, ratios)
-        return CharacteristicReport(value, witness, math.inf)
+        return CharacteristicReport(*_witnessed(grid, _ainfty_rows(grid, wsums)), math.inf)
     if mode == "centered":
         best = -math.inf
         witness = None
@@ -234,3 +276,4 @@ def ainfty_characteristic(w: StepFunction, mode: str = "dyadic") -> Characterist
                 witness = Q
         return CharacteristicReport(best, witness, math.inf)
     raise ValueError("mode must be 'dyadic' or 'centered'")
+

@@ -22,14 +22,23 @@ from dataclasses import asdict, astuple
 import numpy as np
 
 from . import __version__
-from .characteristics import ainfty_characteristic, ap_characteristic, dual_weight, joint_ap
+from .characteristics import (
+    _ainfty_rows,
+    _ap_rows,
+    _maximal_rows,
+    ainfty_characteristic,
+    ap_characteristic,
+    dual_weight,
+    joint_ap,
+)
 from .config import ConfigError, ExperimentConfig, load_config, sweep_levels
-from .dyadics import GridSpec, StepFunction, _morton_decode, read_cube_values
-from .families import cascade_weight, random_step, weight_from_spec
+from .dyadics import GridSpec, StepFunction, _by_cube, _level_sums, _morton_decode, read_cube_values
+from .families import _cascade_rows, _random_step_rows, random_step, weight_from_spec
 from .lerner import lerner_decompose
 from .normlab import OPERATOR_KINDS, SWEEP_CSV_HEADER, sharpness_sweep
 from .positive import TauCoefficients, sawyer_testing
 from .shifts import (
+    _BLOCK_BYTES,
     GridEnsemble,
     HaarShift,
     build_paraproduct,
@@ -65,6 +74,15 @@ def _cell_rows(grid: GridSpec, *columns) -> list[list[str]]:
     coord = _morton_decode(np.arange(grid.cells), grid.d, grid.N)[0]
     x_left = (coord / (1 << grid.N) + grid.shift[0]) % 1.0
     return [[str(i), *map(_fmt, row)] for i, row in enumerate(zip(x_left, *columns))]
+
+
+def _sample_blocks(count: int, grid: GridSpec) -> list[range]:
+    """Consecutive ranges of sample indices 0..count-1, each of as many
+    samples as keep four (samples, cells) float arrays within the kernel's
+    _BLOCK_BYTES: about the most the row-block cores hold at once (the
+    cascade's normals alone are two), 8 samples at 2^10 cells."""
+    step = max(1, _BLOCK_BYTES // (32 * grid.cells))
+    return [range(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _build_operator(grid: GridSpec, spec: dict, default_seed: int | None = None) -> HaarShift:
@@ -242,8 +260,6 @@ def _build_tau(grid: GridSpec, spec, seed) -> TauCoefficients:
 def _run_sawyer_test(cfg: ExperimentConfig, out_dir: str):
     grid = GridSpec(cfg.d, cfg.N)
     p = float(cfg.params.get("p", 2.0))
-    if not 1.0 < p < math.inf:
-        raise ConfigError("params.p must lie in (1, infinity)")
     w = weight_from_spec(grid, cfg.params.get("w", {"kind": "constant", "value": 1.0}), cfg.seed)
     sig_seed = None if cfg.seed is None else cfg.seed + 1
     sigma = weight_from_spec(grid, cfg.params.get("sigma", {"kind": "constant", "value": 1.0}), sig_seed)
@@ -287,6 +303,13 @@ def _run_lerner_decompose(cfg: ExperimentConfig, out_dir: str):
     return outputs, {"c_lerner": dec.empirical_constant(), "generations": len(dec.generations)}
 
 
+def _sample_weights(grid: GridSpec, spec: dict, seeds) -> np.ndarray:
+    """weight_from_spec's values for each seed, one row each."""
+    if spec.get("kind") == "cascade":
+        return _cascade_rows(grid, seeds, float(spec.get("volatility", 0.5)))
+    return np.array([weight_from_spec(grid, spec, s).values for s in seeds])
+
+
 def _run_stopping_audit(cfg: ExperimentConfig, out_dir: str):
     grid = GridSpec(cfg.d, cfg.N)
     count = int(cfg.params.get("count", 50))
@@ -294,19 +317,24 @@ def _run_stopping_audit(cfg: ExperimentConfig, out_dir: str):
     rows = []
     worst_pack = 0.0
     worst_carleson = 0.0
-    for i in range(count):
-        seed_i = cfg.seed + i
-        w = weight_from_spec(grid, dict(spec, seed=seed_i), seed_i)
-        family = build_stopping_family(w, grid.root())
-        pack = max(family.margins)
-        ainf = ainfty_characteristic(w).value
-        carleson = sum(w.integral(S) for S in family.cubes) / (ainf * w.integral())
-        depth = max((S.level for S in family.cubes), default=0)
-        worst_pack = max(worst_pack, pack)
-        worst_carleson = max(worst_carleson, carleson)
-        rows.append(
-            [str(i), _fmt(pack), _fmt(carleson), _fmt(ainf), str(len(family.cubes)), str(depth)]
-        )
+    for block in _sample_blocks(count, grid):
+        weights = _sample_weights(grid, spec, [cfg.seed + i for i in block])
+        ainfs = _ainfty_rows(grid, _level_sums(grid, weights))[0].tolist()
+        # w.integral(S) for every cube S: its cells added in order, as there
+        integrals = [
+            _by_cube(grid, weights, k).sum(axis=-1) * grid.cell_volume for k in range(grid.N + 1)
+        ]
+        for r, (i, ainf) in enumerate(zip(block, ainfs)):
+            family = build_stopping_family(StepFunction(grid, weights[r]), grid.root())
+            pack = max(family.margins)
+            total = sum(float(integrals[S.level][r, S.zindex]) for S in family.cubes)
+            carleson = total / (ainf * float(integrals[0][r, 0]))
+            depth = max((S.level for S in family.cubes), default=0)
+            worst_pack = max(worst_pack, pack)
+            worst_carleson = max(worst_carleson, carleson)
+            rows.append(
+                [str(i), _fmt(pack), _fmt(carleson), _fmt(ainf), str(len(family.cubes)), str(depth)]
+            )
     outputs = [
         _write_csv(
             out_dir,
@@ -346,47 +374,52 @@ def _run_sharpness_sweep(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_invariant_suite(cfg: ExperimentConfig, out_dir: str):
-    from .characteristics import maximal_function
-
     grid = GridSpec(cfg.d, cfg.N)
     samples = int(cfg.params.get("samples", 100))
+    exponents = (1.5, 2.0, 3.0)  # sample i runs at exponents[i % 3]
     rows = []
     constants = {}
 
     worst_ap = math.inf
     worst_dual = 0.0
     ainfty_over_ap = 0.0
-    for i in range(samples):
-        w = cascade_weight(grid, cfg.seed + i, 0.6)
-        p = (1.5, 2.0, 3.0)[i % 3]
-        ap = ap_characteristic(w, p)
-        worst_ap = min(worst_ap, ap.value)
-        sigma = dual_weight(w, p)
-        pprime = p / (p - 1.0)
-        dual_ap = ap_characteristic(sigma, pprime).value
-        rel = abs(dual_ap - ap.value ** (pprime - 1.0)) / ap.value ** (pprime - 1.0)
-        worst_dual = max(worst_dual, rel)
-        if p == 2.0:
-            ainfty_over_ap = max(ainfty_over_ap, ainfty_characteristic(w).value / ap.value)
+    for block in _sample_blocks(samples, grid):
+        weights = _cascade_rows(grid, [cfg.seed + i for i in block], 0.6)
+        ap, dual_ap, ainf = np.zeros((3, len(block)))  # ainf is read at p = 2 only
+        for j, p in enumerate(exponents):
+            at_p = slice((j - block.start) % 3, None, 3)  # the block's rows at exponent p
+            w = weights[at_p]
+            pprime = p / (p - 1.0)
+            ap[at_p] = _ap_rows(grid, w, p)[0]
+            dual_ap[at_p] = _ap_rows(grid, w ** (1.0 - pprime), pprime)[0]
+            if p == 2.0:
+                ainf[at_p] = _ainfty_rows(grid, _level_sums(grid, w))[0]
+        for i, ap_i, dual_i, ainf_i in zip(block, ap.tolist(), dual_ap.tolist(), ainf.tolist()):
+            p = exponents[i % 3]
+            worst_ap = min(worst_ap, ap_i)
+            pprime = p / (p - 1.0)
+            rel = abs(dual_i - ap_i ** (pprime - 1.0)) / ap_i ** (pprime - 1.0)
+            worst_dual = max(worst_dual, rel)
+            if p == 2.0:
+                ainfty_over_ap = max(ainfty_over_ap, ainf_i / ap_i)
     rows.append(["ap_at_least_one", str(samples), _fmt(worst_ap), _fmt(1.0), str(worst_ap >= 1.0)])
     rows.append(["dual_identity_rel_err", str(samples), _fmt(worst_dual), _fmt(1e-9), str(worst_dual <= 1e-9)])
     rows.append(["ainfty_over_ap_p2", str(samples), _fmt(ainfty_over_ap), _fmt(1.0), str(ainfty_over_ap <= 1.0 + 1e-12)])
     constants["ainfty_over_ap_p2"] = ainfty_over_ap
 
     sub_viol = 0.0
-    for i in range(samples):
-        f = random_step(grid, cfg.seed + 1000 + 2 * i)
-        g = random_step(grid, cfg.seed + 1000 + 2 * i + 1)
-        lhs = maximal_function(f + g).values
-        rhs = maximal_function(f).values + maximal_function(g).values
-        sub_viol = max(sub_viol, float((lhs - rhs).max()))
+    for block in _sample_blocks(samples, grid):
+        f = _random_step_rows(grid, [cfg.seed + 1000 + 2 * i for i in block])
+        g = _random_step_rows(grid, [cfg.seed + 1000 + 2 * i + 1 for i in block])
+        excess = _maximal_rows(grid, f + g) - (_maximal_rows(grid, f) + _maximal_rows(grid, g))
+        sub_viol = max(sub_viol, float(excess.max()))
     rows.append(["maximal_sublinear_violation", str(samples), _fmt(sub_viol), _fmt(0.0), str(sub_viol <= 1e-12)])
 
     pack = 0.0
-    for i in range(samples):
-        w = cascade_weight(grid, cfg.seed + 2000 + i, 0.7)
-        fam = build_stopping_family(w, grid.root())
-        pack = max(pack, max(fam.margins))
+    for block in _sample_blocks(samples, grid):
+        for w in _cascade_rows(grid, [cfg.seed + 2000 + i for i in block], 0.7):
+            fam = build_stopping_family(StepFunction(grid, w), grid.root())
+            pack = max(pack, max(fam.margins))
     rows.append(["stopping_packing_max", str(samples), _fmt(pack), _fmt(0.25), str(pack < 0.25)])
     constants["stopping_packing_max"] = pack
 

@@ -113,6 +113,27 @@ def _check_hilbert_params(params: dict):
             )
 
 
+def _exponent(v) -> bool:
+    """A number p in (1, inf): finite, greater than one, not a bool."""
+    return _finite_number(v) and v > 1
+
+
+def _check_exponents(verb: str, params: dict):
+    """sawyer-test's exponent, and characteristics' exponents and A_infty mode."""
+    if verb == "sawyer-test":
+        if not _exponent(params.get("p", 2.0)):
+            raise ConfigError("params.p must be a number in (1, infinity)")
+        return
+    p = params.get("p", [2.0])
+    if not isinstance(p, list):
+        raise ConfigError("params.p must be a list of numbers in (1, infinity)")
+    for i, v in enumerate(p):
+        if not _exponent(v):
+            raise ConfigError(f"params.p[{i}] must be a number in (1, infinity)")
+    if params.get("ainfty_mode", "dyadic") not in ("dyadic", "centered"):
+        raise ConfigError("params.ainfty_mode must be 'dyadic' or 'centered'")
+
+
 def sweep_levels(params: dict, grid_N: int) -> list:
     """The sharpness sweep's levels: params.N, by default min(grid.N, 8) and
     grid.N, once each."""
@@ -131,7 +152,7 @@ def _check_sweep_params(params: dict, grid_d: int, grid_N: int):
         )
     items_ok = {
         "operators": (lambda v: v in OPERATOR_KINDS, f"one of {list(OPERATOR_KINDS)}"),
-        "p": (lambda v: _finite_number(v) and v > 1, "a finite number greater than 1"),
+        "p": (_exponent, "a finite number greater than 1"),
         "N": (lambda v: type(v) is int and 1 <= v <= grid_N, f"an integer in [1, grid.N = {grid_N}]"),
     }
     for key, (ok, what) in items_ok.items():
@@ -193,6 +214,8 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
         _check_hilbert_params(params)
     if cfg_verb == "sharpness-sweep":
         _check_sweep_params(params, d, N)
+    if cfg_verb in ("characteristics", "sawyer-test"):
+        _check_exponents(cfg_verb, params)
 
     randomized = cfg_verb in _ALWAYS_RANDOM
     for key in ("weight", "w", "sigma"):
@@ -227,6 +250,9 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
             raise ConfigError("params.function.kind must be 'random' or 'values'")
         if spec["kind"] == "random":
             _require_keys(spec, {"kind", "spikes"}, "params.function")
+            spikes = spec.get("spikes", 0)
+            if type(spikes) is not int or spikes < 0:
+                raise ConfigError("params.function.spikes must be a non-negative integer")
             randomized = True
         else:
             _require_keys(spec, {"kind", "values"}, "params.function")

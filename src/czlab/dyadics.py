@@ -421,6 +421,19 @@ def _level_sums(grid: GridSpec, values: np.ndarray, top: int = 0) -> list[np.nda
     return sums[::-1]
 
 
+def _by_cube(grid: GridSpec, cells: np.ndarray, k: int) -> np.ndarray:
+    """A (..., cells) array viewed as (..., level-k cubes, their cells);
+    summing its last axis adds each cube's cells in order, as
+    values[Q.cell_slice].sum() does."""
+    return cells.reshape(*cells.shape[:-1], 1 << (grid.d * k), 1 << (grid.d * (grid.N - k)))
+
+
+def _level_means(grid: GridSpec, sums: list[np.ndarray]) -> list[np.ndarray]:
+    """Averages over the cubes of levels 0..N from their integrals (as
+    `_level_sums` gives them, any leading shape)."""
+    return [s * float(1 << (grid.d * k)) for k, s in enumerate(sums)]
+
+
 def _maximal_subcubes(Q: DyadicCube, values: np.ndarray, threshold: float) -> list[DyadicCube]:
     """Maximal proper dyadic subcubes of Q whose mean of `values` (Q's cell
     values in Z-order) is strictly above `threshold`, ordered by first cell.
@@ -464,7 +477,7 @@ def level_averages(f: StepFunction) -> list[np.ndarray]:
     on the function."""
     if f._avgs is not None:
         return f._avgs
-    avgs = [s * float(1 << (f.grid.d * k)) for k, s in enumerate(level_integrals(f))]
+    avgs = _level_means(f.grid, level_integrals(f))
     for arr in avgs:
         arr.setflags(write=False)
     object.__setattr__(f, "_avgs", avgs)

@@ -8,8 +8,6 @@ coherent weights across different grid depths.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .dyadics import GridSpec, StepFunction, _child_sum
@@ -65,33 +63,72 @@ def cascade_weight(grid: GridSpec, seed: int, volatility: float = 0.5) -> StepFu
 
     Each refinement multiplies the children of every cube by factors
     1 + volatility * u with u recentered to mean zero and clipped away from
-    zero, so positivity is unconditional.
+    zero, so positivity is unconditional.  In d = 1 the recentred pair is
+    (a, -a), so every factor is 1 +- volatility up to rounding in the last
+    bit: all seeds give the same weight up to a dyadic rearrangement (and
+    that rounding), and the seed only picks which child of each cube gets
+    1 + volatility.
+    """
+    return StepFunction(grid, _cascade_rows(grid, [seed], volatility)[0])
+
+
+def _cascade_rows(grid: GridSpec, seeds, volatility: float) -> np.ndarray:
+    """cascade_weight's cell values for each seed: a (len(seeds), cells) array.
+
+    Each seed's normals for all N refinements come from one draw, the
+    stream its refinements read in turn; they are recentred, scaled and
+    clipped for every level at once, and only the product down the levels
+    runs level by level.
     """
     if not 0.0 <= volatility < 1.0:
         raise ValueError("volatility must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
     fold = 1 << grid.d
-    vals = np.ones(1)
-    for _ in range(grid.N):
-        u = rng.standard_normal((vals.size, fold))
-        # column by column: numpy reduces a short last axis far more slowly,
-        # and these give the same bits as u.mean(axis=1) and |u|.max(axis=1)
-        u -= (_child_sum([u[:, i] for i in range(fold)]) / fold)[:, None]
-        scale = functools.reduce(np.maximum, [np.abs(u[:, i]) for i in range(fold)])
-        scale[scale == 0.0] = 1.0
-        factors = 1.0 + volatility * u / scale[:, None]
-        np.clip(factors, 0.05, None, out=factors)
-        vals = (np.repeat(vals, fold).reshape(-1, fold) * factors).ravel()
-    return StepFunction(grid, vals)
+    parents = [fold**level for level in range(grid.N)]  # cubes each refinement splits
+    u = np.empty((len(seeds), sum(parents), fold))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    _to_factors(u, volatility)
+    vals = np.ones((len(seeds), 1))
+    start = 0
+    for count in parents:
+        vals = (vals[..., None] * u[:, start : start + count]).reshape(len(seeds), -1)
+        start += count
+    return vals
+
+
+def _to_factors(u: np.ndarray, volatility: float):
+    """Turn normals u (a cube's children along the last axis) into the
+    cascade's factors, in place: u is recentred, then becomes
+    1 + volatility * u / scale, rounded step by step in that order, with
+    scale its largest |u|, and is clipped at 0.05."""
+    fold = u.shape[-1]
+    # column by column: numpy reduces a short last axis far more slowly,
+    # and these give the same bits as u.mean(axis=-1) and |u|.max(axis=-1)
+    u -= (_child_sum([u[..., i] for i in range(fold)]) / fold)[..., None]
+    scale = np.abs(u[..., 0])
+    for i in range(1, fold):
+        np.maximum(scale, np.abs(u[..., i]), out=scale)
+    scale[scale == 0.0] = 1.0
+    u *= volatility
+    u /= scale[..., None]
+    u += 1.0
+    np.clip(u, 0.05, None, out=u)
 
 
 def random_step(grid: GridSpec, seed: int, spikes: int = 0) -> StepFunction:
     """Gaussian cell values with optional multiplicative spikes."""
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(grid.cells)
-    for _ in range(spikes):
-        vals[rng.integers(0, grid.cells)] *= 10.0
-    return StepFunction(grid, vals)
+    return StepFunction(grid, _random_step_rows(grid, [seed], spikes)[0])
+
+
+def _random_step_rows(grid: GridSpec, seeds, spikes: int = 0) -> np.ndarray:
+    """random_step's cell values for each seed: a (len(seeds), cells) array."""
+    vals = np.empty((len(seeds), grid.cells))
+    for row, seed in zip(vals, seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=row)
+        for _ in range(spikes):
+            row[rng.integers(0, grid.cells)] *= 10.0
+    return vals
 
 
 def coarsen(f: StepFunction, N: int) -> StepFunction:

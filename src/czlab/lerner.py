@@ -39,16 +39,15 @@ def median(phi: StepFunction, Q: DyadicCube) -> float:
     """
     if Q.grid != phi.grid:
         raise GridMismatchError("cube does not belong to the function's grid")
-    vals = np.sort(phi.values[Q.cell_slice])
-    M = vals.size
-    half = M / 2.0
-    # positions of distinct values: below-count = first index, above-count = M - last - 1
-    distinct, first = np.unique(vals, return_index=True)
-    counts = np.diff(np.append(first, M))
-    below = first
-    above = M - first - counts
-    ok = (below <= half) & (above <= half)
-    return float(distinct[np.argmax(ok)])
+    return _sorted_median(np.sort(phi.values[Q.cell_slice]))
+
+
+def _sorted_median(vals: np.ndarray) -> float:
+    """The lower median of sorted cell values: the value at (M - 1) // 2,
+    read at the first of the values equal to it, so that of tied zeros the
+    first in sorted order gives the sign."""
+    k = (vals.size - 1) // 2
+    return float(vals[np.searchsorted(vals, vals[k], "left")])
 
 
 def _allowed_count(lam: float, cells: int) -> int:
@@ -68,7 +67,11 @@ def oscillation(phi: StepFunction, Q: DyadicCube, lam: float) -> float:
         raise GridMismatchError("cube does not belong to the function's grid")
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
-    vals = np.sort(phi.values[Q.cell_slice])
+    return _sorted_oscillation(np.sort(phi.values[Q.cell_slice]), lam)
+
+
+def _sorted_oscillation(vals: np.ndarray, lam: float) -> float:
+    """oscillation from the cube's sorted cell values."""
     M = vals.size
     k = _allowed_count(lam, M)
     cover = M - k
@@ -178,8 +181,9 @@ def lerner_decompose(phi: StepFunction, Q0: DyadicCube) -> Decomposition:
     while active:
         next_gen: list[tuple[DyadicCube, float]] = []
         for Q in active:
-            mQ = median(phi, Q)
-            om = oscillation(phi, Q, lam)
+            vals = np.sort(phi.values[Q.cell_slice])  # one sort for both
+            mQ = _sorted_median(vals)
+            om = _sorted_oscillation(vals, lam)
             exceptional = np.abs(phi.values[Q.cell_slice] - mQ) > 2.0 * om
             for picked in _maximal_subcubes(Q, exceptional.astype(float), select_fraction):
                 om_parent = oscillation(phi, picked.parent(), lam)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import _sup_over_cubes
+from .characteristics import _sup_over_cubes, _witnessed
 from .dyadics import (
     DyadicCube,
     GridMismatchError,
@@ -176,7 +176,7 @@ def sawyer_testing(
     if w.grid != grid or sigma.grid != grid:
         raise GridMismatchError("weights must live on the operator's grid")
     ratios = _testing_ratios(tau, w, sigma, level_integrals(w), p / (p - 1.0))
-    return TestingConstant(*_sup_over_cubes(grid, ratios))
+    return TestingConstant(*_witnessed(grid, _sup_over_cubes(ratios)))
 
 
 def strong_norm_bound(

@@ -7,9 +7,19 @@ away from the fast code paths it is used to check.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from czlab.dyadics import GridSpec, StepFunction, ancestor, level_averages
+from czlab.dyadics import (
+    GridSpec,
+    StepFunction,
+    _child_sum,
+    ancestor,
+    level_averages,
+    level_integrals,
+    repeat_to_cells,
+)
 from czlab.lerner import median, oscillation
 from czlab.normlab import LinearOperator, NonConvergenceError, norm_p2
 from czlab.shifts import HaarShift, ShiftLevel, _exact_zero_sum, build_petermichl
@@ -58,6 +68,24 @@ def axis_reduced_cascade_weight(grid: GridSpec, seed: int, volatility: float = 0
         scale = np.abs(u).max(axis=1, keepdims=True)
         scale[scale == 0.0] = 1.0
         factors = 1.0 + volatility * u / scale
+        np.clip(factors, 0.05, None, out=factors)
+        vals = (np.repeat(vals, fold).reshape(-1, fold) * factors).ravel()
+    return vals
+
+
+def level_loop_cascade_weight(grid: GridSpec, seed: int, volatility: float = 0.5) -> np.ndarray:
+    """cascade_weight's cell values as drawn and refined one level at a
+    time: each refinement draws its own normals and recentres, scales and
+    clips them before the next."""
+    rng = np.random.default_rng(seed)
+    fold = 1 << grid.d
+    vals = np.ones(1)
+    for _ in range(grid.N):
+        u = rng.standard_normal((vals.size, fold))
+        u -= (_child_sum([u[:, i] for i in range(fold)]) / fold)[:, None]
+        scale = functools.reduce(np.maximum, [np.abs(u[:, i]) for i in range(fold)])
+        scale[scale == 0.0] = 1.0
+        factors = 1.0 + volatility * u / scale[:, None]
         np.clip(factors, 0.05, None, out=factors)
         vals = (np.repeat(vals, fold).reshape(-1, fold) * factors).ravel()
     return vals
@@ -221,6 +249,16 @@ def brute_oscillation(phi: StepFunction, Q, lam: float) -> float:
     return best
 
 
+def unique_lower_median(vals: np.ndarray) -> float:
+    """Lower median of sorted cell values through np.unique: the first
+    distinct value with at most half the cells below and half above."""
+    M = vals.size
+    distinct, first = np.unique(vals, return_index=True)
+    counts = np.diff(np.append(first, M))
+    ok = (first <= M / 2.0) & (M - first - counts <= M / 2.0)
+    return float(distinct[np.argmax(ok)])
+
+
 def brute_local_sharp(phi: StepFunction, Q, lam: float) -> np.ndarray:
     """Loop over every (cell, subcube) pair with the brute oscillation."""
     grid = phi.grid
@@ -309,6 +347,30 @@ def loop_lerner_generations(phi: StepFunction, Q0) -> tuple:
         generations.append(tuple(nxt))
         active = [Q for Q, _ in nxt]
     return tuple(generations)
+
+
+def stacked_running_max_ainfty(w: StepFunction) -> tuple[float, int, int]:
+    """Dyadic A_infty with every level's running maximum kept as its own
+    cell array, each level's ratio read from its array after all are built,
+    and the supremum taken level by level, coarsest first: (value, witness
+    level, witness Z-index)."""
+    grid = w.grid
+    avgs = level_averages(abs(w))
+    running = [None] * (grid.N + 1)
+    run = avgs[grid.N].copy()
+    running[grid.N] = run.copy()
+    for k in range(grid.N - 1, -1, -1):
+        np.maximum(run, repeat_to_cells(grid, avgs[k], k), out=run)
+        running[k] = run.copy()
+    wsums = level_integrals(w)
+    best, witness = -np.inf, None
+    for k in range(grid.N + 1):
+        numer = (running[k] * grid.cell_volume).reshape(1 << (grid.d * k), -1).sum(axis=1)
+        ratio = numer / wsums[k]
+        z = int(np.argmax(ratio))
+        if float(ratio[z]) > best:
+            best, witness = float(ratio[z]), (k, z)
+    return (best, *witness)
 
 
 def brute_ap(w: StepFunction, p: float) -> float:

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from czlab.characteristics import (
+    _ainfty_rows,
+    _ap_rows,
+    _maximal_rows,
     ainfty_characteristic,
     ap_characteristic,
     dual_weight,
     joint_ap,
     maximal_function,
 )
-from czlab.dyadics import GridSpec, StepFunction, average
-from czlab.families import cascade_weight, power_weight
+from czlab.dyadics import GridSpec, StepFunction, _level_sums, average
+from czlab.families import _cascade_rows, cascade_weight, power_weight, two_value_weight
 
 from oracles import (
     brute_ap,
     loop_centered_ainfty,
     loop_centered_maximal,
     loop_centered_maximal_2d,
+    stacked_running_max_ainfty,
 )
 
 
@@ -361,3 +365,68 @@ class TestCentered2D:
             best = np.maximum(best, np.repeat(avgs, per))
         ratio = best.sum() * g.cell_volume / w.integral(Q)
         assert ratio == pytest.approx(rep.value, rel=1e-10)
+
+
+def tied_weights(g):
+    """Cascade weights, and weights whose suprema tie: a constant (every
+    cube ties with the root), one spike at the same place in both children
+    of the root (their subcubes tie level by level) and two-value weights."""
+    rows = list(_cascade_rows(g, [1, 2, 3], 0.6))
+    rows.append(np.ones(g.cells))
+    spikes = np.ones(g.cells)
+    last = (g.cells >> g.d) - 1  # the first child's last cell
+    spikes[[last, last + (g.cells >> g.d)]] = 64.0
+    rows.append(spikes)
+    rows.extend(two_value_weight(g, v, k).values for v, k in ((4.0, 1), (0.25, g.N)))
+    return np.array(rows)
+
+
+class TestRowBlocks:
+    """Each row of a block core equals the single-weight function on that
+    row, value and witness, bit for bit."""
+
+    GRIDS = [(1, 1), (1, 8), (2, 4), (3, 2)]
+
+    @pytest.mark.parametrize("d,N", GRIDS)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+    def test_ap_rows(self, d, N, p):
+        g = GridSpec(d, N)
+        rows = tied_weights(g)
+        values, levels, zindex = _ap_rows(g, rows, p)
+        for i, row in enumerate(rows):
+            rep = ap_characteristic(weight(g, row), p)
+            assert values[i] == rep.value
+            assert (levels[i], zindex[i]) == (rep.witness.level, rep.witness.zindex)
+
+    @pytest.mark.parametrize("d,N", GRIDS)
+    def test_ainfty_rows(self, d, N):
+        g = GridSpec(d, N)
+        rows = tied_weights(g)
+        values, levels, zindex = _ainfty_rows(g, _level_sums(g, rows))
+        for i, row in enumerate(rows):
+            rep = ainfty_characteristic(weight(g, row))
+            assert values[i] == rep.value
+            assert (levels[i], zindex[i]) == (rep.witness.level, rep.witness.zindex)
+            oracle = stacked_running_max_ainfty(weight(g, row))
+            assert (rep.value, rep.witness.level, rep.witness.zindex) == oracle
+
+    def test_ties_resolve_coarsest_first_then_smallest_zindex(self):
+        g = GridSpec(1, 8)
+        rows = tied_weights(g)
+        ap = _ap_rows(g, rows, 2.0)
+        ainf = _ainfty_rows(g, _level_sums(g, rows))
+        # the constant: every cube ties, the root wins
+        assert (ap[1][3], ap[2][3]) == (ainf[1][3], ainf[2][3]) == (0, 0)
+        # the spikes: the first child's cube wins over its twin in the second
+        assert (ap[1][4], ap[2][4]) == (7, 63)
+        assert (ainf[1][4], ainf[2][4]) == (3, 3)
+
+    @pytest.mark.parametrize("d,N", GRIDS)
+    def test_maximal_rows(self, d, N):
+        g = GridSpec(d, N)
+        rng = np.random.default_rng(N)
+        rows = np.concatenate([tied_weights(g), rng.standard_normal((3, g.cells))])
+        rows[-1, ::3] = -0.0
+        block = _maximal_rows(g, rows)
+        for row, got in zip(rows, block):
+            assert np.array_equal(got, maximal_function(weight(g, row)).values)

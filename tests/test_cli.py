@@ -453,6 +453,21 @@ class TestMainEntry:
             ("sawyer-test", {"tau": {"kind": "random", "scale": True}}, "params.tau.scale must be a finite number >= 0"),
             ("sawyer-test", {"tau": {"kind": "random", "scale": -0.5}}, "params.tau.scale must be a finite number >= 0"),
             ("sawyer-test", {"tau": {"kind": "random", "scale": float("inf")}}, "params.tau.scale must be a finite number >= 0"),
+            ("characteristics", {"p": 2.0}, "params.p must be a list of numbers in (1, infinity)"),
+            ("characteristics", {"p": [None]}, "params.p[0] must be a number in (1, infinity)"),
+            ("characteristics", {"p": [True]}, "params.p[0] must be a number in (1, infinity)"),
+            ("characteristics", {"p": ["x"]}, "params.p[0] must be a number in (1, infinity)"),
+            ("characteristics", {"p": [2.0, 1]}, "params.p[1] must be a number in (1, infinity)"),
+            ("characteristics", {"p": [float("inf")]}, "params.p[0] must be a number in (1, infinity)"),
+            ("characteristics", {"ainfty_mode": 5}, "params.ainfty_mode must be 'dyadic' or 'centered'"),
+            ("characteristics", {"ainfty_mode": "Dyadic"}, "params.ainfty_mode must be 'dyadic' or 'centered'"),
+            ("sawyer-test", {"p": [2]}, "params.p must be a number in (1, infinity)"),
+            ("sawyer-test", {"p": True}, "params.p must be a number in (1, infinity)"),
+            ("sawyer-test", {"p": 1}, "params.p must be a number in (1, infinity)"),
+            ("lerner-decompose", {"function": {"kind": "random", "spikes": -1}}, "params.function.spikes must be a non-negative integer"),
+            ("lerner-decompose", {"function": {"kind": "random", "spikes": "x"}}, "params.function.spikes must be a non-negative integer"),
+            ("lerner-decompose", {"function": {"kind": "random", "spikes": 1.5}}, "params.function.spikes must be a non-negative integer"),
+            ("lerner-decompose", {"function": {"kind": "random", "spikes": True}}, "params.function.spikes must be a non-negative integer"),
         ],
     )
     def test_exit_two_on_bad_counts(self, tmp_path, capsys, verb, params, field):

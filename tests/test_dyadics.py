@@ -9,6 +9,7 @@ from czlab.dyadics import (
     GridMismatchError,
     GridSpec,
     StepFunction,
+    _by_cube,
     _maximal_subcubes,
     _morton_decode,
     _morton_encode,
@@ -360,3 +361,16 @@ class TestRearrangement:
             measure = float((np.abs(f.values) > s).sum()) * vol
             assert measure <= (k + 1) * vol + 1e-15
             assert rearrangement_value(f, (k + 1) * vol) <= s + 1e-15
+
+
+@pytest.mark.parametrize("d,N", [(1, N) for N in range(13)] + [(2, 6), (3, 4)])
+def test_cube_sums_add_each_cubes_cells_in_order(d, N):
+    # the stopping audit's integrals: every cube's sum from one reshaped
+    # block is bit for bit the sum over the cube's slice of one row
+    g = GridSpec(d, N)
+    block = np.random.default_rng(N).standard_normal((3, g.cells))
+    for k in range(N + 1):
+        sums = _by_cube(g, block, k).sum(axis=-1)
+        slices = [Q.cell_slice for Q in g.cubes(k)]
+        for row, row_sums in zip(block, sums):
+            assert np.array_equal(row_sums, [row[sl].sum() for sl in slices])

@@ -12,6 +12,7 @@ from oracles import (
     brute_oscillation,
     decomposition_cubes,
     loop_lerner_generations,
+    unique_lower_median,
 )
 
 
@@ -48,6 +49,21 @@ class TestMedian:
         f = step(g, np.random.default_rng(seed).standard_normal(g.cells))
         Q = g.cube(1, (seed % 2,))
         assert median(f + c, Q) == pytest.approx(median(f, Q) + c, abs=1e-12)
+
+
+    @pytest.mark.parametrize("d,N", [(1, 6), (2, 3)])
+    def test_signed_zero_ties_match_unique_median(self, d, N):
+        # few distinct values, zeros of both signs: ties in almost every cube,
+        # and the median's zero sign is the first tied zero's in sorted order
+        g = GridSpec(d, N)
+        rng = np.random.default_rng(10 * d + N)
+        pool = np.array([-1.0, -0.0, 0.0, -0.0, 0.0, 1.0, 2.5])
+        for _ in range(40):
+            f = step(g, rng.choice(pool, g.cells))
+            for Q in g.all_cubes():
+                got = median(f, Q)
+                want = unique_lower_median(np.sort(f.values[Q.cell_slice]))
+                assert got == want and np.signbit(got) == np.signbit(want)
 
 
 class TestOscillation:
