@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from czlab import normlab
-from czlab.cli import _VERB_RUNNERS, main, run
+from czlab.cli import _VERB_RUNNERS, _sample_blocks, main, run
 from czlab.config import VERBS, ConfigError, parse_config
 from czlab.dyadics import GridSpec, StepFunction
 
@@ -378,6 +378,14 @@ class TestDeterminism:
         obj, name, text = self.PINNED[case]
         run(parse_config(obj), str(tmp_path))
         assert (tmp_path / name).read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("case", ["invariant_suite_d1_n10", "invariant_suite_d2_n5", "stopping_audit_n12"])
+    def test_block_pins_cross_block_boundaries(self, case):
+        obj = self.PINNED[case][0]
+        count = obj["params"].get("samples", obj["params"].get("count"))
+        blocks = _sample_blocks(count, GridSpec(obj["grid"]["d"], obj["grid"]["N"]))
+        assert [i for b in blocks for i in b] == list(range(count))
+        assert len(blocks) > 1 and len(blocks[-1]) < len(blocks[0])
 
 
 class TestMainEntry:
