@@ -1,10 +1,13 @@
 """Experiment runner: verb dispatch, deterministic seeding, CSV/JSON output.
 
 Every run writes its result files plus a manifest echoing the config, the
-library version, wall time, and the derived constants of the run.  With a
-fixed config and seed the numerical result files are byte-identical across
-reruns; the manifest differs only in its wall-time field.  Floats are
-emitted with 17 significant digits so values round-trip exactly.
+library version, wall time, and the derived constants of the run, on one
+line with sorted keys, as json.dumps(manifest, sort_keys=True,
+separators=(",", ":")) writes it (with the C JSON encoder; an indented dump
+falls back to the pure-Python one).  With a fixed config and seed the numerical
+result files are byte-identical across reruns; the manifest differs only in
+its wall-time field.  Floats are emitted with 17 significant digits so
+values round-trip exactly.
 
 Exit codes are listed in `_EXIT_CODES` (the `czlab --help` epilog).
 """
@@ -32,21 +35,30 @@ from .characteristics import (
     joint_ap,
 )
 from .config import ConfigError, ExperimentConfig, load_config, sweep_levels
-from .dyadics import GridSpec, StepFunction, _by_cube, _level_sums, _morton_decode, read_cube_values
+from .dyadics import (
+    GridSpec,
+    StepFunction,
+    _by_cube,
+    _level_means,
+    _level_sums,
+    _morton_decode,
+    _require_positive,
+    read_cube_values,
+)
 from .families import _cascade_rows, _random_step_rows, random_step, weight_from_spec
-from .lerner import lerner_decompose
+from .lerner import _lerner_generations, lerner_decompose
 from .normlab import OPERATOR_KINDS, SWEEP_CSV_HEADER, sharpness_sweep
 from .positive import TauCoefficients, sawyer_testing
 from .shifts import (
     _BLOCK_BYTES,
     GridEnsemble,
     HaarShift,
-    build_paraproduct,
+    _paraproduct,
     build_petermichl,
     build_random_shift,
     hilbert_average,
 )
-from .stopping import build_stopping_family
+from .stopping import _stopping_rows
 
 __all__ = ["main", "run"]
 
@@ -60,6 +72,31 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return name
+
+
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_SLICE = 256  # list items per encoder call
+
+
+def _dump_compact(obj, write):
+    """Write json.dumps(obj, sort_keys=True, separators=(",", ":")) of an
+    object with string keys, piece by piece: one C-encoder call per dict key
+    and value and per slice of _SLICE list items.  One call over the whole
+    object would hold every small chunk it makes until its final join, 2.6
+    MB for the 255 KB manifest of a 4,078-item tau list."""
+    if isinstance(obj, dict):
+        write("{")
+        for i, key in enumerate(sorted(obj)):
+            write(("," if i else "") + _ENCODE(key) + ":")
+            _dump_compact(obj[key], write)
+        write("}")
+    elif isinstance(obj, list) and len(obj) > _SLICE:
+        write("[")
+        for i in range(0, len(obj), _SLICE):
+            write(("," if i else "") + _ENCODE(obj[i : i + _SLICE])[1:-1])
+        write("]")
+    else:
+        write(_ENCODE(obj))
 
 
 def _write_csv(out_dir: str, name: str, header: str, rows: list[list[str]]) -> str:
@@ -105,7 +142,7 @@ def _build_operator(grid: GridSpec, spec: dict, default_seed: int | None = None)
             grid, spec.get("coefficients"), "a", "params.operator.coefficients"
         )
         try:
-            return build_paraproduct(coeffs, grid)
+            return _paraproduct(grid, *coeffs)
         except ValueError as exc:
             raise ConfigError(f"params.operator.coefficients: {exc}") from None
     raise ConfigError(f"unknown operator kind {kind!r}")
@@ -242,19 +279,22 @@ def _run_hilbert_approx(cfg: ExperimentConfig, out_dir: str):
 
 def _build_tau(grid: GridSpec, spec, seed) -> TauCoefficients:
     if isinstance(spec, list):
-        table = read_cube_values(grid, spec, "tau", "params.tau")
+        cubes = read_cube_values(grid, spec, "tau", "params.tau")
         try:
-            return TauCoefficients(grid, table)
+            return TauCoefficients._from_arrays(grid, *cubes)
         except ValueError as exc:
             raise ConfigError(f"params.tau: {exc}") from None
     rng = np.random.default_rng(seed)
     density = float(spec.get("density", 0.5))
     scale = float(spec.get("scale", 1.0))
-    table = {}
-    for Q in grid.all_cubes():
-        if rng.random() < density:
-            table[Q] = scale * float(rng.random())
-    return TauCoefficients(grid, table)
+    level, zindex, tau = [], [], []  # of each drawn cube, coarsest first
+    for k in range(grid.N + 1):
+        for z in range(1 << (grid.d * k)):
+            if rng.random() < density:
+                level.append(k)
+                zindex.append(z)
+                tau.append(scale * float(rng.random()))
+    return TauCoefficients._from_arrays(grid, level, zindex, tau)
 
 
 def _run_sawyer_test(cfg: ExperimentConfig, out_dir: str):
@@ -304,10 +344,13 @@ def _run_lerner_decompose(cfg: ExperimentConfig, out_dir: str):
 
 
 def _sample_weights(grid: GridSpec, spec: dict, seeds) -> np.ndarray:
-    """weight_from_spec's values for each seed, one row each."""
+    """weight_from_spec's values for each seed, one row each, checked to be
+    finite and positive."""
     if spec.get("kind") == "cascade":
-        return _cascade_rows(grid, seeds, float(spec.get("volatility", 0.5)))
-    return np.array([weight_from_spec(grid, spec, s).values for s in seeds])
+        rows = _cascade_rows(grid, seeds, float(spec.get("volatility", 0.5)))
+    else:
+        rows = np.array([weight_from_spec(grid, spec, s).values for s in seeds])
+    return _require_positive(rows)
 
 
 def _run_stopping_audit(cfg: ExperimentConfig, out_dir: str):
@@ -317,23 +360,27 @@ def _run_stopping_audit(cfg: ExperimentConfig, out_dir: str):
     rows = []
     worst_pack = 0.0
     worst_carleson = 0.0
+    # the first column of the level-k cubes in a table of every cube's value, coarsest first
+    first = np.cumsum([0] + [1 << (grid.d * k) for k in range(grid.N)])
     for block in _sample_blocks(count, grid):
         weights = _sample_weights(grid, spec, [cfg.seed + i for i in block])
-        ainfs = _ainfty_rows(grid, _level_sums(grid, weights))[0].tolist()
-        # w.integral(S) for every cube S: its cells added in order, as there
-        integrals = [
-            _by_cube(grid, weights, k).sum(axis=-1) * grid.cell_volume for k in range(grid.N + 1)
-        ]
-        for r, (i, ainf) in enumerate(zip(block, ainfs)):
-            family = build_stopping_family(StepFunction(grid, weights[r]), grid.root())
-            pack = max(family.margins)
-            total = sum(float(integrals[S.level][r, S.zindex]) for S in family.cubes)
-            carleson = total / (ainf * float(integrals[0][r, 0]))
-            depth = max((S.level for S in family.cubes), default=0)
+        sums = _level_sums(grid, weights)
+        ainfs = _ainfty_rows(grid, sums)[0].tolist()
+        # w.integral(S) for every cube S: its cells added in order, as StepFunction.integral does
+        integrals = np.concatenate(
+            [_by_cube(grid, weights, k).sum(axis=-1) * grid.cell_volume for k in range(grid.N + 1)],
+            axis=1,
+        )
+        families = _stopping_rows(grid, _level_means(grid, sums))
+        for r, (i, ainf, (level, zindex, _, margins)) in enumerate(zip(block, ainfs, families)):
+            pack = float(margins.max())
+            # added one member at a time in (level, Z-index) order
+            total = sum(integrals[r, first[level] + zindex].tolist())
+            carleson = total / (ainf * float(integrals[r, 0]))
             worst_pack = max(worst_pack, pack)
             worst_carleson = max(worst_carleson, carleson)
             rows.append(
-                [str(i), _fmt(pack), _fmt(carleson), _fmt(ainf), str(len(family.cubes)), str(depth)]
+                [str(i), _fmt(pack), _fmt(carleson), _fmt(ainf), str(level.size), str(level.max())]
             )
     outputs = [
         _write_csv(
@@ -417,9 +464,9 @@ def _run_invariant_suite(cfg: ExperimentConfig, out_dir: str):
 
     pack = 0.0
     for block in _sample_blocks(samples, grid):
-        for w in _cascade_rows(grid, [cfg.seed + 2000 + i for i in block], 0.7):
-            fam = build_stopping_family(StepFunction(grid, w), grid.root())
-            pack = max(pack, max(fam.margins))
+        w = _cascade_rows(grid, [cfg.seed + 2000 + i for i in block], 0.7)
+        for *_, margins in _stopping_rows(grid, _level_means(grid, _level_sums(grid, w))):
+            pack = max(pack, float(margins.max()))
     rows.append(["stopping_packing_max", str(samples), _fmt(pack), _fmt(0.25), str(pack < 0.25)])
     constants["stopping_packing_max"] = pack
 
@@ -427,7 +474,7 @@ def _run_invariant_suite(cfg: ExperimentConfig, out_dir: str):
     for i in range(samples):
         phi = random_step(grid, cfg.seed + 3000 + i, spikes=1)
         try:
-            lerner_decompose(phi, grid.root())
+            _lerner_generations(phi, grid.root())  # asserts the certificates
         except AssertionError:
             failures += 1
     rows.append(["lerner_certificate_failures", str(samples), str(failures), "0", str(failures == 0)])
@@ -463,8 +510,8 @@ def run(cfg: ExperimentConfig, out_dir: str) -> dict:
         "constants": constants,
         "outputs": outputs,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
+        _dump_compact(manifest, fh.write)
         fh.write("\n")
     return manifest
 

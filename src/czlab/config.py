@@ -118,8 +118,9 @@ def _exponent(v) -> bool:
     return _finite_number(v) and v > 1
 
 
-def _check_exponents(verb: str, params: dict):
-    """sawyer-test's exponent, and characteristics' exponents and A_infty mode."""
+def _check_exponents(verb: str, params: dict, grid_d: int):
+    """sawyer-test's exponent, and characteristics' exponents and A_infty
+    mode, whose centred form is implemented for d <= 2 only."""
     if verb == "sawyer-test":
         if not _exponent(params.get("p", 2.0)):
             raise ConfigError("params.p must be a number in (1, infinity)")
@@ -130,8 +131,11 @@ def _check_exponents(verb: str, params: dict):
     for i, v in enumerate(p):
         if not _exponent(v):
             raise ConfigError(f"params.p[{i}] must be a number in (1, infinity)")
-    if params.get("ainfty_mode", "dyadic") not in ("dyadic", "centered"):
+    mode = params.get("ainfty_mode", "dyadic")
+    if mode not in ("dyadic", "centered"):
         raise ConfigError("params.ainfty_mode must be 'dyadic' or 'centered'")
+    if mode == "centered" and grid_d > 2:
+        raise ConfigError(f"params.ainfty_mode 'centered' needs grid.d <= 2, got grid.d = {grid_d}")
 
 
 def sweep_levels(params: dict, grid_N: int) -> list:
@@ -215,7 +219,7 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     if cfg_verb == "sharpness-sweep":
         _check_sweep_params(params, d, N)
     if cfg_verb in ("characteristics", "sawyer-test"):
-        _check_exponents(cfg_verb, params)
+        _check_exponents(cfg_verb, params, d)
 
     randomized = cfg_verb in _ALWAYS_RANDOM
     for key in ("weight", "w", "sigma"):

@@ -156,6 +156,11 @@ class GridSpec:
 
     def cube_from_dict(self, obj) -> "DyadicCube":
         """The cube of this grid written by DyadicCube.to_dict."""
+        return DyadicCube(self, *self._cube_fields(obj))
+
+    def _cube_fields(self, obj) -> tuple[int, tuple[int, ...]]:
+        """The (level, coords) of a cube object {level, coords}, checked to
+        be an integer and a list of d integers (not yet their range)."""
         if not isinstance(obj, dict):
             raise ValueError("cube must be an object {level, coords}")
         level, coords = obj.get("level"), obj.get("coords")
@@ -163,7 +168,7 @@ class GridSpec:
             raise ValueError("cube field 'level' must be an integer")
         if not isinstance(coords, list) or [type(c) for c in coords] != [int] * self.d:
             raise ValueError(f"cube field 'coords' must be a list of {self.d} integers")
-        return DyadicCube(self, level, tuple(coords))
+        return level, tuple(coords)
 
 
 def _read_cube(grid: GridSpec, obj, where: str) -> "DyadicCube":
@@ -175,24 +180,55 @@ def _read_cube(grid: GridSpec, obj, where: str) -> "DyadicCube":
         raise ValueError(f"{where}: {exc}") from None
 
 
-def read_cube_values(grid: GridSpec, items, key: str, where: str) -> dict[DyadicCube, float]:
-    """The table {cube: number} of a coefficient list
-    [{"cube": {level, coords}, key: number}, ...]; a malformed item, a
-    non-finite number or a repeated cube raises ValueError naming it as
-    where[i] (and a repeat the item it repeats)."""
+def read_cube_values(grid: GridSpec, items, key: str, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cubes and numbers of a coefficient list
+    [{"cube": {level, coords}, key: number}, ...] as three arrays in item
+    order: each cube's level and Z-index, and its number; no DyadicCube is
+    made.  A malformed item, a non-finite number or a repeated cube raises
+    ValueError naming it as where[i] (and a repeat the item it repeats)."""
     form = f'{{"cube": {{level, coords}}, "{key}": finite number}}'
     if not isinstance(items, list):
         raise ValueError(f"{where} must be a list of {form} items")
-    table, first = {}, {}
+    level, zindex, values, first = [], [], [], {}
     for i, item in enumerate(items):
         if not (isinstance(item, dict) and _finite_number(item.get(key))):
             raise ValueError(f"{where}[{i}] must be an object {form}")
-        Q = _read_cube(grid, item.get("cube"), f"{where}[{i}].cube")
-        if Q in first:
-            raise ValueError(f"{where}[{i}] repeats {where}[{first[Q]}]")
-        first[Q] = i
-        table[Q] = float(item[key])
-    return table
+        try:
+            k, coords = grid._cube_fields(item.get("cube"))
+            z = _cube_zindex(grid, k, coords)
+        except ValueError as exc:
+            raise ValueError(f"{where}[{i}].cube: {exc}") from None
+        j = first.setdefault((k, z), i)
+        if j != i:
+            raise ValueError(f"{where}[{i}] repeats {where}[{j}]")
+        level.append(k)
+        zindex.append(z)
+        values.append(float(item[key]))
+    return np.array(level, dtype=np.intp), np.array(zindex, dtype=np.intp), np.array(values)
+
+
+def _coefficient_arrays(grid: GridSpec, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """read_cube_values' arrays for a {cube: number} table, in its order;
+    a cube of another grid raises GridMismatchError."""
+    if any(Q.grid != grid for Q in table):
+        raise GridMismatchError("coefficient cube from a different grid")
+    level = np.array([Q.level for Q in table], dtype=np.intp)
+    zindex = np.array([Q.zindex for Q in table], dtype=np.intp)
+    return level, zindex, np.array([float(t) for t in table.values()])
+
+
+def _cube_zindex(grid: GridSpec, level: int, coords) -> int:
+    """The Z-index of the cube (level, coords) of the grid, after checking
+    that the level lies in [0, N] and each coordinate in [0, 2^level)."""
+    if not 0 <= level <= grid.N:
+        raise ValueError(f"level {level} outside [0, {grid.N}]")
+    if len(coords) != grid.d:
+        raise ValueError("coordinate count must equal the dimension")
+    top = 1 << level
+    for c in coords:
+        if not 0 <= c < top:
+            raise ValueError(f"coordinate {c} outside [0, 2^{level})")
+    return _morton_encode(coords, grid.d, level)
 
 
 @dataclass(frozen=True)
@@ -209,17 +245,7 @@ class DyadicCube:
     zindex: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.level <= self.grid.N:
-            raise ValueError(f"level {self.level} outside [0, {self.grid.N}]")
-        if len(self.coords) != self.grid.d:
-            raise ValueError("coordinate count must equal the dimension")
-        top = 1 << self.level
-        for c in self.coords:
-            if not 0 <= c < top:
-                raise ValueError(f"coordinate {c} outside [0, 2^{self.level})")
-        object.__setattr__(
-            self, "zindex", _morton_encode(self.coords, self.grid.d, self.level)
-        )
+        object.__setattr__(self, "zindex", _cube_zindex(self.grid, self.level, self.coords))
 
     @property
     def side(self) -> float:
@@ -498,10 +524,16 @@ def average(f: StepFunction, Q: DyadicCube) -> float:
 
 
 def require_weight(w: StepFunction, name: str = "weight") -> StepFunction:
-    # written so that NaN fails the test as well as zeros, negatives and inf
-    if not np.all((w.values > 0.0) & (w.values < math.inf)):
-        raise ValueError(f"{name} must be finite and strictly positive everywhere")
+    _require_positive(w.values, name)
     return w
+
+
+def _require_positive(values: np.ndarray, name: str = "weight") -> np.ndarray:
+    """values, after checking that every entry is finite and positive."""
+    # written so that NaN fails the test as well as zeros, negatives and inf
+    if not np.all((values > 0.0) & (values < math.inf)):
+        raise ValueError(f"{name} must be finite and strictly positive everywhere")
+    return values
 
 
 def lp_norm(f: StepFunction, p: float, weight: StepFunction | None = None) -> float:

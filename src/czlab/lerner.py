@@ -157,7 +157,28 @@ class Decomposition:
 
 
 def lerner_decompose(phi: StepFunction, Q0: DyadicCube) -> Decomposition:
-    """Median decomposition of phi on the cube Q0.
+    """Median decomposition of phi on the cube Q0: the generations of
+    `_lerner_generations`, with their certificates asserted, and the
+    majorant the local sharp maximal function and the generations' parent
+    oscillations make."""
+    gens = _lerner_generations(phi, Q0)
+    grid = phi.grid
+    m0 = median(phi, Q0)
+    sharp = local_sharp_maximal(phi, Q0, 0.25)
+    majorant = sharp.values.copy()
+    for gen in gens:
+        for Q, om_parent in gen:
+            majorant[Q.cell_slice] += om_parent
+    deviation = np.zeros(grid.cells)
+    sl = Q0.cell_slice
+    deviation[sl] = np.abs(phi.values[sl] - m0)
+    residual = phi.with_values(deviation - majorant)
+    return Decomposition(Q0, m0, gens, residual, phi.with_values(majorant))
+
+
+def _lerner_generations(phi: StepFunction, Q0: DyadicCube) -> tuple:
+    """The generations of the median decomposition of phi on Q0, as
+    Decomposition.generations lists them.
 
     At each active cube the set where |phi - median| exceeds twice the local
     oscillation at percentile 2^(-d-2) fills at most a 2^(-d-2) fraction
@@ -174,7 +195,6 @@ def lerner_decompose(phi: StepFunction, Q0: DyadicCube) -> Decomposition:
     d = grid.d
     lam = 2.0 ** (-d - 2)
     select_fraction = 2.0 ** (-d - 1)
-    m0 = median(phi, Q0)
 
     generations: list[list[tuple[DyadicCube, float]]] = []
     active = [Q0]
@@ -196,17 +216,7 @@ def lerner_decompose(phi: StepFunction, Q0: DyadicCube) -> Decomposition:
 
     gens = tuple(tuple(gen) for gen in generations)
     _assert_certificates(grid, Q0, gens)
-
-    sharp = local_sharp_maximal(phi, Q0, 0.25)
-    majorant = sharp.values.copy()
-    for gen in gens:
-        for Q, om_parent in gen:
-            majorant[Q.cell_slice] += om_parent
-    deviation = np.zeros(grid.cells)
-    sl = Q0.cell_slice
-    deviation[sl] = np.abs(phi.values[sl] - m0)
-    residual = phi.with_values(deviation - majorant)
-    return Decomposition(Q0, m0, gens, residual, phi.with_values(majorant))
+    return gens
 
 
 def _assert_certificates(grid, Q0, generations):

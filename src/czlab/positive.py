@@ -21,6 +21,7 @@ from .dyadics import (
     GridMismatchError,
     GridSpec,
     StepFunction,
+    _coefficient_arrays,
     _level_sums,
     level_integrals,
     read_cube_values,
@@ -55,18 +56,29 @@ class TauCoefficients:
     """
 
     def __init__(self, grid: GridSpec, coefficients: dict[DyadicCube, float]):
+        self._fill(grid, *_coefficient_arrays(grid, coefficients))
+
+    @classmethod
+    def _from_arrays(cls, grid: GridSpec, level, zindex, tau) -> "TauCoefficients":
+        """The coefficients tau[i] on the cubes (level[i], zindex[i]), each
+        cube listed once, as read_cube_values gives them."""
+        obj = cls.__new__(cls)
+        obj._fill(grid, level, zindex, tau)
+        return obj
+
+    def _fill(self, grid: GridSpec, level, zindex, tau):
+        level, zindex, tau = np.asarray(level, np.intp), np.asarray(zindex, np.intp), np.asarray(tau, float)
+        if not np.all((tau >= 0.0) & (tau < math.inf)):  # NaN fails too
+            raise ValueError("tau coefficients must be finite and non-negative")
         self.grid = grid
-        levels = [np.zeros(1 << (grid.d * k)) for k in range(grid.N + 1)]
-        for Q, t in coefficients.items():
-            if Q.grid != grid:
-                raise GridMismatchError("coefficient cube from a different grid")
-            t = float(t)
-            if not 0.0 <= t < math.inf:  # NaN fails too
-                raise ValueError("tau coefficients must be finite and non-negative")
-            if t != 0.0:  # -0.0 too: every absent coefficient reads +0.0
-                levels[Q.level][Q.zindex] = t
-        for arr in levels:
+        keep = tau != 0.0  # -0.0 too: every absent coefficient reads +0.0
+        levels = []
+        for k in range(grid.N + 1):
+            arr = np.zeros(1 << (grid.d * k))
+            at = keep & (level == k)
+            arr[zindex[at]] = tau[at]
             arr.flags.writeable = False
+            levels.append(arr)
         self.levels = tuple(levels)
 
     @classmethod
@@ -83,7 +95,7 @@ class TauCoefficients:
 
     @classmethod
     def from_json(cls, grid: GridSpec, text: str) -> "TauCoefficients":
-        return cls(grid, read_cube_values(grid, json.loads(text), "tau", "tau list"))
+        return cls._from_arrays(grid, *read_cube_values(grid, json.loads(text), "tau", "tau list"))
 
 
 class CubeFamily:

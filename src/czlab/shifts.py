@@ -26,6 +26,7 @@ from .dyadics import (
     GridSpec,
     StepFunction,
     _child_sum,
+    _coefficient_arrays,
     _finite_number,
     _level_sums,
     _read_cube,
@@ -623,25 +624,28 @@ def build_paraproduct(a: dict[DyadicCube, float], grid: GridSpec) -> HaarShift:
     cancellative Haar function scaled by a_Q |Q|^(-1/2), so the coefficient
     bound |a_Q| <= sqrt(|Q|) is exactly the joint normalization.
     """
-    pattern = _alternating_pattern(grid.d)
-    rows: dict[int, list] = {}
-    for Q, coeff in a.items():
-        if Q.grid != grid:
-            raise GridMismatchError("coefficient cube from a different grid")
-        if Q.level >= grid.N:
+    return _paraproduct(grid, *_coefficient_arrays(grid, a))
+
+
+def _paraproduct(grid: GridSpec, level, zindex, coeff) -> HaarShift:
+    """build_paraproduct of the coefficients coeff[i] on the cubes
+    (level[i], zindex[i]), each cube listed once, as read_cube_values gives
+    them; the first faulty coefficient raises."""
+    bound = np.sqrt(np.ldexp(1.0, -grid.d * level))  # sqrt(|Q|)
+    faults = np.flatnonzero((level >= grid.N) | (np.abs(coeff) > bound * (1.0 + 1e-12)))
+    if faults.size:
+        i = faults[0]
+        if level[i] >= grid.N:
             raise ValueError("paraproduct coefficients need cubes with children")
-        bound = math.sqrt(Q.volume)
-        if abs(coeff) > bound * (1.0 + 1e-12):
-            raise ValueError(
-                f"coefficient {coeff} violates |a_Q| <= sqrt(|Q|) = {bound}"
-            )
-        if coeff != 0.0:
-            rows.setdefault(Q.level, []).append((Q.zindex, coeff / bound))
+        raise ValueError(f"coefficient {float(coeff[i])} violates |a_Q| <= sqrt(|Q|) = {float(bound[i])}")
+    pattern = _alternating_pattern(grid.d)
     levels = {}
-    for level, recs in rows.items():
-        z, scale = zip(*sorted(recs))
-        idx = _child_indices(z, grid.d)
-        levels[level] = ShiftLevel(idx, idx, np.ones(idx.shape), np.array(scale)[:, None] * pattern)
+    live = coeff != 0.0  # -0.0 too
+    for k in np.unique(level[live]).tolist():
+        at = np.flatnonzero(live & (level == k))
+        at = at[np.argsort(zindex[at])]
+        idx = _child_indices(zindex[at], grid.d)
+        levels[k] = ShiftLevel(idx, idx, np.ones(idx.shape), (coeff[at] / bound[at])[:, None] * pattern)
     return HaarShift(grid, 0, 0, levels, False)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .dyadics import (
     DyadicCube,
     GridMismatchError,
+    GridSpec,
     StepFunction,
     _maximal_subcubes,
     level_averages,
@@ -102,41 +103,65 @@ class StoppingFamily:
 
 
 def build_stopping_family(w: StepFunction, Q0: DyadicCube) -> StoppingFamily:
-    """The stopping forest rooted at Q0, found in one pass down Q0's subtree.
-
-    A cube below Q0 is a stopping cube exactly when its w-average exceeds
-    four times that of its deepest stopping ancestor, so the pass walks the
-    levels below Q0 carrying, per cube, that threshold and the ancestor's
-    member number; each selected cube passes its own on to its descendants.
-    The members, listed level by level, are the iterated stopping children
-    of Q0, from the same comparisons as stopping_children makes, in
-    (level, Z-index) order.  The strict quarter packing bound is asserted
-    for every member before the family is returned.
-    """
+    """The stopping forest rooted at Q0: `_stopping_rows` for the one weight
+    w, its members made into cubes."""
     _check_weight_and_cube(w, Q0)
-    grid, fold, avgs = w.grid, 1 << w.grid.d, level_averages(w)
-    members, parents = [Q0], {}
-    covered = [0.0]  # per member: its stopping children's volume, powers of two summed exactly
-    threshold = np.full(1, STOPPING_RATIO * avgs[Q0.level][Q0.zindex])
-    owner = np.zeros(1, dtype=np.intp)  # member number of each cube's deepest stopping ancestor
-    for level in range(Q0.level + 1, grid.N + 1):
-        first = Q0.zindex * fold ** (level - Q0.level)  # Q0's subtree at this level is contiguous
-        avg = avgs[level][first : first + fold ** (level - Q0.level)]
-        threshold = np.repeat(threshold, fold)
-        owner = np.repeat(owner, fold)
-        hit = np.flatnonzero(avg > threshold)
-        for z, S in zip(hit.tolist(), owner[hit].tolist()):
-            Q = grid.cube_from_zindex(level, first + z)
-            parents[Q] = members[S]
-            covered[S] += Q.volume
-            members.append(Q)
-            covered.append(0.0)
+    grid = w.grid
+    ((level, zindex, parent, margins),) = _stopping_rows(
+        grid, [avg[None] for avg in level_averages(w)], Q0.level, Q0.zindex
+    )
+    cubes = (Q0, *map(grid.cube_from_zindex, level[1:].tolist(), zindex[1:].tolist()))
+    parents = {Q: cubes[S] for Q, S in zip(cubes[1:], parent[1:].tolist())}
+    return StoppingFamily(Q0, cubes, parents, tuple(margins.tolist()))
+
+
+def _stopping_rows(grid: GridSpec, avgs: list[np.ndarray], level0: int = 0, z0: int = 0) -> list:
+    """The stopping forest rooted at the cube (level0, z0) for each row of a
+    block of weights, whose averages over the level-k cubes are the rows of
+    avgs[k], found in one pass down that cube's subtree.
+
+    A cube below the root is a stopping cube exactly when its average
+    exceeds four times that of its deepest stopping ancestor, so the pass
+    walks the levels carrying, per row and cube, that threshold and the
+    ancestor's member number; each selected cube passes its own on to its
+    descendants.  The members are the iterated stopping children of the
+    root, from the same comparisons as stopping_children makes.  Returns one
+    (level, zindex, parent, margins) tuple of arrays per row: the members in
+    (level, Z-index) order, the root first; the position of each member's
+    stopping parent (-1 for the root); and each member's packing ratio, the
+    volume of its stopping children over its own.  The strict quarter
+    packing bound is asserted for every member before the rows are returned.
+    """
+    rows, fold = len(avgs[level0]), 1 << grid.d
+    threshold = STOPPING_RATIO * avgs[level0][:, z0 : z0 + 1]
+    owner = np.arange(rows)[:, None]  # member number of each cube's deepest stopping ancestor
+    # members are numbered in (level, row, Z-index) order, the roots first
+    found = [(np.arange(rows), np.full(rows, level0), np.full(rows, z0), np.full(rows, -1))]
+    count = rows
+    for k in range(level0 + 1, grid.N + 1):
+        first = z0 * fold ** (k - level0)  # the root's subtree at this level is contiguous
+        avg = avgs[k][:, first : first + fold ** (k - level0)]
+        threshold = np.repeat(threshold, fold, axis=1)
+        owner = np.repeat(owner, fold, axis=1)
+        hit = avg > threshold
+        r, z = np.nonzero(hit)  # in (row, Z-index) order, as boolean indexing reads hit
+        found.append((r, np.full(r.size, k), first + z, owner[hit]))
         threshold[hit] = STOPPING_RATIO * avg[hit]
-        owner[hit] = np.arange(len(members) - hit.size, len(members))
-    margins = tuple(c / S.volume for c, S in zip(covered, members))
-    if not all(m < PACKING_FRACTION for m in margins):
+        owner[hit] = np.arange(count, count + r.size)
+        count += r.size
+    row, level, zindex, parent = (np.concatenate(a) for a in zip(*found))
+    volume = np.ldexp(1.0, -grid.d * level)
+    # volumes are powers of two, so the children's total is exact in any order
+    margins = np.bincount(parent[rows:], volume[rows:], count) / volume
+    if not np.all(margins < PACKING_FRACTION):
         raise AssertionError("packing bound violated by stopping children")
-    return StoppingFamily(Q0, tuple(members), parents, margins)
+    order = np.argsort(row, kind="stable")  # (row, level, Z-index) order
+    bounds = np.searchsorted(row[order], np.arange(rows + 1))
+    position = np.empty(count, dtype=np.intp)  # of each member within its row
+    position[order] = np.arange(count) - np.repeat(bounds[:-1], np.diff(bounds))
+    parent = np.where(parent < 0, -1, position[parent])
+    split = [np.split(a[order], bounds[1:-1]) for a in (level, zindex, parent, margins)]
+    return list(zip(*split))
 
 
 def _smallest_bin(ratio: float, lo_exp: int, hi_exp: int) -> int:

@@ -316,6 +316,31 @@ def loop_stopping_family(w: StepFunction, Q0) -> dict:
     return parents
 
 
+def member_loop_stopping_family(w: StepFunction, Q0):
+    """(members, parents, margins) of Q0's stopping family from one pass
+    down Q0's subtree that makes a cube, and adds its volume to its
+    parent's, one member at a time."""
+    grid, fold, avgs = w.grid, 1 << w.grid.d, level_averages(w)
+    members, parents, covered = [Q0], {}, [0.0]
+    threshold = np.full(1, 4.0 * avgs[Q0.level][Q0.zindex])
+    owner = np.zeros(1, dtype=np.intp)
+    for level in range(Q0.level + 1, grid.N + 1):
+        first = Q0.zindex * fold ** (level - Q0.level)
+        avg = avgs[level][first : first + fold ** (level - Q0.level)]
+        threshold = np.repeat(threshold, fold)
+        owner = np.repeat(owner, fold)
+        hit = np.flatnonzero(avg > threshold)
+        for z, S in zip(hit.tolist(), owner[hit].tolist()):
+            Q = grid.cube_from_zindex(level, first + z)
+            parents[Q] = members[S]
+            covered[S] += Q.volume
+            members.append(Q)
+            covered.append(0.0)
+        threshold[hit] = 4.0 * avg[hit]
+        owner[hit] = np.arange(len(members) - hit.size, len(members))
+    return members, parents, [c / S.volume for c, S in zip(covered, members)]
+
+
 def loop_heavy_subcubes(Q, exceptional: np.ndarray, threshold_fraction: float) -> list:
     """Maximal proper subcubes of Q where the full-grid boolean mask
     `exceptional` fills more than the given fraction."""

@@ -1,12 +1,14 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 from czlab import normlab
-from czlab.cli import _VERB_RUNNERS, _sample_blocks, main, run
+from czlab.cli import _VERB_RUNNERS, _build_operator, _build_tau, _dump_compact, _sample_blocks, main, run
 from czlab.config import VERBS, ConfigError, parse_config
 from czlab.dyadics import GridSpec, StepFunction
+from czlab.positive import TauCoefficients
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -476,10 +478,12 @@ class TestMainEntry:
             ("lerner-decompose", {"function": {"kind": "random", "spikes": "x"}}, "params.function.spikes must be a non-negative integer"),
             ("lerner-decompose", {"function": {"kind": "random", "spikes": 1.5}}, "params.function.spikes must be a non-negative integer"),
             ("lerner-decompose", {"function": {"kind": "random", "spikes": True}}, "params.function.spikes must be a non-negative integer"),
+            ("characteristics", {"ainfty_mode": "centered"}, "params.ainfty_mode 'centered' needs grid.d <= 2, got grid.d = 3"),
         ],
     )
     def test_exit_two_on_bad_counts(self, tmp_path, capsys, verb, params, field):
-        cfg = {"verb": verb, "grid": {"d": 1, "N": 4}, "seed": 3, "params": params}
+        d = 3 if params.get("ainfty_mode") == "centered" else 1  # the centred mode is valid for d <= 2
+        cfg = {"verb": verb, "grid": {"d": d, "N": 4}, "seed": 3, "params": params}
         path = write_config(tmp_path, cfg)
         assert main([verb, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
@@ -750,3 +754,188 @@ class TestOperatorSeedValidation:
             },
         )
         assert main(["shift-apply", "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
+def _cube(level, *coords):
+    return {"level": level, "coords": list(coords)}
+
+
+def _items(key, *entries):
+    """Coefficient items: (cube, value) becomes {"cube": cube, key: value},
+    (value,) an item without a cube; anything else is kept as it is."""
+    return [
+        ({"cube": e[0], key: e[1]} if len(e) == 2 else {key: e[0]}) if isinstance(e, tuple) else e
+        for e in entries
+    ]
+
+
+_OK = [(_cube(2, z), 0.25) for z in range(4)] + [(_cube(1, z), 0.25) for z in range(2)]
+_AT_0 = "{w}[0].cube: "
+
+# case: (entries, the error at the parent of the array path); {w} is the
+# list's name and {form} its item form, the same for tau and paraproduct lists
+_LIST_FAULTS = {
+    "item_not_object": ([_OK[0], 0.5], "ValueError: {w}[1] must be an object {form}"),
+    "missing_value": ([_OK[0], {"cube": _cube(0, 0)}], "ValueError: {w}[1] must be an object {form}"),
+    "value_bool": ([(_cube(0, 0), True)], "ValueError: {w}[0] must be an object {form}"),
+    "value_string": ([(_cube(0, 0), "0.5")], "ValueError: {w}[0] must be an object {form}"),
+    "value_nan": ([_OK[0], (_cube(0, 0), float("nan"))], "ValueError: {w}[1] must be an object {form}"),
+    "value_inf": ([(_cube(0, 0), float("-inf"))], "ValueError: {w}[0] must be an object {form}"),
+    "value_huge_int": ([(_cube(0, 0), 10**400)], "ValueError: {w}[0] must be an object {form}"),
+    "cube_missing": ([(0.5,)], "ValueError: " + _AT_0 + "cube must be an object {{level, coords}}"),
+    "cube_not_object": ([([0, 0], 0.5)], "ValueError: " + _AT_0 + "cube must be an object {{level, coords}}"),
+    "level_float": ([({"level": 1.0, "coords": [0]}, 0.5)], "ValueError: " + _AT_0 + "cube field 'level' must be an integer"),
+    "level_bool": ([({"level": True, "coords": [0]}, 0.5)], "ValueError: " + _AT_0 + "cube field 'level' must be an integer"),
+    "level_missing": ([({"coords": [0]}, 0.5)], "ValueError: " + _AT_0 + "cube field 'level' must be an integer"),
+    "coords_not_list": ([({"level": 1, "coords": 0}, 0.5)], "ValueError: " + _AT_0 + "cube field 'coords' must be a list of 1 integers"),
+    "coords_too_long": ([(_cube(1, 0, 0), 0.5)], "ValueError: " + _AT_0 + "cube field 'coords' must be a list of 1 integers"),
+    "coords_bool": ([({"level": 1, "coords": [True]}, 0.5)], "ValueError: " + _AT_0 + "cube field 'coords' must be a list of 1 integers"),
+    "coords_float": ([({"level": 1, "coords": [0.0]}, 0.5)], "ValueError: " + _AT_0 + "cube field 'coords' must be a list of 1 integers"),
+    "level_negative": ([_OK[0], (_cube(-1, 0), 0.5)], "ValueError: {w}[1].cube: level -1 outside [0, 3]"),
+    "level_above_N": ([(_cube(4, 0), 0.5)], "ValueError: " + _AT_0 + "level 4 outside [0, 3]"),
+    "level_huge": ([(_cube(10**30, 0), 0.5)], "ValueError: " + _AT_0 + f"level {10**30} outside [0, 3]"),
+    "coord_negative": ([(_cube(2, -1), 0.5)], "ValueError: " + _AT_0 + "coordinate -1 outside [0, 2^2)"),
+    "coord_too_big": ([_OK[1], (_cube(2, 4), 0.5)], "ValueError: {w}[1].cube: coordinate 4 outside [0, 2^2)"),
+    "coord_huge": ([(_cube(2, 10**30), 0.5)], "ValueError: " + _AT_0 + f"coordinate {10**30} outside [0, 2^2)"),
+    "repeat": ([_OK[0], _OK[1], (_cube(2, 0), 0.125)], "ValueError: {w}[2] repeats {w}[0]"),
+    "repeat_5_before_malformed_9": (
+        _OK[:5] + [(_cube(2, 3), 0.1), _OK[5], _OK[0], _OK[0], {"cube": _cube(0, 0)}],
+        "ValueError: {w}[5] repeats {w}[3]",
+    ),
+    "malformed_3_before_repeat_6": (
+        _OK[:3] + [(_cube(2, 7), 0.5), _OK[3], _OK[4], _OK[0]],
+        "ValueError: {w}[3].cube: coordinate 7 outside [0, 2^2)",
+    ),
+    "repeat_of_repeat": ([_OK[0]] * 3, "ValueError: {w}[1] repeats {w}[0]"),
+    "two_repeats_second_first": ([_OK[0], _OK[1], _OK[1], _OK[0]], "ValueError: {w}[2] repeats {w}[1]"),
+    "empty": ([], None),
+}
+_TAU_FAULTS = {
+    "negative": ([_OK[0], (_cube(0, 0), -0.5)], "ConfigError: params.tau: tau coefficients must be finite and non-negative"),
+    "negative_then_repeat": ([(_cube(0, 0), -0.5), _OK[0], _OK[0]], "ValueError: params.tau[2] repeats params.tau[1]"),
+}
+_PARAPRODUCT_FAULTS = {
+    "not_a_list": ({"x": 1}, "ValueError: {w} must be a list of {form} items"),
+    "finest_level": (
+        [_OK[0], (_cube(3, 5), 0.1)],
+        "ConfigError: {w}: paraproduct coefficients need cubes with children",
+    ),
+    "bound_violation": (
+        [_OK[0], (_cube(1, 0), 0.75)],
+        "ConfigError: {w}: coefficient 0.75 violates |a_Q| <= sqrt(|Q|) = 0.7071067811865476",
+    ),
+    "bound_then_finest": (
+        [(_cube(2, 1), 0.6), (_cube(3, 0), 0.1)],
+        "ConfigError: {w}: coefficient 0.6 violates |a_Q| <= sqrt(|Q|) = 0.5",
+    ),
+    "finest_then_repeat": ([(_cube(3, 0), 0.1), _OK[0], _OK[0]], "ValueError: {w}[2] repeats {w}[1]"),
+}
+
+
+def _list_error(build, grid, items):
+    try:
+        build(grid, items)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _tau_error(grid, entries):
+    return _list_error(lambda g, items: _build_tau(g, items, None), grid, _items("tau", *entries))
+
+
+def _paraproduct_error(grid, entries):
+    items = entries if isinstance(entries, dict) else _items("a", *entries)
+    return _list_error(
+        lambda g, items: _build_operator(g, {"kind": "paraproduct", "coefficients": items}), grid, items
+    )
+
+
+class TestCoefficientLists:
+    """The errors of malformed coefficient lists, recorded before the lists
+    were read into arrays: the first faulty item is named."""
+
+    TAU = {"w": "params.tau", "form": '{"cube": {level, coords}, "tau": finite number}'}
+    PARAPRODUCT = {"w": "params.operator.coefficients", "form": '{"cube": {level, coords}, "a": finite number}'}
+
+    @pytest.mark.parametrize("case", sorted({**_LIST_FAULTS, **_TAU_FAULTS}))
+    def test_tau_list_errors(self, case):
+        entries, want = {**_LIST_FAULTS, **_TAU_FAULTS}[case]
+        assert _tau_error(GridSpec(1, 3), entries) == (want and want.format(**self.TAU))
+
+    @pytest.mark.parametrize("case", sorted({**_LIST_FAULTS, **_PARAPRODUCT_FAULTS}))
+    def test_paraproduct_list_errors(self, case):
+        entries, want = {**_LIST_FAULTS, **_PARAPRODUCT_FAULTS}[case]
+        assert _paraproduct_error(GridSpec(1, 3), entries) == (want and want.format(**self.PARAPRODUCT))
+
+    @pytest.mark.parametrize(
+        "entries,want",
+        [
+            ([(_cube(1, 0, 2), 0.5)], "params.tau[0].cube: coordinate 2 outside [0, 2^1)"),
+            ([(_cube(1, 0, 1), 0.5), (_cube(2, 1, 3), 0.5), (_cube(1, 0, 1), 0.5)], "params.tau[2] repeats params.tau[0]"),
+            ([(_cube(1, 0), 0.5)], "params.tau[0].cube: cube field 'coords' must be a list of 2 integers"),
+        ],
+    )
+    def test_tau_list_errors_in_d2(self, entries, want):
+        assert _tau_error(GridSpec(2, 2), entries) == "ValueError: " + want
+
+    @pytest.mark.parametrize("d,N", [(1, 6), (2, 3)])
+    def test_tau_from_arrays_matches_dict_and_loop(self, d, N):
+        g = GridSpec(d, N)
+        rng = np.random.default_rng(10 * d + N)
+        cubes = [Q for Q in g.all_cubes() if rng.random() < 0.5]
+        rng.shuffle(cubes)
+        values = [float(v) for v in rng.choice([0.0, -0.0, 0.25, 1.5, 3.0], len(cubes))]
+        items = [{"cube": Q.to_dict(), "tau": t} for Q, t in zip(cubes, values)]
+        from_list = _build_tau(g, items, None)
+        from_dict = TauCoefficients(g, dict(zip(cubes, values)))
+        want = [np.zeros(1 << (d * k)) for k in range(N + 1)]
+        for Q, t in zip(cubes, values):
+            if t != 0.0:
+                want[Q.level][Q.zindex] = t
+        for a, b, c in zip(from_list.levels, from_dict.levels, want):
+            assert a.tobytes() == b.tobytes() == c.tobytes()  # bit for bit: no -0.0 kept
+            assert not a.flags.writeable
+        assert 0.0 in values and any(np.signbit(values))
+
+
+class TestManifest:
+    def configs(self, tmp_path):
+        fpath = tmp_path / "f.json"
+        fpath.write_text(StepFunction.constant(GridSpec(1, 3), 1.0).to_json())
+        # every cube of N = 9: longer than the manifest writer's list slices
+        tau = [{"cube": Q.to_dict(), "tau": 0.5} for Q in GridSpec(1, 9).all_cubes()]
+        params = {
+            "characteristics": {"weight": {"kind": "cascade", "volatility": 0.5}, "p": [1.5, 3.0]},
+            "shift-apply": {"input": str(fpath), "operator": {"kind": "random", "m": 1, "n": 0}},
+            "hilbert-approx": {"count": 4, "pairs": [[0.0, 0.25, 0.5, 0.75]]},
+            "sawyer-test": {"tau": tau, "p": 3.0},
+            "lerner-decompose": {"function": {"kind": "random", "spikes": 1}},
+            "stopping-audit": {"count": 2},
+            "sharpness-sweep": {"operators": ["petermichl"], "p": [2.0], "N": [3], "budget": 0, "random_starts": 0},
+            "invariant-suite": {"samples": 2},
+        }
+        assert set(params) == set(VERBS)
+        return {
+            verb: {"verb": verb, "grid": {"d": 1, "N": 9 if verb == "sawyer-test" else 3}, "seed": 4, "params": p}
+            for verb, p in params.items()
+        }
+
+    def test_manifest_is_the_returned_one_on_one_line(self, tmp_path):
+        for verb, obj in self.configs(tmp_path).items():
+            cfg = parse_config(obj)
+            out = tmp_path / verb
+            manifest = run(cfg, str(out))
+            text = (out / "manifest.json").read_text()
+            assert text == json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+            assert text.count("\n") == 1
+            echoed = json.loads(text)["config"]
+            assert parse_config(echoed).to_dict() == echoed == cfg.to_dict()
+
+    @pytest.mark.parametrize("size", [0, 1, 255, 256, 257, 512, 1000])
+    def test_sliced_encoding_matches_one_dumps_call(self, size):
+        items = [{"b": [i, -0.0, 1e300 * i], "a": {"x": str(i), "y": None}} for i in range(size)]
+        obj = {"z": items, "y": {"deep": [items, list(range(size)), []], "e": {}}, "x": True, "\u00e9": 1.5}
+        out = io.StringIO()
+        _dump_compact(obj, out.write)
+        assert out.getvalue() == json.dumps(obj, sort_keys=True, separators=(",", ":"))

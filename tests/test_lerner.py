@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from czlab import lerner
+from czlab.cli import run
+from czlab.config import parse_config
 from czlab.dyadics import GridSpec, StepFunction
-from czlab.lerner import lerner_decompose, local_sharp_maximal, median, oscillation
+from czlab.families import random_step
+from czlab.lerner import _lerner_generations, lerner_decompose, local_sharp_maximal, median, oscillation
 from czlab.positive import CubeFamily, lambda_constant
 
 from oracles import (
@@ -263,6 +267,42 @@ class TestDecomposition:
         for gen in obj["generations"]:
             for item in gen:
                 assert set(item) == {"cube", "omega_parent"}
+
+
+class TestGenerationsCore:
+    def test_core_matches_decomposition_on_certify_samples(self):
+        # invariant-suite's Lerner samples in the benchmark's certify run (seed 31337, N = 10)
+        g = GridSpec(1, 10)
+        picked = 0
+        for i in range(100):
+            phi = random_step(g, 31337 + 3000 + i, spikes=1)
+            gens = _lerner_generations(phi, g.root())
+            assert gens == lerner_decompose(phi, g.root()).generations
+            picked += sum(len(gen) for gen in gens)
+        assert picked > 100
+
+    def test_core_matches_decomposition_on_spiky_n12(self):
+        g = GridSpec(1, 12)
+        raw = np.random.default_rng(12).standard_cauchy(g.cells)
+        phi = step(g, np.sign(raw) * raw**2)
+        gens = _lerner_generations(phi, g.root())
+        assert len(gens) >= 2
+        assert gens == lerner_decompose(phi, g.root()).generations == loop_lerner_generations(phi, g.root())
+
+    def test_injected_certificate_failures_are_counted(self, tmp_path, monkeypatch):
+        calls = []
+
+        def every_other(grid, Q0, generations):
+            calls.append(Q0)
+            if len(calls) % 2:
+                raise AssertionError("injected")
+
+        monkeypatch.setattr(lerner, "_assert_certificates", every_other)
+        obj = {"verb": "invariant-suite", "grid": {"d": 1, "N": 4}, "seed": 1, "params": {"samples": 5}}
+        run(parse_config(obj), str(tmp_path))
+        rows = (tmp_path / "invariants.csv").read_text().strip().split("\n")
+        assert rows[-1] == "lerner_certificate_failures,5,3,0,False"
+        assert len(calls) == 5
 
 
 class TestRearrangementConsistency:

@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from czlab.characteristics import ainfty_characteristic, dual_weight
-from czlab.dyadics import GridSpec, StepFunction
+from czlab.cli import run
+from czlab.config import parse_config
+from czlab.dyadics import GridSpec, StepFunction, _level_means, _level_sums
 from czlab.families import cascade_weight, power_weight
 from czlab.positive import CubeFamily
 from czlab.stopping import (
+    _stopping_rows,
     build_stopping_family,
     distributional_check,
     lab_partition,
     stopping_children,
 )
 
-from oracles import decomposition_cubes, loop_stopping_children, loop_stopping_family
+from oracles import (
+    decomposition_cubes,
+    loop_stopping_children,
+    loop_stopping_family,
+    member_loop_stopping_family,
+)
 
 
 def ones(grid):
@@ -176,6 +184,75 @@ class TestStoppingFamily:
         assert obj["root"] == {"level": 0, "coords": [0]}
         roots = [n for n in obj["nodes"] if n["parent"] is None]
         assert len(roots) == 1
+
+
+def block_rows(g, weights):
+    """_stopping_rows of a list of weights, as one block."""
+    block = np.array([w.values for w in weights])
+    return _stopping_rows(g, _level_means(g, _level_sums(g, block)))
+
+
+class TestStoppingRows:
+    @pytest.mark.parametrize("d,N", [(1, 0), (1, 1), (1, 8), (1, 12), (2, 5)])
+    def test_rows_match_family_and_member_loop(self, d, N):
+        g = GridSpec(d, N)
+        weights = [cascade_weight(g, 40 + seed, 0.8) for seed in range(5)]
+        weights.append(StepFunction.constant(g, 3.0))
+        for cell in (0, g.cells - 1):
+            vals = np.ones(g.cells)
+            vals[cell] = 1e6
+            weights.append(StepFunction(g, vals))
+        deep = 0
+        for w, (level, zindex, parent, margins) in zip(weights, block_rows(g, weights)):
+            fam = build_stopping_family(w, g.root())
+            members, parents, loop_margins = member_loop_stopping_family(w, g.root())
+            assert [(Q.level, Q.zindex) for Q in members] == list(zip(level.tolist(), zindex.tolist()))
+            assert fam.cubes == tuple(members)
+            assert parent[0] == -1 and {Q: members[S] for Q, S in zip(members[1:], parent[1:].tolist())} == parents
+            assert fam.parents == parents
+            assert margins.tolist() == list(fam.margins) == loop_margins  # bit for bit
+            # the Carleson numerator as stopping-audit adds it: cube integrals in member order
+            integrals = [w.values.reshape(1 << (d * k), -1).sum(axis=1) * g.cell_volume for k in range(N + 1)]
+            total = sum(float(integrals[k][z]) for k, z in zip(level.tolist(), zindex.tolist()))
+            assert total == sum(w.integral(Q) for Q in members)
+            deep = max(deep, int(level.max()))
+        assert deep >= N - 2  # a spike's chain reaches near the finest level
+
+    def test_constant_weight_is_the_root_alone(self):
+        g = GridSpec(2, 3)
+        ((level, zindex, parent, margins),) = block_rows(g, [StepFunction.constant(g, 0.5)])
+        assert level.tolist() == zindex.tolist() == [0] and parent.tolist() == [-1]
+        assert margins.tolist() == [0.0]
+
+    def test_child_at_exactly_four_times_its_stopping_parent_is_not_selected(self):
+        # S = the first level-3 cube holds 70 in its first cell and 10 in its
+        # other seven: its average 17.5 exceeds 4x the root's 3.0625, and the
+        # 70 cell sits at exactly 4x S's average
+        g = GridSpec(1, 6)
+        vals = np.ones(g.cells)
+        vals[:8] = [70.0] + [10.0] * 7
+        S = g.cube(3, (0,))
+        for w in (StepFunction(g, vals), StepFunction(g, vals * 0.75)):
+            ((level, zindex, parent, _),) = block_rows(g, [w])
+            assert list(zip(level.tolist(), zindex.tolist())) == [(0, 0), (3, 0)]
+            assert build_stopping_family(w, g.root()).parents == {S: g.root()}
+        vals[0] = 70.0 + 1e-12
+        ((level, zindex, parent, _),) = block_rows(g, [StepFunction(g, vals)])
+        assert list(zip(level.tolist(), zindex.tolist())) == [(0, 0), (3, 0), (6, 0)]
+        assert parent.tolist() == [-1, 0, 1]
+
+    def test_stopping_audit_rows_match_member_loop(self, tmp_path):
+        obj = {"verb": "stopping-audit", "grid": {"d": 1, "N": 9}, "seed": 21, "params": {"count": 7}}
+        run(parse_config(obj), str(tmp_path))
+        lines = (tmp_path / "stopping_audit.csv").read_text().strip().split("\n")[1:]
+        g = GridSpec(1, 9)
+        for i, line in enumerate(lines):
+            w = cascade_weight(g, 21 + i, 0.6)
+            members, _, margins = member_loop_stopping_family(w, g.root())
+            ainf = ainfty_characteristic(w).value
+            carleson = sum(w.integral(Q) for Q in members) / (ainf * w.integral())
+            want = [i, max(margins), carleson, ainf, len(members), max(Q.level for Q in members)]
+            assert line == ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in want)
 
 
 class TestLabPartition:
