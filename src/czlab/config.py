@@ -221,7 +221,12 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     if cfg_verb in ("characteristics", "sawyer-test"):
         _check_exponents(cfg_verb, params, d)
 
-    randomized = cfg_verb in _ALWAYS_RANDOM
+    # the runners' defaults draw a random function and a random tau
+    randomized = (
+        cfg_verb in _ALWAYS_RANDOM
+        or (cfg_verb == "lerner-decompose" and not params.keys() & {"function", "input"})
+        or (cfg_verb == "sawyer-test" and "tau" not in params)
+    )
     for key in ("weight", "w", "sigma"):
         if key in params:
             _check_kind_spec(params[key], _WEIGHT_FIELDS, f"params.{key}")

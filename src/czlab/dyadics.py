@@ -460,29 +460,6 @@ def _level_means(grid: GridSpec, sums: list[np.ndarray]) -> list[np.ndarray]:
     return [s * float(1 << (grid.d * k)) for k, s in enumerate(sums)]
 
 
-def _maximal_subcubes(Q: DyadicCube, values: np.ndarray, threshold: float) -> list[DyadicCube]:
-    """Maximal proper dyadic subcubes of Q whose mean of `values` (Q's cell
-    values in Z-order) is strictly above `threshold`, ordered by first cell.
-
-    Q's subtree sums are the full grid's scaled by a power of two, so each
-    mean, and each comparison, is the same as from the full grid's averages.
-    """
-    d = Q.grid.d
-    depth = Q.grid.N - Q.level
-    sums = _level_sums(GridSpec(d, depth), values)
-    free = np.ones(1, dtype=bool)  # subcubes not inside an already selected one
-    picked = []
-    for j in range(1, depth + 1):
-        free = np.repeat(free, 1 << d)
-        hit = free & (sums[j] * float(1 << (d * j)) > threshold)
-        free &= ~hit
-        picked.extend((int(z) << (d * (depth - j)), j, int(z)) for z in np.flatnonzero(hit))
-    picked.sort()  # selected cubes are disjoint, so first cells are distinct
-    return [
-        Q.grid.cube_from_zindex(Q.level + j, (Q.zindex << (d * j)) | z) for _, j, z in picked
-    ]
-
-
 def level_integrals(f: StepFunction) -> list[np.ndarray]:
     """Integrals of f over every cube, one Z-ordered array per level.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadics import DyadicCube, GridMismatchError, StepFunction, _maximal_subcubes
+from .dyadics import DyadicCube, GridMismatchError, StepFunction
 
 __all__ = [
     "Decomposition",
@@ -39,15 +39,16 @@ def median(phi: StepFunction, Q: DyadicCube) -> float:
     """
     if Q.grid != phi.grid:
         raise GridMismatchError("cube does not belong to the function's grid")
-    return _sorted_median(np.sort(phi.values[Q.cell_slice]))
+    return float(_sorted_median(np.sort(phi.values[Q.cell_slice])[None])[0])
 
 
-def _sorted_median(vals: np.ndarray) -> float:
-    """The lower median of sorted cell values: the value at (M - 1) // 2,
-    read at the first of the values equal to it, so that of tied zeros the
-    first in sorted order gives the sign."""
-    k = (vals.size - 1) // 2
-    return float(vals[np.searchsorted(vals, vals[k], "left")])
+def _sorted_median(rows: np.ndarray) -> np.ndarray:
+    """The lower median of each row of sorted cell values: the value at
+    (M - 1) // 2, read at the first of the values equal to it, so that of
+    tied zeros the first in sorted order gives the sign."""
+    pivot = rows[:, (rows.shape[1] - 1) // 2]
+    first = np.count_nonzero(rows < pivot[:, None], axis=1)
+    return rows[np.arange(len(rows)), first]
 
 
 def _allowed_count(lam: float, cells: int) -> int:
@@ -67,18 +68,16 @@ def oscillation(phi: StepFunction, Q: DyadicCube, lam: float) -> float:
         raise GridMismatchError("cube does not belong to the function's grid")
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
-    return _sorted_oscillation(np.sort(phi.values[Q.cell_slice]), lam)
+    return float(_sorted_oscillation(np.sort(phi.values[Q.cell_slice])[None], lam)[0])
 
 
-def _sorted_oscillation(vals: np.ndarray, lam: float) -> float:
-    """oscillation from the cube's sorted cell values."""
-    M = vals.size
-    k = _allowed_count(lam, M)
-    cover = M - k
+def _sorted_oscillation(rows: np.ndarray, lam: float) -> np.ndarray:
+    """oscillation of each cube from the rows of its sorted cell values."""
+    M = rows.shape[1]
+    cover = M - _allowed_count(lam, M)
     if cover <= 1:
-        return 0.0
-    spans = vals[cover - 1 :] - vals[: M - cover + 1]
-    return float(spans.min()) / 2.0
+        return np.zeros(len(rows))
+    return (rows[:, cover - 1 :] - rows[:, : M - cover + 1]).min(axis=1) / 2.0
 
 
 def local_sharp_maximal(phi: StepFunction, Q: DyadicCube, lam: float) -> StepFunction:
@@ -94,17 +93,9 @@ def local_sharp_maximal(phi: StepFunction, Q: DyadicCube, lam: float) -> StepFun
     width = local.size
     out = np.zeros(grid.cells)
     run = np.zeros(width)
-    fold = 1 << grid.d
     for depth in range(0, grid.N - Q.level + 1):
         per = width >> (grid.d * depth)
-        rows = np.sort(local.reshape(-1, per), axis=1)
-        k = _allowed_count(lam, per)
-        cover = per - k
-        if cover <= 1:
-            omegas = np.zeros(rows.shape[0])
-        else:
-            spans = rows[:, cover - 1 :] - rows[:, : per - cover + 1]
-            omegas = spans.min(axis=1) / 2.0
+        omegas = _sorted_oscillation(np.sort(local.reshape(-1, per), axis=1), lam)
         np.maximum(run, np.repeat(omegas, per), out=run)
     out[sl] = run
     return phi.with_values(out)
@@ -185,60 +176,82 @@ def _lerner_generations(phi: StepFunction, Q0: DyadicCube) -> tuple:
     (the median sits within one oscillation of the optimal centering
     constant, so the doubled threshold inherits the percentile bound); the
     maximal dyadic subcubes where that set fills more than 2^(-d-1) of their
-    measure form the next generation.  Disjointness within generations,
-    nesting of the generation unions, and the strict half-measure packing
-    bound are asserted on the result before it is returned.
+    measure form the next generation.
+
+    One pass down Q0's subtree finds every generation.  It carries a mask of
+    the cells exceptional for their owner, the deepest picked cube (or Q0)
+    containing them, and each cube's owner generation.  A cube more than
+    2^(-d-1) exceptional (integer counts: exact) is a maximal such subcube
+    of its owner, one generation deeper, and rewrites the mask on its cells.
+    Disjointness within generations, nesting of the generation unions, and
+    the strict half-measure packing bound are asserted on the result before
+    it is returned.
     """
     if Q0.grid != phi.grid:
         raise GridMismatchError("cube does not belong to the function's grid")
     grid = phi.grid
     d = grid.d
     lam = 2.0 ** (-d - 2)
-    select_fraction = 2.0 ** (-d - 1)
+    local = phi.values[Q0.cell_slice]
 
-    generations: list[list[tuple[DyadicCube, float]]] = []
-    active = [Q0]
-    while active:
-        next_gen: list[tuple[DyadicCube, float]] = []
-        for Q in active:
-            vals = np.sort(phi.values[Q.cell_slice])  # one sort for both
-            mQ = _sorted_median(vals)
-            om = _sorted_oscillation(vals, lam)
-            exceptional = np.abs(phi.values[Q.cell_slice] - mQ) > 2.0 * om
-            for picked in _maximal_subcubes(Q, exceptional.astype(float), select_fraction):
-                om_parent = oscillation(phi, picked.parent(), lam)
-                next_gen.append((picked, om_parent))
-        if not next_gen:
-            break
-        next_gen.sort(key=lambda item: (item[0].level, item[0].zindex))
-        generations.append(next_gen)
-        active = [Q for Q, _ in next_gen]
+    def exceptional_rows(cubes: np.ndarray) -> np.ndarray:
+        rows = np.sort(cubes, axis=1)
+        median, omega = _sorted_median(rows), _sorted_oscillation(rows, lam)
+        return np.abs(cubes - median[:, None]) > 2.0 * omega[:, None]
 
-    gens = tuple(tuple(gen) for gen in generations)
+    exceptional = exceptional_rows(local[None])[0]
+    generation = np.zeros(1, dtype=np.intp)  # of each cube's owner
+    found = []
+    for k in range(Q0.level + 1, grid.N + 1):
+        per = local.size >> (d * (k - Q0.level))
+        generation = np.repeat(generation, 1 << d)
+        cells = exceptional.reshape(-1, per)
+        z = ((cells.sum(axis=1) << (d + 1)) > per).nonzero()[0]
+        if not z.size:
+            continue
+        generation[z] += 1
+        parents = np.sort(local.reshape(-1, per << d)[z >> d], axis=1)
+        zindex = (Q0.zindex << (d * (k - Q0.level))) + z
+        found.append((generation[z], np.full(z.size, k), zindex, _sorted_oscillation(parents, lam)))
+        cells[z] = exceptional_rows(local.reshape(-1, per)[z])
+
+    gens: tuple = ()
+    if found:
+        gen, level, zindex, om_parent = (np.concatenate(a) for a in zip(*found))
+        order = np.argsort(gen, kind="stable")  # (generation, level, Z-index) order
+        cubes = map(grid.cube_from_zindex, level[order].tolist(), zindex[order].tolist())
+        items = list(zip(cubes, om_parent[order].tolist()))
+        ends = np.cumsum(np.bincount(gen)[1:]).tolist()
+        gens = tuple(tuple(items[a:b]) for a, b in zip([0, *ends], ends))
     _assert_certificates(grid, Q0, gens)
     return gens
 
 
 def _assert_certificates(grid, Q0, generations):
-    prev_union = None
-    prev_cubes = None
+    """Every generation lies in Q0 and is disjoint, its union lies in the
+    previous one's, and fills less than half of each previous cube; checked
+    on the cubes' cell ranges and prefix counts of each union's cells."""
+    d, N = grid.d, grid.N
+    prev = None
     for gen in generations:
-        cover = np.zeros(grid.cells, dtype=int)
-        for Q, _ in gen:
-            if not Q0.contains(Q):
-                raise AssertionError("generation cube escapes the base cube")
-            cover[Q.cell_slice] += 1
+        level = np.array([Q.level for Q, _ in gen])
+        zindex = np.array([Q.zindex for Q, _ in gen])
+        depth = level - Q0.level
+        if np.any(depth < 0) or np.any(zindex >> (d * depth) != Q0.zindex):
+            raise AssertionError("generation cube escapes the base cube")
+        start = zindex << (d * (N - level))
+        stop = start + (1 << (d * (N - level)))
+        edges = np.bincount(start, minlength=grid.cells + 1) - np.bincount(stop, minlength=grid.cells + 1)
+        cover = np.cumsum(edges[:-1])  # cubes over each cell
         if cover.max(initial=0) > 1:
             raise AssertionError("cubes within a generation must be disjoint")
-        union = cover > 0
-        if prev_union is not None:
-            if np.any(union & ~prev_union):
+        union = np.concatenate(([0], np.cumsum(cover > 0)))  # union cells before each cell
+        if prev is not None:
+            prev_start, prev_stop, prev_union = prev
+            if np.any(prev_union[stop] - prev_union[start] < stop - start):
                 raise AssertionError("generation unions must be nested")
-            for Q in prev_cubes:
-                sl = Q.cell_slice
-                if union[sl].sum() * 2 >= Q.cell_count:
-                    raise AssertionError(
-                        "next generation fills at least half of a parent cube"
-                    )
-        prev_union = union
-        prev_cubes = [Q for Q, _ in gen]
+            if np.any((union[prev_stop] - union[prev_start]) * 2 >= prev_stop - prev_start):
+                raise AssertionError(
+                    "next generation fills at least half of a parent cube"
+                )
+        prev = start, stop, union

@@ -76,7 +76,6 @@ class LinearOperator:
     grid: GridSpec
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,11 @@ class SublinearOperator:
     grid: GridSpec
     apply: Callable[[np.ndarray], np.ndarray]
     linear_part: LinearOperator | None = None
-    label: str = ""
 
 
 def shift_operator(S: HaarShift) -> LinearOperator:
     adj = S.adjoint()
-    return LinearOperator(S.grid, lambda v: S.apply(v), lambda v: adj.apply(v), label="shift")
+    return LinearOperator(S.grid, lambda v: S.apply(v), lambda v: adj.apply(v))
 
 
 @dataclass(frozen=True)
@@ -106,18 +104,18 @@ class _ShiftTruncation(SublinearOperator):
 
 
 def truncation_operator(S: HaarShift) -> SublinearOperator:
-    return _ShiftTruncation(S.grid, S.truncation, shift_operator(S), "shift-truncation", S)
+    return _ShiftTruncation(S.grid, S.truncation, shift_operator(S), S)
 
 
 def positive_operator(tau: TauCoefficients) -> LinearOperator:
     fwd = functools.partial(_positive_block, tau)
     # symmetric kernel: self-adjoint under the unweighted pairing
-    return LinearOperator(tau.grid, fwd, fwd, label="positive")
+    return LinearOperator(tau.grid, fwd, fwd)
 
 
 def hilbert_operator(grid: GridSpec) -> LinearOperator:
     fwd = functools.partial(_hilbert_block, taps=_hilbert_taps(grid, [0.0])[0])
-    return LinearOperator(grid, fwd, lambda v: -fwd(v), label="hilbert")
+    return LinearOperator(grid, fwd, lambda v: -fwd(v))
 
 
 @dataclass(frozen=True)

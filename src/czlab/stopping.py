@@ -21,7 +21,6 @@ from .dyadics import (
     GridMismatchError,
     GridSpec,
     StepFunction,
-    _maximal_subcubes,
     level_averages,
     level_integrals,
     require_weight,
@@ -46,10 +45,11 @@ PACKING_FRACTION = 0.25
 
 def stopping_children(w: StepFunction, Q: DyadicCube) -> list[DyadicCube]:
     """Maximal dyadic subcubes of Q whose w-average exceeds four times Q's,
-    ordered by first cell."""
-    _check_weight_and_cube(w, Q)
-    threshold = STOPPING_RATIO * level_averages(w)[Q.level][Q.zindex]
-    return _maximal_subcubes(Q, w.values[Q.cell_slice], threshold)
+    ordered by first cell: the members of Q's stopping family whose
+    stopping parent is Q."""
+    family = build_stopping_family(w, Q)
+    children = [R for R in family.cubes[1:] if family.parents[R] == Q]
+    return sorted(children, key=lambda R: R.cell_slice.start)
 
 
 def _check_weight_and_cube(w: StepFunction, Q: DyadicCube):
@@ -125,12 +125,12 @@ def _stopping_rows(grid: GridSpec, avgs: list[np.ndarray], level0: int = 0, z0: 
     walks the levels carrying, per row and cube, that threshold and the
     ancestor's member number; each selected cube passes its own on to its
     descendants.  The members are the iterated stopping children of the
-    root, from the same comparisons as stopping_children makes.  Returns one
-    (level, zindex, parent, margins) tuple of arrays per row: the members in
-    (level, Z-index) order, the root first; the position of each member's
-    stopping parent (-1 for the root); and each member's packing ratio, the
-    volume of its stopping children over its own.  The strict quarter
-    packing bound is asserted for every member before the rows are returned.
+    root.  Returns one (level, zindex, parent, margins) tuple of arrays per
+    row: the members in (level, Z-index) order, the root first; the
+    position of each member's stopping parent (-1 for the root); and each
+    member's packing ratio, the volume of its stopping children over its
+    own.  The strict quarter packing bound is asserted for every member
+    before the rows are returned.
     """
     rows, fold = len(avgs[level0]), 1 << grid.d
     threshold = STOPPING_RATIO * avgs[level0][:, z0 : z0 + 1]

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -275,8 +276,9 @@ class TestDeterminism:
         man_b.pop("wall_time_s")
         assert man_a == man_b
 
-    # config, result file, its exact text: the random tau pins _build_tau's
-    # draw order, the stopping audit its packing_max and carleson_ratio sums
+    # config, result file, its exact text (or "sha256:" and its digest): the
+    # random tau pins _build_tau's draw order, the stopping audit its
+    # packing_max and carleson_ratio sums
     PINNED = {
         "sawyer_random_tau": (
             {
@@ -373,13 +375,69 @@ class TestDeterminism:
             "7,0.208740234375,0.8577993250052266,3.3004078622500002,123,12\n"
             "8,0.208740234375,0.85779932500522649,3.3004078622500006,123,12\n",
         ),
+        # the benchmark's Lerner config, and a d = 2 one with two generations
+        "lerner_d1_n12": (
+            {"verb": "lerner-decompose", "grid": {"d": 1, "N": 12}, "seed": 31339, "params": {}},
+            "lerner_decompose.json",
+            '{"q0":{"level":0,"coords":[0]},"median":0.003264044336727647,"generations":[[{"cube":{"level":11,"coords":[43]},"omega_parent":2.3323589424307545},'
+            '{"cube":{"level":11,"coords":[44]},"omega_parent":2.0399979737874254},'
+            '{"cube":{"level":11,"coords":[190]},"omega_parent":2.1364185159999627},'
+            '{"cube":{"level":11,"coords":[272]},"omega_parent":2.446426772792732},'
+            '{"cube":{"level":11,"coords":[441]},"omega_parent":5.856295740723571},'
+            '{"cube":{"level":11,"coords":[719]},"omega_parent":1.8544216951727617},'
+            '{"cube":{"level":11,"coords":[1463]},"omega_parent":2.669451817423899},'
+            '{"cube":{"level":11,"coords":[1533]},"omega_parent":2.4869726383334276},'
+            '{"cube":{"level":11,"coords":[1589]},"omega_parent":2.0235199167571727},'
+            '{"cube":{"level":11,"coords":[1713]},"omega_parent":1.7738580220344573},'
+            '{"cube":{"level":11,"coords":[1876]},"omega_parent":1.6140812979200982}]]}\n',
+        ),
+        "lerner_d1_n12_residual": (
+            {"verb": "lerner-decompose", "grid": {"d": 1, "N": 12}, "seed": 31339, "params": {}},
+            "lerner_residual.csv",
+            "sha256:a97bbfed0eed35955448f2b87ac529aeae97c3dc08f961c1ac581128d57f1ff4",
+        ),
+        "lerner_d2_n5": (
+            {"verb": "lerner-decompose", "grid": {"d": 2, "N": 5}, "seed": 7, "params": {"function": {"kind": "random", "spikes": 32}}},
+            "lerner_decompose.json",
+            '{"q0":{"level":0,"coords":[0,0]},"median":-0.0708653281733429,"generations":[[{"cube":{"level":3,"coords":[5,5]},"omega_parent":2.3242910891123074},'
+            '{"cube":{"level":4,"coords":[5,1]},"omega_parent":1.6247173807306572},'
+            '{"cube":{"level":4,"coords":[4,3]},"omega_parent":3.6172026576394583},'
+            '{"cube":{"level":4,"coords":[5,3]},"omega_parent":3.6172026576394583},'
+            '{"cube":{"level":4,"coords":[1,5]},"omega_parent":1.5939018154482603},'
+            '{"cube":{"level":4,"coords":[12,1]},"omega_parent":1.580649407984278},'
+            '{"cube":{"level":4,"coords":[9,5]},"omega_parent":1.4226198833726875},'
+            '{"cube":{"level":4,"coords":[11,6]},"omega_parent":1.3939141278539782},'
+            '{"cube":{"level":4,"coords":[15,5]},"omega_parent":1.6928248675618023},'
+            '{"cube":{"level":4,"coords":[0,9]},"omega_parent":1.494271540789644},'
+            '{"cube":{"level":4,"coords":[0,11]},"omega_parent":1.0625275224694923},'
+            '{"cube":{"level":4,"coords":[3,10]},"omega_parent":8.045594411394235},'
+            '{"cube":{"level":4,"coords":[3,11]},"omega_parent":8.045594411394235},'
+            '{"cube":{"level":4,"coords":[4,8]},"omega_parent":2.0031782287811097},'
+            '{"cube":{"level":4,"coords":[7,9]},"omega_parent":1.3843150697869189},'
+            '{"cube":{"level":4,"coords":[1,12]},"omega_parent":1.3094315267352976},'
+            '{"cube":{"level":4,"coords":[6,13]},"omega_parent":2.1446813935379385},'
+            '{"cube":{"level":4,"coords":[6,14]},"omega_parent":1.6971626645609477},'
+            '{"cube":{"level":4,"coords":[10,8]},"omega_parent":1.8319063721464448},'
+            '{"cube":{"level":4,"coords":[12,8]},"omega_parent":1.4494389404217682},'
+            '{"cube":{"level":4,"coords":[15,10]},"omega_parent":1.4643679584407763},'
+            '{"cube":{"level":4,"coords":[11,12]},"omega_parent":1.5850898350999052}],[{"cube":{"level":4,"coords":[11,11]},"omega_parent":4.491713277652949}]]}\n',
+        ),
+        "lerner_d2_n5_residual": (
+            {"verb": "lerner-decompose", "grid": {"d": 2, "N": 5}, "seed": 7, "params": {"function": {"kind": "random", "spikes": 32}}},
+            "lerner_residual.csv",
+            "sha256:0ceadcc7f4831ea97990554244345bcb96761b7fde1dc0c48c4e51c36e1bc4d1",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_pinned_result_bytes(self, tmp_path, case):
         obj, name, text = self.PINNED[case]
         run(parse_config(obj), str(tmp_path))
-        assert (tmp_path / name).read_bytes() == text.encode()
+        got = (tmp_path / name).read_bytes()
+        if text.startswith("sha256:"):
+            assert "sha256:" + hashlib.sha256(got).hexdigest() == text
+        else:
+            assert got == text.encode()
 
     @pytest.mark.parametrize("case", ["invariant_suite_d1_n10", "invariant_suite_d2_n5", "stopping_audit_n12"])
     def test_block_pins_cross_block_boundaries(self, case):
@@ -737,6 +795,26 @@ class TestOperatorSeedValidation:
             },
         )
         assert main(["shift-apply", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    # the runners' defaults draw a random function and a random tau
+    @pytest.mark.parametrize("verb", ["lerner-decompose", "sawyer-test"])
+    def test_random_default_without_seed_exits_two(self, tmp_path, capsys, verb):
+        cfg = {"verb": verb, "grid": {"d": 1, "N": 4}}
+        path = write_config(tmp_path, cfg)
+        assert main([verb, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "field 'seed'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        parse_config({**cfg, "seed": 1})
+
+    @pytest.mark.parametrize(
+        "verb,params",
+        [
+            ("lerner-decompose", {"function": {"kind": "values", "values": [0.0, 1.0, 0.0, 3.0]}}),
+            ("sawyer-test", {"tau": [{"cube": {"level": 1, "coords": [1]}, "tau": 0.5}]}),
+        ],
+    )
+    def test_given_inputs_need_no_seed(self, verb, params):
+        assert parse_config({"verb": verb, "grid": {"d": 1, "N": 2}, "params": params}).seed is None
 
     def test_random_operator_inherits_config_seed(self, tmp_path):
         g = GridSpec(1, 4)

@@ -10,7 +10,6 @@ from czlab.dyadics import (
     GridSpec,
     StepFunction,
     _by_cube,
-    _maximal_subcubes,
     _morton_decode,
     _morton_encode,
     ancestor,
@@ -20,8 +19,6 @@ from czlab.dyadics import (
     lp_norm,
     rearrangement_value,
 )
-
-from oracles import loop_heavy_subcubes
 
 
 def grid1(N=3):
@@ -182,51 +179,6 @@ class TestCubes:
                 if (c0 >> t, c1 >> t) == Q.coords:
                     member.append(z)
             assert member == list(range(Q.cell_slice.start, Q.cell_slice.stop))
-
-
-def root_interior_finest(grid):
-    """A cube at the root, one at level 1 and one at the finest level."""
-    return [grid.root(), grid.cube_from_zindex(1, (1 << grid.d) - 1), grid.cube_from_zindex(grid.N, 3)]
-
-
-class TestMaximalSubcubes:
-    @pytest.mark.parametrize("d,N", [(1, 7), (2, 4), (3, 2)])
-    def test_masks_match_loop_walk(self, d, N):
-        # mask means are dyadic rationals, so the thresholds 2^(-d-1), 1/4
-        # and 1/2 equal some cube's mean in most draws
-        grid = GridSpec(d, N)
-        rng = np.random.default_rng(100 + d)
-        for density in (0.05, 0.2, 0.5):
-            for Q in root_interior_finest(grid):
-                mask = rng.random(grid.cells) < density
-                for t in (2.0 ** (-d - 1), 0.25, 0.5):
-                    got = _maximal_subcubes(Q, mask[Q.cell_slice].astype(float), t)
-                    assert got == loop_heavy_subcubes(Q, mask, t)
-
-    @pytest.mark.parametrize("d,N", [(1, 6), (2, 3), (3, 2)])
-    def test_single_spike_matches_loop_walk(self, d, N):
-        grid = GridSpec(d, N)
-        for cell in (0, 5, grid.cells - 1):
-            mask = np.zeros(grid.cells, dtype=bool)
-            mask[cell] = True
-            for Q in root_interior_finest(grid):
-                got = _maximal_subcubes(Q, mask[Q.cell_slice].astype(float), 2.0 ** (-d - 1))
-                assert got == loop_heavy_subcubes(Q, mask, 2.0 ** (-d - 1))
-
-    def test_threshold_equal_to_a_mean_is_not_exceeded(self):
-        g = grid1(2)
-        vals = np.array([1.0, 1.0, 0.0, 0.0])
-        assert _maximal_subcubes(g.root(), vals, 0.5) == [g.cube(1, (0,))]
-        assert _maximal_subcubes(g.root(), vals, 1.0) == []
-
-    def test_finest_cube_has_no_subcubes(self):
-        g = GridSpec(2, 2)
-        assert _maximal_subcubes(g.cube(2, (1, 3)), np.array([5.0]), 0.0) == []
-
-    def test_ordered_by_first_cell(self):
-        g = grid1(3)
-        got = _maximal_subcubes(g.root(), np.array([0.0, 0.0, 12.0, 0.0, 4.0, 4.0, 4.0, 4.0]), 3.5)
-        assert got == [g.cube(2, (1,)), g.cube(1, (1,))]
 
 
 class TestStepFunction:

@@ -24,6 +24,11 @@ def step(grid, vals):
     return StepFunction(grid, vals)
 
 
+def root_interior_finest(grid):
+    """A cube at the root, one at level 1 and one at the finest level."""
+    return [grid.root(), grid.cube_from_zindex(1, (1 << grid.d) - 1), grid.cube_from_zindex(grid.N, 3)]
+
+
 class TestMedian:
     def test_constant(self):
         g = GridSpec(1, 3)
@@ -194,10 +199,51 @@ class TestDecomposition:
         rng = np.random.default_rng(20 + d)
         for _ in range(8):
             raw = rng.standard_cauchy(g.cells)
-            for phi in (step(g, raw), step(g, np.sign(raw) * raw**2)):
+            # rounded values tie often, some at zeros of both signs
+            values = (raw, np.sign(raw) * raw**2, np.round(raw), np.abs(np.round(raw)))
+            for phi in (step(g, v) for v in values):
                 for Q0 in (g.root(), g.cube_from_zindex(1, 1)):
                     dec = lerner_decompose(phi, Q0)
                     assert dec.generations == loop_lerner_generations(phi, Q0)
+
+    @pytest.mark.parametrize("d,N", [(1, 7), (2, 4), (3, 2)])
+    def test_masks_match_loop_selection(self, d, N):
+        # 0/1 values: exceptional fractions are dyadic rationals, so they
+        # often equal the threshold 2^(-d-1) exactly
+        g = GridSpec(d, N)
+        rng = np.random.default_rng(100 + d)
+        for density in (0.05, 0.2, 0.5):
+            for Q0 in root_interior_finest(g):
+                phi = step(g, (rng.random(g.cells) < density).astype(float))
+                assert _lerner_generations(phi, Q0) == loop_lerner_generations(phi, Q0)
+
+    @pytest.mark.parametrize("d,N", [(1, 6), (2, 3), (3, 2)])
+    def test_single_spike_matches_loop_selection(self, d, N):
+        g = GridSpec(d, N)
+        for cell in (0, 5, g.cells - 1):
+            vals = np.zeros(g.cells)
+            vals[cell] = 100.0
+            for Q0 in root_interior_finest(g):
+                phi = step(g, vals)
+                assert _lerner_generations(phi, Q0) == loop_lerner_generations(phi, Q0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fraction_equal_to_threshold_is_not_picked(self, d):
+        # 2^(d-1) spikes in distinct level-2 cubes of the last level-1 cube:
+        # they fill exactly 2^(-d-1) of it, so only their level-2 cubes are
+        # picked, each with its parent's oscillation 50
+        g = GridSpec(d, 3)
+        fold = 1 << d
+        level2 = [(fold - 1) * fold + i for i in range(fold // 2)]
+        vals = np.zeros(g.cells)
+        vals[[z << d for z in level2]] = 100.0
+        gens = _lerner_generations(step(g, vals), g.root())
+        assert gens == (tuple((g.cube_from_zindex(2, z), 50.0) for z in level2),)
+
+    def test_finest_base_cube_has_no_generations(self):
+        g = GridSpec(2, 2)
+        phi = step(g, np.random.default_rng(13).standard_cauchy(g.cells))
+        assert _lerner_generations(phi, g.cube(2, (1, 3))) == ()
 
     def test_2d_certificates(self):
         g = GridSpec(2, 3)
@@ -288,6 +334,28 @@ class TestGenerationsCore:
         gens = _lerner_generations(phi, g.root())
         assert len(gens) >= 2
         assert gens == lerner_decompose(phi, g.root()).generations == loop_lerner_generations(phi, g.root())
+
+    @pytest.mark.parametrize(
+        "cubes,message",
+        [
+            ([[(1, 0)]], None),
+            ([[(2, 0)], [(4, 0)]], None),
+            ([[(1, 1)]], "escapes the base cube"),
+            ([[(0, 0)]], "escapes the base cube"),
+            ([[(2, 0), (3, 1)]], "must be disjoint"),
+            ([[(2, 0)], [(3, 2)]], "must be nested"),
+            ([[(2, 0)], [(3, 0)]], "at least half"),
+        ],
+    )
+    def test_certificates_reject_broken_generations(self, cubes, message):
+        # (level, Z-index) pairs under the base cube (1, 0) of a d = 1, N = 4 grid
+        g = GridSpec(1, 4)
+        gens = tuple(tuple((g.cube_from_zindex(*c), 0.0) for c in gen) for gen in cubes)
+        if message is None:
+            lerner._assert_certificates(g, g.cube_from_zindex(1, 0), gens)
+        else:
+            with pytest.raises(AssertionError, match=message):
+                lerner._assert_certificates(g, g.cube_from_zindex(1, 0), gens)
 
     def test_injected_certificate_failures_are_counted(self, tmp_path, monkeypatch):
         calls = []

@@ -80,6 +80,18 @@ class TestStoppingChildren:
                 assert stopping_children(w, Q) == loop_stopping_children(w, Q)
         assert stopping_children(weights[0], cubes[2]) == []
 
+    def test_ordered_by_first_cell(self):
+        # root average 147/32, threshold 18.375: the 2-cell cube at cell 0
+        # (average 20.5) is deeper than the 4-cell cube at cell 28 (20) but
+        # comes first
+        g = GridSpec(1, 5)
+        vals = np.ones(g.cells)
+        vals[0] = 40.0
+        vals[28:] = 20.0
+        w = StepFunction(g, vals)
+        assert stopping_children(w, g.root()) == [g.cube(4, (0,)), g.cube(3, (7,))]
+        assert stopping_children(w, g.root()) == loop_stopping_children(w, g.root())
+
     def test_average_equal_to_threshold_is_not_selected(self):
         # root average 14/8, threshold 7.0: exactly the spike cell's average
         g = GridSpec(1, 3)
