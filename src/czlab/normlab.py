@@ -313,10 +313,20 @@ def norm_p2(
     return est
 
 
-def _indicator_blocks(grid, image=None):
-    """Every cube indicator in boolean blocks of rows, coarsest level first,
-    Z-order within a level.  Given `image`, each block comes as the start
-    (block, image(levels, zs)), from its cubes' levels and Z-indices."""
+def _cube_indicator(grid, level, z) -> np.ndarray:
+    """The indicator of cube z of `level`, as a boolean row of cells."""
+    return (np.arange(grid.cells) >> (grid.d * (grid.N - level))) == z
+
+
+def _indicator_blocks(grid, score=None):
+    """Every cube indicator, coarsest level first, Z-order within a level,
+    in boolean blocks of rows.  Given `score`, each level's indicators come
+    instead as one start (score(level), row) for _scan: their scores, and
+    row(z) giving the indicator of cube z."""
+    if score is not None:
+        for level in range(grid.N + 1):
+            yield score(level), functools.partial(_cube_indicator, grid, level)
+        return
     cells = np.arange(grid.cells)
     levels = np.repeat(np.arange(grid.N + 1), [1 << (grid.d * k) for k in range(grid.N + 1)])
     zs = np.concatenate([np.arange(1 << (grid.d * k)) for k in range(grid.N + 1)])
@@ -324,18 +334,28 @@ def _indicator_blocks(grid, image=None):
     lo, hi = zs << bits, (zs + 1) << bits
     for k in range(0, lo.size, _SEARCH_BLOCK):
         sl = slice(k, k + _SEARCH_BLOCK)
-        block = (cells >= lo[sl, None]) & (cells < hi[sl, None])
-        yield block if image is None else (block, image(levels[sl], zs[sl]))
+        yield (cells >= lo[sl, None]) & (cells < hi[sl, None])
 
 
-def _cube_image(op, sigma):
-    """(levels, zs) -> op applied to sigma times the indicators of those
-    cubes, by the shift kernel's cube path, when op is a shift truncation
-    whose plan cancels and sigma is 1 on every cell; otherwise None."""
+def _cube_scores(op, w, sigma, p):
+    """level -> the weak ratio of each cube indicator of `level`, in
+    Z-order, by the shift kernel's sparse cube scorer
+    (_KernelPlan.cube_weak), when op is a shift truncation whose plan
+    cancels, sigma is 1 on every cell and w is constant; otherwise None.
+    The ratios are _ratios's with _weak_functionals, bit for bit."""
     plan = op.shift._plan if isinstance(op, _ShiftTruncation) else None
-    if plan is None or not (sigma.values == 1.0).all() or not plan.cancels:
+    wv = w.values
+    if plan is None or not (sigma.values == 1.0).all() or not (wv == wv[0]).all() or not plan.cancels:
         return None
-    return functools.partial(plan.cubes, truncate=True)
+    root = _mass_roots(wv, w.grid, p)
+
+    def score(level):
+        # the indicator's L^p(sigma) norm, as _lp_norms takes it: |Q|^(1/p)
+        norm = (w.grid.cells >> (w.grid.d * level)) * w.grid.cell_volume
+        norm **= 1.0 / p
+        return [value / norm for value in plan.cube_weak(level, root).tolist()]
+
+    return score
 
 
 def _spectral_start(op, w, sigma):
@@ -401,25 +421,28 @@ def _boyd(out_norms, linearise, w, sigma, p, block):
 
 
 def _scan(out_norms, op, w, sigma, p, keep, starts):
-    """The `keep` best rows of the (K, cells) blocks of `starts` by _ratios
-    with out_norms, as (value, stream index, float vector), best score first
-    and stream order breaking ties, and the number of rows scanned.  A
-    start is a block, or a (block, op(sigma * block)) pair."""
-    top: list[tuple[float, int, np.ndarray | None]] = []
+    """The `keep` best rows of `starts` by _ratios with out_norms, as
+    (value, stream index, float vector), best score first and stream order
+    breaking ties, and the number of rows scanned.  A start is a (K, cells)
+    block, or a pair (values, row) of K rows' scores and a function giving
+    row i; only the rows kept at the end become float vectors."""
+    top: list[tuple[float, int, Callable, int]] = []  # (value, index, row, i)
     scanned = 0
     for start in starts:
-        block, out = start if isinstance(start, tuple) else (start, op.apply(sigma.values * start))
-        values = _ratios(out, block, w, sigma, p, out_norms)
-        ranked = top + [(val, scanned + i, None) for i, val in enumerate(values)]
+        if isinstance(start, tuple):
+            values, row = start
+        else:
+            values = _ratios(op.apply(sigma.values * start), start, w, sigma, p, out_norms)
+            row = start.__getitem__
+        # the chunk's own `keep` best, ties in stream order, then the merge
+        best = np.argsort(-np.array(values), kind="stable")[:keep].tolist()
+        ranked = top + [(values[i], scanned + i, row, i) for i in best]
         ranked.sort(key=lambda rec: (-rec[0], rec[1]))
-        top = [
-            (val, idx, block[idx - scanned].astype(float) if fv is None else fv)
-            for val, idx, fv in ranked[:keep]
-        ]
-        scanned += len(block)
+        top = ranked[:keep]
+        scanned += len(values)
     if not top:
         raise ValueError("the search has no start: give random_starts >= 1")
-    return top, scanned
+    return [(val, idx, row(i).astype(float)) for val, idx, row, i in top], scanned
 
 
 def _searches(out_norms, op, problems, p, budget, streams):
@@ -501,6 +524,12 @@ def norm_lp_lower(
     return _lp_searches(op, [(w, sigma)], p, budget, seed, random_starts, spectral)[0]
 
 
+def _mass_roots(wvals, grid, p):
+    """(cumsum of wvals along the last axis times the cell volume)^(1/p):
+    the weak functional's root of the weight mass above each threshold."""
+    return (np.cumsum(wvals, axis=-1) * grid.cell_volume) ** (1.0 / p)
+
+
 def _weak_functionals(block: np.ndarray, w, p: float) -> list[float]:
     """Per row of a (K, cells) block: max over thresholds of
     lam * w{|out| > lam}^(1/p), lam at output values.  Under one constant
@@ -515,8 +544,7 @@ def _weak_functionals(block: np.ndarray, w, p: float) -> list[float]:
         order = np.argsort(mags, axis=-1)[:, ::-1]
         sorted_mags = np.take_along_axis(mags, order, axis=-1)
         wvals = wv[order] if wv.ndim == 1 else np.take_along_axis(wv, order, axis=-1)
-    wmass = np.cumsum(wvals, axis=-1) * w.grid.cell_volume
-    vals = sorted_mags * wmass ** (1.0 / p)
+    vals = sorted_mags * _mass_roots(wvals, w.grid, p)
     return vals.max(axis=-1, initial=0.0).tolist()
 
 
@@ -537,10 +565,16 @@ def weak_norm_estimate(
     first, Z-order within a level), the p = 2 spectral witness of the linear
     part and the seeded random starts g and |g|; at p = 1, where Boyd's
     duality map is undefined, the starts are not refined.  A shift
-    truncation images its indicators from their ancestors' coefficient pairs
-    alone when sigma = 1 and its input Haar functions cancel exactly
-    (_cube_image); the values are the same bits.  The weak value
-    never exceeds the strong one on shared witnesses.  Raises ValueError
+    truncation whose input Haar functions cancel exactly, at sigma = 1 and
+    a constant w, scores its indicators without imaging them on the cells
+    (_cube_scores): the kernel's sparse scorer reads, per indicator, only
+    its ancestors' coefficient pairs and the regions of cells where its
+    truncated image is constant, so the cost is about its pairs' children
+    times its ancestors' count, plus a sort of those regions, in place of
+    the cells; only the indicators kept for Boyd become float rows.  Any
+    other operator or weights, including sigma = 1 with a non-constant w,
+    take op.apply on boolean blocks.  Both give the same bits.  The weak
+    value never exceeds the strong one on shared witnesses.  Raises ValueError
     for weights off the operator's grid and for a budget or random_starts
     that is not a non-negative integer.
     """
@@ -550,7 +584,7 @@ def weak_norm_estimate(
     budget = _require_count("budget", budget)
     random_starts = _require_count("random_starts", random_starts)
     starts = itertools.chain(
-        _indicator_blocks(w.grid, _cube_image(op, sigma)),
+        _indicator_blocks(w.grid, _cube_scores(op, w, sigma, p)),
         _spectral_start(op, w, sigma),
         _random_blocks(w.grid, seed, random_starts),
     )

@@ -29,6 +29,7 @@ from .dyadics import (
     _coefficient_arrays,
     _finite_number,
     _level_sums,
+    _morton_decode,
     _read_cube,
 )
 
@@ -248,16 +249,27 @@ class HaarShift:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        items = [
-            {
-                "cube": Q.to_dict(),
-                "pairs": [
-                    {"rprime": rp.to_dict(), "qprime": qp.to_dict(), "h_vals": h, "g_vals": g}
-                    for rp, qp, h, g in pairs
-                ],
-            }
-            for Q, pairs in self.entries.items()
-        ]
+        """The shift as JSON: one {cube, pairs} item per cube Q in (level,
+        Z-index) order, its pairs in row order, written from `levels`."""
+        d, items = self.grid.d, []
+
+        def cubes(level, z):  # DyadicCube.to_dict of each cube z of `level`
+            coords = zip(*(c.tolist() for c in _morton_decode(z, d, level)))
+            return [{"level": level, "coords": list(c)} for c in coords]
+
+        for level, lv in self.levels.items():
+            rz, qz = lv.in_idx[:, 0] >> d, lv.out_idx[:, 0] >> d
+            q = rz >> (d * self.n)
+            pairs = [
+                {"rprime": rp, "qprime": qp, "h_vals": h, "g_vals": g}
+                for rp, qp, h, g in zip(
+                    cubes(level + self.n, rz), cubes(level + self.m, qz), lv.h_in.tolist(), lv.h_out.tolist()
+                )
+            ]
+            # Q's rows are contiguous: the rows come in Z-order of Q
+            bounds = [0, *(np.flatnonzero(q[1:] != q[:-1]) + 1).tolist(), len(q)]
+            for Q, lo, hi in zip(cubes(level, q[bounds[:-1]]), bounds[:-1], bounds[1:]):
+                items.append({"cube": Q, "pairs": pairs[lo:hi]})
         return json.dumps(
             {
                 "m": self.m,
@@ -346,11 +358,25 @@ class _KernelPlan:
     of the flat outputs, and for every cube the index of its ancestor at the
     previous output level (None at the first).  `to_cells` maps the finest
     output level onto the cells (None when it is the cell level), and
-    `cell_index[j]` each cell to its cube's slot in output level j.  The
-    cube path's `cancels` and `_by_rprime` are built on first use.
+    `cell_index[j]` each cell to its cube's slot in output level j.  `m`
+    and `n` are the shift's depths and `shift_levels` the levels of Q that
+    hold pairs, output level j being shift_levels[j] + m + 1.
+
+    Besides run, a plan that `cancels` has a sparse cube scorer, cube_weak:
+    the weak functional of the truncated indicator of every cube of a level
+    under a constant weight, from the pairs of each cube's strict ancestors
+    and the regions where its image is constant, without imaging it on the
+    cells; per indicator about one term per child of those pairs and a
+    sort of at most N 2^(d(m+1)) regions.  The weak search takes it at
+    sigma = 1 and a constant w (normlab._cube_scores); sigma = 1 with any
+    other w goes through run on boolean blocks.  `cancels` and `_by_rprime`
+    are built on first use.
     """
 
     grid: GridSpec
+    m: int
+    n: int
+    shift_levels: np.ndarray
     top: int
     gather: np.ndarray
     h_in: np.ndarray
@@ -384,6 +410,9 @@ class _KernelPlan:
         )
         return cls(
             grid,
+            S.m,
+            S.n,
+            np.array([level for level, _ in levels]),
             top,
             child_major([lv.in_idx + pyramid_start(level + S.n + 1) for level, lv in levels]),
             child_major([lv.h_in for _, lv in levels]),
@@ -482,35 +511,88 @@ class _KernelPlan:
         count = np.bincount(rprime, minlength=_heap_start(d, self.grid.N))
         return np.argsort(rprime, kind="stable"), np.cumsum(count) - count, count
 
-    def cubes(self, levels: np.ndarray, zs: np.ndarray, truncate: bool) -> np.ndarray:
-        """run(block, truncate) for the block of indicators of the cubes Q
-        of `levels` and Z-indices `zs`, one row each, on a plan that cancels.
+    def cube_weak(self, level: int, root: np.ndarray) -> np.ndarray:
+        """For the indicator 1_Q of every cube Q of `level`, in Z-order, the
+        weak functional of its truncation under a constant weight whose mass
+        roots are `root`: max over k of mags[k] * root[k], mags the image's
+        magnitudes in descending order.  The same bits as that max over
+        run(block, True), on a plan that cancels.
 
         Of 1_Q's pairs, one whose R' misses Q reads zero integrals, and one
         whose R' lies in Q has coefficient 0 (cancels): both add +-0 to bins
         that start at +0, moving none.  A strict ancestor R' of Q, with Q in
         its child i, has coefficient (|Q| h_in[i]) * scale, the one nonzero
-        term of the pair pass's child sum.  Each shift level holds one such
-        R' and feeds its own output level, so one bincount over their pairs,
-        in pair order, gives the pair pass's terms bit for bit.
+        term of the pair pass's child sum.  So output level j moves only in
+        its window: the 2^(d(m+1)) cubes of that level inside C_j, Q's
+        ancestor at shift level j.  A window's bins sum its R''s terms in
+        pair order, as the pair pass does, and carry acc and best from the
+        window before, which holds each of their ancestors, as the output
+        pass does.  A cube of the last window, and the part of a cube of an
+        earlier window outside the next C, is a region of cells sharing one
+        magnitude, and every other cell is 0.  Sorted by magnitude, a region
+        scores magnitude * root[cells counted through it - 1]; equal
+        magnitudes peak at the end of their run, as in the sort of all
+        cells.  Per indicator this costs one term per child of the pairs of
+        its ancestors R', and a sort of its W 2^(d(m+1)) regions, W <= N
+        the windows.  Rows go a chunk at a time, each of a chunk's arrays of
+        terms or regions taking at most half of _BLOCK_BYTES.
         """
-        d, N, size = self.grid.d, self.grid.N, self.outputs[-1][1]
+        d, m, n = self.grid.d, self.m, self.n
+        shift = self.shift_levels[self.shift_levels + n < level]  # R' a strict ancestor of Q
+        zs, width = np.arange(1 << (d * level)), 1 << (d * (m + 1))
+        if not len(shift):
+            return np.zeros(zs.size)
+        terms = max(width, (1 << d) * int(self._by_rprime[2].max()))  # per row and window
+        step = max(1, _BLOCK_BYTES // (16 * len(shift) * terms))  # rows per chunk
+        root = np.concatenate([[0.0], root])  # root[k] for k cells counted
+        return np.concatenate(
+            [self._window_weak(zs[k : k + step], level, shift, root) for k in range(0, zs.size, step)]
+        )
+
+    def _window_weak(self, zs, level, shift, root):
+        """cube_weak for the cubes zs of `level`, whose ancestors R' sit at
+        the levels shift + n, with root[k] the root for k cells counted."""
+        d, N, m, n = self.grid.d, self.grid.N, self.m, self.n
+        rows, windows, width = len(zs), len(shift), 1 << (d * (m + 1))
         order, first, count = self._by_rprime
-        up = levels[:, None] - np.arange(N)  # from Q up to its ancestor at level 0..N-1
-        row, level = np.nonzero(up > 0)
-        child = zs[row] >> (d * (up[row, level] - 1))  # the child of R' that holds Q
-        key = _heap_start(d, level) + (child >> d)
-        n = count[key]
-        pair = order[np.repeat(first[key] + n - np.cumsum(n), n) + np.arange(n.sum())]
-        row = np.repeat(row, n)
-        volume = np.ldexp(1.0, -d * levels)  # |Q|, as the integrals of 1_Q give it
-        coef = volume[row] * self.h_in[np.repeat(child & ((1 << d) - 1), n), pair] * self.scale[pair]
+        corner = zs[:, None] >> (d * (level - shift))  # C_j
+        holder = zs[:, None] >> (d * (level - shift - n - 1))  # the child of R' that holds Q
+        key = _heap_start(d, shift + n) + (holder >> d)
+        k = count[key].ravel()
+        pair = order[np.repeat(first[key].ravel() + k - np.cumsum(k), k) + np.arange(k.sum())]
+        coef = 2.0 ** (-d * level) * self.h_in[np.repeat(holder.ravel() & ((1 << d) - 1), k), pair]
+        coef *= self.scale[pair]
+        # bin (row, window, cube of the window), each window's cubes in Z-order
+        base = np.array([start for start, _, _ in self.outputs[:windows]]) + (corner << (d * (m + 1)))
+        base -= width * np.arange(corner.size).reshape(corner.shape)
         contrib = np.bincount(
-            (self.scatter[:, pair] + size * row).ravel(),
+            (self.scatter[:, pair] - np.repeat(base.ravel(), k)).ravel(),
             (coef * self.h_out[:, pair]).ravel(),
-            len(zs) * size,
-        ).reshape(len(zs), size)
-        return self._output_pass(contrib, truncate)
+            corner.size * width,
+        ).reshape(rows, windows, width)
+        # C_j's place among the cubes of its level in C_(j-1)
+        offset = corner[:, 1:] - (corner[:, :-1] << (d * np.diff(shift)))
+        slot, first_slot = np.arange(width), width * np.arange(rows)[:, None]
+        acc = contrib[:, 0]
+        best = [np.abs(acc)]  # per window
+        for j in range(1, windows):
+            up = d * (shift[j] - shift[j - 1])
+            parent = (((offset[:, j - 1, None] << (d * (m + 1))) + slot) >> up) + first_slot
+            acc = acc.take(parent) + contrib[:, j]
+            best.append(np.maximum(best[-1].take(parent), np.abs(acc)))
+        # the cells of each window's cubes, less those of the next C in them
+        fine = shift + m + 1  # the windows' output levels
+        mass = np.empty(contrib.shape, dtype=int)
+        mass[:] = (1 << (d * (N - fine)))[:, None]
+        below, above = np.maximum(fine[:-1] - shift[1:], 0), np.maximum(shift[1:] - fine[:-1], 0)
+        covered = (slot >> (d * below[:, None])) == (offset[:, :, None] >> (d * above[:, None]))
+        mass[:, :-1] -= covered * (1 << (d * (N - np.maximum(fine[:-1], shift[1:]))))[:, None]
+        # a region left without cells scores no more than a cell counted
+        # before it (each at least its magnitude) does, or 0 if none is
+        mags = np.concatenate(best, axis=1)
+        by_size = np.argsort(-mags, axis=1) + windows * first_slot
+        counted = np.cumsum(mass.take(by_size), axis=1)
+        return (mags.take(by_size) * root.take(counted)).max(axis=1, initial=0.0)
 
     def selected_adjoint(self, level, sign, block: np.ndarray) -> np.ndarray:
         """L^t u for each row u of a (K, cells) block, where L g = sign times

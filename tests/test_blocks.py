@@ -6,6 +6,7 @@ the per-vector computation bit for bit (signs of zeros included).  The p = 2
 spectral solve is checked against a dense SVD instead.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -37,6 +38,7 @@ from czlab.normlab import (
 from czlab.positive import CubeFamily, TauCoefficients, apply_positive
 from czlab.shifts import (
     HaarShift,
+    ShiftLevel,
     _toroidal_gap_cells,
     build_paraproduct,
     build_petermichl,
@@ -317,6 +319,56 @@ def gapped_json_shift() -> HaarShift:
     return HaarShift.from_json(json.dumps(obj))
 
 
+def json_shift_without(S: HaarShift, drop) -> HaarShift:
+    """S read back from JSON without the cubes Q (as {level, coords}) for
+    which drop(Q) holds."""
+    obj = json.loads(S.to_json())
+    obj["entries"] = [item for item in obj["entries"] if not drop(item["cube"])]
+    return HaarShift.from_json(json.dumps(obj))
+
+
+def skipping_json_shift() -> HaarShift:
+    """A random (1, 1) shift without every other cube of levels 1 and 2
+    (those of odd Z-index): an indicator under a dropped cube reads no pair
+    at that level, so its touched cubes skip an output level."""
+    S = build_random_shift(1, 1, 9, GridSpec(1, 6))
+    S = json_shift_without(S, lambda Q: Q["level"] in (1, 2) and Q["coords"][0] % 2 == 1)
+    assert [len(S.levels[k].h_in) for k in (1, 2)] == [4, 8]  # two pairs per cube kept
+    return S
+
+
+def level_gap_json_shift() -> HaarShift:
+    """A random (1, 1) shift without its level-2 cubes: Q's ancestor at
+    shift level 3 sits two levels into the one at shift level 1."""
+    S = json_shift_without(build_random_shift(1, 1, 10, GridSpec(1, 7)), lambda Q: Q["level"] == 2)
+    assert list(S.levels) == [0, 1, 3, 4, 5]
+    return S
+
+
+def repeated_pair_shift() -> HaarShift:
+    """One (0, 0) pair on the root listed three times, with output values
+    a, -a and 1e-20 a: every indicator's image is 1e-20 a when the terms
+    are summed in pair order, and 0 in reverse."""
+    idx = np.tile([0, 1], (3, 1))
+    h_out = np.array([[0.5, -0.5], [-0.5, 0.5], [0.5e-20, -0.5e-20]])
+    S = HaarShift(GridSpec(1, 2), 0, 0, {0: ShiftLevel(idx, idx, np.tile([1.0, -1.0], (3, 1)), h_out)}, True)
+    assert S.truncation(np.eye(4)).all()
+    return S
+
+
+# Shifts the sparse cube scorer takes, beyond TestPrunedKernel.CASES.
+SCORED_SHIFTS = {
+    "random (1, 1)": lambda: build_random_shift(1, 1, 55, GridSpec(1, 6)),
+    "random (2, 2)": lambda: build_random_shift(2, 2, 60, GridSpec(1, 6)),
+    "random (3, 3)": lambda: build_random_shift(3, 3, 65, GridSpec(1, 7)),
+    "random (2, 1)": lambda: build_random_shift(2, 1, 59, GridSpec(1, 6)),
+    "json skip": skipping_json_shift,
+    "json skip adjoint": lambda: skipping_json_shift().adjoint(),
+    "json level gap": level_gap_json_shift,
+    "repeated pair": repeated_pair_shift,
+}
+
+
 def truncation_loops(S: HaarShift):
     """loop_search's (apply1, linear, linearise1) for S's maximal truncation."""
 
@@ -329,34 +381,38 @@ def truncation_loops(S: HaarShift):
 
 
 class TestCubePath:
-    """The kernel's cube path (_KernelPlan.cubes), which images cube
-    indicators from their ancestors' coefficient pairs alone, against the
-    loop kernels; and the weak search's choice between it and op.apply."""
+    """The kernel's sparse cube scorer (_KernelPlan.cube_weak, read through
+    normlab._cube_scores), which scores cube indicators from their
+    ancestors' coefficient pairs alone, against the dense route (op.apply
+    on boolean blocks, then _weak_functionals); and the weak search's
+    choice between the two."""
 
     @staticmethod
-    def assert_cube_images_match_loops(S: HaarShift) -> bool:
-        """Every level's cube images, truncated and not, against the loop
-        kernels bit for bit; False when the path declines the shift."""
-        plan = S._plan
-        if plan is None or not plan.cancels:
-            return False
+    def assert_scores_match_dense_route(S: HaarShift) -> bool:
+        """Every level's indicator scores, under w = 1 and w = 0.3 and at
+        p = 1, 1.01, 1.5 and 2, against the dense route bit for bit; False
+        when the scorer declines the shift."""
         g = S.grid
-        for level in range(g.N + 1):
-            zs = np.arange(1 << (g.d * level))
-            levels = np.full(zs.size, level)
-            X = cube_indicators(g, level)
-            for truncate, loop in ((True, loop_truncation), (False, loop_apply)):
-                images = plan.cubes(levels, zs, truncate)
-                assert images.shape == X.shape
-                for image, x in zip(images, X):
-                    assert bits(image) == bits(loop(S, x))
+        op, one = truncation_operator(S), StepFunction.constant(g, 1.0)
+        if normlab._cube_scores(op, one, one, 1.5) is None:
+            return False
+        for w in (one, StepFunction.constant(g, 0.3)):
+            for p in (1.0, 1.01, 1.5, 2.0):
+                score = normlab._cube_scores(op, w, one, p)
+                root = normlab._mass_roots(w.values, g, p)
+                for level in range(g.N + 1):
+                    block = cube_indicators(g, level).astype(bool)
+                    out = op.apply(block)
+                    weak = normlab._weak_functionals(out, w, p)
+                    assert bits(S._plan.cube_weak(level, root)) == bits(weak)
+                    assert score(level) == normlab._ratios(out, block, w, one, p, normlab._weak_functionals)
         return True
 
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("kind,d,N,m,n", TestPrunedKernel.CASES)
     def test_cube_images_of_every_level(self, kind, d, N, m, n, adjoint):
         S = TestPrunedKernel.shift(kind, d, N, m, n, adjoint)
-        taken = self.assert_cube_images_match_loops(S)
+        taken = self.assert_scores_match_dense_route(S)
         # exactly cancelling input Haar functions: d = 1 random and
         # Petermichl shifts, and the paraproduct's adjoint in any d
         if (d == 1 and kind in ("random", "petermichl")) or (kind == "paraproduct" and adjoint):
@@ -364,30 +420,44 @@ class TestCubePath:
         if kind in ("noncancellative", "paraproduct") and not adjoint:
             assert not taken
 
+    @pytest.mark.parametrize("name", list(SCORED_SHIFTS))
+    def test_scores_of_listed_shifts(self, name):
+        assert self.assert_scores_match_dense_route(SCORED_SHIFTS[name]())
+
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_cube_images_of_a_gapped_json_shift(self, adjoint):
         S = gapped_json_shift()
         assert 1 not in S.levels and len(S.levels[0].h_in) == 4 * 2 + 2
-        assert self.assert_cube_images_match_loops(S.adjoint() if adjoint else S)
+        assert self.assert_scores_match_dense_route(S.adjoint() if adjoint else S)
+
+    def test_chunked_scores_match_one_chunk(self, monkeypatch):
+        S = build_random_shift(2, 2, 55, GridSpec(1, 7))
+        g = S.grid
+        root = normlab._mass_roots(np.ones(g.cells), g, 1.5)
+        whole = [bits(S._plan.cube_weak(level, root)) for level in range(g.N + 1)]
+        # one row per chunk, then 12 rows of the finest level's 5 windows of
+        # 8 terms, which split its 128 rows unevenly
+        for cap in (1, 16 * 5 * 8 * 12):
+            monkeypatch.setattr(shifts, "_BLOCK_BYTES", cap)
+            assert [bits(S._plan.cube_weak(level, root)) for level in range(g.N + 1)] == whole
 
     def test_empty_shift_declines(self):
         S = build_random_shift(4, 0, 1, GridSpec(1, 4))  # no level has room
-        assert not self.assert_cube_images_match_loops(S)
-        one = StepFunction.constant(S.grid, 1.0)
-        assert normlab._cube_image(truncation_operator(S), one) is None
+        assert not self.assert_scores_match_dense_route(S)
 
     @pytest.mark.parametrize(
         "name",
-        ["paraproduct", "noncancellative", "random d=2", "cascade sigma", "linear shift"],
+        ["paraproduct", "noncancellative", "random d=2", "cascade sigma", "cascade w", "linear shift"],
     )
     def test_declined_weak_searches_match_loop(self, name):
         g = GridSpec(2, 3) if name == "random d=2" else GridSpec(1, 5)
-        w = cascade_weight(g, 41, 0.6)
-        sigma = cascade_weight(g, 42, 0.6) if name == "cascade sigma" else StepFunction.constant(g, 1.0)
+        one = StepFunction.constant(g, 1.0)
+        w = cascade_weight(g, 41, 0.6) if name == "cascade w" else one
+        sigma = cascade_weight(g, 42, 0.6) if name == "cascade sigma" else one
         kind = {"paraproduct": "paraproduct", "noncancellative": "noncancellative"}.get(name, "random")
         S = make_shift(kind, g.d, g.N, 1, 1, seed=43)
         op = shift_operator(S) if name == "linear shift" else truncation_operator(S)
-        assert normlab._cube_image(op, sigma) is None
+        assert normlab._cube_scores(op, w, sigma, 1.5) is None
         if name == "linear shift":
             apply1, linear = (lambda v: loop_apply(S, v)), truncation_loops(S)[1]
             linearise1 = lambda v: (apply1(v), linear[1])
@@ -397,11 +467,13 @@ class TestCubePath:
         want = loop_search(loop_weak_functional, apply1, linear, linearise1, w, sigma, 1.5, 2, 2, 3)
         assert got == want[0]
 
-    @pytest.mark.parametrize("name", ["random (2, 2)", "json gap", "paraproduct adjoint d=2"])
+    @pytest.mark.parametrize("name", ["random (2, 2)", "json gap", "json skip", "paraproduct adjoint d=2"])
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_cube_path_weak_searches_match_loop(self, name, p):
         if name == "json gap":
             S = gapped_json_shift()
+        elif name == "json skip":
+            S = skipping_json_shift()
         elif name == "random (2, 2)":
             S = build_random_shift(2, 2, 44, GridSpec(1, 6))
         else:
@@ -409,8 +481,8 @@ class TestCubePath:
         g = S.grid
         one = StepFunction.constant(g, 1.0)
         op = truncation_operator(S)
-        assert normlab._cube_image(op, one) is not None
-        for w in (one, cascade_weight(g, 46, 0.6)):
+        for w in (one, StepFunction.constant(g, 0.3)):
+            assert normlab._cube_scores(op, w, one, p) is not None
             got = weak_norm_estimate(op, w, one, p, seed=3, budget=2, random_starts=3)
             want = loop_search(loop_weak_functional, *truncation_loops(S), w, one, p, 3, 2, 3)
             assert got == want[0]
@@ -420,33 +492,42 @@ class TestCubePath:
         g = GridSpec(1, 6)
         S = build_random_shift(2, 2, 47, g)
         one = StepFunction.constant(g, 1.0)
-        seed, budget, random_starts = 3, 2, 4
-        seen, imaged = [], []
-        pair_pass, cubes = shifts._KernelPlan._pair_pass, shifts._KernelPlan.cubes
+        seed, budget, random_starts = 3, 3, 4
+        passed, applied, scored, made = [], [], [], []
+        pair_pass, cube_weak = shifts._KernelPlan._pair_pass, shifts._KernelPlan.cube_weak
+        indicator = normlab._cube_indicator
 
         def spy_pair_pass(plan, block):
-            seen.append(block.copy())
+            passed.append(block.copy())
             return pair_pass(plan, block)
 
-        def spy_cubes(plan, levels, zs, truncate):
-            imaged.append(len(zs))
-            return cubes(plan, levels, zs, truncate)
+        def spy_cube_weak(plan, level, root):
+            scored.append(level)
+            return cube_weak(plan, level, root)
+
+        def spy_indicator(grid, level, z):
+            made.append((level, z))
+            return indicator(grid, level, z)
 
         monkeypatch.setattr(shifts._KernelPlan, "_pair_pass", spy_pair_pass)
-        monkeypatch.setattr(shifts._KernelPlan, "cubes", spy_cubes)
-        weak_norm_estimate(
-            truncation_operator(S), one, one, 1.5, seed=seed, budget=budget, random_starts=random_starts
-        )
-        indicators = [block.astype(float) for block in normlab._indicator_blocks(g)]
-        assert imaged == [len(block) for block in indicators]
-        assert not any(
-            x.shape == block.shape and bits(x) == bits(block) for x in seen for block in indicators
-        )
+        monkeypatch.setattr(shifts._KernelPlan, "cube_weak", spy_cube_weak)
+        monkeypatch.setattr(normlab, "_cube_indicator", spy_indicator)
+        op = truncation_operator(S)
+        op = dataclasses.replace(op, apply=lambda v: applied.append(np.array(v)) or S.truncation(v))
+        weak_norm_estimate(op, one, one, 1.5, seed=seed, budget=budget, random_starts=random_starts)
+        assert scored == list(range(g.N + 1))
+        cubes = {
+            bits(x): (level, z) for level in range(g.N + 1) for z, x in enumerate(cube_indicators(g, level))
+        }
+        # no indicator row reached op.apply; the pair pass met only the
+        # indicators made float rows, once each (in Boyd's start block)
+        assert not any(bits(x) in cubes for block in applied for x in block)
+        met = [cubes[bits(x)] for block in passed for x in block if bits(x) in cubes]
+        assert sorted(met) == sorted(made) and 1 <= len(made) <= budget
         spectral = norm_p2(shift_operator(S), one, one).witness.values[None]
         random = next(normlab._random_blocks(g, seed, random_starts))
         for rows in (spectral, random):
-            assert any(x.shape == rows.shape and bits(x) == bits(rows) for x in seen)
-        assert any(len(x) == budget for x in seen)  # Boyd's block of the best starts
+            assert any(x.shape == rows.shape and bits(x) == bits(rows) for x in applied)
 
 
 class TestPositiveBlocks:

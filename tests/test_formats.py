@@ -5,6 +5,9 @@ order, float formatting or cube layout shows up here before it reaches a
 result file.
 """
 
+import hashlib
+import math
+
 import pytest
 
 from czlab.characteristics import ainfty_characteristic, ap_characteristic
@@ -39,6 +42,23 @@ FORMS = {
         '{"level":0,"coords":[0,0]},"h_vals":[0.9236104097556707,-1.0,0.244481328291086,'
         '-0.16809173804675662],"g_vals":[0.21504170513665571,0.398810896445976,-1.0,'
         '0.3861473984173682]}]}]}',
+    ),
+    "random_levels": (
+        lambda: build_random_shift(1, 0, 3, G3, cancellative=False),
+        '{"m":1,"n":0,"cancellative":false,"d":1,"N":3,"shift":[0.0],"entries":[{"cube":'
+        '{"level":0,"coords":[0]},"pairs":[{"rprime":{"level":0,"coords":[0]},"qprime":'
+        '{"level":1,"coords":[0]},"h_vals":[0.7985863156470451,-1.0],"g_vals":'
+        '[0.7363882148907648,-1.0]},{"rprime":{"level":0,"coords":[0]},"qprime":{"level":1,'
+        '"coords":[1]},"h_vals":[-1.0,-0.4763006743798474],"g_vals":[-1.0,-0.11481879716773159]}'
+        ']},{"cube":{"level":1,"coords":[0]},"pairs":[{"rprime":{"level":1,"coords":[0]},'
+        '"qprime":{"level":2,"coords":[0]},"h_vals":[-0.2603711110823505,1.0],"g_vals":'
+        '[0.6402918203711983,-1.0]},{"rprime":{"level":1,"coords":[0]},"qprime":{"level":2,'
+        '"coords":[1]},"h_vals":[-0.42105973603435576,-1.0],"g_vals":[-1.0,-0.37037461316615755]}'
+        ']},{"cube":{"level":1,"coords":[1]},"pairs":[{"rprime":{"level":1,"coords":[1]},'
+        '"qprime":{"level":2,"coords":[2]},"h_vals":[1.0,-0.49498057718215477],"g_vals":'
+        '[1.0,-0.2086142662542569]},{"rprime":{"level":1,"coords":[1]},"qprime":{"level":2,'
+        '"coords":[3]},"h_vals":[0.015693645908341308,1.0],"g_vals":[1.0,-0.9268457474490189]}'
+        ']}]}',
     ),
     "paraproduct": (
         lambda: build_paraproduct({G1.cube(0, (0,)): 0.5, G1.cube(1, (1,)): -0.25}, G1),
@@ -81,10 +101,52 @@ def test_pinned_bytes(name):
     assert build().to_json() == text
 
 
+def _gapped_paraproduct():
+    """A d = 2 paraproduct on the cubes of levels 0-2 whose Z-index is not 1 mod 3."""
+    g = GridSpec(2, 3)
+    return build_paraproduct(
+        {
+            Q: 0.5 * math.sqrt(Q.volume) * (-1) ** Q.zindex
+            for Q in g.all_cubes()
+            if Q.level < 3 and Q.zindex % 3 != 1
+        },
+        g,
+    )
+
+
+# Larger shifts, too long to list: their JSON's length and SHA-256.
+DIGESTS = {
+    "random (1, 1) d=2": (
+        lambda: build_random_shift(1, 1, 4, GridSpec(2, 3)),
+        18222,
+        "0840ef95e33cc117ac066fbeefc0fb43b006473b7d49afbf8c77c04dbb8fbebb",
+    ),
+    "noncancellative (0, 1) d=3": (
+        lambda: build_random_shift(0, 1, 5, GridSpec(3, 2), cancellative=False),
+        3248,
+        "a215793ee68f574bee3518f5e4c7074971aa1d74a6770f138e7d395ca89fa9fb",
+    ),
+    "gapped paraproduct d=2": (
+        _gapped_paraproduct,
+        2716,
+        "cbf7f20ff93ddfa3135c510f4b49213a289ca041bab4b540e15c1caf04acbb12",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_pinned_shift_digests(name):
+    build, length, digest = DIGESTS[name]
+    text = build().to_json()
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (length, digest)
+    assert HaarShift.from_json(text).to_json() == text
+
+
 READERS = {
     "step": StepFunction.from_json,
     "petermichl": HaarShift.from_json,
     "random_d2": HaarShift.from_json,
+    "random_levels": HaarShift.from_json,
     "paraproduct": HaarShift.from_json,
     "tau": lambda text: TauCoefficients.from_json(G2, text),
 }

@@ -335,6 +335,20 @@ class TestWeakNorm:
             weak = weak_norm_estimate(op, w, sigma, p, seed=seed, budget=2)
             assert joint_ap(w, sigma, p).value <= weak * (1 + 1e-9)
 
+    # Criterion 8's estimate two levels deeper (N = 12), to 17 significant
+    # digits, for its random (kappa, kappa) shifts with seed 90000 + kappa.
+    PINNED_N12 = {1: "1.2051204052766267", 2: "1.0976592956333564"}
+
+    @pytest.mark.parametrize("kappa", [1, 2])
+    def test_pinned_at_depth_12(self, kappa):
+        g = GridSpec(1, 12)
+        one = StepFunction.constant(g, 1.0)
+        S = build_random_shift(kappa, kappa, 90_000 + kappa, g)
+        val = weak_norm_estimate(
+            truncation_operator(S), one, one, 1.01, seed=7, budget=3, random_starts=8
+        )
+        assert f"{val:.17g}" == self.PINNED_N12[kappa]
+
 
 # Norms of the N = 5 sweep below, recorded with the strong start stream of
 # the Lanczos norm_p2 witness and random starts, the best of them refined by
