@@ -169,17 +169,29 @@ class HaarShift:
 
         Rebuilt from the arrays on each access, so changing it changes no shift.
         """
-        d = self.grid.d
         cube = functools.cache(self.grid.cube_from_zindex)  # R', Q' recur across rows
-        out = {}
+        return dict(
+            self._pairs_by_cube(
+                lambda level, z: [cube(level, x) for x in z.tolist()],
+                lambda h: map(tuple, h.tolist()),
+            )
+        )
+
+    def _pairs_by_cube(self, cubes, values):
+        """(Q, [(R', Q', h, g), ...]) per cube Q in (level, Z-index) order,
+        its pairs in row order.  cubes(level, z) maps an array of Z-indices
+        of one level to its cubes, values(h) an array of child values to its
+        rows; the rows of one Q are contiguous, as they come in Q's Z-order."""
+        d = self.grid.d
         for level, lv in self.levels.items():
-            rprime = (lv.in_idx[:, 0] >> d).tolist()
-            qprime = (lv.out_idx[:, 0] >> d).tolist()
-            for rz, qz, vin, vout in zip(rprime, qprime, lv.h_in.tolist(), lv.h_out.tolist()):
-                out.setdefault(cube(level, rz >> (d * self.n)), []).append(
-                    (cube(level + self.n, rz), cube(level + self.m, qz), tuple(vin), tuple(vout))
-                )
-        return out
+            rz, qz = lv.in_idx[:, 0] >> d, lv.out_idx[:, 0] >> d
+            q = rz >> (d * self.n)
+            rows = list(
+                zip(cubes(level + self.n, rz), cubes(level + self.m, qz), values(lv.h_in), values(lv.h_out))
+            )
+            bounds = [0, *(np.flatnonzero(q[1:] != q[:-1]) + 1).tolist(), len(q)]
+            for Q, lo, hi in zip(cubes(level, q[bounds[:-1]]), bounds[:-1], bounds[1:]):
+                yield Q, rows[lo:hi]
 
     def normalization_audit(self) -> float:
         """Largest sup-norm product over all coefficient pairs."""
@@ -251,25 +263,19 @@ class HaarShift:
     def to_json(self) -> str:
         """The shift as JSON: one {cube, pairs} item per cube Q in (level,
         Z-index) order, its pairs in row order, written from `levels`."""
-        d, items = self.grid.d, []
+        d = self.grid.d
 
         def cubes(level, z):  # DyadicCube.to_dict of each cube z of `level`
             coords = zip(*(c.tolist() for c in _morton_decode(z, d, level)))
             return [{"level": level, "coords": list(c)} for c in coords]
 
-        for level, lv in self.levels.items():
-            rz, qz = lv.in_idx[:, 0] >> d, lv.out_idx[:, 0] >> d
-            q = rz >> (d * self.n)
-            pairs = [
-                {"rprime": rp, "qprime": qp, "h_vals": h, "g_vals": g}
-                for rp, qp, h, g in zip(
-                    cubes(level + self.n, rz), cubes(level + self.m, qz), lv.h_in.tolist(), lv.h_out.tolist()
-                )
-            ]
-            # Q's rows are contiguous: the rows come in Z-order of Q
-            bounds = [0, *(np.flatnonzero(q[1:] != q[:-1]) + 1).tolist(), len(q)]
-            for Q, lo, hi in zip(cubes(level, q[bounds[:-1]]), bounds[:-1], bounds[1:]):
-                items.append({"cube": Q, "pairs": pairs[lo:hi]})
+        items = [
+            {
+                "cube": Q,
+                "pairs": [{"rprime": rp, "qprime": qp, "h_vals": h, "g_vals": g} for rp, qp, h, g in pairs],
+            }
+            for Q, pairs in self._pairs_by_cube(cubes, np.ndarray.tolist)
+        ]
         return json.dumps(
             {
                 "m": self.m,

@@ -524,6 +524,7 @@ class TestCubePath:
         assert not any(bits(x) in cubes for block in applied for x in block)
         met = [cubes[bits(x)] for block in passed for x in block if bits(x) in cubes]
         assert sorted(met) == sorted(made) and 1 <= len(made) <= budget
+        assert any(len(x) == budget for x in passed)  # Boyd's block of the best starts
         spectral = norm_p2(shift_operator(S), one, one).witness.values[None]
         random = next(normlab._random_blocks(g, seed, random_starts))
         for rows in (spectral, random):
