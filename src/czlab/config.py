@@ -194,11 +194,10 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     if not isinstance(grid, dict):
         raise ConfigError("field 'grid' must be an object {d, N}")
     _require_keys(grid, {"d", "N"}, "grid")
-    try:
-        d = int(grid["d"])
-        N = int(grid["N"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("grid.d and grid.N must be integers") from exc
+    for key in ("d", "N"):
+        if type(grid.get(key)) is not int:  # type(): JSON true is an int to isinstance
+            raise ConfigError(f"grid.{key} must be an integer")
+    d, N = grid["d"], grid["N"]
     seed = obj.get("seed")
     if seed is not None:
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:

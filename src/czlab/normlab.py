@@ -776,12 +776,13 @@ def sharpness_sweep(
     sharpness-sweep ...` gives a serial run.  The rows do not depend on the
     worker count.  Peak memory is this process's plus one unit's working
     set per worker.  Every grid, weight and operator is built here before
-    any unit starts.  Raises ValueError for a budget or random_starts that
-    is not a non-negative integer, and for N_list levels below
-    min_sweep_level(operator_kinds).
+    any unit starts.  Raises ValueError for a budget, random_starts or
+    N_list level that is not a non-negative integer, and for N_list levels
+    below min_sweep_level(operator_kinds).
     """
     budget = _require_count("budget", budget)
     random_starts = _require_count("random_starts", random_starts)
+    N_list = [_require_count("N_list entry", N) for N in N_list]
     least = min_sweep_level(operator_kinds)
     low = [N for N in N_list if N < least]
     if low:
@@ -791,7 +792,7 @@ def sharpness_sweep(
         )
     levels = []
     for N in N_list:
-        grid = GridSpec(1, int(N))
+        grid = GridSpec(1, N)
         weights = default_weight_family(grid)
         problems = [(w, dual_weight(w, p)) for _, _, w in weights for p in p_list]
         levels.append((grid, weights, problems, default_operators(grid, seed, operator_kinds)))

@@ -338,9 +338,10 @@ class HaarShift:
         return cls(grid, m, n, levels, obj["cancellative"])
 
 
-# Byte cap on the largest intermediate of the fused kernel's pair pass
-# (block rows x live pairs x 2^d floats); larger blocks take it a chunk of
-# rows at a time.
+# Byte cap on what one chunk of rows holds at once: in the fused kernel's
+# pair pass, its integral terms and slot terms together (block rows x (live
+# pairs + all pairs) x 2^d floats), and in the cube scorer each array of
+# terms or regions at half of it; larger blocks go a chunk of rows at a time.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -368,6 +369,13 @@ class _KernelPlan:
     and `n` are the shift's depths and `shift_levels` the levels of Q that
     hold pairs, output level j being shift_levels[j] + m + 1.
 
+    run's pair pass and selected_adjoint both go through _rows: one
+    coefficient per pair, then a fixed scatter of each pair's 2^d terms,
+    run as the gather of a _Slots table: `_scatter_slots` onto the flat
+    outputs for run and `_gather_slots` onto the integrals of levels
+    top..N for selected_adjoint.  Both tables are built on first use and
+    kept with the plan, so no call builds an index array for them.
+
     Besides run, a plan that `cancels` has a sparse cube scorer, cube_weak:
     the weak functional of the truncated indicator of every cube of a level
     under a constant weight, from the pairs of each cube's strict ancestors
@@ -376,7 +384,7 @@ class _KernelPlan:
     sort of at most N 2^(d(m+1)) regions.  The weak search takes it at
     sigma = 1 and a constant w (normlab._cube_scores); sigma = 1 with any
     other w goes through run on boolean blocks.  `cancels` and `_by_rprime`
-    are built on first use.
+    are built on first use too.
     """
 
     grid: GridSpec
@@ -432,35 +440,49 @@ class _KernelPlan:
             np.array([ancestors(grid.N, grid.N - L) + out_start[j] for j, L in enumerate(out_levels)]),
         )
 
+    @functools.cached_property
+    def _scatter_slots(self) -> "_Slots":
+        """The forward pass's sum of pair terms onto the flat outputs."""
+        return _Slots.build(self.scatter, self.h_out, self.outputs[-1][1])
+
+    @functools.cached_property
+    def _gather_slots(self) -> "_Slots":
+        """selected_adjoint's sum of pair terms onto the integral pyramid."""
+        size = sum(1 << (self.grid.d * L) for L in range(self.top, self.grid.N + 1))
+        return _Slots.build(self.gather, self.h_in, size)
+
     @staticmethod
-    def _rows(values, take, h_take, scale, put, h_put, size):
+    def _rows(values, take, h_take, scale, slots: "_Slots", keep=None):
         """Each row of `values` read at `take`, weighed by h_take, summed over
-        children, scaled by `scale` (1/|Q|), weighed by h_put and added in
-        order onto `size` bins at `put` (a bin is one child's: its terms
-        arrive in coefficient-row order), a chunk of rows of `values` at a
-        time as _BLOCK_BYTES allows."""
-        step = max(1, _BLOCK_BYTES // (8 * take.size or 1))
+        children and scaled by `scale` (1/|Q|) into one coefficient per
+        pair, then summed onto the bins of `slots`.  `keep` lists the pairs
+        that take, h_take and scale hold when they hold a subset; the other
+        pairs get coefficient 0.  Rows go a chunk at a time, each chunk's
+        integral terms and slot terms together taking at most _BLOCK_BYTES."""
+        step = max(1, _BLOCK_BYTES // (8 * (take.size + slots.pair.size)))
         parts = []
         for k in range(0, max(len(values), 1), step):
             terms = values[k : k + step].take(take, axis=1)
             terms *= h_take
             coef = _child_sum(list(terms.transpose(1, 0, 2))) * scale
-            bins = (put + size * np.arange(len(coef))[:, None, None]).ravel()
-            weights = (coef[:, None, :] * h_put).ravel()
-            parts.append(np.bincount(bins, weights, len(coef) * size).reshape(-1, size))
+            if keep is not None:
+                coef, live = np.zeros((len(coef), slots.pairs)), coef
+                coef[:, keep] = live
+            parts.append(slots.sum(coef))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _pair_pass(self, block: np.ndarray) -> np.ndarray:
         """The flat per-cube output terms of each row of a (K, cells) block:
         its integrals through every coefficient pair, binned in pair order."""
         pyramid = np.concatenate(_level_sums(self.grid, block, self.top), axis=-1)
-        # a pair whose integrals are zero in every row adds 0 * h = +-0 (h is
-        # finite) to bins that start at +0, moving none: skip it (NaN is nonzero)
-        pairs = (self.gather, self.h_in, self.scale, self.scatter, self.h_out)
+        # a pair whose integrals are zero in every row (NaN is nonzero) has
+        # coefficient +-0, h being finite: set it to 0 without computing it;
+        # its terms add +-0 to bins that start at +0, moving none
+        pairs, keep = (self.gather, self.h_in, self.scale), None
         if not pyramid.all() and not (live := pyramid.any(axis=0)).all():
             keep = np.flatnonzero(live[self.gather].any(axis=0))
             pairs = (a[..., keep] for a in pairs)
-        return self._rows(pyramid, *pairs, self.outputs[-1][1])
+        return self._rows(pyramid, *pairs, self._scatter_slots, keep)
 
     def _output_pass(self, contrib: np.ndarray, truncate: bool, select: bool = False):
         """run's result from the pair pass's per-cube terms `contrib`."""
@@ -613,15 +635,62 @@ class _KernelPlan:
             weights=(sign * block * self.grid.cell_volume).ravel(),
             minlength=K * size,
         ).reshape(K, size)
+        # bins summed from +0 hold no -0, so the child sums need no + 0.0
         for (start, stop, _), (lo, hi, _) in zip(self.outputs[-2::-1], self.outputs[:0:-1]):
-            masked[:, start:stop] += masked[:, lo:hi].reshape(K, stop - start, -1).sum(axis=-1)
+            fold = (hi - lo) // (stop - start)
+            masked[:, start:stop] += _child_sum([masked[:, lo + i : hi : fold] for i in range(fold)], False)
         sizes = [1 << (d * L) for L in range(self.top, N + 1)]
         # not pruned: these sums are mostly nonzero, so slicing costs more than it skips
-        values = self._rows(masked, self.scatter, self.h_out, self.scale, self.gather, self.h_in, sum(sizes))
+        values = self._rows(masked, self.scatter, self.h_out, self.scale, self._gather_slots)
         out = values[:, : sizes[0]]
         for start, n in zip(np.cumsum(sizes[:-1]).tolist(), sizes[1:]):
             out = np.repeat(out, 1 << d, axis=1) + values[:, start : start + n]
         return out
+
+
+class _Slots(NamedTuple):
+    """A fixed scatter of pair terms onto bins, run as a gather.
+
+    Term (i, r) of a (2^d, pairs) array of terms lands on bin put[i, r];
+    all terms of a bin share one child i, so they come in pair order, and
+    the bin sums them in that order from +0, as np.bincount would.  The
+    bins are ranked by term count, most first, and slot j adds each ranked
+    bin's j-th term: `pair` and `h` list, slot after slot, the pair and
+    the weight h_put[i, r] of each term, and widths[j] the bins that slot
+    j reaches, a prefix of the ranking.  `unsort` maps each bin to its
+    rank (None when the ranking is bin order), `size` counts the bins and
+    `pairs` the pairs."""
+
+    pair: np.ndarray
+    h: np.ndarray
+    widths: tuple
+    unsort: np.ndarray | None
+    size: int
+    pairs: int
+
+    @classmethod
+    def build(cls, put: np.ndarray, h_put: np.ndarray, size: int) -> "_Slots":
+        pairs = put.shape[1]
+        flat = put.ravel()
+        by_bin = np.argsort(flat, kind="stable")  # each bin's terms in pair order
+        count = np.bincount(flat, minlength=size)
+        first = np.cumsum(count) - count
+        ranked = np.argsort(-count, kind="stable")
+        widths = [int((count > j).sum()) for j in range(count.max())]
+        term = np.concatenate([by_bin[first[ranked[:c]] + j] for j, c in enumerate(widths)])
+        unsort = None if (ranked == np.arange(size)).all() else np.argsort(ranked)
+        return cls((term % pairs).astype(np.int32), h_put.ravel()[term], tuple(widths), unsort, size, pairs)
+
+    def sum(self, coef: np.ndarray) -> np.ndarray:
+        """The bins of each row of coefficients, a (K, pairs) array: each
+        bin the sum of coef[r] h over its terms, in slot order from +0."""
+        terms = coef.take(self.pair, axis=1)
+        terms *= self.h
+        out, at = np.zeros((len(coef), self.size)), 0
+        for width in self.widths:
+            out[:, :width] += terms[:, at : at + width]
+            at += width
+        return out if self.unsort is None else out.take(self.unsort, axis=1)
 
 
 # -- constructors ---------------------------------------------------------
@@ -833,6 +902,12 @@ class GridEnsemble:
             self, "coefficients", tuple(c / total for c in self.coefficients)
         )
 
+    @functools.cached_property
+    def _petermichl(self) -> HaarShift:
+        """The frame's Petermichl shift, built on first use: hilbert_average
+        reads it for every pair of functions averaged over this ensemble."""
+        return build_petermichl(self.grid)
+
     @classmethod
     def random_translations(cls, grid: GridSpec, count: int, seed: int) -> "GridEnsemble":
         """Uniform random translations, quantized to finest cells."""
@@ -931,7 +1006,7 @@ def hilbert_average(
     if gap < 1:
         raise ValueError("overlapping supports: the averaged pairing needs separation")
     vol = frame.cell_volume
-    pairings = _offset_pairings(build_petermichl(frame), f.values, g.values)
+    pairings = _offset_pairings(ensemble._petermichl, f.values, g.values)
     # weights summed in ensemble order, offsets visited in increasing order
     weights = np.bincount(ensemble.offsets, weights=ensemble.coefficients, minlength=frame.cells)
     present = np.unique(ensemble.offsets)

@@ -546,6 +546,16 @@ def loop_selection(S, values: np.ndarray):
     return best, level, sign
 
 
+def bincount_bins(put: np.ndarray, h_put: np.ndarray, size: int, coef: np.ndarray) -> np.ndarray:
+    """The kernel's sum of pair terms onto `size` bins by np.bincount: for
+    each row of a (K, pairs) array of coefficients, term (i, r) = coef[r]
+    h_put[i, r] added onto bin put[i, r], in (child, pair) order from +0."""
+    K = len(coef)
+    bins = (put + size * np.arange(K)[:, None, None]).ravel()
+    weights = (coef[:, None, :] * h_put).ravel()
+    return np.bincount(bins, weights, K * size).reshape(K, size)
+
+
 def loop_selected_adjoint(S, level, sign, u: np.ndarray) -> np.ndarray:
     """Transpose of the map L g = sign * (partial sum of g through S.levels
     entry `level`) at one vector u, level by level: each output level's

@@ -160,8 +160,9 @@ class TestBlockKernel:
     def test_chunked_block_matches_rows(self, monkeypatch):
         S = build_random_shift(2, 1, 4, GridSpec(1, 7))
         X = np.random.default_rng(0).standard_normal((5, S.grid.cells))
-        # two rows per chunk: five rows take three chunks
-        monkeypatch.setattr(shifts, "_BLOCK_BYTES", 16 * S._plan.gather.size)
+        # two rows per chunk (integral and slot terms, 2 x 8 x gather.size
+        # bytes a row): five rows take three chunks
+        monkeypatch.setattr(shifts, "_BLOCK_BYTES", 32 * S._plan.gather.size)
         for method, loop in ((S.apply, loop_apply), (S.truncation, loop_truncation)):
             out = method(X)
             for i, x in enumerate(X):
@@ -170,8 +171,9 @@ class TestBlockKernel:
     def test_chunked_sparse_block_matches_rows(self, monkeypatch):
         S = build_random_shift(2, 1, 4, GridSpec(1, 7))
         X = np.vstack([cube_indicators(S.grid, 5)[:6], cube_indicators(S.grid, 2)[1:3]])
-        # the cap sizes chunks from the live pairs only: one row, then a few
-        for cap in (1, 8 * S._plan.gather.size):
+        # the cap sizes chunks from the live pairs' integral terms and all
+        # pairs' slot terms: one row, then a few
+        for cap in (1, 32 * S._plan.gather.size):
             monkeypatch.setattr(shifts, "_BLOCK_BYTES", cap)
             assert_rows_match_loops(S, X)
 
@@ -356,6 +358,23 @@ def repeated_pair_shift() -> HaarShift:
     return S
 
 
+def crowded_json_shift() -> HaarShift:
+    """A random (0, 2) shift read back from JSON with one pair per cube Q,
+    except the last cube of level 2, which keeps its four pairs and lists
+    them five more times, output values scaled by -1, 0.5, -0.25, 1e-20
+    and 0.75: each of its output cubes carries 24 terms (sums that depend
+    on their order), every other output cube one, so the slot tables rank
+    the bins out of bin order."""
+    obj = json.loads(build_random_shift(0, 2, 13, GridSpec(1, 6)).to_json())
+    for item in obj["entries"]:
+        pairs = item["pairs"]
+        if item["cube"] == {"level": 2, "coords": [3]}:
+            pairs += [{**rec, "g_vals": [s * v for v in rec["g_vals"]]} for s in (-1.0, 0.5, -0.25, 1e-20, 0.75) for rec in pairs[:4]]
+        else:
+            del pairs[1:]
+    return HaarShift.from_json(json.dumps(obj))
+
+
 # Shifts the sparse cube scorer takes, beyond TestPrunedKernel.CASES.
 SCORED_SHIFTS = {
     "random (1, 1)": lambda: build_random_shift(1, 1, 55, GridSpec(1, 6)),
@@ -529,6 +548,130 @@ class TestCubePath:
         random = next(normlab._random_blocks(g, seed, random_starts))
         for rows in (spectral, random):
             assert any(x.shape == rows.shape and bits(x) == bits(rows) for x in applied)
+
+
+# Shifts whose bins take unequal term counts, or none: their slot tables
+# rank the bins by count.
+RAGGED_SHIFTS = {
+    "json gap": gapped_json_shift,
+    "json skip": skipping_json_shift,
+    "json level gap": level_gap_json_shift,
+    "json crowded": crowded_json_shift,
+}
+
+
+class TestSlotTables:
+    """The slot tables (_Slots) that sum the kernel's pair terms onto their
+    bins, in run's pair pass and in selected_adjoint, against np.bincount
+    and the loop kernels, bit for bit."""
+
+    @pytest.mark.parametrize("name", [*RAGGED_SHIFTS, "petermichl", "random (2, 2)"])
+    def test_slot_sums_are_bincount_sums(self, name):
+        g = GridSpec(1, 6)
+        builders = {**RAGGED_SHIFTS, "petermichl": lambda: build_petermichl(g)}
+        S = builders.get(name, lambda: build_random_shift(2, 2, 75, g))()
+        plan, rng = S._plan, np.random.default_rng(72)
+        for put, h, slots in (
+            (plan.scatter, plan.h_out, plan._scatter_slots),
+            (plan.gather, plan.h_in, plan._gather_slots),
+        ):
+            shape = (7, put.shape[1])
+            coef = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+            coef[0], coef[1], coef[2, ::2] = 0.0, -0.0, -0.0  # zero bins, and +-0 terms
+            coef[3, 0], coef[4, 1], coef[4, 2], coef[5, -1] = np.inf, -np.inf, np.nan, np.nan
+            coef[6, ::3] = np.inf
+            with np.errstate(invalid="ignore"):  # inf - inf
+                assert bits(slots.sum(coef)) == bits(oracles.bincount_bins(put, h, slots.size, coef))
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("name", list(RAGGED_SHIFTS))
+    def test_ragged_shifts_match_loop_kernel(self, name, adjoint):
+        S = RAGGED_SHIFTS[name]()
+        S = S.adjoint() if adjoint else S
+        g = S.grid
+        X = np.random.default_rng(70).standard_normal((5, g.cells))
+        X[0, ::3] = -0.0
+        X[1, 1::4] = 0.0
+        X[2] = -0.0
+        assert_rows_match_loops(S, X)
+        for level in range(g.N + 1):  # pruned pairs: an indicator reads few of them
+            assert_rows_match_loops(S, cube_indicators(g, level))
+
+    @pytest.mark.parametrize("name", list(RAGGED_SHIFTS))
+    def test_chunked_ragged_blocks_match_loop_kernel(self, name, monkeypatch):
+        S = RAGGED_SHIFTS[name]()
+        g = S.grid
+        X = np.vstack([np.random.default_rng(71).standard_normal((4, g.cells)), cube_indicators(g, 2)])
+        X[1, ::2] = -0.0
+        # one row per chunk, then three rows of the dense block per chunk
+        for cap in (1, 16 * 3 * S._plan.gather.size):
+            monkeypatch.setattr(shifts, "_BLOCK_BYTES", cap)
+            assert_rows_match_loops(S, X)
+            assert_rows_match_loops(S, cube_indicators(g, 4))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["json crowded", "json gap"])
+    def test_non_finite_row_leaves_the_other_rows(self, name):
+        S = RAGGED_SHIFTS[name]()
+        g = S.grid
+        X = np.random.default_rng(76).standard_normal((5, g.cells))
+        X[1, 5], X[3, 9] = np.inf, np.nan
+        U = X[::-1] * 3.0
+        U[3, 2] = -np.inf
+        finite = [0, 2, 4]
+        out, adjoint = S._selected(X)
+        Z = adjoint(U, slice(None))
+        out_f, adjoint_f = S._selected(X[finite])
+        assert bits(out[finite]) == bits(out_f)
+        assert bits(Z[finite]) == bits(adjoint_f(U[finite], slice(None)))
+        for method in (S.apply, S.truncation, S.adjoint().apply):
+            assert bits(method(X)[finite]) == bits(method(X[finite]))
+        for i in (1, 3):  # the non-finite rows: the same bins as the loop kernel's bincount
+            assert bits(S.apply(X)[i]) == bits(loop_apply(S, X[i]))
+            assert bits(S.adjoint().apply(X)[i]) == bits(loop_apply(S.adjoint(), X[i]))
+
+    @pytest.mark.parametrize("kind", ["petermichl", "random2a"])
+    def test_sweep_boyd_blocks_match_loop_kernel(self, kind):
+        # the sweep's Boyd block at N = 8: 54 rows, several chunks for random2a
+        g = GridSpec(1, 8)
+        (_, S), = normlab.default_operators(g, 20250810, (kind,))
+        X = np.random.default_rng(77).standard_normal((54, g.cells))
+        X[5, ::7] = -0.0
+        assert_rows_match_loops(S, X)
+
+    def test_tables_are_built_once_per_plan(self, monkeypatch):
+        S = build_random_shift(2, 1, 74, GridSpec(1, 6))
+        built, counted, tables = [], [], set()
+        build, slot_sum, bincount = shifts._Slots.build, shifts._Slots.sum, np.bincount
+
+        def spy_build(cls, put, h_put, size):
+            built.append(size)
+            return build(put, h_put, size)
+
+        def spy_sum(slots, coef):
+            tables.add((id(slots), id(slots.pair), id(slots.h)))
+            return slot_sum(slots, coef)
+
+        monkeypatch.setattr(shifts._Slots, "build", classmethod(spy_build))
+        monkeypatch.setattr(shifts._Slots, "sum", spy_sum)
+        rng = np.random.default_rng(74)
+        for K in (1, 5, 54, 2):
+            X = rng.standard_normal((K, S.grid.cells))
+            if built:  # the first block builds the tables
+                monkeypatch.setattr(np, "bincount", lambda *a, **k: counted.append(K) or bincount(*a, **k))
+            S.apply(X)
+            S.truncation(X)
+            S.apply(cube_indicators(S.grid, 3)[:K])  # pruned pairs
+            out, adjoint = S._selected(X)
+            adjoint(X[::-1], slice(None))
+            adjoint(X[:1], np.arange(1))
+            monkeypatch.setattr(np, "bincount", bincount)
+        plan = S._plan
+        assert built == [plan.outputs[-1][1], plan._gather_slots.size]
+        assert len(tables) == 2
+        # after that only selected_adjoint's binning of u by the selected
+        # levels calls np.bincount, once per call
+        assert counted == [5, 5, 54, 54, 2, 2]
 
 
 class TestPositiveBlocks:

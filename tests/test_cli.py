@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from czlab import normlab
+from czlab import normlab, shifts
 from czlab.cli import _VERB_RUNNERS, _build_operator, _build_tau, _dump_compact, _sample_blocks, main, run
 from czlab.config import VERBS, ConfigError, parse_config
 from czlab.dyadics import GridSpec, StepFunction
@@ -76,6 +76,21 @@ class TestConfigParsing:
         obj = self.base()
         obj["params"]["weight"] = {"kind": "cascade", "volatility": 0.5}
         with pytest.raises(ConfigError, match="seed"):
+            parse_config(obj)
+
+    @pytest.mark.parametrize("key", ["d", "N"])
+    @pytest.mark.parametrize("value", [4.5, 3.0, True, "3", None])
+    def test_non_integer_grid_size_named(self, key, value):
+        # int() once ran "N": 4.5 at N = 4, true at 1 and "5" at 5
+        obj = self.base()
+        obj["grid"][key] = value
+        with pytest.raises(ConfigError, match=f"grid.{key} must be an integer"):
+            parse_config(obj)
+
+    def test_missing_grid_size_named(self):
+        obj = self.base()
+        del obj["grid"]["N"]
+        with pytest.raises(ConfigError, match="grid.N must be an integer"):
             parse_config(obj)
 
     def test_bad_weight_kind(self):
@@ -422,6 +437,21 @@ class TestDeterminism:
             '{"cube":{"level":4,"coords":[15,10]},"omega_parent":1.4643679584407763},'
             '{"cube":{"level":4,"coords":[11,12]},"omega_parent":1.5850898350999052}],[{"cube":{"level":4,"coords":[11,11]},"omega_parent":4.491713277652949}]]}\n',
         ),
+        "hilbert_approx_n6": (
+            {
+                "verb": "hilbert-approx",
+                "grid": {"d": 1, "N": 6},
+                "seed": 3,
+                "params": {"count": 64, "pairs": [[0.0625, 0.1875, 0.3125, 0.4375], [0.5, 0.75, 0.0, 0.375]]},
+                "output": {"format": "csv"},
+            },
+            "hilbert_approx.csv",
+            "pair,f_lo,f_hi,g_lo,g_hi,avg_pairing,oracle_pairing,pair_constant,residual,exact_pairing,exact_constant\n"
+            "0,0.0625,0.1875,0.3125,0.4375,-0.011810302734375,0.065351962900211336,-0.18071840860248756,"
+            "1.5147796601659902,-0.01171875,-0.17931749070634426\n"
+            "1,0.5,0.75,0,0.375,0.01519775390625,-0.23859810977940693,-0.063696036487048885,"
+            "0.11364039651787616,0.0142822265625,-0.059858925855298957\n",
+        ),
         "lerner_d2_n5_residual": (
             {"verb": "lerner-decompose", "grid": {"d": 2, "N": 5}, "seed": 7, "params": {"function": {"kind": "random", "spikes": 32}}},
             "lerner_residual.csv",
@@ -438,6 +468,14 @@ class TestDeterminism:
             assert "sha256:" + hashlib.sha256(got).hexdigest() == text
         else:
             assert got == text.encode()
+
+    def test_hilbert_approx_builds_the_shift_once(self, tmp_path, monkeypatch):
+        built = []
+        build = shifts.build_petermichl
+        monkeypatch.setattr(shifts, "build_petermichl", lambda grid: built.append(grid) or build(grid))
+        obj = self.PINNED["hilbert_approx_n6"][0]
+        run(parse_config(obj), str(tmp_path))
+        assert built == [GridSpec(1, 6)] and len(obj["params"]["pairs"]) == 2
 
     @pytest.mark.parametrize("case", ["invariant_suite_d1_n10", "invariant_suite_d2_n5", "stopping_audit_n12"])
     def test_block_pins_cross_block_boundaries(self, case):

@@ -480,6 +480,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="N_list"):
             sharpness_sweep(kinds, (2.0,), N_list, seed=1, budget=1, random_starts=1)
 
+    @pytest.mark.parametrize("level", [4.5, 5.0, "5", None, -5])
+    def test_non_integer_levels_rejected(self, level):
+        # 4.5 ran at N = 4 and labelled its rows so
+        with pytest.raises(ValueError, match="N_list entry must be a non-negative integer"):
+            sharpness_sweep(("petermichl",), (2.0,), (level,), seed=1, budget=1, random_starts=1)
+
 
 # Four (operator, N) units, small enough for a quick sweep.
 SMALL_SWEEP = dict(
