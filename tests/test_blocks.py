@@ -565,12 +565,10 @@ class TestSlotTables:
     bins, in run's pair pass and in selected_adjoint, against np.bincount
     and the loop kernels, bit for bit."""
 
-    @pytest.mark.parametrize("name", [*RAGGED_SHIFTS, "petermichl", "random (2, 2)"])
+    @pytest.mark.parametrize("name", [*RAGGED_SHIFTS, "repeated pair", "random (2, 2)"])
     def test_slot_sums_are_bincount_sums(self, name):
-        g = GridSpec(1, 6)
-        builders = {**RAGGED_SHIFTS, "petermichl": lambda: build_petermichl(g)}
-        S = builders.get(name, lambda: build_random_shift(2, 2, 75, g))()
-        plan, rng = S._plan, np.random.default_rng(72)
+        plan = {**SCORED_SHIFTS, **RAGGED_SHIFTS}[name]()._plan
+        rng = np.random.default_rng(72)
         for put, h, slots in (
             (plan.scatter, plan.h_out, plan._scatter_slots),
             (plan.gather, plan.h_in, plan._gather_slots),
