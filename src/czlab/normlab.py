@@ -92,8 +92,7 @@ class SublinearOperator:
 
 
 def shift_operator(S: HaarShift) -> LinearOperator:
-    adj = S.adjoint()
-    return LinearOperator(S.grid, lambda v: S.apply(v), lambda v: adj.apply(v))
+    return LinearOperator(S.grid, S.apply, S.adjoint().apply)
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,9 @@ def _require_problem(grid, w, sigma):
 
 def _require_count(name, value) -> int:
     """Returns value as an int; raises ValueError naming it unless it is a
-    non-negative integer (numpy integers pass)."""
+    non-negative integer (numpy integers pass, bools do not)."""
     try:
-        count = operator.index(value)
+        count = -1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         count = -1
     if count < 0:

@@ -243,15 +243,26 @@ class HaarShift:
         """The truncation of each row f of a (K, cells) block and adjoint(u,
         rows), the transpose of the maps L selected at those rows: L g is g's
         partial sum through f's maximising cutoff, with that sum's sign, so
-        |L g| <= truncation(g) and L f = truncation(f)."""
+        |L g| <= truncation(g) and L f = truncation(f).  L^t u is the
+        adjoint's apply of u's selected integrals, unpruned: these are mostly
+        nonzero, so slicing them costs more than it skips."""
         plan = self._plan
         if plan is None:
             return np.zeros(block.shape), lambda u, rows: np.zeros(u.shape)
         out, level, sign = plan.run(block, True, select=True)
-        return out, lambda u, rows: plan.selected_adjoint(level[rows], sign[rows], u)
+        back = self._transpose._plan
+        return out, lambda u, rows: back._output_pass(
+            back._pair_pass(plan.selected_integrals(level[rows], sign[rows], u)), False
+        )
 
     def adjoint(self) -> "HaarShift":
-        """Transpose with respect to the unweighted L^2 pairing."""
+        """Transpose with respect to the unweighted L^2 pairing, built once."""
+        return self._transpose
+
+    @functools.cached_property
+    def _transpose(self) -> "HaarShift":
+        # no reference back to self: a cycle would keep both shifts and their
+        # plans alive until the cyclic garbage collector ran
         levels = {
             level: ShiftLevel(lv.out_idx, lv.in_idx, lv.h_out, lv.h_in)
             for level, lv in self.levels.items()
@@ -345,12 +356,10 @@ class HaarShift:
 _BLOCK_BYTES = 1 << 18
 
 
-def _heap_start(d: int, level):
-    """Position of the first cube of `level` (an int or an int array) in the
-    heap order of all cubes (levels 0, 1, ... in turn, Z-order within each):
-    cube z of `level` sits at _heap_start(d, level) + z, and the parent of
-    position h at (h - 1) >> d."""
-    return ((1 << (d * level)) - 1) // ((1 << d) - 1)
+def _flat_starts(d: int, levels) -> list:
+    """Where each of the ascending `levels` starts in a flat layout of their
+    cubes, coarsest first and Z-ordered, then the layout's size."""
+    return np.cumsum([0] + [1 << (d * L) for L in levels]).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,23 +367,22 @@ class _KernelPlan:
     """All levels' coefficient rows of a shift, concatenated in level order.
 
     The row arrays are child-major: entry [i, r] belongs to child i of row r.
-    `gather` indexes the integrals over the cubes of levels `top`..N and
-    `scatter` the flat per-cube outputs of the output levels, both laid out
-    coarsest level first; `scale` is each row's 1/|Q|.  Each
-    output level has a (start, stop, parent) entry in `outputs`: its slice
-    of the flat outputs, and for every cube the index of its ancestor at the
-    previous output level (None at the first).  `to_cells` maps the finest
-    output level onto the cells (None when it is the cell level), and
-    `cell_index[j]` each cell to its cube's slot in output level j.  `m`
-    and `n` are the shift's depths and `shift_levels` the levels of Q that
-    hold pairs, output level j being shift_levels[j] + m + 1.
+    `gather` indexes the flat inputs, the integrals over the cubes of the
+    input levels, and `scatter` the flat outputs, the per-cube outputs of
+    the output levels, both laid out by _flat_starts; `scale` is each row's
+    1/|Q|.  The adjoint's plan swaps the sides: its flat inputs are these
+    flat outputs, slot for slot.  Each output level has a (start, stop,
+    parent) entry in `outputs`: its slice of the flat outputs, and for every
+    cube the index of its ancestor at the previous output level (None at
+    the first).  `to_cells` maps the finest output level onto the cells
+    (None when it is the cell level), and `cell_index[j]` each cell to its
+    cube's slot in output level j.  `m` and `n` are the shift's depths and
+    `shift_levels` the levels of Q that hold pairs, input and output level
+    j being shift_levels[j] + n + 1 and shift_levels[j] + m + 1.
 
-    run's pair pass and selected_adjoint both go through _rows: one
-    coefficient per pair, then a fixed scatter of each pair's 2^d terms,
-    run as the gather of a _Slots table: `_scatter_slots` onto the flat
-    outputs for run and `_gather_slots` onto the integrals of levels
-    top..N for selected_adjoint.  Both tables are built on first use and
-    kept with the plan, so no call builds an index array for them.
+    run's pair pass takes one coefficient per pair from the flat inputs,
+    then sums each pair's 2^d terms onto the flat outputs by the gather of
+    one _Slots table, built on first use and kept with the plan.
 
     Besides run, a plan that `cancels` has a sparse cube scorer, cube_weak:
     the weak functional of the truncated indicator of every cube of a level
@@ -391,7 +399,6 @@ class _KernelPlan:
     m: int
     n: int
     shift_levels: np.ndarray
-    top: int
     gather: np.ndarray
     h_in: np.ndarray
     scale: np.ndarray
@@ -405,12 +412,9 @@ class _KernelPlan:
     def build(cls, S: HaarShift) -> "_KernelPlan":
         grid, d = S.grid, S.grid.d
         levels = list(S.levels.items())
-        top = levels[0][0] + S.n + 1
         out_levels = [level + S.m + 1 for level, _ in levels]
-        out_start = np.cumsum([0] + [1 << (d * L) for L in out_levels]).tolist()
-
-        def pyramid_start(level):  # levels top..level-1 come first
-            return ((1 << (d * level)) - (1 << (d * top))) // ((1 << d) - 1)
+        in_start = _flat_starts(d, [level + S.n + 1 for level, _ in levels])
+        out_start = _flat_starts(d, out_levels)
 
         def child_major(arrays):
             return np.ascontiguousarray(np.concatenate(arrays).T)
@@ -427,8 +431,7 @@ class _KernelPlan:
             S.m,
             S.n,
             np.array([level for level, _ in levels]),
-            top,
-            child_major([lv.in_idx + pyramid_start(level + S.n + 1) for level, lv in levels]),
+            child_major([lv.in_idx + in_start[j] for j, (_, lv) in enumerate(levels)]),
             child_major([lv.h_in for _, lv in levels]),
             np.concatenate(
                 [np.full(len(lv.h_in), float(1 << (d * level))) for level, lv in levels]
@@ -442,27 +445,29 @@ class _KernelPlan:
 
     @functools.cached_property
     def _scatter_slots(self) -> "_Slots":
-        """The forward pass's sum of pair terms onto the flat outputs."""
+        """The pair pass's sum of pair terms onto the flat outputs."""
         return _Slots.build(self.scatter, self.h_out, self.outputs[-1][1])
 
-    @functools.cached_property
-    def _gather_slots(self) -> "_Slots":
-        """selected_adjoint's sum of pair terms onto the integral pyramid."""
-        size = sum(1 << (self.grid.d * L) for L in range(self.top, self.grid.N + 1))
-        return _Slots.build(self.gather, self.h_in, size)
+    def _integrals(self, block: np.ndarray) -> np.ndarray:
+        """The flat inputs of each row of a (K, cells) block."""
+        first = self.shift_levels[0]
+        sums = _level_sums(self.grid, block, first + self.n + 1)
+        return np.concatenate([sums[k] for k in (self.shift_levels - first).tolist()], axis=-1)
 
-    @staticmethod
-    def _rows(values, take, h_take, scale, slots: "_Slots", keep=None):
-        """Each row of `values` read at `take`, weighed by h_take, summed over
-        children and scaled by `scale` (1/|Q|) into one coefficient per
-        pair, then summed onto the bins of `slots`.  `keep` lists the pairs
-        that take, h_take and scale hold when they hold a subset; the other
-        pairs get coefficient 0.  Rows go a chunk at a time, each chunk's
-        integral terms and slot terms together taking at most _BLOCK_BYTES."""
+    def _pair_pass(self, inputs: np.ndarray, keep=None) -> np.ndarray:
+        """The flat outputs of each row of a (K, flat inputs) array: the row
+        read at `gather`, weighed by h_in, summed over children and scaled
+        by `scale` (1/|Q|) into one coefficient per pair (0 for pairs not
+        in `keep`, when given), then summed onto the flat outputs.  Rows go
+        a chunk at a time, each chunk's integral terms and slot terms
+        together taking at most _BLOCK_BYTES."""
+        take, h_take, scale, slots = self.gather, self.h_in, self.scale, self._scatter_slots
+        if keep is not None:
+            take, h_take, scale = take[:, keep], h_take[:, keep], scale[keep]
         step = max(1, _BLOCK_BYTES // (8 * (take.size + slots.pair.size)))
         parts = []
-        for k in range(0, max(len(values), 1), step):
-            terms = values[k : k + step].take(take, axis=1)
+        for k in range(0, max(len(inputs), 1), step):
+            terms = inputs[k : k + step].take(take, axis=1)
             terms *= h_take
             coef = _child_sum(list(terms.transpose(1, 0, 2))) * scale
             if keep is not None:
@@ -471,21 +476,8 @@ class _KernelPlan:
             parts.append(slots.sum(coef))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def _pair_pass(self, block: np.ndarray) -> np.ndarray:
-        """The flat per-cube output terms of each row of a (K, cells) block:
-        its integrals through every coefficient pair, binned in pair order."""
-        pyramid = np.concatenate(_level_sums(self.grid, block, self.top), axis=-1)
-        # a pair whose integrals are zero in every row (NaN is nonzero) has
-        # coefficient +-0, h being finite: set it to 0 without computing it;
-        # its terms add +-0 to bins that start at +0, moving none
-        pairs, keep = (self.gather, self.h_in, self.scale), None
-        if not pyramid.all() and not (live := pyramid.any(axis=0)).all():
-            keep = np.flatnonzero(live[self.gather].any(axis=0))
-            pairs = (a[..., keep] for a in pairs)
-        return self._rows(pyramid, *pairs, self._scatter_slots, keep)
-
     def _output_pass(self, contrib: np.ndarray, truncate: bool, select: bool = False):
-        """run's result from the pair pass's per-cube terms `contrib`."""
+        """run's result from the pair pass's flat outputs `contrib`."""
         # coarse to fine: carry the running partial sum (and the running max
         # of its modulus) down to each output level and add that level's terms
         acc = best = level = pick = None  # pick: the partial sum attaining best
@@ -517,14 +509,20 @@ class _KernelPlan:
         `select` (with truncate) adds, per cell, the index into `outputs` of
         the first level attaining the max, and the sign of its partial sum.
         """
-        return self._output_pass(self._pair_pass(block), truncate, select)
+        inputs = self._integrals(block)
+        # a pair whose integrals are zero in every row (NaN is nonzero) has
+        # coefficient +-0, h being finite: set it to 0 without computing it;
+        # its terms add +-0 to bins that start at +0, moving none
+        keep = None
+        if not inputs.all() and not (live := inputs.any(axis=0)).all():
+            keep = np.flatnonzero(live[self.gather].any(axis=0))
+        return self._output_pass(self._pair_pass(inputs, keep), truncate, select)
 
     @functools.cached_property
     def cancels(self) -> bool:
         """Whether every pair's coefficient is exactly 0 on a row equal to 1
         on its R': the pair pass's child sums on the constant row."""
-        ones = np.concatenate(_level_sums(self.grid, np.ones((1, self.grid.cells)), self.top), axis=-1)
-        terms = ones.take(self.gather, axis=1) * self.h_in
+        terms = self._integrals(np.ones((1, self.grid.cells))).take(self.gather, axis=1) * self.h_in
         return not _child_sum(list(terms.transpose(1, 0, 2))).any()
 
     @functools.cached_property
@@ -532,12 +530,10 @@ class _KernelPlan:
         """The pairs grouped by their R', in pair order within a group:
         (order, first, count), where `order` lists the pairs group by group
         and `first` and `count` give each group's start in `order` and its
-        size, indexed by the heap position of R' (_heap_start)."""
-        d = self.grid.d
-        # gather[0] holds child 0 of each R', counted from level top's first cube
-        rprime = (self.gather[0] + _heap_start(d, self.top) - 1) >> d
-        count = np.bincount(rprime, minlength=_heap_start(d, self.grid.N))
-        return np.argsort(rprime, kind="stable"), np.cumsum(count) - count, count
+        size, indexed by the flat input slot of R''s child 0 (gather[0])."""
+        size = _flat_starts(self.grid.d, self.shift_levels + self.n + 1)[-1]
+        count = np.bincount(self.gather[0], minlength=size)
+        return np.argsort(self.gather[0], kind="stable"), np.cumsum(count) - count, count
 
     def cube_weak(self, level: int, root: np.ndarray) -> np.ndarray:
         """For the indicator 1_Q of every cube Q of `level`, in Z-order, the
@@ -585,7 +581,7 @@ class _KernelPlan:
         order, first, count = self._by_rprime
         corner = zs[:, None] >> (d * (level - shift))  # C_j
         holder = zs[:, None] >> (d * (level - shift - n - 1))  # the child of R' that holds Q
-        key = _heap_start(d, shift + n) + (holder >> d)
+        key = np.array(_flat_starts(d, shift + n + 1)[:-1]) + ((holder >> d) << d)  # R''s child 0
         k = count[key].ravel()
         pair = order[np.repeat(first[key].ravel() + k - np.cumsum(k), k) + np.arange(k.sum())]
         coef = 2.0 ** (-d * level) * self.h_in[np.repeat(holder.ravel() & ((1 << d) - 1), k), pair]
@@ -622,13 +618,13 @@ class _KernelPlan:
         counted = np.cumsum(mass.take(by_size), axis=1)
         return (mags.take(by_size) * root.take(counted)).max(axis=1, initial=0.0)
 
-    def selected_adjoint(self, level, sign, block: np.ndarray) -> np.ndarray:
-        """L^t u for each row u of a (K, cells) block, where L g = sign times
-        g's partial sum through output level `level`, cell by cell (run's
-        selection).  The signed integrals of u, binned at the selected
-        levels and suffix-summed from fine to coarse, go back through the
-        rows onto the input cubes, which are carried down to the cells."""
-        d, N, K = self.grid.d, self.grid.N, block.shape[0]
+    def selected_integrals(self, level, sign, block: np.ndarray) -> np.ndarray:
+        """Per row u of a (K, cells) block, the integral of sign * u over
+        the cells of each output cube that selected its level or a finer one
+        (run's selection, cell by cell): the adjoint plan's flat inputs, from
+        which it gives L^t u, L g being sign times g's partial sum through
+        output level `level`."""
+        K = block.shape[0]
         size = self.outputs[-1][1]
         masked = np.bincount(
             (self.cell_index[level, np.arange(block.shape[1])] + size * np.arange(K)[:, None]).ravel(),
@@ -639,13 +635,7 @@ class _KernelPlan:
         for (start, stop, _), (lo, hi, _) in zip(self.outputs[-2::-1], self.outputs[:0:-1]):
             fold = (hi - lo) // (stop - start)
             masked[:, start:stop] += _child_sum([masked[:, lo + i : hi : fold] for i in range(fold)], False)
-        sizes = [1 << (d * L) for L in range(self.top, N + 1)]
-        # not pruned: these sums are mostly nonzero, so slicing costs more than it skips
-        values = self._rows(masked, self.scatter, self.h_out, self.scale, self._gather_slots)
-        out = values[:, : sizes[0]]
-        for start, n in zip(np.cumsum(sizes[:-1]).tolist(), sizes[1:]):
-            out = np.repeat(out, 1 << d, axis=1) + values[:, start : start + n]
-        return out
+        return masked
 
 
 class _Slots(NamedTuple):
@@ -659,7 +649,7 @@ class _Slots(NamedTuple):
     the weight h_put[i, r] of each term, and widths[j] the bins that slot
     j reaches, a prefix of the ranking.  `unsort` maps each bin to its
     rank (None when the ranking is bin order), `size` counts the bins and
-    `pairs` the pairs."""
+    `pairs` the pairs.  Each _KernelPlan holds one, for its pair pass."""
 
     pair: np.ndarray
     h: np.ndarray

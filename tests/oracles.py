@@ -583,6 +583,18 @@ def loop_selected_adjoint(S, level, sign, u: np.ndarray) -> np.ndarray:
     return acc
 
 
+def dense_level_maximal(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """max over levels j = 0..N of |E_j v| at each cell, E_j v the average
+    of v over the level-j cube holding the cell, as a dense matrix."""
+    cells = np.arange(grid.cells)
+    best = np.zeros(grid.cells)
+    for j in range(grid.N + 1):
+        cube = cells >> (grid.d * (grid.N - j))
+        E = (cube[:, None] == cube[None, :]) / float(grid.cells >> (grid.d * j))
+        best = np.maximum(best, np.abs(E @ values))
+    return best
+
+
 def dense_selected_map(S, level, sign) -> np.ndarray:
     """Row x of the dense map L: sign[x] times row x of the partial-sum
     matrix through S.levels entry level[x], summed from the dense per-level

@@ -7,6 +7,7 @@ spectral solve is checked against a dense SVD instead.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -516,9 +517,10 @@ class TestCubePath:
         pair_pass, cube_weak = shifts._KernelPlan._pair_pass, shifts._KernelPlan.cube_weak
         indicator = normlab._cube_indicator
 
-        def spy_pair_pass(plan, block):
-            passed.append(block.copy())
-            return pair_pass(plan, block)
+        def spy_pair_pass(plan, inputs, keep=None):
+            if plan is S._plan:  # not the adjoint's, which Boyd's transpose runs on
+                passed.append(inputs.copy())
+            return pair_pass(plan, inputs, keep)
 
         def spy_cube_weak(plan, level, root):
             scored.append(level)
@@ -535,13 +537,16 @@ class TestCubePath:
         op = dataclasses.replace(op, apply=lambda v: applied.append(np.array(v)) or S.truncation(v))
         weak_norm_estimate(op, one, one, 1.5, seed=seed, budget=budget, random_starts=random_starts)
         assert scored == list(range(g.N + 1))
-        cubes = {
-            bits(x): (level, z) for level in range(g.N + 1) for z, x in enumerate(cube_indicators(g, level))
+        indicators = {
+            (level, z): x for level in range(g.N + 1) for z, x in enumerate(cube_indicators(g, level))
         }
-        # no indicator row reached op.apply; the pair pass met only the
-        # indicators made float rows, once each (in Boyd's start block)
+        cubes = {bits(x): cube for cube, x in indicators.items()}
+        inputs = {bits(S._plan._integrals(x[None])): cube for cube, x in indicators.items()}
+        # no indicator row reached op.apply; the pair pass met the flat
+        # inputs of only the indicators made float rows, once each (in
+        # Boyd's start block)
         assert not any(bits(x) in cubes for block in applied for x in block)
-        met = [cubes[bits(x)] for block in passed for x in block if bits(x) in cubes]
+        met = [inputs[bits(x)] for block in passed for x in block if bits(x) in inputs]
         assert sorted(met) == sorted(made) and 1 <= len(made) <= budget
         assert any(len(x) == budget for x in passed)  # Boyd's block of the best starts
         spectral = norm_p2(shift_operator(S), one, one).witness.values[None]
@@ -562,16 +567,20 @@ RAGGED_SHIFTS = {
 
 class TestSlotTables:
     """The slot tables (_Slots) that sum the kernel's pair terms onto their
-    bins, in run's pair pass and in selected_adjoint, against np.bincount
-    and the loop kernels, bit for bit."""
+    bins, in the pair passes of a shift and of its adjoint (which the
+    selected maps' transposes run on), against np.bincount and the loop
+    kernels, bit for bit."""
 
     @pytest.mark.parametrize("name", [*RAGGED_SHIFTS, "repeated pair", "random (2, 2)"])
     def test_slot_sums_are_bincount_sums(self, name):
-        plan = {**SCORED_SHIFTS, **RAGGED_SHIFTS}[name]()._plan
+        S = {**SCORED_SHIFTS, **RAGGED_SHIFTS}[name]()
+        plan, back = S._plan, S.adjoint()._plan
+        # the adjoint's flat outputs are the shift's flat inputs, slot for slot
+        assert np.array_equal(back.scatter, plan.gather) and np.array_equal(back.gather, plan.scatter)
         rng = np.random.default_rng(72)
         for put, h, slots in (
             (plan.scatter, plan.h_out, plan._scatter_slots),
-            (plan.gather, plan.h_in, plan._gather_slots),
+            (back.scatter, back.h_out, back._scatter_slots),
         ):
             shape = (7, put.shape[1])
             coef = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
@@ -643,7 +652,7 @@ class TestSlotTables:
         build, slot_sum, bincount = shifts._Slots.build, shifts._Slots.sum, np.bincount
 
         def spy_build(cls, put, h_put, size):
-            built.append(size)
+            built.append(put)
             return build(put, h_put, size)
 
         def spy_sum(slots, coef):
@@ -664,12 +673,72 @@ class TestSlotTables:
             adjoint(X[::-1], slice(None))
             adjoint(X[:1], np.arange(1))
             monkeypatch.setattr(np, "bincount", bincount)
-        plan = S._plan
-        assert built == [plan.outputs[-1][1], plan._gather_slots.size]
+        # one table per plan: the shift's, then its adjoint's, which the
+        # selected maps' transposes run on
+        assert [id(put) for put in built] == [id(S._plan.scatter), id(S.adjoint()._plan.scatter)]
         assert len(tables) == 2
-        # after that only selected_adjoint's binning of u by the selected
+        # after that only selected_integrals's binning of u by the selected
         # levels calls np.bincount, once per call
         assert counted == [5, 5, 54, 54, 2, 2]
+
+
+# Fixed shifts whose output Haar functions have mean zero, by name.
+MEAN_ZERO_SHIFTS = {"petermichl": lambda: build_petermichl(GridSpec(1, 6)), **RAGGED_SHIFTS}
+
+
+@functools.cache
+def dense_mean_zero_shift(name):
+    """A MEAN_ZERO_SHIFTS shift and its dense matrix, built once per run."""
+    S = MEAN_ZERO_SHIFTS[name]()
+    return S, oracles.dense_shift_matrix(S)
+
+
+@st.composite
+def mean_zero_cases(draw):
+    """(shift, its dense matrix, rows): a fixed shift, or a random (m, n)
+    shift or paraproduct in d = 1 or 2, small enough for the dense matrix."""
+    kind = draw(st.sampled_from(["random", "paraproduct", *MEAN_ZERO_SHIFTS]))
+    seed = draw(st.integers(0, 2**16))
+    if kind in MEAN_ZERO_SHIFTS:
+        S, T = dense_mean_zero_shift(kind)
+    else:
+        d = draw(st.sampled_from([1, 2]))
+        N = draw(st.integers(1, 5 if d == 1 else 3))
+        m = draw(st.integers(0, N))
+        S = make_shift(kind, d, N, m, draw(st.integers(0, N - m)), seed)
+        T = oracles.dense_shift_matrix(S)
+    return S, T, np.random.default_rng(seed).standard_normal((3, S.grid.cells))
+
+
+class TestTruncationAsMaximalFunction:
+    """For a shift whose output Haar functions have mean zero, the partial
+    sum of S f through the pairs of Q-levels up to k is E_(k+m+1)(S f), as
+    finer pairs have mean zero on the cubes of that level, and E_j(S f) = 0
+    for j <= m, as every Q' sits m levels below its Q.  So truncation(f) is
+    the dyadic maximal function max over j = 0..N of |E_j(S f)|, up to
+    rounding: within 1e-14 times the image's largest magnitude (at least
+    1); the errors seen were below 8e-16."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mean_zero_cases())
+    def test_truncation_is_the_maximal_function_of_the_image(self, case):
+        S, T, X = case
+        for lv in S.levels.values():  # in d = 2 random outputs sum to 0 up to rounding
+            assert np.abs(lv.h_out.sum(axis=1)).max() <= 1e-15
+        for x, got in zip(X, S.truncation(X)):
+            image = T @ x
+            want = oracles.dense_level_maximal(S.grid, image)
+            assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(image).max())
+
+    @pytest.mark.parametrize("d,N", [(1, 5), (2, 3)])
+    def test_paraproduct_adjoint_is_excluded(self, d, N):
+        # its outputs are the indicators of the cubes Q, not mean-zero
+        S = make_shift("paraproduct", d, N, 0, 0, seed=45).adjoint()
+        assert all((lv.h_out.sum(axis=1) > 0.0).all() for lv in S.levels.values())
+        X = np.random.default_rng(46).standard_normal((3, S.grid.cells))
+        image = X @ oracles.dense_shift_matrix(S).T
+        gaps = [np.abs(got - oracles.dense_level_maximal(S.grid, y)).max() for got, y in zip(S.truncation(X), image)]
+        assert max(gaps) > 0.1
 
 
 class TestPositiveBlocks:

@@ -480,9 +480,9 @@ class TestSweep:
         with pytest.raises(ValueError, match="N_list"):
             sharpness_sweep(kinds, (2.0,), N_list, seed=1, budget=1, random_starts=1)
 
-    @pytest.mark.parametrize("level", [4.5, 5.0, "5", None, -5])
+    @pytest.mark.parametrize("level", [4.5, 5.0, "5", None, -5, True])
     def test_non_integer_levels_rejected(self, level):
-        # 4.5 ran at N = 4 and labelled its rows so
+        # 4.5 ran at N = 4 and labelled its rows so; True was read as N = 1
         with pytest.raises(ValueError, match="N_list entry must be a non-negative integer"):
             sharpness_sweep(("petermichl",), (2.0,), (level,), seed=1, budget=1, random_starts=1)
 
@@ -606,6 +606,10 @@ class TestWeightValidation:
             (weak_norm_estimate, "budget", 2.5),
             (weak_norm_estimate, "random_starts", -3),
             (weak_norm_estimate, "random_starts", "8"),
+            (norm_lp_lower, "budget", True),
+            (norm_lp_lower, "random_starts", False),
+            (weak_norm_estimate, "budget", True),
+            (weak_norm_estimate, "random_starts", True),
         ],
     )
     def test_bad_counts_rejected(self, search, name, bad):
@@ -615,7 +619,9 @@ class TestWeightValidation:
         with pytest.raises(ValueError, match=name):
             search(op, one, one, 1.5, **{name: bad})
 
-    @pytest.mark.parametrize("name,bad", [("budget", -1), ("budget", 2.5), ("random_starts", -2)])
+    @pytest.mark.parametrize(
+        "name,bad", [("budget", -1), ("budget", 2.5), ("random_starts", -2), ("budget", True), ("random_starts", False)]
+    )
     def test_sweep_bad_counts_rejected(self, name, bad):
         with pytest.raises(ValueError, match=name):
             sharpness_sweep(("petermichl",), (2.0,), (3,), **{name: bad})

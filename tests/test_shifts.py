@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -287,6 +289,25 @@ class TestApplyShift:
         K = dense_shift_matrix(S)
         f = rand_step(g, 7)
         assert np.abs(S.apply(f).values - K @ f.values).max() < 1e-12
+
+    def test_adjoint_is_built_once_without_a_cycle(self):
+        # a transpose that referred back to its shift would keep both, and
+        # their kernel plans, alive until the cyclic collector ran
+        S = build_random_shift(2, 1, 5, GridSpec(1, 6))
+        assert S.adjoint() is S.adjoint()
+        X = np.random.default_rng(5).standard_normal((3, S.grid.cells))
+        S.apply(X), S.truncation(X), S.adjoint().apply(X)
+        _, adjoint = S._selected(X)
+        adjoint(X, slice(None))
+        refs = [weakref.ref(S), weakref.ref(S.adjoint())]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del S, adjoint
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_grid_mismatch(self):
         S = build_petermichl(GridSpec(1, 3))
