@@ -715,6 +715,45 @@ def loop_offset_pairing(S, f_values: np.ndarray, g_values: np.ndarray, offset: i
     return float(np.dot(sf, np.roll(g_values, -offset)) * S.grid.cell_volume)
 
 
+def gather_offset_pairings(S, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
+    """<S f(. + o), g(. + o)> for every cyclic offset o by modulo gathers:
+    the cyclic window sums W_K (W_N the cell integrals, W_K = W_{K+1} plus
+    W_{K+1} rolled one window on), then per level, function and pair the
+    index array (starts + child index * window) % cells gathered from W
+    and weighed by the child values; every cube of a level must carry the
+    same rows.  The same additions in the same order as _offset_pairings,
+    so the two agree bit for bit."""
+    grid = S.grid
+    M = grid.cells
+    starts = np.arange(M)
+
+    def window_sums(values):  # W_0 .. W_N
+        sums = [values * grid.cell_volume]
+        for K in range(grid.N - 1, -1, -1):
+            finer = sums[-1]
+            sums.append(_child_sum([finer, np.roll(finer, -(M >> (K + 1)))], K == grid.N - 1))
+        return sums[::-1]
+
+    def coefficients(sums, level, idx, h):
+        terms = sums[level][(starts + idx[:, :, None] * (M >> level)) % M] * h[:, :, None]
+        return _child_sum(list(terms.transpose(1, 0, 2)))
+
+    sums_f, sums_g = window_sums(f_values), window_sums(g_values)
+    total = np.zeros(M)
+    for L, lv in S.levels.items():
+        k, rest = divmod(len(lv.h_in), 1 << L)
+        cube = np.arange(len(lv.h_in))[:, None] // max(k, 1)
+        rows = np.hstack(
+            [lv.in_idx - (cube << (S.n + 1)), lv.out_idx - (cube << (S.m + 1)), lv.h_in, lv.h_out]
+        )
+        assert not rest and np.array_equal(rows, np.tile(rows[:k], (1 << L, 1)))
+        a = coefficients(sums_f, L + S.n + 1, lv.in_idx[:k], lv.h_in[:k])
+        b = coefficients(sums_g, L + S.m + 1, lv.out_idx[:k], lv.h_out[:k])
+        per_start = (a * b).sum(axis=0) * float(1 << L)
+        total += np.tile(per_start.reshape(1 << L, -1).sum(axis=0), 1 << L)
+    return total
+
+
 def loop_hilbert_average(pairs, f: StepFunction, g: StepFunction) -> float:
     """Weighted Petermichl pairing over (offset, coefficient) pairs, one
     translated grid at a time: coefficients summed per offset in the given

@@ -452,6 +452,27 @@ class TestDeterminism:
             "1,0.5,0.75,0,0.375,0.01519775390625,-0.23859810977940693,-0.063696036487048885,"
             "0.11364039651787616,0.0142822265625,-0.059858925855298957\n",
         ),
+        # the benchmark's hilbert-approx config: criterion 6's five pairs
+        "hilbert_approx_n12": (
+            {
+                "verb": "hilbert-approx",
+                "grid": {"d": 1, "N": 12},
+                "seed": 424242,
+                "params": {
+                    "count": 10_000,
+                    "pairs": [
+                        [2 / 32, 5 / 32, 7 / 32, 10 / 32],
+                        [18 / 32, 21 / 32, 23 / 32, 26 / 32],
+                        [2 / 64, 5 / 64, 7 / 64, 10 / 64],
+                        [26 / 64, 29 / 64, 31 / 64, 34 / 64],
+                        [42 / 128, 48 / 128, 52 / 128, 58 / 128],
+                    ],
+                },
+                "output": {"format": "csv"},
+            },
+            "hilbert_approx.csv",
+            "sha256:3bc874a8a95d2f26438140d284bea9c9c1277d413f99f33700bb7e7c6a7dbaa2",
+        ),
         "lerner_d2_n5_residual": (
             {"verb": "lerner-decompose", "grid": {"d": 2, "N": 5}, "seed": 7, "params": {"function": {"kind": "random", "spikes": 32}}},
             "lerner_residual.csv",

@@ -26,6 +26,7 @@ from oracles import (
     axis_reduced_random_shift_values,
     brute_truncation,
     dense_shift_matrix,
+    gather_offset_pairings,
     loop_hilbert,
     loop_hilbert_average,
     loop_offset_pairing,
@@ -33,6 +34,39 @@ from oracles import (
     loop_random_shift,
     matrix_of,
 )
+
+
+# the five support pairs [f_lo, f_hi, g_lo, g_hi] of criterion 6
+CRITERION_6_PAIRS = [
+    (2 / 32, 5 / 32, 7 / 32, 10 / 32),
+    (18 / 32, 21 / 32, 23 / 32, 26 / 32),
+    (2 / 64, 5 / 64, 7 / 64, 10 / 64),
+    (26 / 64, 29 / 64, 31 / 64, 34 / 64),
+    (42 / 128, 48 / 128, 52 / 128, 58 / 128),
+]
+
+
+def level_uniform_shift(grid, m, n, seed):
+    """An (m, n) shift read from JSON whose cubes of one level all carry the
+    same pairs: per level a random choice of (R', Q') positions inside the
+    cube, with random child values in [-1, 1], repeated on every cube."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for L in range(grid.N - max(m, n)):
+        spots = [(r, q) for r in range(1 << n) for q in range(1 << m) if rng.random() < 0.6]
+        pairs = [(r, q, rng.uniform(-1, 1, 2).tolist(), rng.uniform(-1, 1, 2).tolist()) for r, q in spots or [(0, 0)]]
+        for z in range(1 << L):
+            entries.append({
+                "cube": {"level": L, "coords": [z]},
+                "pairs": [
+                    {"rprime": {"level": L + n, "coords": [(z << n) + r]},
+                     "qprime": {"level": L + m, "coords": [(z << m) + q]},
+                     "h_vals": h, "g_vals": v}
+                    for r, q, h, v in pairs
+                ],
+            })
+    obj = {"m": m, "n": n, "cancellative": False, **grid.to_dict(), "entries": entries}
+    return HaarShift.from_json(json.dumps(obj))
 
 
 def rand_step(grid, seed):
@@ -559,6 +593,19 @@ class TestHilbertAverage:
             pairs = zip(offs.tolist(), ens.coefficients)
             assert hilbert_average(ens, f, h).pairing == loop_hilbert_average(pairs, f, h)
 
+    @pytest.mark.parametrize("N", [10, 12])
+    def test_average_lies_within_its_sampling_error(self, N):
+        # 10^4 uniform offsets against the mean over all of them, in standard
+        # errors of a 10^4-sample mean: |z| <= 2.17 on these pairs
+        g = GridSpec(1, N)
+        count = 10_000
+        ens = GridEnsemble.random_translations(g, count, 424_242)
+        for f_lo, f_hi, g_lo, g_hi in CRITERION_6_PAIRS:
+            f, h = self.indicator(g, f_lo, f_hi), self.indicator(g, g_lo, g_hi)
+            res = hilbert_average(ens, f, h)
+            se = _offset_pairings(build_petermichl(g), f.values, h.values).std() / math.sqrt(count)
+            assert abs(res.pairing - res.exact_pairing) <= 4 * se
+
     def test_exact_pairing_is_the_all_offsets_average(self):
         g = self.grid()
         f = self.indicator(g, 1 / 16, 3 / 16)
@@ -626,6 +673,24 @@ class TestOffsetPairings:
         want = np.array([loop_offset_pairing(S, f, h, o) for o in offsets])
         got = _offset_pairings(S, f, h)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_petermichl_matches_gather_oracle_bit_for_bit(self, N):
+        g = GridSpec(1, N)
+        S = build_petermichl(g)
+        rng = np.random.default_rng(100 + N)
+        # zeroed cells give signed zeros, which the sums must keep as well
+        f, h = (rng.standard_normal(g.cells) * rng.integers(0, 2, g.cells) for _ in range(2))
+        assert _offset_pairings(S, f, h).tobytes() == gather_offset_pairings(S, f, h).tobytes()
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (0, 2)])
+    def test_level_uniform_json_shift_matches_gather_oracle_bit_for_bit(self, m, n):
+        g = GridSpec(1, 7)
+        S = level_uniform_shift(g, m, n, 10 * m + n)
+        rng = np.random.default_rng(m + n)
+        f, h = (rng.standard_normal(g.cells) for _ in range(2))
+        assert len(S.levels) == g.N - max(m, n)
+        assert _offset_pairings(S, f, h).tobytes() == gather_offset_pairings(S, f, h).tobytes()
 
     def test_rejects_shift_that_varies_across_cubes(self):
         g = GridSpec(1, 5)
