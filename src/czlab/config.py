@@ -40,6 +40,10 @@ _INTEGER_FIELDS = {
     "invariant-suite": {"samples": 1},
 }
 
+# hilbert-approx holds its count offsets, a copy of them and count floats
+# before any pairing runs; 2^20 is about 100 times the benchmark's 10^4
+_HILBERT_MAX_COUNT = 1 << 20
+
 _WEIGHT_FIELDS = {
     "constant": {"kind", "value"},
     "two_value": {"kind", "value", "level"},
@@ -102,6 +106,9 @@ def _spec_is_random(spec) -> bool:
 
 
 def _check_hilbert_params(params: dict):
+    count = params.get("count", 1)  # an integer: checked with _INTEGER_FIELDS
+    if count > _HILBERT_MAX_COUNT:
+        raise ConfigError(f"params.count must be at most {_HILBERT_MAX_COUNT} (2^20), got {count}")
     pairs = params.get("pairs", [[0, 1, 0, 1]])
     if not isinstance(pairs, list) or not pairs:
         raise ConfigError("params.pairs must be a non-empty list of [f_lo, f_hi, g_lo, g_hi]")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -858,14 +859,33 @@ def hilbert_maximal(f: StepFunction) -> StepFunction:
 # -- averaging over translated grids ---------------------------------------
 
 
+def _finite_real(c) -> bool:
+    """True for a finite real number, a numpy scalar included; not a bool."""
+    real = isinstance(c, (int, float, np.integer, np.floating)) and not isinstance(c, (bool, np.bool_))
+    return real and abs(c) <= sys.float_info.max
+
+
+def _coefficient_values(coefficients) -> np.ndarray:
+    """The coefficients as a float array.  A ValueError names the first one
+    that is not a finite real number (NaN, +-inf, a bool, a non-number)."""
+    if set(map(type, coefficients)) <= {float, np.float64}:  # checked as one array
+        values = np.array(coefficients, dtype=float)
+        if np.isfinite(values).all():
+            return values
+    for i, c in enumerate(coefficients):
+        if not _finite_real(c):
+            raise ValueError(f"coefficients[{i}] must be a finite number")
+    return np.array(coefficients, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class GridEnsemble:
     """Weighted family of cyclic translations of one d = 1 grid, for averaging.
 
     `grid` is the untranslated frame, `offsets` each translation in finest
     cells (a read-only integer array with entries in [0, cells)) and
-    `coefficients` their weights, normalized so their absolute values sum
-    to one.
+    `coefficients` their weights, finite numbers normalized so their
+    absolute values sum to one.
     """
 
     grid: GridSpec
@@ -882,21 +902,35 @@ class GridEnsemble:
             raise ValueError("offsets must be a one-dimensional integer array")
         if offsets.min() < 0 or offsets.max() >= self.grid.cells:
             raise ValueError(f"offsets must lie in [0, {self.grid.cells})")
-        total = sum(abs(c) for c in self.coefficients)
+        values = _coefficient_values(self.coefficients)
+        # summed in order from the first, as Python 3.11's sum adds floats
+        total = np.cumsum(np.abs(values))[-1]
         if total == 0.0:
             raise ValueError("ensemble coefficients must not all vanish")
         offsets = offsets.astype(np.int64)  # a copy: callers keep theirs
         offsets.flags.writeable = False
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(
-            self, "coefficients", tuple(c / total for c in self.coefficients)
-        )
+        object.__setattr__(self, "coefficients", tuple((values / total).tolist()))
 
     @functools.cached_property
     def _petermichl(self) -> HaarShift:
         """The frame's Petermichl shift, built on first use: hilbert_average
         reads it for every pair of functions averaged over this ensemble."""
         return build_petermichl(self.grid)
+
+    @functools.cached_property
+    def _offset_plan(self) -> "_OffsetPlan":
+        """The Petermichl shift's offset plan, built once for every pair."""
+        return _OffsetPlan.build(self._petermichl)
+
+    @functools.cached_property
+    def _offset_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets present, increasing, and each one's coefficients
+        summed in ensemble order."""
+        cells = self.grid.cells
+        present = np.flatnonzero(np.bincount(self.offsets, minlength=cells))
+        weights = np.bincount(self.offsets, weights=self.coefficients, minlength=cells)
+        return present, weights[present]
 
     @classmethod
     def random_translations(cls, grid: GridSpec, count: int, seed: int) -> "GridEnsemble":
@@ -929,49 +963,88 @@ def _toroidal_gap_cells(fmask: np.ndarray, gmask: np.ndarray) -> int:
     return int(np.minimum(diff, M - diff).min())
 
 
-def _offset_pairings(S: HaarShift, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
-    """<S f(. + o), g(. + o)> for every cyclic cell offset o, as one array.
+def _cyclic(op, W: np.ndarray, c: int, x, out: np.ndarray) -> np.ndarray:
+    """out = op(np.roll(W, -c), x) without the roll: W read cyclically from
+    index c on, as two slices.  `x` is a number or an array as long as W."""
+    n = W.size - c
+    xs = (x, x) if np.isscalar(x) else (x[:n], x[n:])
+    op(W[c:], xs[0], out=out[:n])
+    op(W[:c], xs[1], out=out[n:])
+    return out
+
+
+class _OffsetPlan(NamedTuple):
+    """What _offset_pairings reads of a one-dimensional shift that carries
+    the same rows on every cube of a level: per level L of Q, the input and
+    output window levels (L + n + 1, L + m + 1) and, for each child z of
+    one cube's rows, flat in row order, its cyclic offset z len_K % M and
+    its child value."""
+
+    grid: GridSpec
+    levels: tuple
+
+    @classmethod
+    def build(cls, S: HaarShift) -> "_OffsetPlan":
+        grid = S.grid
+        if grid.d != 1:
+            raise ValueError("offset pairings are built for d = 1")
+        M = grid.cells
+        levels = []
+        for L, lv in S.levels.items():
+            k, rest = divmod(len(lv.h_in), 1 << L)
+            cube = np.arange(len(lv.h_in))[:, None] // max(k, 1)
+            rows = np.hstack(
+                [lv.in_idx - (cube << (S.n + 1)), lv.out_idx - (cube << (S.m + 1)), lv.h_in, lv.h_out]
+            )
+            if rest or not np.array_equal(rows, np.tile(rows[:k], (1 << L, 1))):
+                raise ValueError("offset pairings need the same rows on every cube of a level")
+            sides = []
+            for level, idx, h in ((L + S.n + 1, lv.in_idx, lv.h_in), (L + S.m + 1, lv.out_idx, lv.h_out)):
+                offsets = (idx[:k] * (M >> level) % M).ravel().tolist()
+                sides += [level, list(zip(offsets, h[:k].ravel().tolist()))]
+            levels.append((L, *sides))
+        return cls(grid, tuple(levels))
+
+
+def _offset_pairings(plan: _OffsetPlan, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
+    """<S f(. + o), g(. + o)> for every cyclic cell offset o, as one array,
+    for the shift S of the plan (_OffsetPlan.build).
 
     In the frame of offset o the level-K cube z covers the len_K = M >> K
     cells from z len_K + o on, so its integral is W_K[(z len_K + o) % M],
     where W_K lists every cyclic window sum of len_K cells: W_K is W_{K+1}
     plus W_{K+1} one window further on, added as _level_sums adds children.
-    A one-dimensional shift that carries the same rows on every cube of a
-    level (checked) then has, per level, one length-M array of terms, read
-    at the offsets o + z len_K.
+    A shift with the same rows on every cube of a level then has, per
+    level, one length-M array of terms: W_K read cyclically from z len_K.
     """
-    grid = S.grid
-    if grid.d != 1:
-        raise ValueError("offset pairings are built for d = 1")
+    grid = plan.grid
     M = grid.cells
-    starts = np.arange(M)
 
     def window_sums(values):  # W_0 .. W_N
         sums = [values * grid.cell_volume]
         for K in range(grid.N - 1, -1, -1):
             finer = sums[-1]
-            sums.append(_child_sum([finer, np.roll(finer, -(M >> (K + 1)))], K == grid.N - 1))
+            coarser = _cyclic(np.add, finer, M >> (K + 1), finer, np.empty(M))
+            if K == grid.N - 1:
+                coarser += 0.0  # a zero's sign, as _child_sum gives it
+            sums.append(coarser)
         return sums[::-1]
 
-    def coefficients(sums, level, idx, h):
+    def coefficients(sums, level, reads):
         # row r's Haar coefficient on the cube whose first cell is s, for every s
-        terms = sums[level][(starts + idx[:, :, None] * (M >> level)) % M] * h[:, :, None]
-        return _child_sum(list(terms.transpose(1, 0, 2)))
+        terms = np.empty((len(reads), M))
+        for row, (c, x) in zip(terms, reads):
+            _cyclic(np.multiply, sums[level], c, x, row)
+        return _child_sum(list(terms.reshape(-1, 2, M).transpose(1, 0, 2)))
 
     sums_f, sums_g = window_sums(f_values), window_sums(g_values)
     total = np.zeros(M)
-    for L, lv in S.levels.items():
-        k, rest = divmod(len(lv.h_in), 1 << L)
-        cube = np.arange(len(lv.h_in))[:, None] // max(k, 1)
-        rows = np.hstack(
-            [lv.in_idx - (cube << (S.n + 1)), lv.out_idx - (cube << (S.m + 1)), lv.h_in, lv.h_out]
-        )
-        if rest or not np.array_equal(rows, np.tile(rows[:k], (1 << L, 1))):
-            raise ValueError("offset pairings need the same rows on every cube of a level")
-        a = coefficients(sums_f, L + S.n + 1, lv.in_idx[:k], lv.h_in[:k])
-        b = coefficients(sums_g, L + S.m + 1, lv.out_idx[:k], lv.h_out[:k])
+    for L, in_level, in_reads, out_level, out_reads in plan.levels:
+        a = coefficients(sums_f, in_level, in_reads)
+        b = coefficients(sums_g, out_level, out_reads)
         per_start = (a * b).sum(axis=0) * float(1 << L)
-        total += np.tile(per_start.reshape(1 << L, -1).sum(axis=0), 1 << L)
+        folded = per_start.reshape(1 << L, -1)
+        total.reshape(folded.shape)[...] += folded.sum(axis=0)
     return total
 
 
@@ -996,13 +1069,11 @@ def hilbert_average(
     if gap < 1:
         raise ValueError("overlapping supports: the averaged pairing needs separation")
     vol = frame.cell_volume
-    pairings = _offset_pairings(ensemble._petermichl, f.values, g.values)
-    # weights summed in ensemble order, offsets visited in increasing order
-    weights = np.bincount(ensemble.offsets, weights=ensemble.coefficients, minlength=frame.cells)
-    present = np.unique(ensemble.offsets)
-    total = 0.0
-    for weight, pairing in zip(weights[present].tolist(), pairings[present].tolist()):
-        total += weight * pairing
+    pairings = _offset_pairings(ensemble._offset_plan, f.values, g.values)
+    present, weights = ensemble._offset_weights
+    # the offsets' terms added in increasing order, one at a time as a loop
+    # from 0.0 adds them; the + 0.0 gives a zero total that loop's sign
+    total = float(np.cumsum(weights * pairings[present])[-1] + 0.0)
     oracle = float(np.dot(hilbert_direct(StepFunction(frame, f.values)).values, g.values) * vol)
     constant = total / oracle if oracle != 0.0 else math.nan
     return HilbertAverageResult(total, oracle, constant, float(pairings.mean()))

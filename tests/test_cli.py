@@ -596,6 +596,7 @@ class TestMainEntry:
             ("lerner-decompose", {"function": {"kind": "random", "spikes": 1.5}}, "params.function.spikes must be a non-negative integer"),
             ("lerner-decompose", {"function": {"kind": "random", "spikes": True}}, "params.function.spikes must be a non-negative integer"),
             ("characteristics", {"ainfty_mode": "centered"}, "params.ainfty_mode 'centered' needs grid.d <= 2, got grid.d = 3"),
+            ("hilbert-approx", {"count": 2**20 + 1}, "params.count must be at most 1048576 (2^20), got 1048577"),
         ],
     )
     def test_exit_two_on_bad_counts(self, tmp_path, capsys, verb, params, field):

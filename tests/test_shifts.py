@@ -10,6 +10,7 @@ from czlab.dyadics import GridSpec, StepFunction, ancestor
 from czlab.normlab import hilbert_operator
 from czlab.shifts import (
     GridEnsemble,
+    _OffsetPlan,
     _offset_pairings,
     HaarShift,
     ShiftLevel,
@@ -603,7 +604,7 @@ class TestHilbertAverage:
         for f_lo, f_hi, g_lo, g_hi in CRITERION_6_PAIRS:
             f, h = self.indicator(g, f_lo, f_hi), self.indicator(g, g_lo, g_hi)
             res = hilbert_average(ens, f, h)
-            se = _offset_pairings(build_petermichl(g), f.values, h.values).std() / math.sqrt(count)
+            se = _offset_pairings(ens._offset_plan, f.values, h.values).std() / math.sqrt(count)
             assert abs(res.pairing - res.exact_pairing) <= 4 * se
 
     def test_exact_pairing_is_the_all_offsets_average(self):
@@ -648,11 +649,32 @@ class TestHilbertAverage:
             (GridSpec(1, 4), [0, 1], (0.0, -0.0), "vanish"),
             (GridSpec(2, 2), [0], (1.0,), "d = 1"),
             (GridSpec(1, 4, (0.25,)), [0], (1.0,), "untranslated"),
+            (GridSpec(1, 4), [0, 1], (math.nan, 1.0), r"coefficients\[0\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1], (1.0, math.inf), r"coefficients\[1\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1, 2], (1.0, 2.0, -np.inf), r"coefficients\[2\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1], (np.float64(1.0), np.float64("nan")), r"coefficients\[1\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1], (True, 1.0), r"coefficients\[0\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1], (1.0, np.True_), r"coefficients\[1\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1], (1.0, "2"), r"coefficients\[1\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1], (None, 1.0), r"coefficients\[0\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1], (1, 10**400), r"coefficients\[1\] must be a finite number"),
         ],
     )
     def test_rejected(self, frame, offsets, coefficients, match):
         with pytest.raises(ValueError, match=match):
             GridEnsemble(frame, offsets, coefficients)
+
+    def test_normalization_keeps_its_bits(self):
+        # |c| summed in order from the first, then each c divided by the sum
+        rng = np.random.default_rng(23)
+        values = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 8, 1000)
+        for coefficients in (tuple(values.tolist()), tuple(values), (3, -1.5, 2, np.int64(7))):
+            total = 0.0
+            for c in coefficients:
+                total += abs(c)
+            ens = GridEnsemble(GridSpec(1, 10), np.arange(len(coefficients)), coefficients)
+            assert ens.coefficients == tuple(c / total for c in coefficients)
+            assert all(type(c) is float for c in ens.coefficients)
 
 
 class TestOffsetPairings:
@@ -668,10 +690,10 @@ class TestOffsetPairings:
         # indicators: every term is a dyadic rational, so equality is exact
         f, h = (rng.integers(0, 2, g.cells).astype(float) for _ in range(2))
         want = [loop_offset_pairing(S, f, h, o) for o in offsets]
-        assert _offset_pairings(S, f, h).tolist() == want
+        assert _offset_pairings(_OffsetPlan.build(S), f, h).tolist() == want
         f, h = (rng.standard_normal(g.cells) for _ in range(2))
         want = np.array([loop_offset_pairing(S, f, h, o) for o in offsets])
-        got = _offset_pairings(S, f, h)
+        got = _offset_pairings(_OffsetPlan.build(S), f, h)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
     @pytest.mark.parametrize("N", range(1, 13))
@@ -681,7 +703,8 @@ class TestOffsetPairings:
         rng = np.random.default_rng(100 + N)
         # zeroed cells give signed zeros, which the sums must keep as well
         f, h = (rng.standard_normal(g.cells) * rng.integers(0, 2, g.cells) for _ in range(2))
-        assert _offset_pairings(S, f, h).tobytes() == gather_offset_pairings(S, f, h).tobytes()
+        got = _offset_pairings(_OffsetPlan.build(S), f, h)
+        assert got.tobytes() == gather_offset_pairings(S, f, h).tobytes()
 
     @pytest.mark.parametrize("m,n", [(2, 1), (0, 2)])
     def test_level_uniform_json_shift_matches_gather_oracle_bit_for_bit(self, m, n):
@@ -690,13 +713,13 @@ class TestOffsetPairings:
         rng = np.random.default_rng(m + n)
         f, h = (rng.standard_normal(g.cells) for _ in range(2))
         assert len(S.levels) == g.N - max(m, n)
-        assert _offset_pairings(S, f, h).tobytes() == gather_offset_pairings(S, f, h).tobytes()
+        got = _offset_pairings(_OffsetPlan.build(S), f, h)
+        assert got.tobytes() == gather_offset_pairings(S, f, h).tobytes()
 
     def test_rejects_shift_that_varies_across_cubes(self):
         g = GridSpec(1, 5)
-        v = np.ones(g.cells)
         with pytest.raises(ValueError, match="same rows"):
-            _offset_pairings(build_random_shift(1, 1, 3, g), v, v)
+            _OffsetPlan.build(build_random_shift(1, 1, 3, g))
 
 
 class TestKernelSupBound:
