@@ -39,9 +39,10 @@ _MAX_CELL_BITS = 24
 
 
 def _finite_number(v) -> bool:
-    """True for a JSON number (an int or float, not a bool) that converts to
-    a finite float."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+    """True for a number that converts to a finite float: an int or float,
+    numpy's scalars included, not a bool."""
+    number = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, (bool, np.bool_))
+    return number and abs(v) <= sys.float_info.max
 
 
 class GridMismatchError(ValueError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -859,12 +858,6 @@ def hilbert_maximal(f: StepFunction) -> StepFunction:
 # -- averaging over translated grids ---------------------------------------
 
 
-def _finite_real(c) -> bool:
-    """True for a finite real number, a numpy scalar included; not a bool."""
-    real = isinstance(c, (int, float, np.integer, np.floating)) and not isinstance(c, (bool, np.bool_))
-    return real and abs(c) <= sys.float_info.max
-
-
 def _coefficient_values(coefficients) -> np.ndarray:
     """The coefficients as a float array.  A ValueError names the first one
     that is not a finite real number (NaN, +-inf, a bool, a non-number)."""
@@ -873,7 +866,7 @@ def _coefficient_values(coefficients) -> np.ndarray:
         if np.isfinite(values).all():
             return values
     for i, c in enumerate(coefficients):
-        if not _finite_real(c):
+        if not _finite_number(c):
             raise ValueError(f"coefficients[{i}] must be a finite number")
     return np.array(coefficients, dtype=float)
 
