@@ -33,12 +33,9 @@ from .shifts import (
 )
 from .positive import (
     TauCoefficients,
-    CubeFamily,
     apply_positive,
     sawyer_testing,
     strong_norm_bound,
-    lambda_constant,
-    type_l_apply,
 )
 from .lerner import (
     Decomposition,
@@ -51,8 +48,6 @@ from .stopping import (
     StoppingFamily,
     stopping_children,
     build_stopping_family,
-    lab_partition,
-    distributional_check,
 )
 from .normlab import (
     NormEstimate,

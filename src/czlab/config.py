@@ -58,6 +58,24 @@ _OPERATOR_FIELDS = {
 }
 
 
+# what each weight or operator field the builders read must be: a check of
+# the value against grid.N, and its description; absent fields take the
+# builders' defaults, except the ones _SPEC_REQUIRED lists
+_COUNT = (lambda v, N: type(v) is int and v >= 0, "a non-negative integer")  # type(): not a bool
+_SPEC_VALUES = {
+    "value": (lambda v, N: _finite_number(v) and v > 0, "a finite number > 0"),
+    "alpha": (lambda v, N: _finite_number(v) and v > -1, "a finite number > -1"),
+    "center": (lambda v, N: _finite_number(v), "a finite number"),
+    "volatility": (lambda v, N: _finite_number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "level": (lambda v, N: type(v) is int and 0 <= v <= N, "an integer in [0, grid.N = {N}]"),
+    "m": _COUNT,
+    "n": _COUNT,
+    "seed": _COUNT,
+    "cancellative": (lambda v, N: type(v) is bool, "true or false"),
+}
+_SPEC_REQUIRED = {"two_value": {"value", "level"}, "power": {"alpha"}}
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
@@ -92,13 +110,18 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
             raise ConfigError(f"unknown field {key!r} in {where}")
 
 
-def _check_kind_spec(spec, fields: dict[str, set[str]], where: str):
+def _check_kind_spec(spec, fields: dict[str, set[str]], where: str, grid_N: int):
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
     kind = spec.get("kind")
     if kind not in fields:
         raise ConfigError(f"{where}.kind must be one of {sorted(fields)}")
     _require_keys(spec, fields[kind], where)
+    for key in sorted(fields[kind] & _SPEC_VALUES.keys()):
+        if key in spec or key in _SPEC_REQUIRED.get(kind, ()):
+            ok, what = _SPEC_VALUES[key]
+            if not ok(spec.get(key), grid_N):
+                raise ConfigError(f"{where}.{key} must be {what.format(N=grid_N)}")
 
 
 def _spec_is_random(spec) -> bool:
@@ -235,14 +258,14 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     )
     for key in ("weight", "w", "sigma"):
         if key in params:
-            _check_kind_spec(params[key], _WEIGHT_FIELDS, f"params.{key}")
+            _check_kind_spec(params[key], _WEIGHT_FIELDS, f"params.{key}", N)
             randomized = randomized or _spec_is_random(params[key])
     if cfg_verb == "stopping-audit" and "seed" in params.get("weight", {}):
         raise ConfigError(
             "params.weight.seed is not used by stopping-audit: sample i draws from seed + i"
         )
     if "operator" in params:
-        _check_kind_spec(params["operator"], _OPERATOR_FIELDS, "params.operator")
+        _check_kind_spec(params["operator"], _OPERATOR_FIELDS, "params.operator", N)
         randomized = randomized or _spec_is_random(params["operator"])
     if "tau" in params:
         spec = params["tau"]

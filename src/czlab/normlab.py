@@ -113,7 +113,7 @@ def positive_operator(tau: TauCoefficients) -> LinearOperator:
 
 
 def hilbert_operator(grid: GridSpec) -> LinearOperator:
-    fwd = functools.partial(_hilbert_block, taps=_hilbert_taps(grid, [0.0])[0])
+    fwd = functools.partial(_hilbert_block, spectrum=_hilbert_taps(grid, [0.0])[0])
     return LinearOperator(grid, fwd, lambda v: -fwd(v))
 
 

@@ -1,10 +1,9 @@
-"""Positive dyadic operators, Sawyer testing constants, and type-L families.
+"""Positive dyadic operators and their Sawyer testing constants.
 
 The operator built from non-negative coefficients tau sends f to
 sum_Q tau_Q (avg_Q f) 1_Q.  Its two-weight norm is characterized by a pair
 of testing constants obtained by feeding the weight itself into the cube-
-localized operator; type-L collections are cube families whose overlap
-counting function has bounded exponential moments.
+localized operator.
 """
 
 from __future__ import annotations
@@ -31,21 +30,11 @@ from .dyadics import (
 
 __all__ = [
     "TauCoefficients",
-    "CubeFamily",
     "TestingConstant",
     "apply_positive",
     "sawyer_testing",
     "strong_norm_bound",
-    "lambda_constant",
-    "type_l_apply",
-    "LAMBDA_FLOOR",
 ]
-
-# Lower end of the bisection bracket; returned when any positive constant works.
-LAMBDA_FLOOR = 1e-9
-_LAMBDA_BOUND = 2.0  # exponential-moment bound defining a type-L family
-_LAMBDA_REL_TOL = 1e-6
-_LAMBDA_MAX_ITER = 200
 
 
 class TauCoefficients:
@@ -81,10 +70,6 @@ class TauCoefficients:
             levels.append(arr)
         self.levels = tuple(levels)
 
-    @classmethod
-    def indicator(cls, family: "CubeFamily") -> "TauCoefficients":
-        return cls(family.grid, {Q: 1.0 for Q in family.cubes})
-
     def to_json(self) -> str:
         items = [
             {"cube": self.grid.cube_from_zindex(k, z).to_dict(), "tau": float(arr[z])}
@@ -96,20 +81,6 @@ class TauCoefficients:
     @classmethod
     def from_json(cls, grid: GridSpec, text: str) -> "TauCoefficients":
         return cls._from_arrays(grid, *read_cube_values(grid, json.loads(text), "tau", "tau list"))
-
-
-class CubeFamily:
-    """A finite set of dyadic cubes, held in (level, Z-index) order."""
-
-    def __init__(self, grid: GridSpec, cubes):
-        self.grid = grid
-        cubes = set(cubes)
-        if any(Q.grid != grid for Q in cubes):
-            raise GridMismatchError("family cube from a different grid")
-        self.cubes = tuple(sorted(cubes, key=lambda Q: (Q.level, Q.zindex)))
-
-    def __len__(self):
-        return len(self.cubes)
 
 
 def _positive_block(tau: TauCoefficients, values) -> np.ndarray:
@@ -205,75 +176,3 @@ def strong_norm_bound(
     first = sawyer_testing(tau, w, sigma, p).value
     second = sawyer_testing(tau, sigma, w, pprime).value
     return first + second
-
-
-def _overlap_histograms(family: CubeFamily):
-    """Per-member histograms of the strict overlap count inside it.
-
-    For Q in the family and x in Q, the count is the number of family cubes
-    strictly contained in Q that contain x; returned as one (counts,
-    fractions) pair per member.
-    """
-    grid = family.grid
-    member = TauCoefficients.indicator(family).levels
-    suffix = np.zeros(grid.cells)
-    suffix_at = [None] * (grid.N + 2)
-    suffix_at[grid.N + 1] = suffix
-    for k in range(grid.N, -1, -1):
-        if member[k].any():
-            suffix = suffix + repeat_to_cells(grid, member[k], k)
-        suffix_at[k] = suffix
-    out = []
-    for Q in family.cubes:
-        u = np.asarray(np.rint(suffix_at[Q.level + 1][Q.cell_slice]), dtype=int)
-        counts = np.bincount(u)
-        nz = np.flatnonzero(counts)
-        out.append((nz, counts[nz] / u.size))
-    return out
-
-
-def lambda_constant(family: CubeFamily) -> float:
-    """Smallest constant making the family type L.
-
-    Bisection (1e-6 relative, 200 iterations) for the least L > 0 with
-    sup_Q avg_Q exp(L^-1 * overlap count of strictly smaller members) <= 2.
-    Families with no strict overlaps satisfy the bound for every L and get
-    the bisection floor back.
-    """
-    if len(family) == 0:
-        raise ValueError("family must be nonempty")
-    hists = _overlap_histograms(family)
-
-    def satisfied(lam: float) -> bool:
-        inv = 1.0 / lam
-        for counts, fracs in hists:
-            # log-sum-exp guards the exponential moment for tiny lam
-            expo = counts * inv + np.log(fracs)
-            peak = float(np.max(expo))
-            val = peak + math.log(float(np.exp(expo - peak).sum()))
-            if val > math.log(_LAMBDA_BOUND) + 1e-15:
-                return False
-        return True
-
-    lo = LAMBDA_FLOOR
-    if satisfied(lo):
-        return lo
-    hi = 1.0
-    while not satisfied(hi):
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise RuntimeError("lambda bisection failed to bracket")
-    for _ in range(_LAMBDA_MAX_ITER):
-        if hi - lo <= _LAMBDA_REL_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def type_l_apply(family: CubeFamily, mu: StepFunction, f: StepFunction) -> StepFunction:
-    """sum over family cubes of 1_Q avg_Q(f mu); the indicator-tau operator."""
-    return apply_positive(TauCoefficients.indicator(family), mu, f)

@@ -800,11 +800,12 @@ def _paraproduct(grid: GridSpec, level, zindex, coeff) -> HaarShift:
 
 
 def _hilbert_taps(grid: GridSpec, cutoffs) -> np.ndarray:
-    """Circular taps of length 2 cells, one row per cutoff eps in `cutoffs`.
+    """The rfft of circular taps of length 2 cells, one row per cutoff eps in
+    `cutoffs`.
 
-    Entry k mod 2M (M cells) of a row is 1/k for the offsets 0 < |k| < M with
-    |k| / M > eps (eps = 0 keeps them all; the p.v. drops k = 0), so a cyclic
-    convolution of length 2M never wraps a kept offset around.
+    Entry k mod 2M (M cells) of a tap row is 1/k for the offsets 0 < |k| < M
+    with |k| / M > eps (eps = 0 keeps them all; the p.v. drops k = 0), so a
+    cyclic convolution of length 2M never wraps a kept offset around.
     """
     if grid.d != 1:
         raise ValueError("the Hilbert kernel is one-dimensional")
@@ -814,20 +815,20 @@ def _hilbert_taps(grid: GridSpec, cutoffs) -> np.ndarray:
     taps = np.zeros((len(half), 2 * M))
     taps[:, 1:M] = half
     taps[:, M + 1 :] = -half[:, ::-1]
-    return taps
+    return np.fft.rfft(taps)
 
 
-def _hilbert_block(values: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _hilbert_block(values: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """sum_j v_j taps(i - j) at every cell i, for each row v of a (..., cells)
-    array against a tap row (2 cells,) or against each row of a tap stack.
+    array against one tap row's spectrum (cells + 1,) or each row of a stack
+    of them, as _hilbert_taps gives them.
 
     One rfft/irfft product of length 2 cells; rows are independent, so each
     row of a block has the bytes of the one-row result.  A row whose length
-    is not half the taps' fails to broadcast (ValueError).
+    does not match the taps' fails to broadcast (ValueError).
     """
     M = values.shape[-1]
-    spectrum = np.fft.rfft(values, 2 * M) * np.fft.rfft(taps)
-    return np.fft.irfft(spectrum, 2 * M)[..., :M]
+    return np.fft.irfft(np.fft.rfft(values, 2 * M) * spectrum, 2 * M)[..., :M]
 
 
 def hilbert_direct(f: StepFunction) -> StepFunction:
@@ -835,7 +836,7 @@ def hilbert_direct(f: StepFunction) -> StepFunction:
 
     The self-cell is omitted, which makes the kernel matrix exactly
     skew-symmetric; the FFT product that applies it is skew-symmetric up to
-    rounding.  Serves as the quadrature oracle for the averaging experiments.
+    rounding.  Its kernel is the quadrature oracle of hilbert_average.
     """
     return hilbert_truncated(f, 0.0)
 
@@ -851,8 +852,8 @@ def hilbert_maximal(f: StepFunction) -> StepFunction:
     The cutoff grid is eps in {2^-k : 0 <= k <= N+1}; the finest cutoff keeps
     every off-diagonal cell, so the full principal-value sum participates.
     """
-    taps = _hilbert_taps(f.grid, [2.0 ** (-k) for k in range(f.grid.N + 2)])
-    return f.with_values(np.abs(_hilbert_block(f.values, taps)).max(axis=0))
+    spectra = _hilbert_taps(f.grid, [2.0 ** (-k) for k in range(f.grid.N + 2)])
+    return f.with_values(np.abs(_hilbert_block(f.values, spectra)).max(axis=0))
 
 
 # -- averaging over translated grids ---------------------------------------
@@ -915,6 +916,12 @@ class GridEnsemble:
     def _offset_plan(self) -> "_OffsetPlan":
         """The Petermichl shift's offset plan, built once for every pair."""
         return _OffsetPlan.build(self._petermichl)
+
+    @functools.cached_property
+    def _hilbert_spectrum(self) -> np.ndarray:
+        """The frame's eps = 0 Hilbert tap spectrum, built once: the
+        quadrature oracle of every pair averaged over this ensemble."""
+        return _hilbert_taps(self.grid, [0.0])[0]
 
     @functools.cached_property
     def _offset_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -1067,6 +1074,6 @@ def hilbert_average(
     # the offsets' terms added in increasing order, one at a time as a loop
     # from 0.0 adds them; the + 0.0 gives a zero total that loop's sign
     total = float(np.cumsum(weights * pairings[present])[-1] + 0.0)
-    oracle = float(np.dot(hilbert_direct(StepFunction(frame, f.values)).values, g.values) * vol)
+    oracle = float(np.dot(_hilbert_block(f.values, ensemble._hilbert_spectrum), g.values) * vol)
     constant = total / oracle if oracle != 0.0 else math.nan
     return HilbertAverageResult(total, oracle, constant, float(pairings.mean()))

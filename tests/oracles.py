@@ -8,6 +8,7 @@ away from the fast code paths it is used to check.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from czlab.dyadics import (
 )
 from czlab.lerner import median, oscillation
 from czlab.normlab import LinearOperator, NonConvergenceError, norm_p2
+from czlab.positive import TauCoefficients
 from czlab.shifts import HaarShift, ShiftLevel, _exact_zero_sum, build_petermichl
 
 
@@ -230,6 +232,82 @@ def dense_positive_matrix(tau, mu: StepFunction) -> np.ndarray:
         idx = np.arange(sl.start, sl.stop)
         K[np.ix_(idx, idx)] += t * mu.values[idx][None, :] * vol / Q.volume
     return K
+
+
+# Lower end of the type-L bisection bracket; returned when any positive
+# constant works.
+LAMBDA_FLOOR = 1e-9
+_LAMBDA_BOUND = 2.0  # exponential-moment bound defining a type-L family
+_LAMBDA_REL_TOL = 1e-6
+_LAMBDA_MAX_ITER = 200
+
+
+def _overlap_histograms(grid: GridSpec, cubes):
+    """Per-member histograms of the strict overlap count inside it.
+
+    For Q in the family and x in Q, the count is the number of family cubes
+    strictly contained in Q that contain x; returned as one (counts,
+    fractions) pair per member.
+    """
+    member = TauCoefficients(grid, {Q: 1.0 for Q in cubes}).levels
+    suffix = np.zeros(grid.cells)
+    suffix_at = [None] * (grid.N + 2)
+    suffix_at[grid.N + 1] = suffix
+    for k in range(grid.N, -1, -1):
+        if member[k].any():
+            suffix = suffix + repeat_to_cells(grid, member[k], k)
+        suffix_at[k] = suffix
+    out = []
+    for Q in cubes:
+        u = np.asarray(np.rint(suffix_at[Q.level + 1][Q.cell_slice]), dtype=int)
+        counts = np.bincount(u)
+        nz = np.flatnonzero(counts)
+        out.append((nz, counts[nz] / u.size))
+    return out
+
+
+def lambda_constant(grid: GridSpec, cubes) -> float:
+    """Smallest constant making the family of cubes (each counted once)
+    type L.
+
+    Bisection (1e-6 relative, 200 iterations) for the least L > 0 with
+    sup_Q avg_Q exp(L^-1 * overlap count of strictly smaller members) <= 2.
+    Families with no strict overlaps satisfy the bound for every L and get
+    the bisection floor back.
+    """
+    cubes = set(cubes)
+    if not cubes:
+        raise ValueError("family must be nonempty")
+    hists = _overlap_histograms(grid, cubes)
+
+    def satisfied(lam: float) -> bool:
+        inv = 1.0 / lam
+        for counts, fracs in hists:
+            # log-sum-exp guards the exponential moment for tiny lam
+            expo = counts * inv + np.log(fracs)
+            peak = float(np.max(expo))
+            val = peak + math.log(float(np.exp(expo - peak).sum()))
+            if val > math.log(_LAMBDA_BOUND) + 1e-15:
+                return False
+        return True
+
+    lo = LAMBDA_FLOOR
+    if satisfied(lo):
+        return lo
+    hi = 1.0
+    while not satisfied(hi):
+        hi *= 2.0
+        if hi > 2.0**60:
+            raise RuntimeError("lambda bisection failed to bracket")
+    for _ in range(_LAMBDA_MAX_ITER):
+        if hi - lo <= _LAMBDA_REL_TOL * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if satisfied(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def brute_oscillation(phi: StepFunction, Q, lam: float) -> float:

@@ -36,7 +36,7 @@ from czlab.normlab import (
     truncation_operator,
     weak_norm_estimate,
 )
-from czlab.positive import CubeFamily, TauCoefficients, apply_positive
+from czlab.positive import TauCoefficients, apply_positive
 from czlab.shifts import (
     HaarShift,
     ShiftLevel,
@@ -902,7 +902,7 @@ class TestBlockSearches:
         # the all-cubes positive operator: every start Boyd refines is a
         # cube indicator, kept from a boolean block
         g = GridSpec(1, 4)
-        tau = TauCoefficients.indicator(CubeFamily(g, list(g.all_cubes())))
+        tau = TauCoefficients(g, {Q: 1.0 for Q in g.all_cubes()})
         op = positive_operator(tau)
         if lebesgue:
             w = sigma = StepFunction.constant(g, 1.0)

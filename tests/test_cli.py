@@ -597,6 +597,26 @@ class TestMainEntry:
             ("lerner-decompose", {"function": {"kind": "random", "spikes": True}}, "params.function.spikes must be a non-negative integer"),
             ("characteristics", {"ainfty_mode": "centered"}, "params.ainfty_mode 'centered' needs grid.d <= 2, got grid.d = 3"),
             ("hilbert-approx", {"count": 2**20 + 1}, "params.count must be at most 1048576 (2^20), got 1048577"),
+            ("characteristics", {"weight": {"kind": "power", "alpha": -0.5, "center": float("inf")}}, "params.weight.center must be a finite number"),
+            ("characteristics", {"weight": {"kind": "power", "alpha": True}}, "params.weight.alpha must be a finite number > -1"),
+            ("characteristics", {"weight": {"kind": "power", "alpha": -1}}, "params.weight.alpha must be a finite number > -1"),
+            ("characteristics", {"weight": {"kind": "power", "center": 0.5}}, "params.weight.alpha must be a finite number > -1"),
+            ("characteristics", {"weight": {"kind": "two_value", "value": 2.0, "level": 1.5}}, "params.weight.level must be an integer in [0, grid.N = 4]"),
+            ("characteristics", {"weight": {"kind": "two_value", "value": 2.0, "level": True}}, "params.weight.level must be an integer in [0, grid.N = 4]"),
+            ("characteristics", {"weight": {"kind": "two_value", "value": 2.0, "level": 5}}, "params.weight.level must be an integer in [0, grid.N = 4]"),
+            ("characteristics", {"weight": {"kind": "two_value", "value": 2.0}}, "params.weight.level must be an integer in [0, grid.N = 4]"),
+            ("characteristics", {"weight": {"kind": "two_value", "value": 0, "level": 1}}, "params.weight.value must be a finite number > 0"),
+            ("characteristics", {"weight": {"kind": "constant", "value": float("nan")}}, "params.weight.value must be a finite number > 0"),
+            ("characteristics", {"weight": {"kind": "cascade", "volatility": float("inf")}}, "params.weight.volatility must be a number in [0, 1)"),
+            ("stopping-audit", {"weight": {"kind": "cascade", "volatility": 1.5}}, "params.weight.volatility must be a number in [0, 1)"),
+            ("characteristics", {"weight": {"kind": "cascade", "seed": 1.5}}, "params.weight.seed must be a non-negative integer"),
+            ("sawyer-test", {"sigma": {"kind": "constant", "value": True}}, "params.sigma.value must be a finite number > 0"),
+            ("shift-apply", {"operator": {"kind": "random", "m": float("inf"), "n": 1}}, "params.operator.m must be a non-negative integer"),
+            ("shift-apply", {"operator": {"kind": "random", "m": 1.7, "n": 1}}, "params.operator.m must be a non-negative integer"),
+            ("shift-apply", {"operator": {"kind": "random", "m": 1, "n": -1}}, "params.operator.n must be a non-negative integer"),
+            ("shift-apply", {"operator": {"kind": "random", "seed": 1.5}}, "params.operator.seed must be a non-negative integer"),
+            ("shift-apply", {"operator": {"kind": "random", "seed": True}}, "params.operator.seed must be a non-negative integer"),
+            ("shift-apply", {"operator": {"kind": "random", "cancellative": "no"}}, "params.operator.cancellative must be true or false"),
         ],
     )
     def test_exit_two_on_bad_counts(self, tmp_path, capsys, verb, params, field):

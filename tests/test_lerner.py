@@ -9,12 +9,12 @@ from czlab.config import parse_config
 from czlab.dyadics import GridSpec, StepFunction
 from czlab.families import random_step
 from czlab.lerner import _lerner_generations, lerner_decompose, local_sharp_maximal, median, oscillation
-from czlab.positive import CubeFamily, lambda_constant
 
 from oracles import (
     brute_local_sharp,
     brute_oscillation,
     decomposition_cubes,
+    lambda_constant,
     loop_lerner_generations,
     unique_lower_median,
 )
@@ -276,7 +276,7 @@ class TestDecomposition:
             cubes = decomposition_cubes(dec)
             if not cubes:
                 continue
-            lam = lambda_constant(CubeFamily(g, cubes))
+            lam = lambda_constant(g, cubes)
             assert lam <= 4.0
 
     def test_generation_separated_subfamilies(self):
@@ -290,15 +290,12 @@ class TestDecomposition:
             if len(dec.generations) < 2:
                 continue
             checked += 1
-            full = lambda_constant(CubeFamily(g, decomposition_cubes(dec)))
+            full = lambda_constant(g, decomposition_cubes(dec))
             for t in (2, 3):
                 for t0 in range(t):
-                    sub = CubeFamily(
-                        g,
-                        [Q for l, gen in enumerate(dec.generations, 1) if l % t == t0 for Q, _ in gen],
-                    )
-                    if len(sub):
-                        assert lambda_constant(sub) <= full * (1.0 + 1e-5)
+                    sub = [Q for l, gen in enumerate(dec.generations, 1) if l % t == t0 for Q, _ in gen]
+                    if sub:
+                        assert lambda_constant(g, sub) <= full * (1.0 + 1e-5)
         assert checked >= 3
 
     def test_json_shape(self):

@@ -31,7 +31,7 @@ from czlab.normlab import (
     truncation_operator,
     weak_norm_estimate,
 )
-from czlab.positive import CubeFamily, TauCoefficients
+from czlab.positive import TauCoefficients
 from czlab.shifts import build_petermichl, build_random_shift
 
 from oracles import matrix_of, weighted_svd_norm
@@ -330,8 +330,7 @@ class TestWeakNorm:
             w = rand_weight(g, 600 + seed)
             sigma = rand_weight(g, 700 + seed)
             p = (1.5, 2.0, 3.0)[seed % 3]
-            fam = CubeFamily(g, list(g.all_cubes()))
-            op = positive_operator(TauCoefficients.indicator(fam))
+            op = positive_operator(TauCoefficients(g, {Q: 1.0 for Q in g.all_cubes()}))
             weak = weak_norm_estimate(op, w, sigma, p, seed=seed, budget=2)
             assert joint_ap(w, sigma, p).value <= weak * (1 + 1e-9)
 

@@ -5,18 +5,16 @@ import pytest
 
 from czlab.dyadics import GridSpec, StepFunction, lp_norm
 from czlab.families import cascade_weight
-from czlab.positive import (
-    CubeFamily,
-    LAMBDA_FLOOR,
-    TauCoefficients,
-    apply_positive,
-    lambda_constant,
-    sawyer_testing,
-    strong_norm_bound,
-    type_l_apply,
-)
+from czlab.positive import TauCoefficients, apply_positive, sawyer_testing, strong_norm_bound
 
-from oracles import bruteforce_lp_norm, decomposition_cubes, dense_positive_matrix, tau_items
+from oracles import (
+    LAMBDA_FLOOR,
+    bruteforce_lp_norm,
+    decomposition_cubes,
+    dense_positive_matrix,
+    lambda_constant,
+    tau_items,
+)
 
 
 def ones(grid):
@@ -194,17 +192,15 @@ class TestLambdaConstant:
     def test_empty_family_rejected(self):
         g = GridSpec(1, 2)
         with pytest.raises(ValueError):
-            lambda_constant(CubeFamily(g, []))
+            lambda_constant(g, [])
 
     def test_single_cube_floor(self):
         g = GridSpec(1, 3)
-        fam = CubeFamily(g, [g.root()])
-        assert lambda_constant(fam) == LAMBDA_FLOOR
+        assert lambda_constant(g, [g.root()]) == LAMBDA_FLOOR
 
     def test_disjoint_family_floor(self):
         g = GridSpec(1, 3)
-        fam = CubeFamily(g, list(g.cubes(2)))
-        assert lambda_constant(fam) == LAMBDA_FLOOR
+        assert lambda_constant(g, g.cubes(2)) == LAMBDA_FLOOR
 
     def test_nested_chain_oracle_and_monotone(self):
         # direct evaluation of the exponential moment for a halving chain
@@ -232,7 +228,7 @@ class TestLambdaConstant:
         values = []
         for k in (2, 3, 4, 6, 8):
             chain = [g.cube(j, (0,)) for j in range(k)]
-            got = lambda_constant(CubeFamily(g, chain))
+            got = lambda_constant(g, chain)
             assert got == pytest.approx(lam_oracle(k), rel=1e-5)
             values.append(got)
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -251,29 +247,13 @@ class TestLambdaConstant:
             if not cubes:
                 continue
             nontrivial += 1
-            lam = lambda_constant(CubeFamily(g, cubes))
+            lam = lambda_constant(g, cubes)
             worst = max(worst, lam)
         assert nontrivial >= 20
         assert worst <= 4.0  # recorded constant: decomposition families are thin
 
 
 class TestTypeLApply:
-    def test_empty(self):
-        g = GridSpec(1, 3)
-        out = type_l_apply(CubeFamily(g, []), ones(g), ones(g))
-        assert np.abs(out.values).max() == 0.0
-
-    def test_matches_indicator_tau_exactly(self):
-        g = GridSpec(1, 4)
-        rng = np.random.default_rng(6)
-        cubes = [Q for Q in g.all_cubes() if rng.random() < 0.4]
-        fam = CubeFamily(g, cubes)
-        mu = rand_weight(g, 2000)
-        f = StepFunction(g, rng.standard_normal(g.cells))
-        via_family = type_l_apply(fam, mu, f).values
-        via_tau = apply_positive(TauCoefficients(g, {Q: 1.0 for Q in cubes}), mu, f).values
-        assert np.array_equal(via_family, via_tau)
-
     def test_type_l_norm_versus_characteristic_bound(self):
         # strong-bound ratio check against Lambda * bracket * max A_infty powers
         from czlab.characteristics import ainfty_characteristic, joint_ap
@@ -291,15 +271,14 @@ class TestTypeLApply:
             if not cubes:
                 continue
             checked += 1
-            fam = CubeFamily(g, cubes)
             # the bound's constant absorbs the scale of thin families, so the
             # type-L constant enters floored at one
-            lam = max(lambda_constant(fam), 1.0)
+            lam = max(lambda_constant(g, cubes), 1.0)
             w = rand_weight(g, 2100 + seed)
             sigma = rand_weight(g, 2200 + seed)
             p = (1.5, 2.0, 3.0)[seed % 3]
             pprime = p / (p - 1.0)
-            op = positive_operator(TauCoefficients.indicator(fam))
+            op = positive_operator(TauCoefficients(g, {Q: 1.0 for Q in cubes}))
             est = norm_lp_lower(op, w, sigma, p, budget=4, seed=seed, random_starts=8)
             rhs = (
                 lam

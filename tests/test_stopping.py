@@ -1,28 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 
-from czlab.characteristics import ainfty_characteristic, dual_weight
+from czlab.characteristics import ainfty_characteristic
 from czlab.cli import run
 from czlab.config import parse_config
 from czlab.dyadics import GridSpec, StepFunction, _level_means, _level_sums
 from czlab.families import cascade_weight, power_weight
-from czlab.positive import CubeFamily
 from czlab.stopping import (
     _stopping_rows,
     build_stopping_family,
-    distributional_check,
-    lab_partition,
     stopping_children,
 )
 
-from oracles import (
-    decomposition_cubes,
-    loop_stopping_children,
-    loop_stopping_family,
-    member_loop_stopping_family,
-)
+from oracles import loop_stopping_children, loop_stopping_family, member_loop_stopping_family
 
 
 def ones(grid):
@@ -265,138 +255,3 @@ class TestStoppingRows:
             carleson = sum(w.integral(Q) for Q in members) / (ainf * w.integral())
             want = [i, max(margins), carleson, ainf, len(members), max(Q.level for Q in members)]
             assert line == ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in want)
-
-
-class TestLabPartition:
-    def test_empty_family(self):
-        g = GridSpec(1, 4)
-        fam = build_stopping_family(ones(g), g.root())
-        out = lab_partition(CubeFamily(g, []), ones(g), ones(g), 2.0, fam)
-        assert out == {}
-
-    def test_constant_weights_single_class(self):
-        g = GridSpec(1, 4)
-        w = ones(g)
-        fam = build_stopping_family(w, g.root())
-        cubes = CubeFamily(g, list(g.cubes(2)) + [g.cube(1, (0,))])
-        out = lab_partition(cubes, w, w, 2.0, fam)
-        assert set(out) == {(g.root(), 1, 1)}
-        assert set(out[(g.root(), 1, 1)].cubes) == set(cubes.cubes)
-
-    def test_partition_reassembles(self):
-        g = GridSpec(1, 6)
-        rng = np.random.default_rng(0)
-        for seed in range(10):
-            w = cascade_weight(g, 200 + seed, 0.7)
-            sigma = cascade_weight(g, 300 + seed, 0.7)
-            p = (1.5, 2.0, 3.0)[seed % 3]
-            fam = build_stopping_family(w, g.root())
-            members = [Q for Q in g.all_cubes() if rng.random() < 0.3]
-            family = CubeFamily(g, members)
-            out = lab_partition(family, w, sigma, p, fam)
-            rebuilt = [Q for cls in out.values() for Q in cls.cubes]
-            assert sorted(rebuilt, key=lambda q: (q.level, q.zindex)) == list(family.cubes)
-            # classes are disjoint
-            assert len(rebuilt) == len(set(rebuilt))
-            # bin conditions hold for every assignment
-            for (S, a, b), cls in out.items():
-                for Q in cls.cubes:
-                    aw = float(w.values[Q.cell_slice].mean())
-                    asig = float(sigma.values[Q.cell_slice].mean())
-                    ratio = aw * asig ** (p - 1.0)
-                    if a > 0:
-                        assert 2.0 ** (a - 1) * (1 - 1e-9) <= ratio < 2.0**a * (1 + 1e-9)
-                    else:
-                        assert ratio < 1.0 + 1e-9
-                    drop = aw / float(w.values[S.cell_slice].mean())
-                    assert 2.0 ** (1 - b) * (1 - 1e-9) <= drop <= 2.0 ** (2 - b) * (1 + 1e-9)
-
-    def test_small_ratio_cubes_bin_at_zero(self):
-        g = GridSpec(1, 3)
-        w = StepFunction.constant(g, 0.1)
-        sigma = StepFunction.constant(g, 0.1)
-        fam = build_stopping_family(w, g.root())
-        out = lab_partition(CubeFamily(g, [g.root()]), w, sigma, 2.0, fam)
-        ((S, a, b),) = out.keys()
-        assert a == 0 and S == g.root()
-
-
-class TestDistributionalCheck:
-    def grid_setup(self):
-        g = GridSpec(1, 6)
-        w = cascade_weight(g, 400, 0.7)
-        sigma = dual_weight(w, 2.0)
-        fam = build_stopping_family(w, g.root())
-        members = [Q for Q in g.all_cubes() if Q.level >= 1]
-        rng = np.random.default_rng(1)
-        family = CubeFamily(g, [Q for Q in members if rng.random() < 0.4])
-        parts = lab_partition(family, w, sigma, 2.0, fam)
-        return g, w, sigma, parts
-
-    def test_large_t_gives_zero(self):
-        g, w, sigma, parts = self.grid_setup()
-        (S, a, b), cls = next(iter(parts.items()))
-        assert distributional_check(cls, w, sigma, S, b, t=1e9) == 0.0
-
-    def test_single_cube_closed_form(self):
-        g = GridSpec(1, 4)
-        w = cascade_weight(g, 3, 0.6)
-        sigma = dual_weight(w, 2.0)
-        Q = g.cube(2, (1,))
-        cls = CubeFamily(g, [Q])
-        S = g.root()
-        t = 0.5
-        avgQ = float(w.values[Q.cell_slice].mean())
-        avgS = float(w.values.mean())
-        got = distributional_check(cls, w, sigma, S, 0, t, "lebesgue", K=1.0, lam=1.0)
-        threshold = 1.0 * 1.0 * t * avgS
-        expect = (Q.volume if avgQ > threshold else 0.0) / (math.exp(-t) * S.volume)
-        assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_sweep_ratio_bounded(self):
-        g, w, sigma, parts = self.grid_setup()
-        worst = 0.0
-        for (S, a, b), cls in parts.items():
-            for t in range(1, 9):
-                for nu in ("lebesgue", "sigma"):
-                    r = distributional_check(cls, w, sigma, S, b, float(t), nu)
-                    worst = max(worst, r)
-        assert worst <= 16.0  # recorded constant for this family
-
-    def test_aTL_moment_recorded(self):
-        # per-(a,b) p'-moment against 2^(-p'b) ainfty(w) 2^(a(p'-1)) w(Q0) on
-        # decomposition-derived (type-L) base families; the recorded constant
-        # absorbs Lambda^p' and the dyadic bin width 2^(2p')
-        from czlab.lerner import lerner_decompose
-
-        g = GridSpec(1, 6)
-        worst = 0.0
-        checked = 0
-        for seed in range(50):
-            w = cascade_weight(g, 500 + seed, 0.65)
-            p = (1.5, 2.0, 3.0)[seed % 3]
-            sigma = dual_weight(w, p)
-            pprime = p / (p - 1.0)
-            fam = build_stopping_family(w, g.root())
-            rng = np.random.default_rng(600 + seed)
-            raw = rng.standard_cauchy(g.cells)
-            dec = lerner_decompose(StepFunction(g, np.sign(raw) * raw**2), g.root())
-            cubes = decomposition_cubes(dec)
-            if not cubes:
-                continue
-            checked += 1
-            parts = lab_partition(CubeFamily(g, cubes), w, sigma, p, fam)
-            ainf = ainfty_characteristic(w).value
-            w_total = w.integral()
-            by_ab = {}
-            for (S, a, b), cls in parts.items():
-                by_ab.setdefault((a, b), []).extend(cls.cubes)
-            for (a, b), members in by_ab.items():
-                total = np.zeros(g.cells)
-                for Q in members:
-                    total[Q.cell_slice] += float(w.values[Q.cell_slice].mean())
-                moment = float((total**pprime * sigma.values).sum() * g.cell_volume)
-                rhs = 2.0 ** (-pprime * b) * ainf * 2.0 ** (a * (pprime - 1.0)) * w_total
-                worst = max(worst, moment / rhs)
-        assert checked >= 40
-        assert worst <= 4096.0  # recorded constant, stable across the draws
