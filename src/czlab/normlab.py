@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .characteristics import ainfty_characteristic, ap_characteristic, dual_weight, joint_ap
-from .dyadics import GridSpec, StepFunction, require_weight
+from .dyadics import GridSpec, StepFunction, _finite_number, require_weight
 from .families import power_weight, two_value_weight
 from .positive import TauCoefficients, _positive_block
 from .shifts import HaarShift, _hilbert_block, _hilbert_taps, build_petermichl, build_random_shift
@@ -134,6 +134,14 @@ _SEARCH_BLOCK = 32
 # relative amount in one step, or after this many scores.
 _BOYD_RTOL = 1e-5
 _BOYD_STEPS = 100
+# A spectral solve stops once its top Ritz pair's residual is at most this
+# fraction of the Ritz value.  Where the solve's value may be reported
+# (norm_p2, and a strong search at p = 2), that is four decades below
+# norm_p2's default tol; where its witness only seeds a search (a weak
+# search, a strong one at p != 2), the seed stop: the search scores and
+# refines the witness, and never reads its spectral value.
+_CERTIFIED_RESID = 1e-4 * 1e-8
+_SEED_RESID = 1e-2
 
 
 class _Rows(NamedTuple):
@@ -182,25 +190,29 @@ def _require_count(name, value) -> int:
     return count
 
 
-def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10_000) -> list:
+def _lanczos(op: LinearOperator, problems, stops, max_iter: int = 10_000) -> list:
     """norm_p2 of op for each (w, sigma) of `problems`, run in lockstep: one
     batched B-application per step for the problems still running, each
-    problem re-orthogonalised against its own basis.  The top Ritz pair is
-    checked, by one eigh of the stacked equal-size tridiagonals, at steps
-    1-8 and then whenever the step count has grown by an eighth since the
-    last scheduled check (k -> k + max(1, k // 8)), at the step cap, and
-    for a problem whose b is at rounding level against its last checked
-    Ritz value, a lower bound on the current one.  Every problem shares the
-    step count, so every row and every stacked eigh gives the one-problem
-    bits.  Returns per problem its NormEstimate, or the NonConvergenceError
-    it met at the step cap."""
+    problem re-orthogonalised against its own basis.  Problem i stops at
+    the first check where its top Ritz pair's residual is at most stops[i]
+    times its Ritz value (_CERTIFIED_RESID where the value is reported,
+    _SEED_RESID where the witness only seeds a search), or on breakdown.
+    The top Ritz pair is checked, by one eigh of the stacked equal-size
+    tridiagonals, at steps 1-8 and then whenever the step count has grown
+    by an eighth since the last scheduled check (k -> k + max(1, k // 8)),
+    at the step cap, and for a problem whose b is at rounding level against
+    its last checked Ritz value, a lower bound on the current one.  Every
+    problem shares the step count and the check schedule, so every row and
+    every stacked eigh gives the one-problem bits, whatever the other
+    problems' stops.  Returns per problem its NormEstimate, or the
+    NonConvergenceError it met at the step cap.  Raises ValueError for a
+    max_iter that is not an integer of at least 1."""
     grid = op.grid
     for w, sigma in problems:
         _require_problem(grid, w, sigma)
+    max_iter = _require_count("max_iter", max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
     sq_sigma = np.array([np.sqrt(sigma.values) for _, sigma in problems])
     wv = np.array([w.values for w, _ in problems])
     steps = min(max_iter, grid.cells)
@@ -249,12 +261,9 @@ def _lanczos(op: LinearOperator, problems, tol: float = 1e-8, max_iter: int = 10
                 theta, y = pairs[i]
                 theta_last[i] = theta
                 resid = b * abs(float(y[-1]))
-                # The Ritz residual is stopped four decades below the requested
-                # tolerance: the value error then sits far inside tol whenever the
-                # top eigenvalue is separated (it shrinks like resid^2 / gap).
                 # Breakdown (b at rounding level) means the basis spans an
                 # invariant subspace.
-                if resid <= 1e-4 * tol * theta or b <= breakdown * theta:
+                if resid <= stops[i] * theta or b <= breakdown * theta:
                     converged[i] = ((y @ bases[i][:k]) / sq_sigma[i], k)
                     bases[i] = None  # free the basis while other problems run
                     continue
@@ -300,13 +309,20 @@ def norm_p2(
     rounding level.  It stops at the first check where the pair's residual
     is below 1e-4 * tol times its value, or on breakdown, so `iterations`
     may pass the first step meeting that test by at most k // 8 steps.
-    `iterations` counts the Lanczos steps, one B-application each, at most
-    min(max_iter, cells).  The reported value is the ratio
-    re-evaluated at the Ritz witness, so the estimate certifies itself.
-    Raises NonConvergenceError with a value bracket at the step cap, and
-    ValueError for max_iter < 1 or a tol that is not finite and positive.
+    The residual is stopped four decades below tol: the value error then
+    sits far inside tol whenever the top eigenvalue is separated (it
+    shrinks like resid^2 / gap).  This is the certified solve; a search
+    whose spectral start only seeds it stops at _SEED_RESID instead
+    (_spectral_start).  `iterations` counts the Lanczos steps, one
+    B-application each, at most min(max_iter, cells).  The reported value
+    is the ratio re-evaluated at the Ritz witness, so the estimate
+    certifies itself.  Raises NonConvergenceError with a value bracket at
+    the step cap, and ValueError for a max_iter that is not an integer of
+    at least 1 or a tol that is not a finite positive number.
     """
-    (est,) = _lanczos(op, [(w, sigma)], tol, max_iter)
+    if not (_finite_number(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    (est,) = _lanczos(op, [(w, sigma)], [1e-4 * tol], max_iter)
     if isinstance(est, NonConvergenceError):
         raise est
     return est
@@ -357,15 +373,23 @@ def _cube_scores(op, w, sigma, p):
     return score
 
 
-def _spectral_start(op, w, sigma):
-    """Yields the norm_p2 witness of op's linear part as a one-row block,
-    unless there is no linear part or its spectral solve does not converge."""
+def _spectral_stop(p) -> float:
+    """The Ritz-residual stop of a strong search's spectral start at
+    exponent p: certified at p = 2, where the witness's ratio is a p = 2
+    value the search may report, the seed stop elsewhere."""
+    return _CERTIFIED_RESID if p == 2.0 else _SEED_RESID
+
+
+def _spectral_start(op, w, sigma, stop):
+    """Yields the spectral witness of op's linear part as a one-row block,
+    from _lanczos with Ritz-residual stop `stop` (_CERTIFIED_RESID gives
+    norm_p2's witness at its default tol), unless there is no linear part
+    or its spectral solve does not converge."""
     linear = op if isinstance(op, LinearOperator) else op.linear_part
     if linear is not None:
-        try:
-            yield norm_p2(linear, w, sigma).witness.values[None]
-        except NonConvergenceError:
-            pass
+        (est,) = _lanczos(linear, [(w, sigma)], [stop])
+        if not isinstance(est, NonConvergenceError):
+            yield est.witness.values[None]
 
 
 def _random_blocks(grid, seed, random_starts):
@@ -503,13 +527,16 @@ def norm_lp_lower(
 ) -> NormEstimate:
     """Certified lower bound for ||f -> T(sigma f)|| from L^p(sigma) to L^p(w).
 
-    Scores the p = 2 spectral witness of the linear part (norm_p2) and
-    seeded random starts g and |g| on the operator itself, then runs Boyd's
+    Scores the p = 2 spectral witness of the linear part and seeded random
+    starts g and |g| on the operator itself, then runs Boyd's
     iteration (_boyd) from the `budget` best, linearised at each iterate: a
     shift truncation by the cutoff each cell selects (other sublinear
     operators are not refined).  A refined row never falls below its start
     and larger budgets refine supersets, so the estimate is monotone in the
-    budget.  `iterations` counts scored starts and Boyd's row applications.
+    budget.  At p = 2 the witness is norm_p2's, certified, so the estimate
+    is never below norm_p2's value; at p != 2 it only seeds the search and
+    its solve takes the seed stop (_SEED_RESID).  `iterations` counts
+    scored starts and Boyd's row applications, not Lanczos steps.
     Raises ValueError for weights off the operator's grid, a budget or
     random_starts that is not a non-negative integer, and when there is no
     start: no spectral witness and random_starts = 0.
@@ -519,7 +546,7 @@ def norm_lp_lower(
         raise ValueError("p must lie in (1, infinity)")
     budget = _require_count("budget", budget)
     random_starts = _require_count("random_starts", random_starts)
-    spectral = [_spectral_start(op, w, sigma)]
+    spectral = [_spectral_start(op, w, sigma, _spectral_stop(p))]
     return _lp_searches(op, [(w, sigma)], p, budget, seed, random_starts, spectral)[0]
 
 
@@ -562,7 +589,8 @@ def weak_norm_estimate(
     search is the strong one's scan and Boyd refinement, scored by the weak
     functional, on a start stream of every cube indicator (coarsest level
     first, Z-order within a level), the p = 2 spectral witness of the linear
-    part and the seeded random starts g and |g|; at p = 1, where Boyd's
+    part, seed-stopped (_SEED_RESID: no weak value reads its spectral
+    value), and the seeded random starts g and |g|; at p = 1, where Boyd's
     duality map is undefined, the starts are not refined.  A shift
     truncation whose input Haar functions cancel exactly, at sigma = 1 and
     a constant w, scores its indicators without imaging them on the cells
@@ -584,7 +612,7 @@ def weak_norm_estimate(
     random_starts = _require_count("random_starts", random_starts)
     starts = itertools.chain(
         _indicator_blocks(w.grid, _cube_scores(op, w, sigma, p)),
-        _spectral_start(op, w, sigma),
+        _spectral_start(op, w, sigma, _SEED_RESID),
         _random_blocks(w.grid, seed, random_starts),
     )
     budget = budget if p > 1.0 else 0
@@ -650,10 +678,13 @@ def _sweep_norms(trunc, problems, p_list, seed, budget, random_starts) -> list[f
     """norm_lp_lower of one truncation for each (w, sigma) of `problems`,
     listed weight by weight with sigma the dual weight of each p of p_list
     in turn.  The spectral starts come from one lockstep Lanczos run over
-    all problems, and each p's searches share one Boyd block."""
+    all problems, each with norm_lp_lower's stop for its p (certified at
+    p = 2, the seed stop elsewhere), and each p's searches share one Boyd
+    block."""
+    stops = [_spectral_stop(p) for p in p_list] * (len(problems) // len(p_list))
     spectral = [
         [] if isinstance(est, NonConvergenceError) else [est.witness.values[None]]
-        for est in _lanczos(trunc.linear_part, problems)
+        for est in _lanczos(trunc.linear_part, problems, stops)
     ]
     norms = [0.0] * len(problems)
     for j, p in enumerate(p_list):

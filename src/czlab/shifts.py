@@ -261,13 +261,17 @@ class HaarShift:
 
     @functools.cached_property
     def _transpose(self) -> "HaarShift":
-        # no reference back to self: a cycle would keep both shifts and their
-        # plans alive until the cyclic garbage collector ran
-        levels = {
+        # self's checked read-only rows with their sides swapped, which every
+        # check the constructor makes accepts as well: they are shared, not
+        # checked again.  No reference back to self: a cycle would keep both
+        # shifts and their plans alive until the cyclic garbage collector ran
+        T = object.__new__(HaarShift)
+        T.grid, T.m, T.n, T.cancellative = self.grid, self.n, self.m, self.cancellative
+        T.levels = {
             level: ShiftLevel(lv.out_idx, lv.in_idx, lv.h_out, lv.h_in)
             for level, lv in self.levels.items()
         }
-        return HaarShift(self.grid, self.n, self.m, levels, self.cancellative)
+        return T
 
     # -- serialization -----------------------------------------------------
 
@@ -556,10 +560,12 @@ class _KernelPlan:
         magnitude, and every other cell is 0.  Sorted by magnitude, a region
         scores magnitude * root[cells counted through it - 1]; equal
         magnitudes peak at the end of their run, as in the sort of all
-        cells.  Per indicator this costs one term per child of the pairs of
-        its ancestors R', and a sort of its W 2^(d(m+1)) regions, W <= N
-        the windows.  Rows go a chunk at a time, each of a chunk's arrays of
-        terms or regions taking at most half of _BLOCK_BYTES.
+        cells.  Per indicator this costs at most one term per child of the
+        pairs of its ancestors R' (a window's terms, acc and best are made
+        once for all of a chunk's indicators that share it, _window_weak),
+        and a sort of its W 2^(d(m+1)) regions, W <= N the windows.  Rows go
+        a chunk at a time, each of a chunk's arrays of terms or regions
+        taking at most half of _BLOCK_BYTES.
         """
         d, m, n = self.grid.d, self.m, self.n
         shift = self.shift_levels[self.shift_levels + n < level]  # R' a strict ancestor of Q
@@ -574,46 +580,65 @@ class _KernelPlan:
         )
 
     def _window_weak(self, zs, level, shift, root):
-        """cube_weak for the cubes zs of `level`, whose ancestors R' sit at
-        the levels shift + n, with root[k] the root for k cells counted."""
+        """cube_weak for the cubes zs of `level`, consecutive Z-indices,
+        whose ancestors R' sit at the levels shift + n, with root[k] the
+        root for k cells counted.  A window's terms, acc and best depend on
+        Q only through the child of R' that holds Q, its ancestor at level
+        shift + n + 1: they are made once per such ancestor (an ancestor
+        window), in the order a row would make them, and each row takes
+        its ancestors'."""
         d, N, m, n = self.grid.d, self.grid.N, self.m, self.n
         rows, windows, width = len(zs), len(shift), 1 << (d * (m + 1))
         order, first, count = self._by_rprime
-        corner = zs[:, None] >> (d * (level - shift))  # C_j
-        holder = zs[:, None] >> (d * (level - shift - n - 1))  # the child of R' that holds Q
-        key = np.array(_flat_starts(d, shift + n + 1)[:-1]) + ((holder >> d) << d)  # R''s child 0
-        k = count[key].ravel()
-        pair = order[np.repeat(first[key].ravel() + k - np.cumsum(k), k) + np.arange(k.sum())]
-        coef = 2.0 ** (-d * level) * self.h_in[np.repeat(holder.ravel() & ((1 << d) - 1), k), pair]
+        up = d * (level - shift - n - 1)
+        lo = zs[0] >> up  # each window's first ancestor
+        sizes = (zs[-1] >> up) - lo + 1
+        ends = np.cumsum(sizes)
+        win = np.repeat(np.arange(windows), sizes)
+        holder = np.arange(ends[-1]) - (ends - sizes)[win] + lo[win]  # the child of R' that holds Q
+        corner = holder >> (d * (n + 1))  # C_j
+        key = np.array(_flat_starts(d, shift + n + 1)[:-1])[win] + ((holder >> d) << d)  # R''s child 0
+        k = count[key]
+        pair = order[np.repeat(first[key] + k - np.cumsum(k), k) + np.arange(k.sum())]
+        coef = 2.0 ** (-d * level) * self.h_in[np.repeat(holder & ((1 << d) - 1), k), pair]
         coef *= self.scale[pair]
-        # bin (row, window, cube of the window), each window's cubes in Z-order
-        base = np.array([start for start, _, _ in self.outputs[:windows]]) + (corner << (d * (m + 1)))
-        base -= width * np.arange(corner.size).reshape(corner.shape)
+        # bin (ancestor window, cube of the window), each window's cubes in Z-order
+        base = np.array([start for start, _, _ in self.outputs[:windows]])[win] + (corner << (d * (m + 1)))
+        base -= width * np.arange(holder.size)
         contrib = np.bincount(
-            (self.scatter[:, pair] - np.repeat(base.ravel(), k)).ravel(),
+            (self.scatter[:, pair] - np.repeat(base, k)).ravel(),
             (coef * self.h_out[:, pair]).ravel(),
-            corner.size * width,
-        ).reshape(rows, windows, width)
-        # C_j's place among the cubes of its level in C_(j-1)
-        offset = corner[:, 1:] - (corner[:, :-1] << (d * np.diff(shift)))
-        slot, first_slot = np.arange(width), width * np.arange(rows)[:, None]
-        acc = contrib[:, 0]
+            holder.size * width,
+        ).reshape(-1, width)
+        slot = np.arange(width)
+        acc = contrib[: ends[0]]
         best = [np.abs(acc)]  # per window
         for j in range(1, windows):
-            up = d * (shift[j] - shift[j - 1])
-            parent = (((offset[:, j - 1, None] << (d * (m + 1))) + slot) >> up) + first_slot
-            acc = acc.take(parent) + contrib[:, j]
+            here, step = slice(ends[j - 1], ends[j]), d * (shift[j] - shift[j - 1])
+            # C_j's place among the cubes of its level in C_(j-1), and the
+            # row of the ancestor window before
+            offset = corner[here] & ((1 << step) - 1)
+            parent = (((offset[:, None] << (d * (m + 1))) + slot) >> step) + width * (
+                (holder[here] >> step) - lo[j - 1]
+            )[:, None]
+            acc = acc.take(parent) + contrib[here]
             best.append(np.maximum(best[-1].take(parent), np.abs(acc)))
+        # per row: its ancestor window in each window, and each C_j's place
+        # among the cubes of its level in C_(j-1)
+        mine = (zs[:, None] >> up) - lo
+        corners = zs[:, None] >> (d * (level - shift))
+        offset = corners[:, 1:] - (corners[:, :-1] << (d * np.diff(shift)))
+        first_slot = width * np.arange(rows)[:, None]
         # the cells of each window's cubes, less those of the next C in them
         fine = shift + m + 1  # the windows' output levels
-        mass = np.empty(contrib.shape, dtype=int)
+        mass = np.empty((rows, windows, width), dtype=int)
         mass[:] = (1 << (d * (N - fine)))[:, None]
         below, above = np.maximum(fine[:-1] - shift[1:], 0), np.maximum(shift[1:] - fine[:-1], 0)
         covered = (slot >> (d * below[:, None])) == (offset[:, :, None] >> (d * above[:, None]))
         mass[:, :-1] -= covered * (1 << (d * (N - np.maximum(fine[:-1], shift[1:]))))[:, None]
         # a region left without cells scores no more than a cell counted
         # before it (each at least its magnitude) does, or 0 if none is
-        mags = np.concatenate(best, axis=1)
+        mags = np.concatenate([b.take(i, axis=0) for b, i in zip(best, mine.T)], axis=1)
         by_size = np.argsort(-mags, axis=1) + windows * first_slot
         counted = np.cumsum(mass.take(by_size), axis=1)
         return (mags.take(by_size) * root.take(counted)).max(axis=1, initial=0.0)

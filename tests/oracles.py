@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from czlab import normlab
 from czlab.dyadics import (
     GridSpec,
     StepFunction,
@@ -22,7 +23,7 @@ from czlab.dyadics import (
     repeat_to_cells,
 )
 from czlab.lerner import median, oscillation
-from czlab.normlab import LinearOperator, NonConvergenceError, norm_p2
+from czlab.normlab import LinearOperator, NonConvergenceError
 from czlab.positive import TauCoefficients
 from czlab.shifts import HaarShift, ShiftLevel, _exact_zero_sum, build_petermichl
 
@@ -746,17 +747,18 @@ def loop_search(out_norm, apply1, linear, linearise1, w, sigma, p, seed, budget,
     refinement); returns (value, input, scored starts plus Boyd's
     applications).  The strong stream (`strong`) is the spectral start and
     the random starts; the weak one puts every cube indicator first and is
-    not refined at p = 1.  The spectral start is the library's norm_p2
-    witness for the row-by-row linear part: this oracle checks the scan and
+    not refined at p = 1.  The spectral start is the library's Lanczos
+    witness for the row-by-row linear part, certified for a strong stream
+    at p = 2 and seed-stopped otherwise: this oracle checks the scan and
     the Boyd loop, not the spectral solve."""
     grid = w.grid
     spectral = None
     if linear is not None:
         lin = LinearOperator(grid, rowwise(linear[0]), rowwise(linear[1]))
-        try:
-            spectral = norm_p2(lin, w, sigma).witness.values
-        except NonConvergenceError:
-            pass
+        stop = normlab._CERTIFIED_RESID if strong and p == 2.0 else normlab._SEED_RESID
+        (est,) = normlab._lanczos(lin, [(w, sigma)], [stop])
+        if not isinstance(est, NonConvergenceError):
+            spectral = est.witness.values
     starts = [] if strong else [StepFunction.indicator(Q).values for Q in grid.all_cubes()]
     if spectral is not None:
         starts.append(spectral)

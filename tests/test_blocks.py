@@ -549,7 +549,8 @@ class TestCubePath:
         met = [inputs[bits(x)] for block in passed for x in block if bits(x) in inputs]
         assert sorted(met) == sorted(made) and 1 <= len(made) <= budget
         assert any(len(x) == budget for x in passed)  # Boyd's block of the best starts
-        spectral = norm_p2(shift_operator(S), one, one).witness.values[None]
+        (est,) = normlab._lanczos(shift_operator(S), [(one, one)], [normlab._SEED_RESID])
+        spectral = est.witness.values[None]
         random = next(normlab._random_blocks(g, seed, random_starts))
         for rows in (spectral, random):
             assert any(x.shape == rows.shape and bits(x) == bits(rows) for x in applied)
@@ -861,11 +862,10 @@ class TestBlockSearches:
     @pytest.mark.parametrize("N,i", CASES)
     def test_norm_lp_lower_without_spectral_matches_loop(self, N, i, monkeypatch):
         # with no spectral witness, the random starts alone are refined
-        def fail(*args, **kwargs):
-            raise NonConvergenceError("no spectral witness", (0.0, 0.0))
+        def fail(op, problems, *args, **kwargs):
+            return [NonConvergenceError("no spectral witness", (0.0, 0.0)) for _ in problems]
 
-        monkeypatch.setattr(normlab, "norm_p2", fail)
-        monkeypatch.setattr(oracles, "norm_p2", fail)
+        monkeypatch.setattr(normlab, "_lanczos", fail)
         op, apply1, linear, linearise1, w, sigma = _case(N, i)
         est = norm_lp_lower(op, w, sigma, 3.0, seed=i, budget=2, random_starts=3)
         value, f, evals = loop_search(
@@ -916,7 +916,7 @@ class TestBlockSearches:
         def stream():  # weak_norm_estimate's start stream at seed 5
             return itertools.chain(
                 normlab._indicator_blocks(g),
-                normlab._spectral_start(op, w, sigma),
+                normlab._spectral_start(op, w, sigma, normlab._SEED_RESID),
                 normlab._random_blocks(g, 5, 3),
             )
 
@@ -1019,12 +1019,29 @@ class TestBatchedSearches:
         op = _case(N, i)[0]
         lin = op if isinstance(op, LinearOperator) else op.linear_part
         problems = self.problems(op.grid)
-        batched = normlab._lanczos(lin, problems)
+        batched = normlab._lanczos(lin, problems, [normlab._CERTIFIED_RESID] * len(problems))
         for (w, sigma), est in zip(problems, batched):
             alone = norm_p2(lin, w, sigma)
             assert est.lower_bound == alone.lower_bound
             assert bits(est.witness.values) == bits(alone.witness.values)
             assert est.iterations == alone.iterations
+
+    @pytest.mark.parametrize("N,i", CASES)
+    def test_lockstep_mixed_stops_match_separate_calls(self, N, i):
+        # certified and seed-stopped problems in one call: each gets its
+        # one-problem bits, and the certified ones norm_p2's
+        op = _case(N, i)[0]
+        lin = op if isinstance(op, LinearOperator) else op.linear_part
+        problems = self.problems(op.grid)
+        stops = [normlab._CERTIFIED_RESID, normlab._SEED_RESID] * 2 + [normlab._SEED_RESID]
+        batched = normlab._lanczos(lin, problems, stops)
+        for (w, sigma), stop, est in zip(problems, stops, batched):
+            (alone,) = normlab._lanczos(lin, [(w, sigma)], [stop])
+            assert (est.lower_bound, est.iterations) == (alone.lower_bound, alone.iterations)
+            assert bits(est.witness.values) == bits(alone.witness.values)
+            if stop == normlab._CERTIFIED_RESID:
+                p2 = norm_p2(lin, w, sigma)
+                assert (est.lower_bound, bits(est.witness.values)) == (p2.lower_bound, bits(p2.witness.values))
 
     def test_lockstep_nonconvergence_stays_per_problem(self):
         g = GridSpec(1, 4)
@@ -1032,7 +1049,7 @@ class TestBatchedSearches:
         one = StepFunction.constant(g, 1.0)
         w = StepFunction(g, np.random.default_rng(5).uniform(0.5, 2.0, g.cells))
         problems = [(one, one), (w, one), (one, two_value_weight(g, 16.0, 1)), (w, w)]
-        batched = normlab._lanczos(op, problems, max_iter=6)
+        batched = normlab._lanczos(op, problems, [normlab._CERTIFIED_RESID] * len(problems), max_iter=6)
         failed = [isinstance(est, NonConvergenceError) for est in batched]
         assert failed == [False, True, False, True]
         for (w, sigma), est in zip(problems, batched):

@@ -99,14 +99,14 @@ class TestNormP2:
         if kind == "petermichl_unweighted":
             assert est.iterations == 2
 
-    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("max_iter", [0, -3, True, 2.5, "3"])
     def test_rejects_max_iter_below_one(self, max_iter):
         g = GridSpec(1, 3)
         one = StepFunction.constant(g, 1.0)
         with pytest.raises(ValueError, match="max_iter"):
             norm_p2(identity_operator(g), one, one, max_iter=max_iter)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, True, "1e-8"])
     def test_rejects_bad_tol(self, tol):
         g = GridSpec(1, 3)
         one = StepFunction.constant(g, 1.0)
@@ -334,6 +334,31 @@ class TestWeakNorm:
             weak = weak_norm_estimate(op, w, sigma, p, seed=seed, budget=2)
             assert joint_ap(w, sigma, p).value <= weak * (1 + 1e-9)
 
+    # Lanczos steps of criterion 8's spectral starts, kappa = 1..4: the
+    # seed stop the weak search takes, and norm_p2's certified stop
+    SEED_STEPS, CERTIFIED_STEPS = [3, 10, 12, 9], [3, 15, 57, 46]
+
+    def test_criterion_8_spectral_starts_take_the_seed_stop(self, monkeypatch):
+        g = GridSpec(1, 10)
+        one = StepFunction.constant(g, 1.0)
+        solves = []
+
+        def spy(op, problems, stops, *args):
+            results = lanczos(op, problems, stops, *args)
+            solves.append((stops, [est.iterations for est in results]))
+            return results
+
+        lanczos = normlab._lanczos
+        monkeypatch.setattr(normlab, "_lanczos", spy)
+        certified = []
+        for kappa in (1, 2, 3, 4):
+            S = build_random_shift(kappa, kappa, 90_000 + kappa, g)
+            weak_norm_estimate(truncation_operator(S), one, one, 1.01, seed=7, budget=3, random_starts=8)
+            certified.append(norm_p2(shift_operator(S), one, one).iterations)
+        seeds = [steps for stops, (steps,) in solves if stops == [normlab._SEED_RESID]]
+        assert seeds == self.SEED_STEPS
+        assert certified == self.CERTIFIED_STEPS
+
     # Criterion 8's estimate two levels deeper (N = 12), to 17 significant
     # digits, for its random (kappa, kappa) shifts with seed 90000 + kappa.
     PINNED_N12 = {1: "1.2051204052766267", 2: "1.0976592956333564"}
@@ -350,64 +375,65 @@ class TestWeakNorm:
 
 
 # Norms of the N = 5 sweep below, recorded with the strong start stream of
-# the Lanczos norm_p2 witness and random starts, the best of them refined by
-# Boyd's iteration on the linearised truncation:
+# the Lanczos witness (norm_p2's at p = 2, seed-stopped at p != 2) and
+# random starts, the best of them refined by Boyd's iteration on the
+# linearised truncation:
 # "family param p norm", norm to 17 significant digits.
 PINNED_SWEEP_N5 = """
-petermichl:power -0.90 1.5 3.7163380682764644
-random2a:power -0.90 1.5 5.432959122846392
+petermichl:power -0.90 1.5 3.7163380632287177
+random2a:power -0.90 1.5 5.4329591892462608
 petermichl:power -0.90 2.0 2.7167438312625896
 random2a:power -0.90 2.0 3.5943198327999508
-petermichl:power -0.90 3.0 2.1822757768283374
-random2a:power -0.90 3.0 2.6550979525543013
-petermichl:power -0.75 1.5 2.1013352011049635
-random2a:power -0.75 1.5 2.6614397516524795
+petermichl:power -0.90 3.0 2.1822757768755725
+random2a:power -0.90 3.0 2.655095611960371
+petermichl:power -0.75 1.5 2.1013350931953854
+random2a:power -0.75 1.5 2.6614398109213497
 petermichl:power -0.75 2.0 1.7088329242769245
 random2a:power -0.75 2.0 2.0610098193619604
-petermichl:power -0.75 3.0 1.5907004389579757
+petermichl:power -0.75 3.0 1.5907004487026977
 random2a:power -0.75 3.0 1.8151469861879541
-petermichl:power -0.50 1.5 1.7440691971405449
-random2a:power -0.50 1.5 1.4962918192901864
+petermichl:power -0.50 1.5 1.7416742940047432
+random2a:power -0.50 1.5 1.4962918165755819
 petermichl:power -0.50 2.0 1.4211627323470009
 random2a:power -0.50 2.0 1.2881801037971612
 petermichl:power -0.50 3.0 1.3550673587590112
 random2a:power -0.50 3.0 1.3003212006028604
-petermichl:power +0.50 1.5 2.3347473009756308
-random2a:power +0.50 1.5 1.8116743413602785
+petermichl:power +0.50 1.5 2.3347472015007145
+random2a:power +0.50 1.5 1.809450922420248
 petermichl:power +0.50 2.0 1.5849509909679871
 random2a:power +0.50 2.0 1.1570498318962248
 petermichl:power +0.50 3.0 1.3685652673959443
-random2a:power +0.50 3.0 1.0871569954033535
-petermichl:power +0.75 1.5 3.2670492512867817
-random2a:power +0.75 1.5 2.751813522565334
+random2a:power +0.50 3.0 1.0871577963043293
+petermichl:power +0.75 1.5 3.2670492512681157
+random2a:power +0.75 1.5 2.7518135226192442
 petermichl:power +0.75 2.0 1.9107741410118744
 random2a:power +0.75 2.0 1.4223238256584001
 petermichl:power +0.75 3.0 1.5326340532268092
-random2a:power +0.75 3.0 1.1760396408552991
-petermichl:power +0.90 1.5 4.0625704703109173
-random2a:power +0.90 1.5 3.5528505020034538
+random2a:power +0.75 3.0 1.1760676057259967
+petermichl:power +0.90 1.5 4.0625703101520507
+random2a:power +0.90 1.5 3.5528505043022602
 petermichl:power +0.90 2.0 2.1694058597470862
 random2a:power +0.90 2.0 1.6537724607227859
 petermichl:power +0.90 3.0 1.6094272793006721
-random2a:power +0.90 3.0 1.2455156592757
+random2a:power +0.90 3.0 1.2455156601558277
 petermichl:two_value 16@1 1.5 3.3494592705099748
-random2a:two_value 16@1 1.5 3.2545031097636459
+random2a:two_value 16@1 1.5 3.2547499733478191
 petermichl:two_value 16@1 2.0 2.2160177318508838
 random2a:two_value 16@1 2.0 2.1197357451414129
 petermichl:two_value 16@1 3.0 1.6969888483655742
 random2a:two_value 16@1 3.0 1.5572869426710105
-petermichl:two_value 256@2 1.5 22.726887690286144
-random2a:two_value 256@2 1.5 20.185230277721963
+petermichl:two_value 256@2 1.5 22.727220740797737
+random2a:two_value 256@2 1.5 20.185273622894865
 petermichl:two_value 256@2 2.0 10.390668170410352
 random2a:two_value 256@2 2.0 8.0283104591653274
-petermichl:two_value 256@2 3.0 4.9352330442578944
+petermichl:two_value 256@2 3.0 5.0252582041553335
 random2a:two_value 256@2 3.0 3.9928744818038249
 petermichl:two_value 4096@3 1.5 168.52376234275948
 random2a:two_value 4096@3 1.5 107.24121098548339
 petermichl:two_value 4096@3 2.0 46.860351645330404
 random2a:two_value 4096@3 2.0 30.286914545626136
 petermichl:two_value 4096@3 3.0 14.226564770160749
-random2a:two_value 4096@3 3.0 9.948257162482399
+random2a:two_value 4096@3 3.0 9.9482506237549764
 """
 
 

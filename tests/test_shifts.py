@@ -344,6 +344,31 @@ class TestApplyShift:
             if enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize(
+        "S",
+        [
+            build_random_shift(2, 1, 5, GridSpec(1, 6)),
+            build_random_shift(1, 0, 6, GridSpec(2, 3), False),
+            build_petermichl(GridSpec(1, 5)),
+        ],
+        ids=["random (2, 1)", "noncancellative d=2", "petermichl"],
+    )
+    def test_adjoint_shares_the_checked_rows_of_a_constructed_transpose(self, S):
+        # the adjoint skips the constructor's checks, yet holds what the
+        # constructor builds from the swapped rows, read-only
+        T = S.adjoint()
+        swapped = {k: ShiftLevel(lv.out_idx, lv.in_idx, lv.h_out, lv.h_in) for k, lv in S.levels.items()}
+        built = HaarShift(S.grid, S.n, S.m, swapped, S.cancellative)
+        assert (T.grid, T.m, T.n, T.cancellative) == (built.grid, built.m, built.n, built.cancellative)
+        assert list(T.levels) == list(built.levels)
+        for got, want in zip(T.levels.values(), built.levels.values()):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes() and not a.flags.writeable
+        X = np.random.default_rng(9).standard_normal((2, S.grid.cells))
+        assert T.apply(X).tobytes() == built.apply(X).tobytes()
+        assert T.adjoint().apply(X).tobytes() == S.apply(X).tobytes()
+
     def test_grid_mismatch(self):
         S = build_petermichl(GridSpec(1, 3))
         f = StepFunction.constant(GridSpec(1, 4), 1.0)
