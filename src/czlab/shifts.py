@@ -563,7 +563,9 @@ class _KernelPlan:
         cells.  Per indicator this costs at most one term per child of the
         pairs of its ancestors R' (a window's terms, acc and best are made
         once for all of a chunk's indicators that share it, _window_weak),
-        and a sort of its W 2^(d(m+1)) regions, W <= N the windows.  Rows go
+        and a sort of at most W 2^(d(m+1)) regions, W <= N the windows: the
+        cubes of a window that the next C covers whole hold no cells and
+        are left out.  Rows go
         a chunk at a time, each of a chunk's arrays of terms or regions
         taking at most half of _BLOCK_BYTES.
         """
@@ -628,7 +630,6 @@ class _KernelPlan:
         mine = (zs[:, None] >> up) - lo
         corners = zs[:, None] >> (d * (level - shift))
         offset = corners[:, 1:] - (corners[:, :-1] << (d * np.diff(shift)))
-        first_slot = width * np.arange(rows)[:, None]
         # the cells of each window's cubes, less those of the next C in them
         fine = shift + m + 1  # the windows' output levels
         mass = np.empty((rows, windows, width), dtype=int)
@@ -636,10 +637,15 @@ class _KernelPlan:
         below, above = np.maximum(fine[:-1] - shift[1:], 0), np.maximum(shift[1:] - fine[:-1], 0)
         covered = (slot >> (d * below[:, None])) == (offset[:, :, None] >> (d * above[:, None]))
         mass[:, :-1] -= covered * (1 << (d * (N - np.maximum(fine[:-1], shift[1:]))))[:, None]
-        # a region left without cells scores no more than a cell counted
-        # before it (each at least its magnitude) does, or 0 if none is
         mags = np.concatenate([b.take(i, axis=0) for b, i in zip(best, mine.T)], axis=1)
-        by_size = np.argsort(-mags, axis=1) + windows * first_slot
+        # A region left without cells scores no more than a cell counted
+        # before it (each at least its magnitude) does, or 0 if none is, so
+        # it is dropped before the sort.  Every row drops as many: in window
+        # j, the 2^(d(fine_j - shift_(j+1))) cubes inside C_(j+1) when
+        # fine_j >= shift_(j+1), and none otherwise.
+        held = mass.reshape(rows, -1) != 0
+        mags, mass = mags[held].reshape(rows, -1), mass.reshape(rows, -1)[held].reshape(rows, -1)
+        by_size = np.argsort(-mags, axis=1) + mags.shape[1] * np.arange(rows)[:, None]
         counted = np.cumsum(mass.take(by_size), axis=1)
         return (mags.take(by_size) * root.take(counted)).max(axis=1, initial=0.0)
 
