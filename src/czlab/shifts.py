@@ -565,9 +565,8 @@ class _KernelPlan:
         once for all of a chunk's indicators that share it, _window_weak),
         and a sort of at most W 2^(d(m+1)) regions, W <= N the windows: the
         cubes of a window that the next C covers whole hold no cells and
-        are left out.  Rows go
-        a chunk at a time, each of a chunk's arrays of terms or regions
-        taking at most half of _BLOCK_BYTES.
+        are left out.  Rows go a chunk at a time, each of a chunk's arrays
+        of terms or regions taking at most half of _BLOCK_BYTES.
         """
         d, m, n = self.grid.d, self.m, self.n
         shift = self.shift_levels[self.shift_levels + n < level]  # R' a strict ancestor of Q
