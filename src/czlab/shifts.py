@@ -890,12 +890,15 @@ def hilbert_maximal(f: StepFunction) -> StepFunction:
 
 
 def _coefficient_values(coefficients) -> np.ndarray:
-    """The coefficients as a float array.  A ValueError names the first one
-    that is not a finite real number (NaN, +-inf, a bool, a non-number)."""
-    if set(map(type, coefficients)) <= {float, np.float64}:  # checked as one array
-        values = np.array(coefficients, dtype=float)
-        if np.isfinite(values).all():
-            return values
+    """The coefficients as a float array.  A one-dimensional float64 array
+    is checked as one array; any other sequence item by item, where a
+    ValueError names the first one that is not a finite real number (NaN,
+    +-inf, a bool, a non-number)."""
+    if isinstance(coefficients, np.ndarray) and coefficients.dtype == np.float64 and coefficients.ndim == 1:
+        if not np.isfinite(coefficients).all():
+            i = int(np.flatnonzero(~np.isfinite(coefficients))[0])
+            raise ValueError(f"coefficients[{i}] must be a finite number")
+        return coefficients
     for i, c in enumerate(coefficients):
         if not _finite_number(c):
             raise ValueError(f"coefficients[{i}] must be a finite number")
@@ -908,13 +911,15 @@ class GridEnsemble:
 
     `grid` is the untranslated frame, `offsets` each translation in finest
     cells (a read-only integer array with entries in [0, cells)) and
-    `coefficients` their weights, finite numbers normalized so their
-    absolute values sum to one.
+    `coefficients` their weights (a read-only float64 array), finite
+    numbers normalized so their absolute values sum to one.  The ensemble
+    keeps no Petermichl shift: the pairings read its offset plan, built in
+    closed form (_OffsetPlan.petermichl).
     """
 
     grid: GridSpec
     offsets: np.ndarray
-    coefficients: tuple[float, ...]
+    coefficients: np.ndarray
 
     def __post_init__(self):
         if self.grid.d != 1 or any(self.grid.shift):
@@ -931,21 +936,17 @@ class GridEnsemble:
         total = np.cumsum(np.abs(values))[-1]
         if total == 0.0:
             raise ValueError("ensemble coefficients must not all vanish")
-        offsets = offsets.astype(np.int64)  # a copy: callers keep theirs
-        offsets.flags.writeable = False
+        offsets = offsets.astype(np.int64)  # copies: callers keep theirs
+        values = values / total
+        for array in (offsets, values):
+            array.flags.writeable = False
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "coefficients", tuple((values / total).tolist()))
-
-    @functools.cached_property
-    def _petermichl(self) -> HaarShift:
-        """The frame's Petermichl shift, built on first use: hilbert_average
-        reads it for every pair of functions averaged over this ensemble."""
-        return build_petermichl(self.grid)
+        object.__setattr__(self, "coefficients", values)
 
     @functools.cached_property
     def _offset_plan(self) -> "_OffsetPlan":
-        """The Petermichl shift's offset plan, built once for every pair."""
-        return _OffsetPlan.build(self._petermichl)
+        """The frame's Petermichl offset plan, built once for every pair."""
+        return _OffsetPlan.petermichl(self.grid)
 
     @functools.cached_property
     def _hilbert_spectrum(self) -> np.ndarray:
@@ -966,7 +967,7 @@ class GridEnsemble:
     def random_translations(cls, grid: GridSpec, count: int, seed: int) -> "GridEnsemble":
         """Uniform random translations, quantized to finest cells."""
         rng = np.random.default_rng(seed)
-        return cls(grid, rng.integers(0, grid.cells, size=count), (1.0 / count,) * count)
+        return cls(grid, rng.integers(0, grid.cells, size=count), np.full(count, 1.0 / count))
 
 
 @dataclass(frozen=True)
@@ -993,22 +994,28 @@ def _toroidal_gap_cells(fmask: np.ndarray, gmask: np.ndarray) -> int:
     return int(np.minimum(diff, M - diff).min())
 
 
-def _cyclic(op, W: np.ndarray, c: int, x, out: np.ndarray) -> np.ndarray:
-    """out = op(np.roll(W, -c), x) without the roll: W read cyclically from
-    index c on, as two slices.  `x` is a number or an array as long as W."""
-    n = W.size - c
-    xs = (x, x) if np.isscalar(x) else (x[:n], x[n:])
-    op(W[c:], xs[0], out=out[:n])
-    op(W[:c], xs[1], out=out[n:])
+def _cyclic_pair(op, W: np.ndarray, c: int, e: int) -> np.ndarray:
+    """op(W[(s + c) % M], W[(s + e) % M]) for every s, without a roll: the
+    two reads wrap at s = M - c and s = M - e, so W is read by slices."""
+    M = W.size
+    out = np.empty(M)
+    cuts = sorted({0, M, -c % M, -e % M})
+    for lo, hi in zip(cuts, cuts[1:]):
+        i, j = (lo + c) % M, (lo + e) % M
+        op(W[i : i + hi - lo], W[j : j + hi - lo], out=out[lo:hi])
     return out
 
 
 class _OffsetPlan(NamedTuple):
     """What _offset_pairings reads of a one-dimensional shift that carries
-    the same rows on every cube of a level: per level L of Q, the input and
-    output window levels (L + n + 1, L + m + 1) and, for each child z of
-    one cube's rows, flat in row order, its cyclic offset z len_K % M and
-    its child value."""
+    the same rows on every cube of a level.  Per level L of Q, increasing:
+    the input window level L + n + 1 with each row's input children, then
+    the output window level L + m + 1 with each row's output children, rows
+    in the shift's order; a child is its cyclic offset z len_K % M and its
+    child value.
+
+    `build` reads any such shift; `petermichl` writes Petermichl's plan in
+    closed form, without building the shift."""
 
     grid: GridSpec
     levels: tuple
@@ -1030,51 +1037,87 @@ class _OffsetPlan(NamedTuple):
                 raise ValueError("offset pairings need the same rows on every cube of a level")
             sides = []
             for level, idx, h in ((L + S.n + 1, lv.in_idx, lv.h_in), (L + S.m + 1, lv.out_idx, lv.h_out)):
-                offsets = (idx[:k] * (M >> level) % M).ravel().tolist()
-                sides += [level, list(zip(offsets, h[:k].ravel().tolist()))]
+                offsets = (idx[:k] * (M >> level) % M).tolist()
+                sides += [level, tuple(tuple(zip(o, x)) for o, x in zip(offsets, h[:k].tolist()))]
             levels.append((L, *sides))
+        return cls(grid, tuple(levels))
+
+    @classmethod
+    def petermichl(cls, grid: GridSpec) -> "_OffsetPlan":
+        """build(build_petermichl(grid)), written down: on each level L, both
+        pairs of Q read R' = Q's children (1, -1), and Q' is either child of
+        Q, read on the grandchildren (1, -1) or (-1, 1)."""
+        M = grid.cells
+        levels = []
+        for L in range(grid.N - 1):
+            half, quarter = M >> (L + 1), M >> (L + 2)
+            whole = ((0, 1.0), (half, -1.0))
+            left, right = ((0, 1.0), (quarter, -1.0)), ((2 * quarter, -1.0), (3 * quarter, 1.0))
+            levels.append((L, L + 1, (whole, whole), L + 2, (left, right)))
         return cls(grid, tuple(levels))
 
 
 def _offset_pairings(plan: _OffsetPlan, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
     """<S f(. + o), g(. + o)> for every cyclic cell offset o, as one array,
-    for the shift S of the plan (_OffsetPlan.build).
+    for the shift S of the plan.
 
     In the frame of offset o the level-K cube z covers the len_K = M >> K
     cells from z len_K + o on, so its integral is W_K[(z len_K + o) % M],
     where W_K lists every cyclic window sum of len_K cells: W_K is W_{K+1}
     plus W_{K+1} one window further on, added as _level_sums adds children.
     A shift with the same rows on every cube of a level then has, per
-    level, one length-M array of terms: W_K read cyclically from z len_K.
+    level, one length-M array of Haar coefficients per row.
+
+    The window sums are streamed from fine to coarse, with the levels of Q
+    taken finest first, so only a few length-M arrays are alive at once;
+    each level keeps its sum folded to one cube (M >> L entries, about 2 M
+    in all), added into the total coarsest first.  Each distinct row of a
+    level is made once; a row with child values (1, -1) or (-1, 1) is one
+    cyclic difference of window sums.  The additions are the ones of
+    _child_sum and of (a * b).sum(axis=0), in the same order.
     """
     grid = plan.grid
     M = grid.cells
 
-    def window_sums(values):  # W_0 .. W_N
-        sums = [values * grid.cell_volume]
-        for K in range(grid.N - 1, -1, -1):
-            finer = sums[-1]
-            coarser = _cyclic(np.add, finer, M >> (K + 1), finer, np.empty(M))
-            if K == grid.N - 1:
-                coarser += 0.0  # a zero's sign, as _child_sum gives it
-            sums.append(coarser)
-        return sums[::-1]
+    def window_sums(values, wanted):  # W_K for each K of `wanted`, descending
+        W, K = values * grid.cell_volume, grid.N
+        for level in wanted:
+            while K > level:
+                K -= 1
+                W = _cyclic_pair(np.add, W, 0, M >> (K + 1))
+                if K == grid.N - 1:
+                    W += 0.0  # a zero's sign, as _child_sum gives it
+            yield W
 
-    def coefficients(sums, level, reads):
+    def coefficients(W, rows):
         # row r's Haar coefficient on the cube whose first cell is s, for every s
-        terms = np.empty((len(reads), M))
-        for row, (c, x) in zip(terms, reads):
-            _cyclic(np.multiply, sums[level], c, x, row)
-        return _child_sum(list(terms.reshape(-1, 2, M).transpose(1, 0, 2)))
+        made = {}
+        for (c, x), (e, y) in dict.fromkeys(rows):
+            if abs(x) == 1.0 and y == -x:  # 1 W[c] + -1 W[e], as a difference
+                row = _cyclic_pair(np.subtract, W, *((c, e) if x > 0 else (e, c)))
+            else:
+                row = np.roll(W, -c) * x
+                row += np.roll(W, -e) * y
+            row += 0.0
+            made[(c, x), (e, y)] = row
+        return [made[row] for row in rows]
 
-    sums_f, sums_g = window_sums(f_values), window_sums(g_values)
+    fine_first = plan.levels[::-1]
+    sums_f = window_sums(f_values, [level[1] for level in fine_first])
+    sums_g = window_sums(g_values, [level[3] for level in fine_first])
+    folded = []
+    for (L, _, in_rows, _, out_rows), W_f, W_g in zip(fine_first, sums_f, sums_g):
+        a, b = coefficients(W_f, in_rows), coefficients(W_g, out_rows)
+        # (a * b).sum(axis=0) row after row, from the first product, not +0.0:
+        # only a zero's sign can differ, and the total, added from +0.0, drops it
+        per_start = a[0] * b[0]
+        for x, y in zip(a[1:], b[1:]):
+            per_start += x * y
+        per_start *= float(1 << L)
+        folded.append(per_start.reshape(1 << L, -1).sum(axis=0))
     total = np.zeros(M)
-    for L, in_level, in_reads, out_level, out_reads in plan.levels:
-        a = coefficients(sums_f, in_level, in_reads)
-        b = coefficients(sums_g, out_level, out_reads)
-        per_start = (a * b).sum(axis=0) * float(1 << L)
-        folded = per_start.reshape(1 << L, -1)
-        total.reshape(folded.shape)[...] += folded.sum(axis=0)
+    for (L, *_), sums in zip(plan.levels, folded[::-1]):
+        total.reshape(1 << L, -1)[...] += sums
     return total
 
 
@@ -1084,12 +1127,13 @@ def hilbert_average(
     """Average the Petermichl pairing over the ensemble's translated grids.
 
     The pairing <S f(. + o), g(. + o)> of every cyclic cell offset o comes
-    from one pass over cyclic window sums (_offset_pairings); the ensemble
-    average weighs each offset present by its summed coefficients, and
-    `exact_pairing` is the plain mean over all offsets.  Supports must be
-    separated by at least one cell in the cyclic metric; the result carries
-    the fitted proportionality constant against the quadrature pairing
-    <Hf, g>.
+    from one pass over cyclic window sums (_offset_pairings) through the
+    ensemble's closed-form Petermichl plan, with no shift built; the
+    ensemble average weighs each offset present by its summed coefficients,
+    and `exact_pairing` is the plain mean over all offsets.  Supports must
+    be separated by at least one cell in the cyclic metric; the result
+    carries the fitted proportionality constant against the quadrature
+    pairing <Hf, g>.
     """
     frame = ensemble.grid
     if (f.grid.d, f.grid.N) != (1, frame.N):

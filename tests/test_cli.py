@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from czlab import normlab, shifts
+from czlab import cli, normlab, shifts
 from czlab.cli import _VERB_RUNNERS, _build_operator, _build_tau, _dump_compact, _sample_blocks, main, run
 from czlab.config import VERBS, ConfigError, parse_config
 from czlab.dyadics import GridSpec, StepFunction
@@ -490,13 +490,17 @@ class TestDeterminism:
         else:
             assert got == text.encode()
 
-    def test_hilbert_approx_builds_the_shift_once(self, tmp_path, monkeypatch):
+    def test_hilbert_approx_builds_no_shift(self, tmp_path, monkeypatch):
+        # the ensemble's offset plan is written in closed form
         built = []
-        build = shifts.build_petermichl
-        monkeypatch.setattr(shifts, "build_petermichl", lambda grid: built.append(grid) or build(grid))
+        build, init = shifts.build_petermichl, shifts.HaarShift.__init__
+        for module in (shifts, cli):
+            monkeypatch.setattr(module, "build_petermichl", lambda grid: built.append(grid) or build(grid))
+        monkeypatch.setattr(shifts.HaarShift, "__init__", lambda S, *a, **k: built.append(S) or init(S, *a, **k))
         obj = self.PINNED["hilbert_approx_n6"][0]
         run(parse_config(obj), str(tmp_path))
-        assert built == [GridSpec(1, 6)] and len(obj["params"]["pairs"]) == 2
+        assert built == [] and len(obj["params"]["pairs"]) == 2
+        assert (tmp_path / "hilbert_approx.csv").read_bytes() == self.PINNED["hilbert_approx_n6"][2].encode()
 
     @pytest.mark.parametrize("case", ["invariant_suite_d1_n10", "invariant_suite_d2_n5", "stopping_audit_n12"])
     def test_block_pins_cross_block_boundaries(self, case):

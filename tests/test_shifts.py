@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -47,14 +48,15 @@ CRITERION_6_PAIRS = [
 ]
 
 
-def level_uniform_shift(grid, m, n, seed):
+def level_uniform_shift(grid, m, n, seed, fill=0.6):
     """An (m, n) shift read from JSON whose cubes of one level all carry the
     same pairs: per level a random choice of (R', Q') positions inside the
-    cube, with random child values in [-1, 1], repeated on every cube."""
+    cube, each taken with probability `fill`, with random child values in
+    [-1, 1], repeated on every cube."""
     rng = np.random.default_rng(seed)
     entries = []
     for L in range(grid.N - max(m, n)):
-        spots = [(r, q) for r in range(1 << n) for q in range(1 << m) if rng.random() < 0.6]
+        spots = [(r, q) for r in range(1 << n) for q in range(1 << m) if rng.random() < fill]
         pairs = [(r, q, rng.uniform(-1, 1, 2).tolist(), rng.uniform(-1, 1, 2).tolist()) for r, q in spots or [(0, 0)]]
         for z in range(1 << L):
             entries.append({
@@ -657,7 +659,8 @@ class TestHilbertAverage:
     def test_ensemble_normalization(self):
         g = GridSpec(1, 4)
         ens = GridEnsemble(g, [3, 3], (2.0, 2.0))
-        assert ens.coefficients == (0.5, 0.5)
+        assert ens.coefficients.dtype == np.float64 and not ens.coefficients.flags.writeable
+        assert ens.coefficients.tobytes() == np.array([0.5, 0.5]).tobytes()
         with pytest.raises(ValueError):
             GridEnsemble(g, [0], (0.0,))
 
@@ -683,6 +686,9 @@ class TestHilbertAverage:
             (GridSpec(1, 4), [0, 1], (1.0, "2"), r"coefficients\[1\] must be a finite number"),
             (GridSpec(1, 4), [0, 1], (None, 1.0), r"coefficients\[0\] must be a finite number"),
             (GridSpec(1, 4), [0, 1], (1, 10**400), r"coefficients\[1\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1, 2], np.array([1.0, 2.0, math.nan]), r"coefficients\[2\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1], np.array([-np.inf, 1.0]), r"coefficients\[0\] must be a finite number"),
+            (GridSpec(1, 4), [0, 1], np.array([True, False]), r"coefficients\[0\] must be a finite number"),
         ],
     )
     def test_rejected(self, frame, offsets, coefficients, match):
@@ -693,13 +699,16 @@ class TestHilbertAverage:
         # |c| summed in order from the first, then each c divided by the sum
         rng = np.random.default_rng(23)
         values = rng.standard_normal(1000) * 10.0 ** rng.integers(-8, 8, 1000)
-        for coefficients in (tuple(values.tolist()), tuple(values), (3, -1.5, 2, np.int64(7))):
+        given = values.copy()
+        for coefficients in (given, tuple(values.tolist()), tuple(values), (3, -1.5, 2, np.int64(7))):
             total = 0.0
             for c in coefficients:
                 total += abs(c)
+            want = np.array([c / total for c in coefficients])
             ens = GridEnsemble(GridSpec(1, 10), np.arange(len(coefficients)), coefficients)
-            assert ens.coefficients == tuple(c / total for c in coefficients)
-            assert all(type(c) is float for c in ens.coefficients)
+            assert ens.coefficients.dtype == np.float64 and not ens.coefficients.flags.writeable
+            assert ens.coefficients.tobytes() == want.tobytes()
+        assert given.tobytes() == values.tobytes() and given.flags.writeable  # the caller's array is kept
 
 
 class TestOffsetPairings:
@@ -731,15 +740,38 @@ class TestOffsetPairings:
         got = _offset_pairings(_OffsetPlan.build(S), f, h)
         assert got.tobytes() == gather_offset_pairings(S, f, h).tobytes()
 
-    @pytest.mark.parametrize("m,n", [(2, 1), (0, 2)])
+    @pytest.mark.parametrize("m,n", [(2, 1), (0, 2), (2, 2)])
     def test_level_uniform_json_shift_matches_gather_oracle_bit_for_bit(self, m, n):
+        # (2, 2) with every spot filled has 16 pairs per cube: row products
+        # summed past the 8 terms where numpy's contiguous sums go pairwise
+        fill = 1.0 if (m, n) == (2, 2) else 0.6
         g = GridSpec(1, 7)
-        S = level_uniform_shift(g, m, n, 10 * m + n)
+        S = level_uniform_shift(g, m, n, 10 * m + n, fill)
         rng = np.random.default_rng(m + n)
         f, h = (rng.standard_normal(g.cells) for _ in range(2))
         assert len(S.levels) == g.N - max(m, n)
+        assert fill < 1.0 or all(len(lv.h_in) == (1 << (m + n + L)) for L, lv in S.levels.items())
         got = _offset_pairings(_OffsetPlan.build(S), f, h)
         assert got.tobytes() == gather_offset_pairings(S, f, h).tobytes()
+
+    @pytest.mark.parametrize("N", range(0, 14))
+    def test_closed_form_petermichl_plan_is_the_built_one(self, N):
+        g = GridSpec(1, N)
+        assert _OffsetPlan.petermichl(g) == _OffsetPlan.build(build_petermichl(g))
+
+    def test_window_sums_are_streamed(self):
+        # at N = 16 the pass holds at most 16 cell-length arrays at once
+        g = GridSpec(1, 16)
+        plan = _OffsetPlan.petermichl(g)
+        rng = np.random.default_rng(16)
+        f, h = (rng.standard_normal(g.cells) for _ in range(2))
+        tracemalloc.start()
+        try:
+            _offset_pairings(plan, f, h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * g.cells * 8
 
     def test_rejects_shift_that_varies_across_cubes(self):
         g = GridSpec(1, 5)
