@@ -10,7 +10,9 @@ The dyadic A_p, A_infty and maximal-function computations are row-block
 cores over (K, cells) arrays of K functions, one row each (_ap_rows,
 _ainfty_rows, _maximal_rows); each single-function entry point is the
 one-row case of its core, so a block of samples gives every row the bits
-its own call would.
+its own call would.  The centred A_infty runs one level at a time
+(_centered_by_cube), all cubes of a level stacked; the centred maximal
+function is its root-level case.
 """
 
 from __future__ import annotations
@@ -165,68 +167,63 @@ def maximal_function(f: StepFunction, mode: str = "dyadic") -> StepFunction:
     if mode == "dyadic":
         return f.with_values(_maximal_rows(f.grid, f.values))
     if mode == "centered":
-        return f.with_values(_centered_maximal(f))
+        return f.with_values(_centered_by_cube(f.grid, f.values, 0)[0])
     raise ValueError("mode must be 'dyadic' or 'centered'")
 
 
-# Entries per block of centred windows, (radii x cells), evaluated at once.
+# Entries per block of centred windows, (cubes x radii x centres), evaluated
+# at once; a block holds at least one radius.
 _WINDOW_BLOCK = 1 << 13
 
 
-def _centered_maximal(f: StepFunction, Q: DyadicCube | None = None) -> np.ndarray:
-    """The centred maximal function of f at the cells of Q (default the
-    root), in Z-order; the windows still reach the whole grid."""
-    grid = f.grid
-    sl = grid.root().cell_slice if Q is None else Q.cell_slice
-    if grid.d == 1:
-        M = grid.cells
-        # prefix sums at half-cell resolution: window ends x +- t land on
-        # half-cell nodes when x is a cell center and t a multiple of dx/2
-        half = np.repeat(np.abs(f.values), 2) * (grid.cell_volume / 2.0)
-        P = np.concatenate([[0.0], np.cumsum(half)])
-        centers = 2 * np.arange(sl.start, sl.stop) + 1
-        best = np.abs(f.values[sl])
-        nodes = 2 * M
-        radii = np.arange(2, nodes + 1, 2)[:, None]  # t = j * dx/2, full-cell multiples
-        step = max(1, _WINDOW_BLOCK // len(centers))  # bounds each (radii x centers) block
-        for k in range(0, len(radii), step):
-            j = radii[k : k + step]
+def _centered_by_cube(grid: GridSpec, values: np.ndarray, k: int) -> np.ndarray:
+    """The centred maximal function of f 1_Q at the cells of each level-k
+    cube Q, for f with cell values `values`: shape (cubes, cells per cube),
+    C-contiguous (summing a row adds Q's cells in the order a 1-d sum does),
+    each row in Z-order.
+
+    Windows are clipped to the root cube, but f 1_Q is 0 outside Q, so the
+    prefix sums of Q's own cells are the whole grid's (0 before Q, Q's total
+    after it) and give the same bits.  A window with t at least Q's side
+    holds Q's total and its area grows with t, so radii stop at the side.
+    """
+    d = grid.d
+    if d > 2:
+        raise NotImplementedError("centered maximal function implemented for d <= 2")
+    cubes = 1 << (d * k)
+    side = 1 << (grid.N - k)
+    absf = np.abs(values).reshape(cubes, -1)
+    nodes = 2 * side  # window ends x +- t land on half-cell nodes: x a cell centre, t a multiple of dx/2
+    centers = 2 * np.arange(side) + 1
+    radii = np.arange(2, nodes + 1, 2)  # t = j * dx/2, full-cell multiples
+    step = max(1, _WINDOW_BLOCK // grid.cells)  # cubes x centres = cells per radius
+    if d == 1:
+        half = np.repeat(absf, 2, axis=1) * (grid.cell_volume / 2.0)
+        P = np.concatenate([np.zeros((cubes, 1)), half.cumsum(axis=1)], axis=1)
+        best = absf.copy()
+        for s in range(0, len(radii), step):
+            j = radii[s : s + step, None]
             lo = np.maximum(centers - j, 0)
             hi = np.minimum(centers + j, nodes)
-            best = np.maximum(best, ((P[hi] - P[lo]) / (j * grid.cell_volume)).max(axis=0))
+            np.maximum(best, ((P[:, hi] - P[:, lo]) / (j * grid.cell_volume)).max(axis=1), out=best)
         return best
-    if grid.d == 2:
-        return _centered_maximal_2d(f, sl)
-    raise NotImplementedError("centered maximal function implemented for d <= 2")
-
-
-def _centered_maximal_2d(f: StepFunction, sl: slice) -> np.ndarray:
-    grid = f.grid
-    n = 1 << grid.N
-    dx = 1.0 / n
-    # de-interleave Z-order into raster coordinates (axis 0 = x0)
-    c0, c1 = _morton_decode(np.arange(grid.cells), 2, grid.N)
-    raster = np.empty((n, n))
-    raster[c0, c1] = np.abs(f.values)
-    half = np.repeat(np.repeat(raster, 2, axis=0), 2, axis=1) * (dx / 2.0) ** 2
-    P = np.zeros((2 * n + 1, 2 * n + 1))
-    P[1:, 1:] = half.cumsum(axis=0).cumsum(axis=1)
-    # the cells of sl fill a square raster block from (c0, c1)[sl.start]
-    c0, c1 = c0[sl], c1[sl]
-    r0, r1, side = int(c0[0]), int(c1[0]), math.isqrt(len(c0))
-    i0 = 2 * np.arange(r0, r0 + side) + 1
-    i1 = 2 * np.arange(r1, r1 + side) + 1
-    best = raster[r0 : r0 + side, r1 : r1 + side].copy()
-    radii = np.arange(2, 2 * n + 1, 2)[:, None, None]  # t = j * dx/2, full-cell multiples
-    areas = np.array([(j * dx) ** 2 for j in range(2, 2 * n + 1, 2)])[:, None, None]
-    step = max(1, _WINDOW_BLOCK // side**2)  # bounds each (radii x block) array
-    for k in range(0, len(radii), step):
-        j = radii[k : k + step]
-        lo0, hi0 = (np.clip(i0[:, None] + s * j, 0, 2 * n) for s in (-1, 1))
-        lo1, hi1 = (np.clip(i1 + s * j, 0, 2 * n) for s in (-1, 1))
-        box = P[hi0, hi1] - P[lo0, hi1] - P[hi0, lo1] + P[lo0, lo1]
-        best = np.maximum(best, (box / areas[k : k + step]).max(axis=0))
-    return best[c0 - r0, c1 - r1]
+    dx = 1.0 / (1 << grid.N)
+    # each cube's cells de-interleaved into a side x side raster (axis 1 = x0)
+    c0, c1 = _morton_decode(np.arange(side * side), 2, grid.N - k)
+    raster = np.empty((cubes, side, side))
+    raster[:, c0, c1] = absf
+    half = np.repeat(np.repeat(raster, 2, axis=1), 2, axis=2) * (dx / 2.0) ** 2
+    P = np.zeros((cubes, nodes + 1, nodes + 1))
+    P[:, 1:, 1:] = half.cumsum(axis=1).cumsum(axis=2)
+    areas = np.array([(j * dx) ** 2 for j in radii.tolist()])[:, None, None]
+    best = raster.copy()
+    for s in range(0, len(radii), step):
+        j = radii[s : s + step, None, None]
+        lo0, hi0 = (np.clip(centers[:, None] + sign * j, 0, nodes) for sign in (-1, 1))
+        lo1, hi1 = (np.clip(centers + sign * j, 0, nodes) for sign in (-1, 1))
+        box = P[:, hi0, hi1] - P[:, lo0, hi1] - P[:, hi0, lo1] + P[:, lo0, lo1]
+        np.maximum(best, (box / areas[s : s + step]).max(axis=1), out=best)
+    return np.take(best.reshape(cubes, -1), c0 * side + c1, axis=1)
 
 
 def _ainfty_rows(grid: GridSpec, sums: list[np.ndarray]):
@@ -263,17 +260,10 @@ def ainfty_characteristic(w: StepFunction, mode: str = "dyadic") -> Characterist
     if mode == "dyadic":
         return CharacteristicReport(*_witnessed(grid, _ainfty_rows(grid, wsums)), math.inf)
     if mode == "centered":
-        best = -math.inf
-        witness = None
-        for Q in grid.all_cubes():
-            masked = np.zeros(grid.cells)
-            sl = Q.cell_slice
-            masked[sl] = w.values[sl]
-            M = _centered_maximal(w.with_values(masked), Q)
-            ratio = float(M.sum() * grid.cell_volume / wsums[Q.level][Q.zindex])
-            if ratio > best:
-                best = ratio
-                witness = Q
-        return CharacteristicReport(best, witness, math.inf)
+        ratios = [
+            _centered_by_cube(grid, w.values, k).sum(axis=-1) * grid.cell_volume / wsums[k]
+            for k in range(grid.N + 1)
+        ]
+        return CharacteristicReport(*_witnessed(grid, _sup_over_cubes(ratios)), math.inf)
     raise ValueError("mode must be 'dyadic' or 'centered'")
 

@@ -40,6 +40,13 @@ _INTEGER_FIELDS = {
     "invariant-suite": {"samples": 1},
 }
 
+# One centred A_infty evaluates 2^(dN) (2^(N+1) - 1) window terms (at each
+# level k, each cube's 2^(d(N-k)) centres at its 2^(N-k) radii), a count in
+# [2^((d+1)N), 2^((d+1)N+1)); so at most 2^_CENTERED_TERM_BITS of them is
+# (d+1)N < _CENTERED_TERM_BITS: grid.N <= 12 in d = 1, about 0.4 s per
+# A_infty, and grid.N <= 8 in d = 2
+_CENTERED_TERM_BITS = 25
+
 # hilbert-approx holds its count offsets, a copy of them and count floats
 # before any pairing runs; 2^20 is about 100 times the benchmark's 10^4
 _HILBERT_MAX_COUNT = 1 << 20
@@ -148,9 +155,10 @@ def _exponent(v) -> bool:
     return _finite_number(v) and v > 1
 
 
-def _check_exponents(verb: str, params: dict, grid_d: int):
+def _check_exponents(verb: str, params: dict, grid_d: int, grid_N: int):
     """sawyer-test's exponent, and characteristics' exponents and A_infty
-    mode, whose centred form is implemented for d <= 2 only."""
+    mode, whose centred form is implemented for d <= 2 only, and bounded
+    in its window terms."""
     if verb == "sawyer-test":
         if not _exponent(params.get("p", 2.0)):
             raise ConfigError("params.p must be a number in (1, infinity)")
@@ -166,6 +174,11 @@ def _check_exponents(verb: str, params: dict, grid_d: int):
         raise ConfigError("params.ainfty_mode must be 'dyadic' or 'centered'")
     if mode == "centered" and grid_d > 2:
         raise ConfigError(f"params.ainfty_mode 'centered' needs grid.d <= 2, got grid.d = {grid_d}")
+    if mode == "centered" and (grid_d + 1) * grid_N >= _CENTERED_TERM_BITS:
+        raise ConfigError(
+            f"params.ainfty_mode 'centered' needs grid.N <= {(_CENTERED_TERM_BITS - 1) // (grid_d + 1)} "
+            f"at grid.d = {grid_d} (at most 2^{_CENTERED_TERM_BITS} window terms), got grid.N = {grid_N}"
+        )
 
 
 def sweep_levels(params: dict, grid_N: int) -> list:
@@ -248,7 +261,7 @@ def parse_config(obj: dict, verb: str | None = None) -> ExperimentConfig:
     if cfg_verb == "sharpness-sweep":
         _check_sweep_params(params, d, N)
     if cfg_verb in ("characteristics", "sawyer-test"):
-        _check_exponents(cfg_verb, params, d)
+        _check_exponents(cfg_verb, params, d, N)
 
     # the runners' defaults draw a random function and a random tau
     randomized = (

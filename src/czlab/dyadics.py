@@ -53,7 +53,7 @@ def _morton_encode(coords, d, level):
     """Interleave the low `level` bits of d coordinates into one index."""
     if d == 1:  # one axis: the Z-index is the coordinate
         return coords[0] & ((1 << level) - 1)
-    z = 0
+    z = coords[0] & 0  # a zero of coords' kind: arrays stay arrays at level 0
     for b in range(level):
         for a in range(d):
             z |= ((coords[a] >> b) & 1) << (b * d + a)
@@ -186,26 +186,61 @@ def read_cube_values(grid: GridSpec, items, key: str, where: str) -> tuple[np.nd
     [{"cube": {level, coords}, key: number}, ...] as three arrays in item
     order: each cube's level and Z-index, and its number; no DyadicCube is
     made.  A malformed item, a non-finite number or a repeated cube raises
-    ValueError naming it as where[i] (and a repeat the item it repeats)."""
+    ValueError naming it as where[i] (and a repeat the item it repeats).
+
+    One pass reads the items and checks their types, up to the first
+    ill-typed item; the numbers' finiteness, the cubes' ranges and the
+    repeats are then checked on arrays.  The first faulty item in item
+    order is the one named, with the error the checks of `_item_error`
+    give it.
+    """
     form = f'{{"cube": {{level, coords}}, "{key}": finite number}}'
     if not isinstance(items, list):
         raise ValueError(f"{where} must be a list of {form} items")
-    level, zindex, values, first = [], [], [], {}
-    for i, item in enumerate(items):
-        if not (isinstance(item, dict) and _finite_number(item.get(key))):
-            raise ValueError(f"{where}[{i}] must be an object {form}")
-        try:
-            k, coords = grid._cube_fields(item.get("cube"))
-            z = _cube_zindex(grid, k, coords)
-        except ValueError as exc:
-            raise ValueError(f"{where}[{i}].cube: {exc}") from None
-        j = first.setdefault((k, z), i)
-        if j != i:
-            raise ValueError(f"{where}[{i}] repeats {where}[{j}]")
-        level.append(k)
-        zindex.append(z)
-        values.append(float(item[key]))
-    return np.array(level, dtype=np.intp), np.array(zindex, dtype=np.intp), np.array(values)
+    d = grid.d
+    ints = [int] * d
+    levels, coords, values = [], [], []
+    for item in items:  # the types _item_error checks, inline
+        if not isinstance(item, dict):
+            break
+        v, cube = item.get(key), item.get("cube")
+        if not ((type(v) is float or _finite_number(v)) and isinstance(cube, dict)):
+            break
+        k, c = cube.get("level"), cube.get("coords")
+        if type(k) is not int or not isinstance(c, list) or list(map(type, c)) != ints:
+            break
+        levels.append(k)
+        coords.extend(c)
+        values.append(v)
+    level = np.array(levels)  # int64, or float64 or object with integers beyond int64
+    coord = np.array(coords).reshape(-1, d)
+    value = np.array(values, dtype=float)
+    top = 1 << np.clip(level, 0, grid.N).astype(np.intp)
+    bad = ~np.isfinite(value) | (level < 0) | (level > grid.N) | ((coord < 0) | (coord >= top[:, None])).any(axis=1)
+    fault = int(bad.argmax()) if bad.any() else len(levels)  # the first faulty item
+    level, coord, value = level[:fault].astype(np.intp), coord[:fault].astype(np.intp), value[:fault]
+    zindex = _morton_encode(tuple(coord.T), d, grid.N)  # coordinates below 2^level: their upper bits are 0
+    _, first, inverse = np.unique((level << (d * grid.N)) + zindex, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse] != np.arange(fault))
+    if repeats.size:
+        i = int(repeats[0])
+        raise ValueError(f"{where}[{i}] repeats {where}[{first[inverse[i]]}]")
+    if fault < len(items):
+        raise _item_error(grid, items[fault], key, f"{where}[{fault}]", form)
+    return level, zindex, value
+
+
+def _item_error(grid: GridSpec, item, key: str, name: str, form: str) -> ValueError | None:
+    """The error of a coefficient item named `name`, checked in turn: an
+    object with a finite number under `key`, then its cube's fields, then
+    their range; None for a well-formed item."""
+    if not (isinstance(item, dict) and _finite_number(item.get(key))):
+        return ValueError(f"{name} must be an object {form}")
+    try:
+        _cube_zindex(grid, *grid._cube_fields(item.get("cube")))
+    except ValueError as exc:
+        return ValueError(f"{name}.cube: {exc}")
+    return None
 
 
 def _coefficient_arrays(grid: GridSpec, table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -169,7 +169,19 @@ def lerner_decompose(phi: StepFunction, Q0: DyadicCube) -> Decomposition:
 
 def _lerner_generations(phi: StepFunction, Q0: DyadicCube) -> tuple:
     """The generations of the median decomposition of phi on Q0, as
-    Decomposition.generations lists them.
+    Decomposition.generations lists them: the one-row case of
+    `_generation_rows`, with its certificates asserted."""
+    if Q0.grid != phi.grid:
+        raise GridMismatchError("cube does not belong to the function's grid")
+    gens = _generation_rows(phi.grid, Q0, phi.values[None])[0]
+    _assert_certificates(phi.grid, Q0, gens)
+    return gens
+
+
+def _generation_rows(grid, Q0: DyadicCube, values: np.ndarray) -> list:
+    """The generations of the median decomposition on Q0 of each row of
+    `values` (shape (K, cells)), as Decomposition.generations lists them; the
+    certificates are not asserted.
 
     At each active cube the set where |phi - median| exceeds twice the local
     oscillation at percentile 2^(-d-2) fills at most a 2^(-d-2) fraction
@@ -178,53 +190,52 @@ def _lerner_generations(phi: StepFunction, Q0: DyadicCube) -> tuple:
     maximal dyadic subcubes where that set fills more than 2^(-d-1) of their
     measure form the next generation.
 
-    One pass down Q0's subtree finds every generation.  It carries a mask of
-    the cells exceptional for their owner, the deepest picked cube (or Q0)
-    containing them, and each cube's owner generation.  A cube more than
-    2^(-d-1) exceptional (integer counts: exact) is a maximal such subcube
-    of its owner, one generation deeper, and rewrites the mask on its cells.
-    Disjointness within generations, nesting of the generation unions, and
-    the strict half-measure packing bound are asserted on the result before
-    it is returned.
+    One pass down Q0's subtree finds every generation of every row.  It
+    carries a mask of the cells exceptional for their owner, the deepest
+    picked cube (or Q0) containing them, and each cube's owner generation.
+    A cube more than 2^(-d-1) exceptional (integer counts: exact) is a
+    maximal such subcube of its owner, one generation deeper, and rewrites
+    the mask on its cells.  Each level takes one row-sum, one `nonzero` and
+    one sort of the picked cubes over all K rows; each row is sorted on its
+    own, so a row gets the bits it gets alone.
     """
-    if Q0.grid != phi.grid:
-        raise GridMismatchError("cube does not belong to the function's grid")
-    grid = phi.grid
     d = grid.d
     lam = 2.0 ** (-d - 2)
-    local = phi.values[Q0.cell_slice]
+    local = values[:, Q0.cell_slice]
+    K = len(local)
 
     def exceptional_rows(cubes: np.ndarray) -> np.ndarray:
         rows = np.sort(cubes, axis=1)
         median, omega = _sorted_median(rows), _sorted_oscillation(rows, lam)
         return np.abs(cubes - median[:, None]) > 2.0 * omega[:, None]
 
-    exceptional = exceptional_rows(local[None])[0]
-    generation = np.zeros(1, dtype=np.intp)  # of each cube's owner
+    exceptional = exceptional_rows(local)
+    generation = np.zeros((K, 1), dtype=np.intp)  # of each cube's owner
     found = []
     for k in range(Q0.level + 1, grid.N + 1):
-        per = local.size >> (d * (k - Q0.level))
-        generation = np.repeat(generation, 1 << d)
-        cells = exceptional.reshape(-1, per)
-        z = ((cells.sum(axis=1) << (d + 1)) > per).nonzero()[0]
+        per = local.shape[1] >> (d * (k - Q0.level))
+        generation = np.repeat(generation, 1 << d, axis=1)
+        cells = exceptional.reshape(K, -1, per)
+        row, z = ((cells.sum(axis=2) << (d + 1)) > per).nonzero()
         if not z.size:
             continue
-        generation[z] += 1
-        parents = np.sort(local.reshape(-1, per << d)[z >> d], axis=1)
+        generation[row, z] += 1
+        parents = np.sort(local.reshape(K, -1, per << d)[row, z >> d], axis=1)
         zindex = (Q0.zindex << (d * (k - Q0.level))) + z
-        found.append((generation[z], np.full(z.size, k), zindex, _sorted_oscillation(parents, lam)))
-        cells[z] = exceptional_rows(local.reshape(-1, per)[z])
+        found.append((row, generation[row, z], np.full(z.size, k), zindex, _sorted_oscillation(parents, lam)))
+        cells[row, z] = exceptional_rows(local.reshape(K, -1, per)[row, z])
 
-    gens: tuple = ()
+    gens = [[] for _ in range(K)]
     if found:
-        gen, level, zindex, om_parent = (np.concatenate(a) for a in zip(*found))
-        order = np.argsort(gen, kind="stable")  # (generation, level, Z-index) order
+        row, gen, level, zindex, om_parent = (np.concatenate(a) for a in zip(*found))
+        order = np.lexsort((gen, row))  # stable: (row, generation, level, Z-index) order
+        row, gen = row[order], gen[order]
         cubes = map(grid.cube_from_zindex, level[order].tolist(), zindex[order].tolist())
         items = list(zip(cubes, om_parent[order].tolist()))
-        ends = np.cumsum(np.bincount(gen)[1:]).tolist()
-        gens = tuple(tuple(items[a:b]) for a, b in zip([0, *ends], ends))
-    _assert_certificates(grid, Q0, gens)
-    return gens
+        ends = (np.flatnonzero((row[1:] != row[:-1]) | (gen[1:] != gen[:-1])) + 1).tolist() + [len(items)]
+        for a, b in zip([0, *ends], ends):
+            gens[row[a]].append(tuple(items[a:b]))
+    return [tuple(g) for g in gens]
 
 
 def _assert_certificates(grid, Q0, generations):

@@ -93,6 +93,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid.N must be an integer"):
             parse_config(obj)
 
+    @pytest.mark.parametrize("d,N,most", [(1, 12, None), (1, 13, 12), (1, 14, 12), (2, 8, None), (2, 9, 8)])
+    def test_centered_ainfty_work_is_bounded(self, d, N, most):
+        # checked by parse_config alone, before any window is evaluated
+        obj = self.base()
+        obj["grid"] = {"d": d, "N": N}
+        obj["params"]["ainfty_mode"] = "centered"
+        if most is None:
+            parse_config(obj)
+        else:
+            want = f"params.ainfty_mode 'centered' needs grid.N <= {most} at grid.d = {d} (at most 2^25 window terms), got grid.N = {N}"
+            with pytest.raises(ConfigError) as err:
+                parse_config(obj)
+            assert str(err.value) == want
+
     def test_bad_weight_kind(self):
         obj = self.base()
         obj["params"]["weight"] = {"kind": "exotic"}
@@ -472,6 +486,38 @@ class TestDeterminism:
             },
             "hilbert_approx.csv",
             "sha256:3bc874a8a95d2f26438140d284bea9c9c1277d413f99f33700bb7e7c6a7dbaa2",
+        ),
+        # the benchmark's centred characteristics config, and a d = 2 one
+        # whose witnesses sit below the root
+        "characteristics_centered_d1_n7": (
+            {
+                "verb": "characteristics",
+                "grid": {"d": 1, "N": 7},
+                "seed": 31345,
+                "params": {"weight": {"kind": "cascade", "volatility": 0.6, "seed": 31345}, "p": [2.0], "ainfty_mode": "centered"},
+            },
+            "characteristics.csv",
+            "quantity,p,value,witness_level,witness_zindex\n"
+            "ap,2,22.737367544323195,0,0\n"
+            "joint_ap,2,4.7683715820312482,0,0\n"
+            "ainfty_sigma,2,2.2246755113521672,0,0\n"
+            "ainfty_w,inf,2.1295034247848679,0,0\n",
+        ),
+        "characteristics_centered_d2_n3": (
+            {
+                "verb": "characteristics",
+                "grid": {"d": 2, "N": 3},
+                "params": {"weight": {"kind": "two_value", "value": 0.02, "level": 3}, "p": [1.5, 3.0], "ainfty_mode": "centered"},
+            },
+            "characteristics.csv",
+            "quantity,p,value,witness_level,witness_zindex\n"
+            "ap,1.5,18.886321604536974,2,0\n"
+            "joint_ap,1.5,7.0919378417523014,2,0\n"
+            "ainfty_sigma,1.5,1.8309738689337096,0,0\n"
+            "ap,3,4.7860585742344126,2,0\n"
+            "joint_ap,3,1.6852306005352873,2,0\n"
+            "ainfty_sigma,3,1.0638231183598106,2,0\n"
+            "ainfty_w,inf,1.0985099337748343,2,0\n",
         ),
         "lerner_d2_n5_residual": (
             {"verb": "lerner-decompose", "grid": {"d": 2, "N": 5}, "seed": 7, "params": {"function": {"kind": "random", "spikes": 32}}},
@@ -968,6 +1014,22 @@ _LIST_FAULTS = {
         _OK[:3] + [(_cube(2, 7), 0.5), _OK[3], _OK[4], _OK[0]],
         "ValueError: {w}[3].cube: coordinate 7 outside [0, 2^2)",
     ),
+    # an ill-typed item stops the pass that reads the items; a range fault or
+    # repeat before it is still the one named
+    "range_3_before_type_7": (
+        _OK[:3] + [(_cube(2, 9), 0.5)] + _OK[3:6] + [({"level": 1.0, "coords": [0]}, 0.5)],
+        "ValueError: {w}[3].cube: coordinate 9 outside [0, 2^2)",
+    ),
+    "type_3_before_range_7": (
+        _OK[:3] + [({"level": True, "coords": [0]}, 0.5)] + _OK[3:6] + [(_cube(5, 0), 0.5)],
+        "ValueError: {w}[3].cube: cube field 'level' must be an integer",
+    ),
+    "repeat_3_before_type_7": (_OK[:3] + [_OK[0]] + _OK[3:6] + [0.5], "ValueError: {w}[3] repeats {w}[0]"),
+    "type_3_before_repeat_7": (
+        _OK[:3] + [(_cube(1, 0), "0.5")] + _OK[3:6] + [_OK[1]],
+        "ValueError: {w}[3] must be an object {form}",
+    ),
+    "value_nan_and_level_float": ([({"level": 1.0, "coords": [0]}, float("nan"))], "ValueError: {w}[0] must be an object {form}"),
     "repeat_of_repeat": ([_OK[0]] * 3, "ValueError: {w}[1] repeats {w}[0]"),
     "two_repeats_second_first": ([_OK[0], _OK[1], _OK[1], _OK[0]], "ValueError: {w}[2] repeats {w}[1]"),
     "empty": ([], None),

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from czlab import lerner
-from czlab.cli import run
+from czlab.cli import _sample_blocks, run
 from czlab.config import parse_config
 from czlab.dyadics import GridSpec, StepFunction
-from czlab.families import random_step
+from czlab.families import _random_step_rows, random_step
 from czlab.lerner import _lerner_generations, lerner_decompose, local_sharp_maximal, median, oscillation
 
 from oracles import (
@@ -331,6 +331,20 @@ class TestGenerationsCore:
         gens = _lerner_generations(phi, g.root())
         assert len(gens) >= 2
         assert gens == lerner_decompose(phi, g.root()).generations == loop_lerner_generations(phi, g.root())
+
+    def test_row_walk_matches_one_row_at_a_time(self):
+        # invariant-suite's Lerner samples in its row blocks, and the spiky
+        # N = 12 function stacked with two other rows
+        g = GridSpec(1, 10)
+        for block in _sample_blocks(100, g):
+            rows = _random_step_rows(g, [31337 + 3000 + i for i in block], spikes=1)
+            assert lerner._generation_rows(g, g.root(), rows) == [_lerner_generations(step(g, r), g.root()) for r in rows]
+        g = GridSpec(1, 12)
+        raw = np.random.default_rng(12).standard_cauchy(g.cells)
+        rows = np.stack([random_step(g, 7, spikes=3).values, np.sign(raw) * raw**2, np.round(raw)])
+        walked = lerner._generation_rows(g, g.root(), rows)
+        assert walked == [_lerner_generations(step(g, r), g.root()) for r in rows]
+        assert len(walked[1]) >= 2
 
     @pytest.mark.parametrize(
         "cubes,message",
