@@ -54,10 +54,11 @@ from .shifts import (
     _BLOCK_BYTES,
     GridEnsemble,
     HaarShift,
+    _check_separated,
+    _hilbert_averages,
     _paraproduct,
     build_petermichl,
     build_random_shift,
-    hilbert_average,
 )
 from .stopping import _stopping_rows
 
@@ -238,34 +239,39 @@ def _run_hilbert_approx(cfg: ExperimentConfig, out_dir: str):
     pairs = cfg.params.get("pairs", _DEFAULT_PAIRS)
     ensemble = GridEnsemble.random_translations(grid, count, cfg.seed)
     M = grid.cells
-    results = []
-    for i, spec in enumerate(pairs):
-        f_lo, f_hi, g_lo, g_hi = (int(round(float(v) * M)) for v in spec)
-        fv = np.zeros(M)
-        fv[f_lo:f_hi] = 1.0
-        gv = np.zeros(M)
-        gv[g_lo:g_hi] = 1.0
-        try:
-            res = hilbert_average(ensemble, StepFunction(grid, fv), StepFunction(grid, gv))
-        except ValueError as exc:
-            raise ConfigError(
-                f"params.pairs[{i}] rounds to cells [{f_lo}, {f_hi}) and [{g_lo}, {g_hi}) of {M}: {exc}"
-            ) from exc
-        results.append((spec, res))
-    avgs = np.array([r.pairing for _, r in results])
-    oras = np.array([r.oracle_pairing for _, r in results])
+
+    def indicator_rows():  # each pair's rows, checked in pair order
+        for i, spec in enumerate(pairs):
+            f_lo, f_hi, g_lo, g_hi = (int(round(float(v) * M)) for v in spec)
+            fv = np.zeros(M)
+            fv[f_lo:f_hi] = 1.0
+            gv = np.zeros(M)
+            gv[g_lo:g_hi] = 1.0
+            try:
+                _check_separated(fv, gv)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"params.pairs[{i}] rounds to cells [{f_lo}, {f_hi}) and [{g_lo}, {g_hi}) of {M}: {exc}"
+                ) from exc
+            yield fv, gv
+
+    results = _hilbert_averages(ensemble, indicator_rows())
+    avgs = np.array([r.pairing for r in results])
+    oras = np.array([r.oracle_pairing for r in results])
     fitted = float(avgs @ oras / (oras @ oras))
     rows = []
-    max_resid = 0.0
-    for i, (spec, res) in enumerate(results):
-        resid = abs(res.pairing - fitted * res.oracle_pairing) / abs(fitted * res.oracle_pairing)
-        max_resid = max(max_resid, resid)
+    resids = []
+    for i, (spec, res) in enumerate(zip(pairs, results)):
+        model = fitted * res.oracle_pairing
+        # NaN where the fitted model is 0, as pair_constant is for a zero oracle
+        resids.append(abs(res.pairing - model) / abs(model) if model != 0.0 else math.nan)
         rows.append(
             [str(i)]
             + [_fmt(v) for v in spec]
-            + [_fmt(res.pairing), _fmt(res.oracle_pairing), _fmt(res.constant), _fmt(resid)]
+            + [_fmt(res.pairing), _fmt(res.oracle_pairing), _fmt(res.constant), _fmt(resids[-1])]
             + [_fmt(res.exact_pairing), _fmt(res.exact_pairing / res.oracle_pairing)]
         )
+    max_resid = float(np.max(resids))  # NaN if any residual is
     outputs = [
         _write_csv(
             out_dir,

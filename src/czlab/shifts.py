@@ -13,6 +13,7 @@ ShiftLevel of rows per level of Q; `HaarShift.entries` is a per-cube view."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -913,8 +914,8 @@ class GridEnsemble:
     cells (a read-only integer array with entries in [0, cells)) and
     `coefficients` their weights (a read-only float64 array), finite
     numbers normalized so their absolute values sum to one.  The ensemble
-    keeps no Petermichl shift: the pairings read its offset plan, built in
-    closed form (_OffsetPlan.petermichl).
+    keeps no Petermichl shift: the pairings read Petermichl's pairs off
+    cyclic window sums directly, one level at a time (_offset_pairings).
     """
 
     grid: GridSpec
@@ -942,11 +943,6 @@ class GridEnsemble:
             array.flags.writeable = False
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "coefficients", values)
-
-    @functools.cached_property
-    def _offset_plan(self) -> "_OffsetPlan":
-        """The frame's Petermichl offset plan, built once for every pair."""
-        return _OffsetPlan.petermichl(self.grid)
 
     @functools.cached_property
     def _hilbert_spectrum(self) -> np.ndarray:
@@ -994,131 +990,101 @@ def _toroidal_gap_cells(fmask: np.ndarray, gmask: np.ndarray) -> int:
     return int(np.minimum(diff, M - diff).min())
 
 
-def _cyclic_pair(op, W: np.ndarray, c: int, e: int) -> np.ndarray:
-    """op(W[(s + c) % M], W[(s + e) % M]) for every s, without a roll: the
-    two reads wrap at s = M - c and s = M - e, so W is read by slices."""
-    M = W.size
-    out = np.empty(M)
-    cuts = sorted({0, M, -c % M, -e % M})
-    for lo, hi in zip(cuts, cuts[1:]):
-        i, j = (lo + c) % M, (lo + e) % M
-        op(W[i : i + hi - lo], W[j : j + hi - lo], out=out[lo:hi])
+def _check_separated(f_values: np.ndarray, g_values: np.ndarray) -> None:
+    """Refuse a pair whose supports are empty or share a cell on the torus:
+    the averaged pairing needs them at least one cell apart."""
+    if _toroidal_gap_cells(f_values != 0.0, g_values != 0.0) < 1:
+        raise ValueError("overlapping supports: the averaged pairing needs separation")
+
+
+def _cyclic_pair(op, X: np.ndarray, Y: np.ndarray, e: int) -> np.ndarray:
+    """op(X[..., s], Y[..., (s + e) % M]) for every s along the last axis,
+    without a roll: Y is read by the two slices on either side of its wrap."""
+    M = X.shape[-1]
+    out = np.empty_like(X)
+    op(X[..., : M - e], Y[..., e:], out=out[..., : M - e])
+    op(X[..., M - e :], Y[..., :e], out=out[..., M - e :])
     return out
 
 
-class _OffsetPlan(NamedTuple):
-    """What _offset_pairings reads of a one-dimensional shift that carries
-    the same rows on every cube of a level.  Per level L of Q, increasing:
-    the input window level L + n + 1 with each row's input children, then
-    the output window level L + m + 1 with each row's output children, rows
-    in the shift's order; a child is its cyclic offset z len_K % M and its
-    child value.
-
-    `build` reads any such shift; `petermichl` writes Petermichl's plan in
-    closed form, without building the shift."""
-
-    grid: GridSpec
-    levels: tuple
-
-    @classmethod
-    def build(cls, S: HaarShift) -> "_OffsetPlan":
-        grid = S.grid
-        if grid.d != 1:
-            raise ValueError("offset pairings are built for d = 1")
-        M = grid.cells
-        levels = []
-        for L, lv in S.levels.items():
-            k, rest = divmod(len(lv.h_in), 1 << L)
-            cube = np.arange(len(lv.h_in))[:, None] // max(k, 1)
-            rows = np.hstack(
-                [lv.in_idx - (cube << (S.n + 1)), lv.out_idx - (cube << (S.m + 1)), lv.h_in, lv.h_out]
-            )
-            if rest or not np.array_equal(rows, np.tile(rows[:k], (1 << L, 1))):
-                raise ValueError("offset pairings need the same rows on every cube of a level")
-            sides = []
-            for level, idx, h in ((L + S.n + 1, lv.in_idx, lv.h_in), (L + S.m + 1, lv.out_idx, lv.h_out)):
-                offsets = (idx[:k] * (M >> level) % M).tolist()
-                sides += [level, tuple(tuple(zip(o, x)) for o, x in zip(offsets, h[:k].tolist()))]
-            levels.append((L, *sides))
-        return cls(grid, tuple(levels))
-
-    @classmethod
-    def petermichl(cls, grid: GridSpec) -> "_OffsetPlan":
-        """build(build_petermichl(grid)), written down: on each level L, both
-        pairs of Q read R' = Q's children (1, -1), and Q' is either child of
-        Q, read on the grandchildren (1, -1) or (-1, 1)."""
-        M = grid.cells
-        levels = []
-        for L in range(grid.N - 1):
-            half, quarter = M >> (L + 1), M >> (L + 2)
-            whole = ((0, 1.0), (half, -1.0))
-            left, right = ((0, 1.0), (quarter, -1.0)), ((2 * quarter, -1.0), (3 * quarter, 1.0))
-            levels.append((L, L + 1, (whole, whole), L + 2, (left, right)))
-        return cls(grid, tuple(levels))
-
-
-def _offset_pairings(plan: _OffsetPlan, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
-    """<S f(. + o), g(. + o)> for every cyclic cell offset o, as one array,
-    for the shift S of the plan.
+def _offset_pairings(grid: GridSpec, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """<S f(. + o), g(. + o)> for every cyclic cell offset o, for each row
+    pair (f, g) of the (P, cells) blocks F and G, with S Petermichl's shift
+    on the d = 1 grid; row i of the result has the bytes of the one-row pass.
 
     In the frame of offset o the level-K cube z covers the len_K = M >> K
     cells from z len_K + o on, so its integral is W_K[(z len_K + o) % M],
     where W_K lists every cyclic window sum of len_K cells: W_K is W_{K+1}
     plus W_{K+1} one window further on, added as _level_sums adds children.
-    A shift with the same rows on every cube of a level then has, per
-    level, one length-M array of Haar coefficients per row.
+    On the level-L cube that starts at s, with half = M >> (L + 1) and
+    q = M >> (L + 2), both of Petermichl's pairs read R' = the cube's
+    children, a = W^f_{L+1}(s) - W^f_{L+1}(s + half); Q' is the left child,
+    D = W^g_{L+2}(s) - W^g_{L+2}(s + q) on its children, or the right one,
+    W^g_{L+2}(s + 3q) - W^g_{L+2}(s + 2q) = -D(s + 2q).  So the start s
+    carries a D(s) - a D(s + 2q), scaled by 2^L.
 
-    The window sums are streamed from fine to coarse, with the levels of Q
-    taken finest first, so only a few length-M arrays are alive at once;
-    each level keeps its sum folded to one cube (M >> L entries, about 2 M
-    in all), added into the total coarsest first.  Each distinct row of a
-    level is made once; a row with child values (1, -1) or (-1, 1) is one
-    cyclic difference of window sums.  The additions are the ones of
-    _child_sum and of (a * b).sum(axis=0), in the same order.
+    The window sums are streamed from fine to coarse with the levels taken
+    finest first, so a pass holds a few (P, M) arrays at once.  Each
+    level below the root keeps its terms folded to one cube (M >> L entries
+    a row, about M in all); they are added, coarsest first, into the root's
+    terms.  These are the additions of _child_sum and of (a * b).sum(axis=0)
+    over the pairs, in the same order, up to the signs of zeros: no zero's
+    sign moves a nonzero sum, and the + 0.0 that starts the total drops them.
     """
-    grid = plan.grid
     M = grid.cells
-
-    def window_sums(values, wanted):  # W_K for each K of `wanted`, descending
-        W, K = values * grid.cell_volume, grid.N
-        for level in wanted:
-            while K > level:
-                K -= 1
-                W = _cyclic_pair(np.add, W, 0, M >> (K + 1))
-                if K == grid.N - 1:
-                    W += 0.0  # a zero's sign, as _child_sum gives it
-            yield W
-
-    def coefficients(W, rows):
-        # row r's Haar coefficient on the cube whose first cell is s, for every s
-        made = {}
-        for (c, x), (e, y) in dict.fromkeys(rows):
-            if abs(x) == 1.0 and y == -x:  # 1 W[c] + -1 W[e], as a difference
-                row = _cyclic_pair(np.subtract, W, *((c, e) if x > 0 else (e, c)))
-            else:
-                row = np.roll(W, -c) * x
-                row += np.roll(W, -e) * y
-            row += 0.0
-            made[(c, x), (e, y)] = row
-        return [made[row] for row in rows]
-
-    fine_first = plan.levels[::-1]
-    sums_f = window_sums(f_values, [level[1] for level in fine_first])
-    sums_g = window_sums(g_values, [level[3] for level in fine_first])
+    P = F.shape[0]
+    W_f, W_g = F * grid.cell_volume, G * grid.cell_volume  # level N
     folded = []
-    for (L, _, in_rows, _, out_rows), W_f, W_g in zip(fine_first, sums_f, sums_g):
-        a, b = coefficients(W_f, in_rows), coefficients(W_g, out_rows)
-        # (a * b).sum(axis=0) row after row, from the first product, not +0.0:
-        # only a zero's sign can differ, and the total, added from +0.0, drops it
-        per_start = a[0] * b[0]
-        for x, y in zip(a[1:], b[1:]):
-            per_start += x * y
-        per_start *= float(1 << L)
-        folded.append(per_start.reshape(1 << L, -1).sum(axis=0))
-    total = np.zeros(M)
-    for (L, *_), sums in zip(plan.levels, folded[::-1]):
-        total.reshape(1 << L, -1)[...] += sums
-    return total
+    for L in range(grid.N - 2, -1, -1):
+        half, q = M >> (L + 1), M >> (L + 2)
+        W_f = _cyclic_pair(np.add, W_f, W_f, q)  # level L + 1
+        if L < grid.N - 2:
+            W_g = _cyclic_pair(np.add, W_g, W_g, q >> 1)  # level L + 2
+        a = _cyclic_pair(np.subtract, W_f, W_f, half)
+        D = _cyclic_pair(np.subtract, W_g, W_g, q)
+        right = _cyclic_pair(np.multiply, a, D, 2 * q)
+        a *= D
+        a -= right
+        if L:
+            a *= float(1 << L)
+            folded.append(a.reshape(P, 1 << L, -1).sum(axis=1))
+    if grid.N < 2:
+        return np.zeros((P, M))
+    # the root is its own fold: the total starts from its terms, + 0.0 as
+    # when they were added to zeros, then takes the finer levels' folds
+    a += 0.0
+    for L, sums in enumerate(folded[::-1], 1):
+        a.reshape(P, 1 << L, -1)[...] += sums[:, None, :]
+    return a
+
+
+def _hilbert_averages(ensemble: GridEnsemble, rows) -> list[HilbertAverageResult]:
+    """hilbert_average of each (f values, g values) pair of float cell rows
+    in the iterable `rows`, on the ensemble's frame, supports already
+    checked by _check_separated.
+
+    The rows are read a chunk at a time, as many as keep each (rows, cells)
+    array of the pairing pass within _BLOCK_BYTES (8 rows at N = 12, one
+    from N = 15 on); the rest is done row by row, so each result has the
+    bytes of the pair's one-row pass.
+    """
+    frame = ensemble.grid
+    vol = frame.cell_volume
+    present, weights = ensemble._offset_weights
+    step = max(1, _BLOCK_BYTES // (8 * frame.cells))
+    rows = iter(rows)
+    results = []
+    while chunk := list(itertools.islice(rows, step)):
+        F, G = (np.array(side) for side in zip(*chunk))
+        del chunk  # the pass reads the stacked copies
+        for f, g, pairings in zip(F, G, _offset_pairings(frame, F, G)):
+            # the offsets' terms added in increasing order, one at a time as
+            # a loop from 0.0 adds them; the + 0.0 gives a zero total that loop's sign
+            total = float(np.cumsum(weights * pairings[present])[-1] + 0.0)
+            oracle = float(np.dot(_hilbert_block(f, ensemble._hilbert_spectrum), g) * vol)
+            constant = total / oracle if oracle != 0.0 else math.nan
+            results.append(HilbertAverageResult(total, oracle, constant, float(pairings.mean())))
+    return results
 
 
 def hilbert_average(
@@ -1127,27 +1093,16 @@ def hilbert_average(
     """Average the Petermichl pairing over the ensemble's translated grids.
 
     The pairing <S f(. + o), g(. + o)> of every cyclic cell offset o comes
-    from one pass over cyclic window sums (_offset_pairings) through the
-    ensemble's closed-form Petermichl plan, with no shift built; the
-    ensemble average weighs each offset present by its summed coefficients,
-    and `exact_pairing` is the plain mean over all offsets.  Supports must
-    be separated by at least one cell in the cyclic metric; the result
-    carries the fitted proportionality constant against the quadrature
-    pairing <Hf, g>.
+    from one pass over cyclic window sums (_offset_pairings), with no shift
+    built; the ensemble average weighs each offset present by its summed
+    coefficients, and `exact_pairing` is the plain mean over all offsets.
+    Supports must be separated by at least one cell in the cyclic metric;
+    the result carries the fitted proportionality constant against the
+    quadrature pairing <Hf, g>.  This is the one-row case of the block core
+    _hilbert_averages, which hilbert-approx runs on all its pairs at once.
     """
-    frame = ensemble.grid
-    if (f.grid.d, f.grid.N) != (1, frame.N):
+    if (f.grid.d, f.grid.N) != (1, ensemble.grid.N):
         raise GridMismatchError("functions must live on the ensemble's cell grid")
     f._check(g)
-    gap = _toroidal_gap_cells(f.values != 0.0, g.values != 0.0)
-    if gap < 1:
-        raise ValueError("overlapping supports: the averaged pairing needs separation")
-    vol = frame.cell_volume
-    pairings = _offset_pairings(ensemble._offset_plan, f.values, g.values)
-    present, weights = ensemble._offset_weights
-    # the offsets' terms added in increasing order, one at a time as a loop
-    # from 0.0 adds them; the + 0.0 gives a zero total that loop's sign
-    total = float(np.cumsum(weights * pairings[present])[-1] + 0.0)
-    oracle = float(np.dot(_hilbert_block(f.values, ensemble._hilbert_spectrum), g.values) * vol)
-    constant = total / oracle if oracle != 0.0 else math.nan
-    return HilbertAverageResult(total, oracle, constant, float(pairings.mean()))
+    _check_separated(f.values, g.values)
+    return _hilbert_averages(ensemble, [(f.values, g.values)])[0]

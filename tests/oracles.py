@@ -801,8 +801,10 @@ def gather_offset_pairings(S, f_values: np.ndarray, g_values: np.ndarray) -> np.
     W_{K+1} rolled one window on), then per level, function and pair the
     index array (starts + child index * window) % cells gathered from W
     and weighed by the child values; every cube of a level must carry the
-    same rows.  The same additions in the same order as _offset_pairings,
-    so the two agree bit for bit."""
+    same rows.  It reads the rows off the built shift, where
+    _offset_pairings writes Petermichl's down: for build_petermichl's shift
+    these are its additions in the same order, up to the signs of zeros,
+    which the total, added from +0.0, drops, so the two agree bit for bit."""
     grid = S.grid
     M = grid.cells
     starts = np.arange(M)

@@ -548,6 +548,21 @@ class TestDeterminism:
         assert built == [] and len(obj["params"]["pairs"]) == 2
         assert (tmp_path / "hilbert_approx.csv").read_bytes() == self.PINNED["hilbert_approx_n6"][2].encode()
 
+    def test_hilbert_approx_chunks_keep_the_per_pair_bytes(self, tmp_path, monkeypatch):
+        # at N = 14 the pass takes two rows a chunk, so criterion 6's five
+        # pairs span three chunks; one pair a chunk writes the same CSV
+        obj = {**self.PINNED["hilbert_approx_n12"][0], "grid": {"d": 1, "N": 14}}
+        obj["params"] = {**obj["params"], "count": 500}
+        calls = []
+        pairings = shifts._offset_pairings
+        monkeypatch.setattr(shifts, "_offset_pairings", lambda grid, F, G: calls.append(len(F)) or pairings(grid, F, G))
+        run(parse_config(obj), str(tmp_path / "chunked"))
+        monkeypatch.setattr(shifts, "_BLOCK_BYTES", 1)
+        run(parse_config(obj), str(tmp_path / "per_pair"))
+        assert calls == [2, 2, 1] + [1] * 5
+        chunked, per_pair = ((tmp_path / d / "hilbert_approx.csv").read_bytes() for d in ("chunked", "per_pair"))
+        assert chunked == per_pair and chunked.count(b"\n") == 6
+
     @pytest.mark.parametrize("case", ["invariant_suite_d1_n10", "invariant_suite_d2_n5", "stopping_audit_n12"])
     def test_block_pins_cross_block_boundaries(self, case):
         obj = self.PINNED[case][0]
@@ -702,6 +717,27 @@ class TestMainEntry:
         assert main(["hilbert-approx", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert f"params.pairs[1] rounds to {cells}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_exit_two_names_the_first_faulty_hilbert_pair(self, tmp_path, capsys):
+        pairs = [[0.0, 0.25, 0.5, 0.75], [0.1, 0.11, 0.5, 0.6], [0.1, 0.6, 0.4, 0.9]]
+        cfg = {"verb": "hilbert-approx", "grid": {"d": 1, "N": 3}, "seed": 1, "params": {"count": 4, "pairs": pairs}}
+        path = write_config(tmp_path, cfg)
+        assert main(["hilbert-approx", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "params.pairs[1] rounds to cells [1, 1) and [4, 5) of 8" in err and "pairs[2]" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("N,oracle", [(1, "0.5"), (5, "0.6777662022075267")])
+    def test_hilbert_approx_with_every_pairing_zero(self, tmp_path, N, oracle):
+        # the fitted constant is 0, so every residual is NaN, and so is the max
+        cfg = {"verb": "hilbert-approx", "grid": {"d": 1, "N": N}, "seed": 1,
+               "params": {"count": 3, "pairs": [[0, 0.5, 0.5, 1]]}}
+        path = write_config(tmp_path, cfg)
+        assert main(["hilbert-approx", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "hilbert_approx.csv").read_text().splitlines()
+        assert lines[1] == f"0,0,0.5,0.5,1,0,{oracle},0,nan,0,0"
+        constants = manifest_of(tmp_path / "out")["constants"]
+        assert constants["fitted_constant"] == 0.0 and np.isnan(constants["max_residual"])
 
     @pytest.mark.parametrize(
         "tau,field",

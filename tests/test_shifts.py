@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -7,11 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
+from czlab import shifts
 from czlab.dyadics import GridSpec, StepFunction, ancestor
 from czlab.normlab import hilbert_operator
 from czlab.shifts import (
     GridEnsemble,
-    _OffsetPlan,
+    _hilbert_averages,
     _offset_pairings,
     HaarShift,
     ShiftLevel,
@@ -46,30 +48,6 @@ CRITERION_6_PAIRS = [
     (26 / 64, 29 / 64, 31 / 64, 34 / 64),
     (42 / 128, 48 / 128, 52 / 128, 58 / 128),
 ]
-
-
-def level_uniform_shift(grid, m, n, seed, fill=0.6):
-    """An (m, n) shift read from JSON whose cubes of one level all carry the
-    same pairs: per level a random choice of (R', Q') positions inside the
-    cube, each taken with probability `fill`, with random child values in
-    [-1, 1], repeated on every cube."""
-    rng = np.random.default_rng(seed)
-    entries = []
-    for L in range(grid.N - max(m, n)):
-        spots = [(r, q) for r in range(1 << n) for q in range(1 << m) if rng.random() < fill]
-        pairs = [(r, q, rng.uniform(-1, 1, 2).tolist(), rng.uniform(-1, 1, 2).tolist()) for r, q in spots or [(0, 0)]]
-        for z in range(1 << L):
-            entries.append({
-                "cube": {"level": L, "coords": [z]},
-                "pairs": [
-                    {"rprime": {"level": L + n, "coords": [(z << n) + r]},
-                     "qprime": {"level": L + m, "coords": [(z << m) + q]},
-                     "h_vals": h, "g_vals": v}
-                    for r, q, h, v in pairs
-                ],
-            })
-    obj = {"m": m, "n": n, "cancellative": False, **grid.to_dict(), "entries": entries}
-    return HaarShift.from_json(json.dumps(obj))
 
 
 def rand_step(grid, seed):
@@ -631,7 +609,7 @@ class TestHilbertAverage:
         for f_lo, f_hi, g_lo, g_hi in CRITERION_6_PAIRS:
             f, h = self.indicator(g, f_lo, f_hi), self.indicator(g, g_lo, g_hi)
             res = hilbert_average(ens, f, h)
-            se = _offset_pairings(ens._offset_plan, f.values, h.values).std() / math.sqrt(count)
+            se = _offset_pairings(g, f.values[None], h.values[None])[0].std() / math.sqrt(count)
             assert abs(res.pairing - res.exact_pairing) <= 4 * se
 
     def test_exact_pairing_is_the_all_offsets_average(self):
@@ -711,72 +689,107 @@ class TestHilbertAverage:
         assert given.tobytes() == values.tobytes() and given.flags.writeable  # the caller's array is kept
 
 
+def signed_zero_rows(g, P, seed):
+    """P rows of standard normals with about half the cells zeroed, a third
+    of those -0.0, whose signs the sums must not let through."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((P, g.cells)) * rng.integers(0, 2, (P, g.cells))
+    rows[(rows == 0.0) & (rng.random((P, g.cells)) < 1 / 3)] = -0.0
+    return rows
+
+
 class TestOffsetPairings:
     """All-offset pairings against rolling, applying and pairing per offset."""
 
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 6])
     def test_matches_per_offset_apply(self, N, adjoint):
+        # <S* f, h> = <f, S h>: the adjoint's pairing is the pass on (h, f)
         g = GridSpec(1, N)
         S = build_petermichl(g).adjoint() if adjoint else build_petermichl(g)
         rng = np.random.default_rng(N)
         offsets = range(g.cells)
-        # indicators: every term is a dyadic rational, so equality is exact
-        f, h = (rng.integers(0, 2, g.cells).astype(float) for _ in range(2))
-        want = [loop_offset_pairing(S, f, h, o) for o in offsets]
-        assert _offset_pairings(_OffsetPlan.build(S), f, h).tolist() == want
-        f, h = (rng.standard_normal(g.cells) for _ in range(2))
-        want = np.array([loop_offset_pairing(S, f, h, o) for o in offsets])
-        got = _offset_pairings(_OffsetPlan.build(S), f, h)
-        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
 
-    @pytest.mark.parametrize("N", range(1, 13))
+        def pairings(f, h):
+            return _offset_pairings(g, *((h, f) if adjoint else (f, h)))
+
+        # indicators: every term is a dyadic rational, so equality is exact
+        F, H = (rng.integers(0, 2, (3, g.cells)).astype(float) for _ in range(2))
+        for f, h, got in zip(F, H, pairings(F, H)):
+            assert got.tolist() == [loop_offset_pairing(S, f, h, o) for o in offsets]
+        F, H = (rng.standard_normal((3, g.cells)) for _ in range(2))
+        for f, h, got in zip(F, H, pairings(F, H)):
+            want = np.array([loop_offset_pairing(S, f, h, o) for o in offsets])
+            assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+    @pytest.mark.parametrize("N", range(0, 14))
     def test_petermichl_matches_gather_oracle_bit_for_bit(self, N):
+        # the direct level loop against the built shift's rows, gathered
         g = GridSpec(1, N)
         S = build_petermichl(g)
-        rng = np.random.default_rng(100 + N)
-        # zeroed cells give signed zeros, which the sums must keep as well
-        f, h = (rng.standard_normal(g.cells) * rng.integers(0, 2, g.cells) for _ in range(2))
-        got = _offset_pairings(_OffsetPlan.build(S), f, h)
-        assert got.tobytes() == gather_offset_pairings(S, f, h).tobytes()
-
-    @pytest.mark.parametrize("m,n", [(2, 1), (0, 2), (2, 2)])
-    def test_level_uniform_json_shift_matches_gather_oracle_bit_for_bit(self, m, n):
-        # (2, 2) with every spot filled has 16 pairs per cube: row products
-        # summed past the 8 terms where numpy's contiguous sums go pairwise
-        fill = 1.0 if (m, n) == (2, 2) else 0.6
-        g = GridSpec(1, 7)
-        S = level_uniform_shift(g, m, n, 10 * m + n, fill)
-        rng = np.random.default_rng(m + n)
-        f, h = (rng.standard_normal(g.cells) for _ in range(2))
-        assert len(S.levels) == g.N - max(m, n)
-        assert fill < 1.0 or all(len(lv.h_in) == (1 << (m + n + L)) for L, lv in S.levels.items())
-        got = _offset_pairings(_OffsetPlan.build(S), f, h)
-        assert got.tobytes() == gather_offset_pairings(S, f, h).tobytes()
+        F, H = signed_zero_rows(g, 3, 100 + N), signed_zero_rows(g, 3, 200 + N)
+        for f, h, got in zip(F, H, _offset_pairings(g, F, H)):
+            assert got.tobytes() == gather_offset_pairings(S, f, h).tobytes()
 
     @pytest.mark.parametrize("N", range(0, 14))
     def test_closed_form_petermichl_plan_is_the_built_one(self, N):
+        # what the level loop reads on every cube of level L, as cyclic cell
+        # offsets from the cube's start and child values: R' = Q's children
+        # (0, half) with (1, -1) in both pairs, Q' the left child's children
+        # (0, q) with (1, -1) or the right child's (2q, 3q) with (-1, 1)
         g = GridSpec(1, N)
-        assert _OffsetPlan.petermichl(g) == _OffsetPlan.build(build_petermichl(g))
+        S = build_petermichl(g)
+        M = g.cells
+        assert (S.m, S.n) == (1, 0) and sorted(S.levels) == list(range(N - 1))
+        for L, lv in S.levels.items():
+            half, q = M >> (L + 1), M >> (L + 2)
+            cube = np.arange(len(lv.h_in))[:, None] // 2
+            rows = np.hstack([(lv.in_idx - (cube << 1)) * half, (lv.out_idx - (cube << 2)) * q, lv.h_in, lv.h_out])
+            want = [[0, half, 0, q, 1, -1, 1, -1], [0, half, 2 * q, 3 * q, 1, -1, -1, 1]]
+            assert rows.tolist() == want * (1 << L)
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 6, 12])
+    def test_block_rows_have_their_one_row_bytes(self, N):
+        g = GridSpec(1, N)
+        F, H = signed_zero_rows(g, 5, N), signed_zero_rows(g, 5, 50 + N)
+        block = _offset_pairings(g, F, H)
+        assert block.shape == (5, g.cells)
+        for i in range(5):
+            assert block[i].tobytes() == _offset_pairings(g, F[i : i + 1], H[i : i + 1])[0].tobytes()
+
+    @pytest.mark.parametrize("N", [2, 3, 6, 12])
+    def test_block_averages_are_the_per_pair_ones(self, N, monkeypatch):
+        # separated supports with signed zeros; one chunk of 6 rows, then a
+        # row per chunk: each result is hilbert_average's for its pair
+        g = GridSpec(1, N)
+        M = g.cells
+        F, H = signed_zero_rows(g, 6, N), signed_zero_rows(g, 6, 70 + N)
+        F[:, M // 2 :] = 0.0
+        H[:, : M // 2] = -0.0
+        F[:, M // 2 - 1] = H[:, M - 1] = 0.0  # a cell apart on the torus
+        F[:, 0] = H[:, M // 2] = 1.0
+        ens = GridEnsemble.random_translations(g, 50, N)
+
+        def bits(results):
+            return np.array([dataclasses.astuple(r) for r in results]).tobytes()
+
+        want = bits(hilbert_average(ens, StepFunction(g, f), StepFunction(g, h)) for f, h in zip(F, H))
+        assert bits(_hilbert_averages(ens, zip(F, H))) == want
+        monkeypatch.setattr(shifts, "_BLOCK_BYTES", 1)
+        assert bits(_hilbert_averages(ens, zip(F, H))) == want
 
     def test_window_sums_are_streamed(self):
-        # at N = 16 the pass holds at most 16 cell-length arrays at once
+        # at N = 16 a one-row pass holds at most 16 cell-length arrays at once
         g = GridSpec(1, 16)
-        plan = _OffsetPlan.petermichl(g)
         rng = np.random.default_rng(16)
-        f, h = (rng.standard_normal(g.cells) for _ in range(2))
+        F, H = (rng.standard_normal((1, g.cells)) for _ in range(2))
         tracemalloc.start()
         try:
-            _offset_pairings(plan, f, h)
+            _offset_pairings(g, F, H)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * g.cells * 8
-
-    def test_rejects_shift_that_varies_across_cubes(self):
-        g = GridSpec(1, 5)
-        with pytest.raises(ValueError, match="same rows"):
-            _OffsetPlan.build(build_random_shift(1, 1, 3, g))
 
 
 class TestKernelSupBound:
