@@ -11,7 +11,6 @@ from .dyadics import (
     ancestor,
     average,
     lp_norm,
-    rearrangement_value,
 )
 from .characteristics import (
     CharacteristicReport,

@@ -26,7 +26,6 @@ __all__ = [
     "ancestor",
     "average",
     "lp_norm",
-    "rearrangement_value",
     "level_integrals",
     "level_averages",
     "repeat_to_cells",
@@ -133,9 +132,6 @@ class GridSpec:
         """Every dyadic cube of the grid, coarsest level first."""
         for level in range(self.N + 1):
             yield from self.cubes(level)
-
-    def cube_count(self) -> int:
-        return sum(1 << (self.d * k) for k in range(self.N + 1))
 
     # The serialised forms: a grid header {d, N, shift} and a cube {level, coords}.
 
@@ -296,10 +292,6 @@ class DyadicCube:
         """Slice of the Z-ordered finest-cell array covered by this cube."""
         bits = self.grid.d * (self.grid.N - self.level)
         return slice(self.zindex << bits, (self.zindex + 1) << bits)
-
-    @property
-    def cell_count(self) -> int:
-        return 1 << (self.grid.d * (self.grid.N - self.level))
 
     def bounds(self) -> list[tuple[float, float]]:
         """Per-axis [lo, hi) in the grid frame (shift not applied)."""
@@ -560,18 +552,3 @@ def lp_norm(f: StepFunction, p: float, weight: StepFunction | None = None) -> fl
         dens = weight.values
     total = float(np.sum(np.abs(f.values) ** p * dens) * f.grid.cell_volume)
     return total ** (1.0 / p)
-
-
-def rearrangement_value(f: StepFunction, t: float) -> float:
-    """Non-increasing rearrangement of |f| evaluated at measure t.
-
-    Right-continuous convention: the value is inf{ s >= 0 : |{|f| > s}| <= t }.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    vol = f.grid.cell_volume
-    allowed = int(math.floor(t / vol + 1e-12))
-    mags = np.sort(np.abs(f.values))[::-1]
-    if allowed >= mags.size:
-        return 0.0
-    return float(mags[allowed])

@@ -17,7 +17,6 @@ __all__ = [
     "two_value_weight",
     "cascade_weight",
     "random_step",
-    "coarsen",
     "weight_from_spec",
 ]
 
@@ -129,15 +128,6 @@ def _random_step_rows(grid: GridSpec, seeds, spikes: int = 0) -> np.ndarray:
         for _ in range(spikes):
             row[rng.integers(0, grid.cells)] *= 10.0
     return vals
-
-
-def coarsen(f: StepFunction, N: int) -> StepFunction:
-    """Cell averages of f on the depth-N coarsening of its grid."""
-    if not 0 <= N <= f.grid.N:
-        raise ValueError("coarse depth outside the grid")
-    fold = 1 << (f.grid.d * (f.grid.N - N))
-    vals = f.values.reshape(-1, fold).mean(axis=1)
-    return StepFunction(GridSpec(f.grid.d, N, ()), vals)
 
 
 def weight_from_spec(grid: GridSpec, spec: dict, seed: int | None = None) -> StepFunction:

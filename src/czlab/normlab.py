@@ -356,19 +356,23 @@ def _cube_scores(op, w, sigma, p):
     """level -> the weak ratio of each cube indicator of `level`, in
     Z-order, by the shift kernel's sparse cube scorer
     (_KernelPlan.cube_weak), when op is a shift truncation whose plan
-    cancels, sigma is 1 on every cell and w is constant; otherwise None.
-    The ratios are _ratios's with _weak_functionals, bit for bit."""
+    cancels and scales_exactly, sigma is 1 on every cell and w is constant;
+    otherwise None.  The scorer's tree of ancestor windows is built once,
+    here, for every level.  The ratios are _ratios's with
+    _weak_functionals, bit for bit."""
     plan = op.shift._plan if isinstance(op, _ShiftTruncation) else None
     wv = w.values
-    if plan is None or not (sigma.values == 1.0).all() or not (wv == wv[0]).all() or not plan.cancels:
+    if plan is None or not (sigma.values == 1.0).all() or not (wv == wv[0]).all():
         return None
-    root = _mass_roots(wv, w.grid, p)
+    if not (plan.cancels and plan.scales_exactly):
+        return None
+    weak = plan.cube_weak(_mass_roots(wv, w.grid, p))
 
     def score(level):
         # the indicator's L^p(sigma) norm, as _lp_norms takes it: |Q|^(1/p)
         norm = (w.grid.cells >> (w.grid.d * level)) * w.grid.cell_volume
         norm **= 1.0 / p
-        return [value / norm for value in plan.cube_weak(level, root).tolist()]
+        return (weak[level] / norm).tolist()
 
     return score
 
@@ -592,12 +596,13 @@ def weak_norm_estimate(
     part, seed-stopped (_SEED_RESID: no weak value reads its spectral
     value), and the seeded random starts g and |g|; at p = 1, where Boyd's
     duality map is undefined, the starts are not refined.  A shift
-    truncation whose input Haar functions cancel exactly, at sigma = 1 and
-    a constant w, scores its indicators without imaging them on the cells
-    (_cube_scores): the kernel's sparse scorer reads, per indicator, only
-    its ancestors' coefficient pairs and the regions of cells where its
-    truncated image is constant, so the cost is about its pairs' children
-    times its ancestors' count, plus a sort of those regions, in place of
+    truncation whose input Haar functions cancel exactly and whose child
+    values are far from underflow and overflow (scales_exactly), at sigma
+    = 1 and a constant w, scores its indicators without imaging them on
+    the cells (_cube_scores): the kernel's sparse scorer builds each
+    ancestor window of the shift once per scan and reads, per indicator,
+    its ancestors' windows and the regions of cells where its truncated
+    image is constant, so the cost is a sort of those regions in place of
     the cells; only the indicators kept for Boyd become float rows.  Any
     other operator or weights, including sigma = 1 with a non-constant w,
     take op.apply on boolean blocks.  Both give the same bits.  The weak

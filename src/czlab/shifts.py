@@ -56,9 +56,16 @@ def _exact_zero_sum(vals: np.ndarray) -> np.ndarray:
     its last entry.  On 10^5 standard normal rows of 2 or 4 values (d = 1,
     2), numpy's sum of the result was exactly zero; rows of 8 (d = 3), which
     numpy sums pairwise, kept a rounding-size residue about a quarter of
-    the time."""
-    vals = vals - vals.mean(axis=-1, keepdims=True)
-    vals[..., -1] -= vals.sum(axis=-1)
+    the time.  Rows of fewer than 8 are summed a column at a time by
+    _child_sum, numpy's own order and far faster on the short axis; the
+    mean is that sum over the row length, as numpy divides it."""
+    fold = vals.shape[-1]
+    if fold >= 8:
+        vals = vals - vals.mean(axis=-1, keepdims=True)
+        vals[..., -1] -= vals.sum(axis=-1)
+        return vals
+    vals = vals - (_child_sum(list(np.moveaxis(vals, -1, 0))) / fold)[..., None]
+    vals[..., -1] -= _child_sum(list(np.moveaxis(vals, -1, 0)))
     return vals
 
 
@@ -389,15 +396,17 @@ class _KernelPlan:
     then sums each pair's 2^d terms onto the flat outputs by the gather of
     one _Slots table, built on first use and kept with the plan.
 
-    Besides run, a plan that `cancels` has a sparse cube scorer, cube_weak:
-    the weak functional of the truncated indicator of every cube of a level
-    under a constant weight, from the pairs of each cube's strict ancestors
-    and the regions where its image is constant, without imaging it on the
-    cells; per indicator about one term per child of those pairs and a
-    sort of at most N 2^(d(m+1)) regions.  The weak search takes it at
-    sigma = 1 and a constant w (normlab._cube_scores); sigma = 1 with any
-    other w goes through run on boolean blocks.  `cancels` and `_by_rprime`
-    are built on first use too.
+    Besides run, a plan that `cancels` and `scales_exactly` has a sparse
+    cube scorer, cube_weak: the weak functional of the truncated indicator
+    of every cube of every level under a constant weight, from the pairs of
+    each cube's strict ancestors and the regions where its image is
+    constant, without imaging it on the cells.  It builds each ancestor
+    window once per call, as one tree at factor 1 shared by all levels,
+    and sorts at most N 2^(d(m+1)) regions per indicator.  The weak search
+    calls it once per scan at sigma = 1 and a constant w
+    (normlab._cube_scores); sigma = 1 with any other w goes through run on
+    boolean blocks.  `cancels`, `scales_exactly` and `_by_rprime` are built
+    on first use too; the tree is not kept.
     """
 
     grid: GridSpec
@@ -462,23 +471,30 @@ class _KernelPlan:
     def _pair_pass(self, inputs: np.ndarray, keep=None) -> np.ndarray:
         """The flat outputs of each row of a (K, flat inputs) array: the row
         read at `gather`, weighed by h_in, summed over children and scaled
-        by `scale` (1/|Q|) into one coefficient per pair (0 for pairs not
-        in `keep`, when given), then summed onto the flat outputs.  Rows go
-        a chunk at a time, each chunk's integral terms and slot terms
-        together taking at most _BLOCK_BYTES."""
+        by `scale` (1/|Q|) into one coefficient per pair, then summed onto
+        the flat outputs by the slot table.  Given `keep`, only those pairs
+        are read, and np.bincount sums their terms alone: a bin's terms
+        come in pair order from +0 either way, and the pairs left out, of
+        coefficient 0, would add +-0, moving nothing.  Rows go a chunk at a
+        time, each chunk's integral terms and slot terms together taking at
+        most _BLOCK_BYTES."""
         take, h_take, scale, slots = self.gather, self.h_in, self.scale, self._scatter_slots
         if keep is not None:
             take, h_take, scale = take[:, keep], h_take[:, keep], scale[keep]
+            put, h_put = self.scatter[:, keep], self.h_out[:, keep]
         step = max(1, _BLOCK_BYTES // (8 * (take.size + slots.pair.size)))
         parts = []
         for k in range(0, max(len(inputs), 1), step):
             terms = inputs[k : k + step].take(take, axis=1)
             terms *= h_take
             coef = _child_sum(list(terms.transpose(1, 0, 2))) * scale
-            if keep is not None:
-                coef, live = np.zeros((len(coef), slots.pairs)), coef
-                coef[:, keep] = live
-            parts.append(slots.sum(coef))
+            if keep is None:
+                parts.append(slots.sum(coef))
+                continue
+            rows = len(coef)
+            bins = (put + slots.size * np.arange(rows)[:, None, None]).ravel()
+            weights = (coef[:, None, :] * h_put).ravel()
+            parts.append(np.bincount(bins, weights, rows * slots.size).reshape(rows, slots.size))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _output_pass(self, contrib: np.ndarray, truncate: bool, select: bool = False):
@@ -540,114 +556,213 @@ class _KernelPlan:
         count = np.bincount(self.gather[0], minlength=size)
         return np.argsort(self.gather[0], kind="stable"), np.cumsum(count) - count, count
 
-    def cube_weak(self, level: int, root: np.ndarray) -> np.ndarray:
-        """For the indicator 1_Q of every cube Q of `level`, in Z-order, the
-        weak functional of its truncation under a constant weight whose mass
-        roots are `root`: max over k of mags[k] * root[k], mags the image's
-        magnitudes in descending order.  The same bits as that max over
-        run(block, True), on a plan that cancels.
+    @functools.cached_property
+    def scales_exactly(self) -> bool:
+        """Whether every nonzero child value h has 2^-400 <= |h| <= 2^400.
+        Then, as d N <= 24, every term of cube_weak's tree, at factor 1 and
+        at any level's 2^(-d level), has magnitude between 2^-824 and 2^824,
+        so every partial sum of such terms is 0 or at least 2^-876: no value
+        is subnormal or overflows, and scaling by a power of two commutes
+        with every rounding in the tree."""
+        for h in (self.h_in, self.h_out):
+            a = np.abs(h)
+            a[a == 0.0] = 1.0
+            if not 2.0**-400 <= a.min() <= a.max() <= 2.0**400:
+                return False
+        return True
+
+    def cube_weak(self, root: np.ndarray) -> list[np.ndarray]:
+        """For every level, coarsest first, and the indicator 1_Q of every
+        cube Q of that level, in Z-order: the weak functional of 1_Q's
+        truncation under a constant weight whose mass roots are `root`, max
+        over k of mags[k] * root[k], mags the image's magnitudes in
+        descending order.  The same bits as that max over run(block, True),
+        on a plan that cancels and scales_exactly.
 
         Of 1_Q's pairs, one whose R' misses Q reads zero integrals, and one
         whose R' lies in Q has coefficient 0 (cancels): both add +-0 to bins
         that start at +0, moving none.  A strict ancestor R' of Q, with Q in
-        its child i, has coefficient (|Q| h_in[i]) * scale, the one nonzero
-        term of the pair pass's child sum.  So output level j moves only in
-        its window: the 2^(d(m+1)) cubes of that level inside C_j, Q's
-        ancestor at shift level j.  A window's bins sum its R''s terms in
-        pair order, as the pair pass does, and carry acc and best from the
-        window before, which holds each of their ancestors, as the output
-        pass does.  A cube of the last window, and the part of a cube of an
-        earlier window outside the next C, is a region of cells sharing one
+        its child H (the holder), has coefficient (|Q| h_in[H]) * scale, the
+        one nonzero term of the pair pass's child sum.  So output level j
+        moves only in its window: the 2^(d(m+1)) cubes of that level inside
+        C_j, Q's ancestor at shift level j.  A window's bins sum its R''s
+        terms in pair order, as the pair pass does, and carry acc and best
+        from the window before, which holds each of their ancestors, as the
+        output pass does.
+
+        A window's terms, acc and best depend on Q only through its holder
+        and the factor |Q| = 2^(-d level), and multiplying by a power of two
+        commutes with every rounding in them (products, sums, |.|, max)
+        while no value is subnormal or overflows, which scales_exactly
+        ensures.  So the
+        windows form one tree, built once per call at factor 1 (_window):
+        each holder's window is made once, carrying acc and best from the
+        window of its ancestor holder, and a level's indicators gather
+        their holders' best rows and scale them by 2^(-d level).
+
+        A cube of the last window, and the part of a cube of an earlier
+        window outside the next C, is a region of cells sharing one
         magnitude, and every other cell is 0.  Sorted by magnitude, a region
         scores magnitude * root[cells counted through it - 1]; equal
         magnitudes peak at the end of their run, as in the sort of all
-        cells.  Per indicator this costs at most one term per child of the
-        pairs of its ancestors R' (a window's terms, acc and best are made
-        once for all of a chunk's indicators that share it, _window_weak),
-        and a sort of at most W 2^(d(m+1)) regions, W <= N the windows: the
-        cubes of a window that the next C covers whole hold no cells and
-        are left out.  Rows go a chunk at a time, each of a chunk's arrays
-        of terms or regions taking at most half of _BLOCK_BYTES.
-        """
-        d, m, n = self.grid.d, self.m, self.n
-        shift = self.shift_levels[self.shift_levels + n < level]  # R' a strict ancestor of Q
-        zs, width = np.arange(1 << (d * level)), 1 << (d * (m + 1))
-        if not len(shift):
-            return np.zeros(zs.size)
-        terms = max(width, (1 << d) * int(self._by_rprime[2].max()))  # per row and window
-        step = max(1, _BLOCK_BYTES // (16 * len(shift) * terms))  # rows per chunk
-        root = np.concatenate([[0.0], root])  # root[k] for k cells counted
-        return np.concatenate(
-            [self._window_weak(zs[k : k + step], level, shift, root) for k in range(0, zs.size, step)]
-        )
+        cells.  Per indicator this costs a sort of at most W 2^(d(m+1))
+        regions, W <= N its windows (_region_weak): the cubes of a window
+        that the next C covers whole hold no cells and are left out.
 
-    def _window_weak(self, zs, level, shift, root):
-        """cube_weak for the cubes zs of `level`, consecutive Z-indices,
-        whose ancestors R' sit at the levels shift + n, with root[k] the
-        root for k cells counted.  A window's terms, acc and best depend on
-        Q only through the child of R' that holds Q, its ancestor at level
-        shift + n + 1: they are made once per such ancestor (an ancestor
-        window), in the order a row would make them, and each row takes
-        its ancestors'."""
-        d, N, m, n = self.grid.d, self.grid.N, self.m, self.n
-        rows, windows, width = len(zs), len(shift), 1 << (d * (m + 1))
+        The best rows sit in one array: the windows of holder levels above
+        `cut` whole, then those at or below it for one subtree (the holders
+        inside one cube of level cut), which each subtree overwrites.  cut
+        is the coarsest level at which a subtree's windows' terms together
+        take at most half of _BLOCK_BYTES (one array of values, one of
+        bins).  A level's indicators under a subtree go a chunk of rows at a
+        time, each chunk's regions taking at most half of it.  Every level's
+        scores are kept until the call returns.
+        """
+        d, N, n = self.grid.d, self.grid.N, self.n
+        held = (self.shift_levels + n + 1).tolist()  # each window's holder level
+        width = 1 << (d * (self.m + 1))
+        terms = max(width, (1 << d) * int(self._by_rprime[2].max()))  # per holder
+        cut = held[-1]
+        while cut and 16 * terms * sum(1 << (d * (h - cut + 1)) for h in held if h >= cut - 1) <= _BLOCK_BYTES:
+            cut -= 1  # a subtree of level cut - 1 fits
+        columns = [self._region_columns(windows) for windows in range(len(held) + 1)]
+        scores = [np.zeros(1 << (d * level)) for level in range(N + 1)]
+        top = sum(h < cut for h in held)  # the windows built whole
+        size = [1 << (d * (h if j < top else h - cut)) for j, h in enumerate(held)]
+        offset = width * np.cumsum([0] + size[:-1])
+        tree = np.empty(width * sum(size))
+
+        def score(level, first, rows, base):
+            # the windows whose R' is a strict ancestor of the level's cubes
+            count = sum(h <= level for h in held)
+            if not count:
+                return
+            step = max(1, _BLOCK_BYTES // (16 * count * width))  # rows per chunk
+            for k in range(first, first + rows, step):
+                zs = np.arange(k, min(k + step, first + rows))
+                weak = self._region_weak(level, zs, tree, base[:count], columns[count], root)
+                scores[level][k : k + len(zs)] = weak
+
+        def grow(j, lo, before):
+            out = tree[offset[j] : offset[j] + width * size[j]].reshape(size[j], width)
+            return self._window(j, lo, size[j], before, out)
+
+        before = None
+        for j in range(top):
+            before = grow(j, 0, before)
+        for level in range(cut):
+            score(level, 0, 1 << (d * level), offset)
+        for r in range(1 << (d * cut)):
+            lo, below = [0] * top + [r << (d * (h - cut)) for h in held[top:]], before
+            for j in range(top, len(held)):
+                below = grow(j, lo[j], below)
+            base = offset - width * np.array(lo)  # holder h's row of window j starts at base[j] + h width
+            for level in range(cut, N + 1):
+                rows = 1 << (d * (level - cut))
+                score(level, r * rows, rows, base)
+        return scores
+
+    def _window(self, j, lo, size, before, best):
+        """Window j's rows at factor 1 for the holders lo .. lo + size - 1,
+        cubes of level shift_levels[j] + n + 1 in Z-order: its best rows
+        go into `best`, a (size, width) array, and it returns (lo, best,
+        acc).  `before` is window j - 1's, None at j = 0; its holders must
+        include every ancestor of these."""
+        d, m, n = self.grid.d, self.m, self.n
+        width = 1 << (d * (m + 1))
         order, first, count = self._by_rprime
-        up = d * (level - shift - n - 1)
-        lo = zs[0] >> up  # each window's first ancestor
-        sizes = (zs[-1] >> up) - lo + 1
-        ends = np.cumsum(sizes)
-        win = np.repeat(np.arange(windows), sizes)
-        holder = np.arange(ends[-1]) - (ends - sizes)[win] + lo[win]  # the child of R' that holds Q
+        holder = lo + np.arange(size)
         corner = holder >> (d * (n + 1))  # C_j
-        key = np.array(_flat_starts(d, shift + n + 1)[:-1])[win] + ((holder >> d) << d)  # R''s child 0
+        key = _flat_starts(d, self.shift_levels[:j] + n + 1)[-1] + ((holder >> d) << d)  # R''s child 0
         k = count[key]
         pair = order[np.repeat(first[key] + k - np.cumsum(k), k) + np.arange(k.sum())]
-        coef = 2.0 ** (-d * level) * self.h_in[np.repeat(holder & ((1 << d) - 1), k), pair]
-        coef *= self.scale[pair]
-        # bin (ancestor window, cube of the window), each window's cubes in Z-order
-        base = np.array([start for start, _, _ in self.outputs[:windows]])[win] + (corner << (d * (m + 1)))
-        base -= width * np.arange(holder.size)
-        contrib = np.bincount(
-            (self.scatter[:, pair] - np.repeat(base, k)).ravel(),
-            (coef * self.h_out[:, pair]).ravel(),
-            holder.size * width,
-        ).reshape(-1, width)
-        slot = np.arange(width)
-        acc = contrib[: ends[0]]
-        best = [np.abs(acc)]  # per window
-        for j in range(1, windows):
-            here, step = slice(ends[j - 1], ends[j]), d * (shift[j] - shift[j - 1])
-            # C_j's place among the cubes of its level in C_(j-1), and the
-            # row of the ancestor window before
-            offset = corner[here] & ((1 << step) - 1)
-            parent = (((offset[:, None] << (d * (m + 1))) + slot) >> step) + width * (
-                (holder[here] >> step) - lo[j - 1]
-            )[:, None]
-            acc = acc.take(parent) + contrib[here]
-            best.append(np.maximum(best[-1].take(parent), np.abs(acc)))
-        # per row: its ancestor window in each window, and each C_j's place
-        # among the cubes of its level in C_(j-1)
-        mine = (zs[:, None] >> up) - lo
+        coef = self.h_in[np.repeat(holder & ((1 << d) - 1), k), pair] * self.scale[pair]
+        # bin (holder, cube of its window), each window's cubes in Z-order
+        base = self.outputs[j][0] + (corner << (d * (m + 1))) - width * np.arange(size)
+        bins, terms = self.scatter.take(pair, axis=1), self.h_out.take(pair, axis=1)
+        bins -= np.repeat(base, k)
+        terms *= coef
+        acc = np.bincount(bins.ravel(), terms.ravel(), size * width).reshape(size, width)
+        if before is None:
+            np.abs(acc, out=best)
+            return lo, best, acc
+        lo0, best0, acc0 = before
+        up = d * int(self.shift_levels[j] - self.shift_levels[j - 1])
+        # each bin's ancestor in the window before: C_j's place among the
+        # cubes of its level in C_(j-1), and the holder's ancestor
+        offset = (corner & ((1 << up) - 1)) << (d * (m + 1))
+        parent = ((offset[:, None] + np.arange(width)) >> up) + width * ((holder >> up) - lo0)[:, None]
+        acc += acc0.take(parent)
+        np.maximum(best0.take(parent), np.abs(acc), out=best)
+        return lo, best, acc
+
+    def _region_columns(self, windows):
+        """The regions of an indicator under the first `windows` windows, in
+        window order, each window's in slot order: (window, slot, skip,
+        cells, partial).  Per region, its window, its slot counted among the
+        window's kept cubes and its cells; per window, `skip`, the count of
+        its cubes inside the next window's C, which hold no cells and are
+        left out (0 when the next C is finer than them, or for the last
+        window).  `partial` lists (window, first region, levels from the
+        window's cubes to the next C) where the next C is finer: the cube
+        holding it loses C's cells."""
+        d, N, m = self.grid.d, self.grid.N, self.m
+        width = 1 << (d * (m + 1))
+        shift = self.shift_levels[:windows].tolist()
+        skip, partial, kept = [], [], []
+        for j, s in enumerate(shift):
+            skip.append(0)
+            if j + 1 < windows:
+                gap = s + m + 1 - shift[j + 1]  # levels from the next C to this window's cubes
+                if gap >= 0:
+                    skip[-1] = 1 << (d * gap)
+                else:
+                    partial.append((j, sum(kept), -gap))
+            kept.append(width - skip[-1])
+        window = np.repeat(np.arange(windows), kept)
+        cells = np.repeat([1 << (d * (N - s - m - 1)) for s in shift], kept)
+        slot = np.arange(window.size) - np.repeat(np.cumsum(kept) - kept, kept)
+        return window, slot, np.array(skip), cells, partial
+
+    def _region_weak(self, level, zs, tree, base, columns, root):
+        """cube_weak's scores of the cubes zs of `level`, consecutive
+        Z-indices, under the first len(base) windows: holder h's best row of
+        window j starts at tree[base[j] + h * width].  `columns` is
+        _region_columns's layout of their regions.
+
+        A window cube that the next window's C covers whole holds no cells:
+        it scores no more than a cell counted before it (each at least its
+        magnitude) does, or 0 if none is, so it is left out before the
+        sort, and every row leaves out as many.  Equal magnitudes may come
+        in any order: their run peaks at its end, where the count is the
+        same."""
+        d, N, m, n = self.grid.d, self.grid.N, self.m, self.n
+        window, slot, skip, cells, partial = columns
+        rows, width = len(zs), 1 << (d * (m + 1))
+        shift = self.shift_levels[: len(base)]
+        first = (zs[:, None] >> (d * (level - shift - n - 1))) * width + base  # holder rows in tree
         corners = zs[:, None] >> (d * (level - shift))
-        offset = corners[:, 1:] - (corners[:, :-1] << (d * np.diff(shift)))
-        # the cells of each window's cubes, less those of the next C in them
-        fine = shift + m + 1  # the windows' output levels
-        mass = np.empty((rows, windows, width), dtype=int)
-        mass[:] = (1 << (d * (N - fine)))[:, None]
-        below, above = np.maximum(fine[:-1] - shift[1:], 0), np.maximum(shift[1:] - fine[:-1], 0)
-        covered = (slot >> (d * below[:, None])) == (offset[:, :, None] >> (d * above[:, None]))
-        mass[:, :-1] -= covered * (1 << (d * (N - np.maximum(fine[:-1], shift[1:]))))[:, None]
-        mags = np.concatenate([b.take(i, axis=0) for b, i in zip(best, mine.T)], axis=1)
-        # A region left without cells scores no more than a cell counted
-        # before it (each at least its magnitude) does, or 0 if none is, so
-        # it is dropped before the sort.  Every row drops as many: in window
-        # j, the 2^(d(fine_j - shift_(j+1))) cubes inside C_(j+1) when
-        # fine_j >= shift_(j+1), and none otherwise.
-        held = mass.reshape(rows, -1) != 0
-        mags, mass = mags[held].reshape(rows, -1), mass.reshape(rows, -1)[held].reshape(rows, -1)
-        by_size = np.argsort(-mags, axis=1) + mags.shape[1] * np.arange(rows)[:, None]
-        counted = np.cumsum(mass.take(by_size), axis=1)
-        return (mags.take(by_size) * root.take(counted)).max(axis=1, initial=0.0)
+        # C_(j+1)'s place among the cubes of its level in C_j (0 for the last)
+        place = np.zeros_like(corners)
+        place[:, :-1] = corners[:, 1:] - (corners[:, :-1] << (d * np.diff(shift)))
+        # kept slot t of a window is cube t, or t + skip once past the skipped
+        index = first.take(window, axis=1)
+        index += slot
+        index += skip.take(window) * (slot >= (place * skip).take(window, axis=1))
+        mags = tree.take(index)
+        mags *= 2.0 ** (-d * level)  # |Q|
+        mass = np.repeat(cells[None], rows, axis=0)
+        for j, column, up in partial:
+            mass[np.arange(rows), column + (place[:, j] >> (d * up))] -= 1 << (d * (N - shift[j + 1]))
+        # descending magnitudes, row by row, as flat indices
+        order = np.argsort(mags, axis=1)[:, ::-1] + mags.shape[1] * np.arange(rows)[:, None]
+        counted = mass.take(order)
+        del index, mass  # the sort's arrays take their place
+        counted[:, 0] -= 1  # every region holds a cell: root[k] is the root of k + 1 cells
+        counted = counted.cumsum(axis=1)
+        mags = mags.take(order)
+        mags *= root.take(counted)
+        return mags.max(axis=1, initial=0.0)
 
     def selected_integrals(self, level, sign, block: np.ndarray) -> np.ndarray:
         """Per row u of a (K, cells) block, the integral of sign * u over
@@ -679,15 +794,14 @@ class _Slots(NamedTuple):
     bin's j-th term: `pair` and `h` list, slot after slot, the pair and
     the weight h_put[i, r] of each term, and widths[j] the bins that slot
     j reaches, a prefix of the ranking.  `unsort` maps each bin to its
-    rank (None when the ranking is bin order), `size` counts the bins and
-    `pairs` the pairs.  Each _KernelPlan holds one, for its pair pass."""
+    rank (None when the ranking is bin order) and `size` counts the bins.
+    Each _KernelPlan holds one, for its unpruned pair passes."""
 
     pair: np.ndarray
     h: np.ndarray
     widths: tuple
     unsort: np.ndarray | None
     size: int
-    pairs: int
 
     @classmethod
     def build(cls, put: np.ndarray, h_put: np.ndarray, size: int) -> "_Slots":
@@ -700,7 +814,7 @@ class _Slots(NamedTuple):
         widths = [int((count > j).sum()) for j in range(count.max())]
         term = np.concatenate([by_bin[first[ranked[:c]] + j] for j, c in enumerate(widths)])
         unsort = None if (ranked == np.arange(size)).all() else np.argsort(ranked)
-        return cls((term % pairs).astype(np.int32), h_put.ravel()[term], tuple(widths), unsort, size, pairs)
+        return cls((term % pairs).astype(np.int32), h_put.ravel()[term], tuple(widths), unsort, size)
 
     def sum(self, coef: np.ndarray) -> np.ndarray:
         """The bins of each row of coefficients, a (K, pairs) array: each
@@ -776,10 +890,13 @@ def build_random_shift(
         # the short axis
         scale = functools.reduce(np.maximum, [np.abs(vals[:, :, i]) for i in range(1 << d)])
         keep = (scale[:, 0] != 0.0) & (scale[:, 1] != 0.0)
-        vals = vals[keep] / scale[keep][:, :, None]
+        if keep.all():
+            vals /= scale[:, :, None]
+        else:
+            vals, rz, qz = vals[keep] / scale[keep][:, :, None], rz[keep], qz[keep]
         levels[level] = ShiftLevel(
-            _child_indices(rz[keep], d),
-            _child_indices(qz[keep], d),
+            _child_indices(rz, d),
+            _child_indices(qz, d),
             np.ascontiguousarray(vals[:, 0]),
             np.ascontiguousarray(vals[:, 1]),
         )

@@ -25,11 +25,45 @@ from czlab.dyadics import (
 from czlab.lerner import median, oscillation
 from czlab.normlab import LinearOperator, NonConvergenceError
 from czlab.positive import TauCoefficients
-from czlab.shifts import HaarShift, ShiftLevel, _exact_zero_sum, build_petermichl
+from czlab.shifts import HaarShift, ShiftLevel, build_petermichl
 
 
 def cell_cube(grid: GridSpec, z: int):
     return grid.cube_from_zindex(grid.N, z)
+
+
+def cell_count(Q) -> int:
+    """The finest cells of cube Q."""
+    return 1 << (Q.grid.d * (Q.grid.N - Q.level))
+
+
+def cube_count(grid: GridSpec) -> int:
+    """The dyadic cubes of every level of the grid."""
+    return sum(1 << (grid.d * k) for k in range(grid.N + 1))
+
+
+def coarsen(f: StepFunction, N: int) -> StepFunction:
+    """Cell averages of f on the depth-N coarsening of its grid."""
+    if not 0 <= N <= f.grid.N:
+        raise ValueError("coarse depth outside the grid")
+    fold = 1 << (f.grid.d * (f.grid.N - N))
+    vals = f.values.reshape(-1, fold).mean(axis=1)
+    return StepFunction(GridSpec(f.grid.d, N, ()), vals)
+
+
+def rearrangement_value(f: StepFunction, t: float) -> float:
+    """Non-increasing rearrangement of |f| evaluated at measure t.
+
+    Right-continuous convention: the value is inf{ s >= 0 : |{|f| > s}| <= t }.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    vol = f.grid.cell_volume
+    allowed = int(math.floor(t / vol + 1e-12))
+    mags = np.sort(np.abs(f.values))[::-1]
+    if allowed >= mags.size:
+        return 0.0
+    return float(mags[allowed])
 
 
 def _pack_records(grid: GridSpec, m: int, n: int, records, cancellative: bool) -> HaarShift:
@@ -94,6 +128,13 @@ def level_loop_cascade_weight(grid: GridSpec, seed: int, volatility: float = 0.5
     return vals
 
 
+def axis_reduced_zero_sum(vals: np.ndarray) -> np.ndarray:
+    """shifts._exact_zero_sum by numpy's mean and sum over the last axis."""
+    vals = vals - vals.mean(axis=-1, keepdims=True)
+    vals[..., -1] -= vals.sum(axis=-1)
+    return vals
+
+
 def axis_reduced_random_shift_values(m: int, n: int, seed: int, grid: GridSpec, cancellative: bool) -> dict:
     """build_random_shift's child values per level, {level: (input rows,
     output rows)}, rescaled with numpy's reductions over the short last axis."""
@@ -103,7 +144,7 @@ def axis_reduced_random_shift_values(m: int, n: int, seed: int, grid: GridSpec, 
     for level in range(grid.N - max(m, n)):
         vals = rng.standard_normal((1 << (d * (level + m + n)), 2, 1 << d))
         if cancellative:
-            vals = _exact_zero_sum(vals)
+            vals = axis_reduced_zero_sum(vals)
         scale = np.abs(vals).max(axis=2)
         keep = (scale != 0.0).all(axis=1)
         vals = vals[keep] / scale[keep][:, :, None]
@@ -147,7 +188,7 @@ def _child_value(cube, child_values, cell_z: int) -> float:
     sl = cube.cell_slice
     if not (sl.start <= cell_z < sl.stop):
         return 0.0
-    return child_values[(cell_z - sl.start) // (cube.cell_count >> cube.grid.d)]
+    return child_values[(cell_z - sl.start) // (cell_count(cube) >> cube.grid.d)]
 
 
 def dense_shift_matrix(S) -> np.ndarray:

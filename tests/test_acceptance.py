@@ -10,7 +10,7 @@ from czlab.characteristics import ainfty_characteristic, joint_ap, maximal_funct
 from czlab.cli import run as cli_run
 from czlab.config import parse_config
 from czlab.dyadics import GridSpec, StepFunction, lp_norm
-from czlab.families import coarsen, cascade_weight, power_weight, two_value_weight
+from czlab.families import cascade_weight, power_weight, two_value_weight
 from czlab.lerner import lerner_decompose, local_sharp_maximal
 from czlab.normlab import (
     norm_p2,
@@ -31,6 +31,8 @@ from oracles import (
     brute_local_sharp,
     brute_truncation,
     bruteforce_lp_norm,
+    cell_count,
+    coarsen,
     dense_positive_matrix,
     dense_shift_matrix,
     matrix_of,
@@ -72,7 +74,7 @@ def test_criterion_1_exact_combinatorial_invariants():
             for Q, _ in gen_b:
                 cover[Q.cell_slice] = True
             for Q, _ in gen_a:
-                assert 2 * int(cover[Q.cell_slice].sum()) < Q.cell_count
+                assert 2 * int(cover[Q.cell_slice].sum()) < cell_count(Q)
         nontrivial += bool(dec.generations)
         decomposed += 1
     assert decomposed == 100 and nontrivial >= 60

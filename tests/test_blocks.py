@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,15 @@ def level_gap_json_shift() -> HaarShift:
     return S
 
 
+def wide_gap_json_shift() -> HaarShift:
+    """A random (0, 1) shift without its level-1 and level-2 cubes: an
+    output cube of shift level 0 is coarser than Q's ancestor at shift
+    level 3, so it holds that ancestor and loses only its cells."""
+    S = json_shift_without(build_random_shift(0, 1, 12, GridSpec(1, 6)), lambda Q: Q["level"] in (1, 2))
+    assert list(S.levels) == [0, 3, 4]
+    return S
+
+
 def repeated_pair_shift() -> HaarShift:
     """One (0, 0) pair on the root listed three times, with output values
     a, -a and 1e-20 a: every indicator's image is 1e-20 a when the terms
@@ -385,6 +395,8 @@ SCORED_SHIFTS = {
     "json skip": skipping_json_shift,
     "json skip adjoint": lambda: skipping_json_shift().adjoint(),
     "json level gap": level_gap_json_shift,
+    "json wide gap": wide_gap_json_shift,
+    "json wide gap adjoint": lambda: wide_gap_json_shift().adjoint(),
     "repeated pair": repeated_pair_shift,
 }
 
@@ -419,12 +431,13 @@ class TestCubePath:
         for w in (one, StepFunction.constant(g, 0.3)):
             for p in (1.0, 1.01, 1.5, 2.0):
                 score = normlab._cube_scores(op, w, one, p)
-                root = normlab._mass_roots(w.values, g, p)
+                tree = S._plan.cube_weak(normlab._mass_roots(w.values, g, p))
+                assert len(tree) == g.N + 1
                 for level in range(g.N + 1):
                     block = cube_indicators(g, level).astype(bool)
                     out = op.apply(block)
                     weak = normlab._weak_functionals(out, w, p)
-                    assert bits(S._plan.cube_weak(level, root)) == bits(weak)
+                    assert bits(tree[level]) == bits(weak)
                     assert score(level) == normlab._ratios(out, block, w, one, p, normlab._weak_functionals)
         return True
 
@@ -454,20 +467,49 @@ class TestCubePath:
         S = build_random_shift(2, 2, 55, GridSpec(1, 7))
         g = S.grid
         root = normlab._mass_roots(np.ones(g.cells), g, 1.5)
-        whole = [bits(S._plan.cube_weak(level, root)) for level in range(g.N + 1)]
-        # one row per chunk, then 12 rows of the finest level's 5 windows of
-        # 8 terms, which split its 128 rows unevenly
-        for cap in (1, 16 * 5 * 8 * 12):
+        whole = list(map(bits, S._plan.cube_weak(root)))  # one tree: holders of levels 3..7
+        # 1: one row per chunk, and a subtree per holder of level 7 under the
+        # whole windows of levels 3..6.  16*5*8*12: subtrees of level 3 (31
+        # holders of 8 terms fit, 62 do not), and 12 rows per chunk of the
+        # finest level's 5 windows of 8 cubes, which split a subtree's 16
+        # rows unevenly.  16*8*7: subtrees of level 5 (7 holders fit) under
+        # the whole windows of levels 3 and 4.
+        for cap in (1, 16 * 5 * 8 * 12, 16 * 8 * 7):
             monkeypatch.setattr(shifts, "_BLOCK_BYTES", cap)
-            assert [bits(S._plan.cube_weak(level, root)) for level in range(g.N + 1)] == whole
+            assert list(map(bits, S._plan.cube_weak(root))) == whole
+
+    def test_scan_memory_stays_within_the_per_level_scorer(self):
+        # one scan's tracemalloc peak under the scorer that rebuilt every
+        # ancestor window for each level it scored, at this grid and shift
+        # with the plan's cached tables built (numpy 2.4, CPython 3.11)
+        per_level_peak = 1_373_216
+        S = build_random_shift(4, 4, 90_004, GridSpec(1, 14))
+        plan, one = S._plan, StepFunction.constant(S.grid, 1.0)
+        assert plan.cancels and plan.scales_exactly
+        plan._by_rprime  # the plan's tables are built before tracing
+        tracemalloc.start()
+        try:
+            score = normlab._cube_scores(truncation_operator(S), one, one, 1.01)
+            for level in range(S.grid.N + 1):
+                score(level)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_level_peak
 
     def test_empty_shift_declines(self):
         S = build_random_shift(4, 0, 1, GridSpec(1, 4))  # no level has room
         assert not self.assert_scores_match_dense_route(S)
 
+    # input child values of the last pair, at shift level 3 (scale 2^3),
+    # whose output values are 0: 2^-401 fails scales_exactly's lower end;
+    # 2^1021 its upper one, and at factor 1 its coefficient 2^1024 would
+    # overflow, and times 0 give NaN
+    EXTREME = {"tiny child value": 2.0**-401, "huge child value": 2.0**1021}
+
     @pytest.mark.parametrize(
         "name",
-        ["paraproduct", "noncancellative", "random d=2", "cascade sigma", "cascade w", "linear shift"],
+        ["paraproduct", "noncancellative", "random d=2", "cascade sigma", "cascade w", "linear shift", *EXTREME],
     )
     def test_declined_weak_searches_match_loop(self, name):
         g = GridSpec(2, 3) if name == "random d=2" else GridSpec(1, 5)
@@ -476,6 +518,12 @@ class TestCubePath:
         sigma = cascade_weight(g, 42, 0.6) if name == "cascade sigma" else one
         kind = {"paraproduct": "paraproduct", "noncancellative": "noncancellative"}.get(name, "random")
         S = make_shift(kind, g.d, g.N, 1, 1, seed=43)
+        if name in self.EXTREME:
+            obj = json.loads(S.to_json())
+            pair = obj["entries"][-1]["pairs"][-1]
+            pair["h_vals"], pair["g_vals"] = [self.EXTREME[name], -self.EXTREME[name]], [0.0, 0.0]
+            S = HaarShift.from_json(json.dumps(obj))
+            assert max(S.levels) == 3 and S._plan.cancels and not S._plan.scales_exactly
         op = shift_operator(S) if name == "linear shift" else truncation_operator(S)
         assert normlab._cube_scores(op, w, sigma, 1.5) is None
         if name == "linear shift":
@@ -522,9 +570,9 @@ class TestCubePath:
                 passed.append(inputs.copy())
             return pair_pass(plan, inputs, keep)
 
-        def spy_cube_weak(plan, level, root):
-            scored.append(level)
-            return cube_weak(plan, level, root)
+        def spy_cube_weak(plan, root):
+            scored.append(plan)
+            return cube_weak(plan, root)
 
         def spy_indicator(grid, level, z):
             made.append((level, z))
@@ -536,7 +584,7 @@ class TestCubePath:
         op = truncation_operator(S)
         op = dataclasses.replace(op, apply=lambda v: applied.append(np.array(v)) or S.truncation(v))
         weak_norm_estimate(op, one, one, 1.5, seed=seed, budget=budget, random_starts=random_starts)
-        assert scored == list(range(g.N + 1))
+        assert scored == [S._plan]  # one tree of windows for every level
         indicators = {
             (level, z): x for level in range(g.N + 1) for z, x in enumerate(cube_indicators(g, level))
         }
@@ -678,9 +726,11 @@ class TestSlotTables:
         # selected maps' transposes run on
         assert [id(put) for put in built] == [id(S._plan.scatter), id(S.adjoint()._plan.scatter)]
         assert len(tables) == 2
-        # after that only selected_integrals's binning of u by the selected
-        # levels calls np.bincount, once per call
-        assert counted == [5, 5, 54, 54, 2, 2]
+        # after that np.bincount runs once per call of the pruned pair pass,
+        # which sums the kept pairs' terms without a table (at K = 54 all 8
+        # indicators of level 3 cover the grid and prune nothing), and of
+        # selected_integrals's binning of u by the selected levels
+        assert counted == [5, 5, 5, 54, 54, 2, 2, 2]
 
 
 # Fixed shifts whose output Haar functions have mean zero, by name.

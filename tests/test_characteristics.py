@@ -18,6 +18,7 @@ from czlab.families import _cascade_rows, cascade_weight, power_weight, two_valu
 
 from oracles import (
     brute_ap,
+    cell_count,
     loop_centered_ainfty,
     loop_centered_maximal,
     loop_centered_maximal_2d,
@@ -358,9 +359,9 @@ class TestCentered2D:
         rep = ainfty_characteristic(w)
         Q = rep.witness
         # recompute the ratio at the witness from scratch
-        best = np.zeros(Q.cell_count)
+        best = np.zeros(cell_count(Q))
         for level in range(Q.level, g.N + 1):
-            per = Q.cell_count >> (level - Q.level)
+            per = cell_count(Q) >> (level - Q.level)
             avgs = w.values[Q.cell_slice].reshape(-1, per).mean(axis=1)
             best = np.maximum(best, np.repeat(avgs, per))
         ratio = best.sum() * g.cell_volume / w.integral(Q)

@@ -17,8 +17,9 @@ from czlab.dyadics import (
     children,
     level_integrals,
     lp_norm,
-    rearrangement_value,
 )
+
+from oracles import rearrangement_value
 
 
 def grid1(N=3):

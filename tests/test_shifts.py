@@ -14,6 +14,7 @@ from czlab.normlab import hilbert_operator
 from czlab.shifts import (
     GridEnsemble,
     _hilbert_averages,
+    _exact_zero_sum,
     _offset_pairings,
     HaarShift,
     ShiftLevel,
@@ -28,7 +29,9 @@ from czlab.shifts import (
 
 from oracles import (
     axis_reduced_random_shift_values,
+    axis_reduced_zero_sum,
     brute_truncation,
+    cell_count,
     dense_shift_matrix,
     gather_offset_pairings,
     loop_hilbert,
@@ -412,7 +415,7 @@ class TestParaproduct:
         avg = float(f.values[Q.cell_slice].mean())
         # output = a_Q * avg * h_Q with h_Q the sup-normalized pattern / sqrt|Q|
         expect = np.zeros(g.cells)
-        half = Q.cell_count // 2
+        half = cell_count(Q) // 2
         expect[Q.cell_slice][:half] = avg
         expect[Q.cell_slice][half:] = -avg
         # a_Q |Q|^(-1/2) = 1, so amplitude is exactly avg
@@ -856,8 +859,16 @@ class TestBulkBuilders:
         want = axis_reduced_random_shift_values(m, n, 7, g, cancellative)
         assert sorted(S.levels) == sorted(want)
         for level, (h_in, h_out) in want.items():
-            assert np.array_equal(S.levels[level].h_in, h_in)
-            assert np.array_equal(S.levels[level].h_out, h_out)
+            assert S.levels[level].h_in.tobytes() == np.ascontiguousarray(h_in).tobytes()
+            assert S.levels[level].h_out.tobytes() == np.ascontiguousarray(h_out).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_sums_match_axis_reductions_bit_for_bit(self, d):
+        vals = np.random.default_rng(d).standard_normal((4000, 2, 1 << d))
+        vals[0], vals[1], vals[2, 0] = 0.0, -0.0, 1e300  # signed zero sums, a huge row
+        vals[2, 1, ::2] = -0.0
+        want = axis_reduced_zero_sum(vals)
+        assert _exact_zero_sum(vals).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("N", [2, 3, 5])
     def test_petermichl(self, N):
