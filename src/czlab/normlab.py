@@ -358,7 +358,8 @@ def _cube_scores(op, w, sigma, p):
     (_KernelPlan.cube_weak), when op is a shift truncation whose plan
     cancels and scales_exactly, sigma is 1 on every cell and w is constant;
     otherwise None.  The scorer's tree of ancestor windows is built once,
-    here, for every level.  The ratios are _ratios's with
+    here, for every level, and each level's scores are let go once read:
+    score(level) is called once per level.  The ratios are _ratios's with
     _weak_functionals, bit for bit."""
     plan = op.shift._plan if isinstance(op, _ShiftTruncation) else None
     wv = w.values
@@ -372,7 +373,9 @@ def _cube_scores(op, w, sigma, p):
         # the indicator's L^p(sigma) norm, as _lp_norms takes it: |Q|^(1/p)
         norm = (w.grid.cells >> (w.grid.d * level)) * w.grid.cell_volume
         norm **= 1.0 / p
-        return (weak[level] / norm).tolist()
+        ratios, weak[level] = weak[level], None
+        ratios /= norm
+        return ratios.tolist()
 
     return score
 

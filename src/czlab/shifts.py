@@ -56,15 +56,10 @@ def _exact_zero_sum(vals: np.ndarray) -> np.ndarray:
     its last entry.  On 10^5 standard normal rows of 2 or 4 values (d = 1,
     2), numpy's sum of the result was exactly zero; rows of 8 (d = 3), which
     numpy sums pairwise, kept a rounding-size residue about a quarter of
-    the time.  Rows of fewer than 8 are summed a column at a time by
-    _child_sum, numpy's own order and far faster on the short axis; the
-    mean is that sum over the row length, as numpy divides it."""
-    fold = vals.shape[-1]
-    if fold >= 8:
-        vals = vals - vals.mean(axis=-1, keepdims=True)
-        vals[..., -1] -= vals.sum(axis=-1)
-        return vals
-    vals = vals - (_child_sum(list(np.moveaxis(vals, -1, 0))) / fold)[..., None]
+    the time.  The row sums are _child_sum's of the columns, numpy's own
+    sums along the row and far faster on a short axis; the mean is the sum
+    over the row length, as numpy divides it."""
+    vals = vals - (_child_sum(list(np.moveaxis(vals, -1, 0))) / vals.shape[-1])[..., None]
     vals[..., -1] -= _child_sum(list(np.moveaxis(vals, -1, 0)))
     return vals
 
@@ -363,8 +358,9 @@ class HaarShift:
 
 # Byte cap on what one chunk of rows holds at once: in the fused kernel's
 # pair pass, its integral terms and slot terms together (block rows x (live
-# pairs + all pairs) x 2^d floats), and in the cube scorer each array of
-# terms or regions at half of it; larger blocks go a chunk of rows at a time.
+# pairs + all pairs) x 2^d floats), and in the cube scorer one tier's window
+# term values and bins together, and each of a chunk's region arrays at half
+# of it; larger blocks go a chunk of rows at a time.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -471,30 +467,23 @@ class _KernelPlan:
     def _pair_pass(self, inputs: np.ndarray, keep=None) -> np.ndarray:
         """The flat outputs of each row of a (K, flat inputs) array: the row
         read at `gather`, weighed by h_in, summed over children and scaled
-        by `scale` (1/|Q|) into one coefficient per pair, then summed onto
-        the flat outputs by the slot table.  Given `keep`, only those pairs
-        are read, and np.bincount sums their terms alone: a bin's terms
-        come in pair order from +0 either way, and the pairs left out, of
-        coefficient 0, would add +-0, moving nothing.  Rows go a chunk at a
-        time, each chunk's integral terms and slot terms together taking at
-        most _BLOCK_BYTES."""
+        by `scale` (1/|Q|) into one coefficient per pair (0 for pairs not
+        in `keep`, when given), then summed onto the flat outputs.  Rows go
+        a chunk at a time, each chunk's integral terms and slot terms
+        together taking at most _BLOCK_BYTES."""
         take, h_take, scale, slots = self.gather, self.h_in, self.scale, self._scatter_slots
         if keep is not None:
             take, h_take, scale = take[:, keep], h_take[:, keep], scale[keep]
-            put, h_put = self.scatter[:, keep], self.h_out[:, keep]
         step = max(1, _BLOCK_BYTES // (8 * (take.size + slots.pair.size)))
         parts = []
         for k in range(0, max(len(inputs), 1), step):
             terms = inputs[k : k + step].take(take, axis=1)
             terms *= h_take
             coef = _child_sum(list(terms.transpose(1, 0, 2))) * scale
-            if keep is None:
-                parts.append(slots.sum(coef))
-                continue
-            rows = len(coef)
-            bins = (put + slots.size * np.arange(rows)[:, None, None]).ravel()
-            weights = (coef[:, None, :] * h_put).ravel()
-            parts.append(np.bincount(bins, weights, rows * slots.size).reshape(rows, slots.size))
+            if keep is not None:
+                coef, live = np.zeros((len(coef), slots.pairs)), coef
+                coef[:, keep] = live
+            parts.append(slots.sum(coef))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _output_pass(self, contrib: np.ndarray, truncate: bool, select: bool = False):
@@ -609,30 +598,32 @@ class _KernelPlan:
         regions, W <= N its windows (_region_weak): the cubes of a window
         that the next C covers whole hold no cells and are left out.
 
-        The best rows sit in one array: the windows of holder levels above
-        `cut` whole, then those at or below it for one subtree (the holders
-        inside one cube of level cut), which each subtree overwrites.  cut
-        is the coarsest level at which a subtree's windows' terms together
-        take at most half of _BLOCK_BYTES (one array of values, one of
-        bins).  A level's indicators under a subtree go a chunk of rows at a
-        time, each chunk's regions taking at most half of it.  Every level's
-        scores are kept until the call returns.
+        The tree is walked depth first in tiers (_tiers), coarsest first: a
+        tier's windows are built for the holders inside one cube of its root
+        level, then the indicators of the levels from that root to the next
+        tier's are scored under it, a chunk of rows at a time, each chunk's
+        regions taking at most half of _BLOCK_BYTES, and then the next
+        tier's cubes inside it are walked.  The best rows sit in one array,
+        each window at its own place, which each cube of its tier
+        overwrites.  A tier's best rows, and the acc its last window passes
+        on, each take at most half of _BLOCK_BYTES, so the tree holds at
+        most _BLOCK_BYTES per tier, whatever the cell count.  Every level's
+        scores are kept until the call returns: 8 sum 2^(d level) bytes,
+        under 16 per cell.
         """
         d, N, n = self.grid.d, self.grid.N, self.n
         held = (self.shift_levels + n + 1).tolist()  # each window's holder level
         width = 1 << (d * (self.m + 1))
-        terms = max(width, (1 << d) * int(self._by_rprime[2].max()))  # per holder
-        cut = held[-1]
-        while cut and 16 * terms * sum(1 << (d * (h - cut + 1)) for h in held if h >= cut - 1) <= _BLOCK_BYTES:
-            cut -= 1  # a subtree of level cut - 1 fits
+        tiers = self._tiers()
         columns = [self._region_columns(windows) for windows in range(len(held) + 1)]
         scores = [np.zeros(1 << (d * level)) for level in range(N + 1)]
-        top = sum(h < cut for h in held)  # the windows built whole
-        size = [1 << (d * (h if j < top else h - cut)) for j, h in enumerate(held)]
+        root_of = {j: c for c, first, stop in tiers for j in range(first, stop)}
+        size = [1 << (d * (h - root_of[j])) for j, h in enumerate(held)]
         offset = width * np.cumsum([0] + size[:-1])
+        base = offset.copy()  # holder h's row of window j starts at base[j] + h width
         tree = np.empty(width * sum(size))
 
-        def score(level, first, rows, base):
+        def score(level, first, rows):
             # the windows whose R' is a strict ancestor of the level's cubes
             count = sum(h <= level for h in held)
             if not count:
@@ -643,24 +634,45 @@ class _KernelPlan:
                 weak = self._region_weak(level, zs, tree, base[:count], columns[count], root)
                 scores[level][k : k + len(zs)] = weak
 
-        def grow(j, lo, before):
-            out = tree[offset[j] : offset[j] + width * size[j]].reshape(size[j], width)
-            return self._window(j, lo, size[j], before, out)
-
-        before = None
-        for j in range(top):
-            before = grow(j, 0, before)
-        for level in range(cut):
-            score(level, 0, 1 << (d * level), offset)
-        for r in range(1 << (d * cut)):
-            lo, below = [0] * top + [r << (d * (h - cut)) for h in held[top:]], before
-            for j in range(top, len(held)):
-                below = grow(j, lo[j], below)
-            base = offset - width * np.array(lo)  # holder h's row of window j starts at base[j] + h width
-            for level in range(cut, N + 1):
-                rows = 1 << (d * (level - cut))
-                score(level, r * rows, rows, base)
+        # depth first: a cube's next-tier cubes come off the stack before
+        # its siblings, so each window's rows stay put while read below it
+        stack = [(0, r, None) for r in range(1 << (d * tiers[0][0]))]
+        while stack:
+            t, r, before = stack.pop()  # tier t under cube r of its root level c
+            c, first, stop = tiers[t]
+            for j in range(first, stop):
+                lo = r << (d * (held[j] - c))
+                base[j] = offset[j] - width * lo
+                out = tree[offset[j] : offset[j] + width * size[j]].reshape(size[j], width)
+                before = self._window(j, lo, size[j], before, out)
+            below = tiers[t + 1][0] if t + 1 < len(tiers) else N + 1
+            for level in range(c, below):
+                rows = 1 << (d * (level - c))
+                score(level, r * rows, rows)
+            if t + 1 < len(tiers):
+                fan = d * (below - c)
+                stack.extend((t + 1, r2, before) for r2 in range(r << fan, (r + 1) << fan))
         return scores
+
+    def _tiers(self):
+        """cube_weak's tiers of windows, coarsest first: (root, first,
+        stop), windows first .. stop - 1 built for the holders inside one
+        cube of level root.  From the finest window up, each tier's root is
+        the coarsest level at which its windows' term values and bins (a
+        float and an index per term) together take at most _BLOCK_BYTES, or
+        the holder level of its one window when even that does not fit."""
+        d = self.grid.d
+        held = (self.shift_levels + self.n + 1).tolist()
+        terms = max(1 << (d * (self.m + 1)), (1 << d) * int(self._by_rprime[2].max()))  # per holder
+        tiers, stop = [], len(held)
+        while stop:
+            c = held[stop - 1]
+            while c and 16 * terms * sum(1 << (d * (h - c + 1)) for h in held[:stop] if h >= c - 1) <= _BLOCK_BYTES:
+                c -= 1  # the windows at or below c - 1 fit under one of its cubes
+            first = sum(h < c for h in held[:stop])
+            tiers.append((c, first, stop))
+            stop = first
+        return tiers[::-1]
 
     def _window(self, j, lo, size, before, best):
         """Window j's rows at factor 1 for the holders lo .. lo + size - 1,
@@ -794,14 +806,15 @@ class _Slots(NamedTuple):
     bin's j-th term: `pair` and `h` list, slot after slot, the pair and
     the weight h_put[i, r] of each term, and widths[j] the bins that slot
     j reaches, a prefix of the ranking.  `unsort` maps each bin to its
-    rank (None when the ranking is bin order) and `size` counts the bins.
-    Each _KernelPlan holds one, for its unpruned pair passes."""
+    rank (None when the ranking is bin order), `size` counts the bins and
+    `pairs` the pairs.  Each _KernelPlan holds one, for its pair pass."""
 
     pair: np.ndarray
     h: np.ndarray
     widths: tuple
     unsort: np.ndarray | None
     size: int
+    pairs: int
 
     @classmethod
     def build(cls, put: np.ndarray, h_put: np.ndarray, size: int) -> "_Slots":
@@ -814,7 +827,7 @@ class _Slots(NamedTuple):
         widths = [int((count > j).sum()) for j in range(count.max())]
         term = np.concatenate([by_bin[first[ranked[:c]] + j] for j, c in enumerate(widths)])
         unsort = None if (ranked == np.arange(size)).all() else np.argsort(ranked)
-        return cls((term % pairs).astype(np.int32), h_put.ravel()[term], tuple(widths), unsort, size)
+        return cls((term % pairs).astype(np.int32), h_put.ravel()[term], tuple(widths), unsort, size, pairs)
 
     def sum(self, coef: np.ndarray) -> np.ndarray:
         """The bins of each row of coefficients, a (K, pairs) array: each

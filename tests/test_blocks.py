@@ -8,6 +8,7 @@ spectral solve is checked against a dense SVD instead.
 
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import math
@@ -467,35 +468,72 @@ class TestCubePath:
         S = build_random_shift(2, 2, 55, GridSpec(1, 7))
         g = S.grid
         root = normlab._mass_roots(np.ones(g.cells), g, 1.5)
-        whole = list(map(bits, S._plan.cube_weak(root)))  # one tree: holders of levels 3..7
-        # 1: one row per chunk, and a subtree per holder of level 7 under the
-        # whole windows of levels 3..6.  16*5*8*12: subtrees of level 3 (31
-        # holders of 8 terms fit, 62 do not), and 12 rows per chunk of the
-        # finest level's 5 windows of 8 cubes, which split a subtree's 16
-        # rows unevenly.  16*8*7: subtrees of level 5 (7 holders fit) under
-        # the whole windows of levels 3 and 4.
-        for cap in (1, 16 * 5 * 8 * 12, 16 * 8 * 7):
+        whole = list(map(bits, S._plan.cube_weak(root)))  # one tier: holders of levels 3..7
+        # 1: one row per chunk, and one tier per window, rooted at its
+        # holders' level.  16*5*8*12: one tier under each cube of level 3
+        # (31 holders of 8 terms fit, 62 do not), and 12 rows per chunk of
+        # the finest level's 5 windows of 8 cubes, which split a tier's 16
+        # rows unevenly.  16*8*7: the windows of holder levels 3 and 4 under
+        # each cube of level 2, then those of 5..7 under each of level 5.
+        # 16*8*3: three tiers, holders of level 3 under level 2, of 4 and 5
+        # under level 4, of 6 and 7 under level 6.
+        for cap in (1, 16 * 5 * 8 * 12, 16 * 8 * 7, 16 * 8 * 3):
             monkeypatch.setattr(shifts, "_BLOCK_BYTES", cap)
             assert list(map(bits, S._plan.cube_weak(root))) == whole
 
-    def test_scan_memory_stays_within_the_per_level_scorer(self):
-        # one scan's tracemalloc peak under the scorer that rebuilt every
-        # ancestor window for each level it scored, at this grid and shift
-        # with the plan's cached tables built (numpy 2.4, CPython 3.11)
-        per_level_peak = 1_373_216
-        S = build_random_shift(4, 4, 90_004, GridSpec(1, 14))
-        plan, one = S._plan, StepFunction.constant(S.grid, 1.0)
+    @pytest.mark.parametrize("N,cap", [(12, 1 << 18), (14, 1 << 18), (14, 1 << 17)])
+    def test_scorer_holds_its_scores_and_a_few_blocks(self, monkeypatch, N, cap):
+        # Beyond the scores it returns, cube_weak holds the region layouts;
+        # per tier on the walk, its best rows and the acc kept for the next
+        # window (a tier's terms, values and bins, take at most a cap, so
+        # each at most half a cap); and then either one window's arrays
+        # being built (its terms and bins, at most a cap, and no more than
+        # four others each at most half as large) or at most five of a
+        # chunk's region arrays (indices, magnitudes, masses, the sort's
+        # order and its flat copy, each at most half a cap): within
+        # (tiers + 3) caps and the layouts, whatever the cell count.
+        monkeypatch.setattr(shifts, "_BLOCK_BYTES", cap)
+        S = build_random_shift(4, 4, 90_004, GridSpec(1, N))
+        plan = S._plan
         assert plan.cancels and plan.scales_exactly
         plan._by_rprime  # the plan's tables are built before tracing
+        root = normlab._mass_roots(np.ones(S.grid.cells), S.grid, 1.01)
+        layouts = sum(
+            a.nbytes
+            for windows in range(len(plan.shift_levels) + 1)
+            for a in plan._region_columns(windows)
+            if isinstance(a, np.ndarray)
+        )
         tracemalloc.start()
         try:
-            score = normlab._cube_scores(truncation_operator(S), one, one, 1.01)
-            for level in range(S.grid.N + 1):
-                score(level)
+            weak = plan.cube_weak(root)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= per_level_peak
+        scores = sum(a.nbytes for a in weak)
+        assert scores == 8 * sum(1 << level for level in range(N + 1))
+        assert peak - scores <= (len(plan._tiers()) + 3) * cap + layouts
+
+    @pytest.mark.parametrize("cap", [1 << 18, 16 * 8 * 3])
+    def test_scan_leaves_no_reference_cycle(self, monkeypatch, cap):
+        # a scan's tree and scores go when it returns, not at the next
+        # cyclic collection: held over a weak run's scans, they raised its
+        # peak RSS by a third
+        monkeypatch.setattr(shifts, "_BLOCK_BYTES", cap)
+        S = build_random_shift(2, 2, 55, GridSpec(1, 7))
+        one = StepFunction.constant(S.grid, 1.0)
+        op = truncation_operator(S)
+        normlab._cube_scores(op, one, one, 1.5)  # the plan's cached tables
+        gc.collect()
+        gc.disable()
+        try:
+            score = normlab._cube_scores(op, one, one, 1.5)
+            for level in range(S.grid.N + 1):
+                score(level)
+            del score
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_empty_shift_declines(self):
         S = build_random_shift(4, 0, 1, GridSpec(1, 4))  # no level has room
@@ -726,11 +764,9 @@ class TestSlotTables:
         # selected maps' transposes run on
         assert [id(put) for put in built] == [id(S._plan.scatter), id(S.adjoint()._plan.scatter)]
         assert len(tables) == 2
-        # after that np.bincount runs once per call of the pruned pair pass,
-        # which sums the kept pairs' terms without a table (at K = 54 all 8
-        # indicators of level 3 cover the grid and prune nothing), and of
-        # selected_integrals's binning of u by the selected levels
-        assert counted == [5, 5, 5, 54, 54, 2, 2, 2]
+        # after that only selected_integrals's binning of u by the selected
+        # levels calls np.bincount, once per call
+        assert counted == [5, 5, 54, 54, 2, 2]
 
 
 # Fixed shifts whose output Haar functions have mean zero, by name.
